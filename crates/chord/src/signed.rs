@@ -7,7 +7,9 @@
 //! keep a queue of the latest signed successor lists they received during
 //! stabilization, to prove their own list was computed honestly.
 
-use octopus_crypto::{Certificate, KeyPair, PublicKey, Signature, SignatureError};
+use octopus_crypto::{
+    Certificate, CertificateError, KeyPair, PublicKey, Signature, SignatureError, Verifier,
+};
 use octopus_id::NodeId;
 
 use crate::table::RoutingTable;
@@ -53,7 +55,8 @@ impl std::fmt::Display for SignedTableError {
 impl std::error::Error for SignedTableError {}
 
 fn signing_bytes(table: &RoutingTable, timestamp: u64) -> Vec<u8> {
-    let mut bytes = table.encode();
+    let mut bytes = Vec::with_capacity(table.encoded_len() + 8);
+    table.encode_into(&mut bytes);
     bytes.extend_from_slice(&timestamp.to_be_bytes());
     bytes
 }
@@ -82,12 +85,28 @@ impl SignedRoutingTable {
     /// # Errors
     /// See [`SignedTableError`].
     pub fn verify(&self, ca_key: PublicKey, now: u64) -> Result<(), SignedTableError> {
+        self.verify_given(|cert| cert.verify(ca_key, now))
+    }
+
+    /// [`verify`](Self::verify) against `verifier`'s CA key, with the
+    /// certificate check going through the verifier's verify-once memo.
+    /// The verdict is the one `verify` gives.
+    ///
+    /// # Errors
+    /// See [`SignedTableError`].
+    pub fn verify_with(&self, verifier: &mut Verifier, now: u64) -> Result<(), SignedTableError> {
+        self.verify_given(|cert| verifier.verify_certificate(cert, now))
+    }
+
+    /// The checks in their fixed order, given the certificate check.
+    fn verify_given(
+        &self,
+        check_certificate: impl FnOnce(&Certificate) -> Result<(), CertificateError>,
+    ) -> Result<(), SignedTableError> {
         if self.certificate.node_id != self.table.owner {
             return Err(SignedTableError::OwnerMismatch);
         }
-        self.certificate
-            .verify(ca_key, now)
-            .map_err(|_| SignedTableError::BadCertificate)?;
+        check_certificate(&self.certificate).map_err(|_| SignedTableError::BadCertificate)?;
         self.certificate
             .public_key
             .verify(&signing_bytes(&self.table, self.timestamp), self.signature)
@@ -217,6 +236,35 @@ mod tests {
             srt.verify(other_ca.public_key(), 100),
             Err(SignedTableError::BadCertificate)
         );
+    }
+
+    #[test]
+    fn verify_with_gives_verify_s_verdict_cold_and_warm() {
+        let f1 = fixture(NodeId(1));
+        let f2 = fixture(NodeId(2));
+        let mut rng = StdRng::seed_from_u64(123);
+        let other_ca = CertificateAuthority::new(&mut rng);
+        let honest = SignedRoutingTable::sign(table(NodeId(1)), 100, &f1.kp, f1.cert);
+        let mut tampered = honest.clone();
+        tampered.table.successors[0] = NodeId(666);
+        let mut restamped = honest.clone();
+        restamped.timestamp = 200;
+        let mut stolen = honest.clone();
+        stolen.certificate = f2.cert;
+        let cases = [honest, tampered, restamped, stolen];
+        for ca_key in [f1.ca.public_key(), other_ca.public_key()] {
+            let mut verifier = Verifier::new(ca_key, 8);
+            // the second round meets the certificate in the memo
+            for round in 0..2 {
+                for (i, srt) in cases.iter().enumerate() {
+                    assert_eq!(
+                        srt.verify_with(&mut verifier, 100),
+                        srt.verify(ca_key, 100),
+                        "case {i}, round {round}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

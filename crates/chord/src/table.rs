@@ -106,12 +106,23 @@ impl RoutingTable {
         (self.fingers.len() + self.successors.len()) as u32
     }
 
+    /// Length of [`RoutingTable::encode`]'s output: the owner, then per
+    /// list a tag byte, a 4-byte count and 8 bytes per entry.
+    #[must_use]
+    pub(crate) fn encoded_len(&self) -> usize {
+        8 + 3 * 5 + 8 * (self.fingers.len() + self.successors.len() + self.predecessors.len())
+    }
+
     /// Canonical byte encoding, the content covered by table signatures.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            8 * (2 + self.fingers.len() + self.successors.len() + self.predecessors.len()),
-        );
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the canonical encoding to `out`.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.owner.0.to_be_bytes());
         for (tag, list) in [
             (0u8, &self.fingers),
@@ -124,7 +135,6 @@ impl RoutingTable {
                 out.extend_from_slice(&id.0.to_be_bytes());
             }
         }
-        out
     }
 
     /// Inverse of [`RoutingTable::encode`]: parse a canonical encoding,

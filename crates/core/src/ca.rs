@@ -15,7 +15,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use octopus_chord::{stabilize, SignedSuccessorList};
-use octopus_crypto::{CertificateAuthority, PublicKey};
+use octopus_crypto::{CertificateAuthority, PublicKey, Signature, VerifiedMemo, Verifier};
 use octopus_id::NodeId;
 use octopus_net::{Addr, NodeBehavior, Runtime};
 use octopus_spec::ReportKind;
@@ -67,6 +67,16 @@ pub struct CaNode {
     /// The CA's overlay address (outside the ring id space).
     pub addr: NodeId,
     authority: CertificateAuthority,
+    /// Verify-once memo for certificates (reporters' and list signers').
+    verifier: Verifier,
+    /// Signed lists already verified as evidence, found by
+    /// `(owner, timestamp, signature)` and trusted only when the whole
+    /// list compares equal: an accused node answers every proof request
+    /// with its proof queue, which differs from its previous answer by
+    /// a list or two.
+    verified_lists: VerifiedMemo<(NodeId, u64, Signature), SignedSuccessorList>,
+    /// Signed lists that went through the full stateless verification.
+    list_verifications: u64,
     cfg: OctopusConfig,
     pubkeys: BTreeMap<NodeId, PublicKey>,
     live: BTreeSet<NodeId>,
@@ -88,6 +98,30 @@ pub struct CaNode {
     pub broadcast_to: Vec<NodeId>,
 }
 
+/// Certificates the CA remembers as verified: every reporter and every
+/// signer of evidence, so the bound is a population, not a neighbourhood.
+const CERT_MEMO_CAPACITY: usize = 1 << 16;
+
+/// Verified signed lists the CA remembers (oldest evicted first).
+/// Investigations only re-present recent lists, so a couple of thousand
+/// cover most of the overlap between successive proof replies, at about
+/// half a KiB each.
+const LIST_MEMO_CAPACITY: usize = 2048;
+
+/// How much stateless verification the CA has run — what the
+/// verify-once tripwire reads (harness observation hook).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct VerifyWork {
+    /// Signed lists that went through `SignedRoutingTable::verify`.
+    pub list_verifications: u64,
+    /// Verified signed lists currently remembered.
+    pub lists_remembered: usize,
+    /// Certificates that went through `Certificate::verify`.
+    pub certificate_verifications: u64,
+    /// Certificates the CA has issued.
+    pub certificates_issued: u64,
+}
+
 /// How long after a join/death the CA excuses inconsistencies that the
 /// churn explains (stabilization needs a few periods to propagate).
 fn churn_excuse_window(cfg: &OctopusConfig) -> u64 {
@@ -106,6 +140,9 @@ impl CaNode {
     pub fn new(addr: NodeId, authority: CertificateAuthority, cfg: OctopusConfig) -> Self {
         CaNode {
             addr,
+            verifier: Verifier::new(authority.public_key(), CERT_MEMO_CAPACITY),
+            verified_lists: VerifiedMemo::new(LIST_MEMO_CAPACITY),
+            list_verifications: 0,
             authority,
             cfg,
             pubkeys: BTreeMap::new(),
@@ -170,6 +207,25 @@ impl CaNode {
         self.authority.is_revoked(id)
     }
 
+    /// Verification work done so far (harness observation hook).
+    #[must_use]
+    pub fn verify_work(&self) -> VerifyWork {
+        VerifyWork {
+            list_verifications: self.list_verifications,
+            lists_remembered: self.verified_lists.len(),
+            certificate_verifications: self.verifier.full_verifications(),
+            certificates_issued: self.authority.issued_count(),
+        }
+    }
+
+    /// Forget every memoised verification and remember none from here
+    /// on: each check runs the stateless verification. Harness hook —
+    /// the reference a memoised run must report identically to.
+    pub fn disable_verify_memo(&mut self) {
+        self.verifier = Verifier::new(self.verifier.ca_key(), 0);
+        self.verified_lists = VerifiedMemo::new(0);
+    }
+
     fn now_secs(ctx: &CaCtx<'_>) -> u64 {
         ctx.now().as_secs_f64() as u64
     }
@@ -200,8 +256,21 @@ impl CaNode {
     /// signer is deliberately not checked: a proof signed by a
     /// since-revoked attacker is exactly the exculpatory evidence an
     /// honest victim needs (non-repudiation outlives revocation).
-    fn verify_signed_list(&self, list: &SignedSuccessorList, now: u64) -> bool {
-        list.verify(self.authority.public_key(), now).is_ok()
+    ///
+    /// A list found in the memo has a good signature under a certificate
+    /// the CA signed; what can still change its verdict is the clock, so
+    /// expiry is compared on every call.
+    fn verify_signed_list(&mut self, list: &SignedSuccessorList, now: u64) -> bool {
+        let key = (list.owner(), list.timestamp, list.signature);
+        if self.verified_lists.contains(&key, list) {
+            return now <= list.certificate.expires_at;
+        }
+        self.list_verifications += 1;
+        let ok = list.verify_with(&mut self.verifier, now).is_ok();
+        if ok {
+            self.verified_lists.remember(key, list.clone());
+        }
+        ok
     }
 
     fn revoke(&mut self, ctx: &mut CaCtx<'_>, id: NodeId, category: ReportCat) {
@@ -209,7 +278,7 @@ impl CaNode {
     }
 
     fn revoke_why(&mut self, ctx: &mut CaCtx<'_>, id: NodeId, category: ReportCat, why: &str) {
-        if !why.is_empty() && std::env::var("OCTO_DEBUG").is_ok() {
+        if !why.is_empty() && crate::debug_enabled() {
             eprintln!("[ca] revoke {id} why={why}");
         }
         if !self.authority.revoke(id) {
@@ -295,8 +364,9 @@ impl CaNode {
                 // computed on its own so the trace oracle can compare
                 // the bits against the accept decision
                 let cert_ok = reporter_cert.node_id == reporter
-                    && reporter_cert
-                        .verify(self.authority.public_key(), now)
+                    && self
+                        .verifier
+                        .verify_certificate(&reporter_cert, now)
                         .is_ok();
                 let reporter_revoked = self.authority.is_revoked(reporter);
                 let evidence_ok = self.verify_signed_list(&accused_list, now);
@@ -347,8 +417,9 @@ impl CaNode {
             } => {
                 let category = ReportCat::FingerSurveillance;
                 let cert_ok = reporter_cert.node_id == reporter
-                    && reporter_cert
-                        .verify(self.authority.public_key(), now)
+                    && self
+                        .verifier
+                        .verify_certificate(&reporter_cert, now)
                         .is_ok();
                 let evidence_ok = self.verify_signed_list(&table, now)
                     && self.verify_signed_list(&finger_pred_list, now)
@@ -445,8 +516,9 @@ impl CaNode {
             } => {
                 let category = ReportCat::SelectiveDos;
                 let cert_ok = reporter_cert.node_id == reporter
-                    && reporter_cert
-                        .verify(self.authority.public_key(), now)
+                    && self
+                        .verifier
+                        .verify_certificate(&reporter_cert, now)
                         .is_ok();
                 let evidence_ok = !relays.is_empty();
                 let accepted = if mutation::is(Mutation::SkipReportCertCheck) {
@@ -588,10 +660,10 @@ impl CaNode {
         let relevant: Vec<&SignedSuccessorList> = proofs
             .iter()
             .filter(|p| {
-                self.verify_signed_list(p, now)
-                    && p.owner() != accused
+                p.owner() != accused
                     && p.timestamp <= accused_list.timestamp + slack
                     && accused_list.timestamp.saturating_sub(p.timestamp) <= window * 2
+                    && self.verify_signed_list(p, now)
             })
             .collect();
         if relevant.is_empty() {
@@ -663,7 +735,7 @@ impl CaNode {
                     self.dismiss(ctx, category);
                     return;
                 }
-                if std::env::var("OCTO_DEBUG").is_ok() {
+                if crate::debug_enabled() {
                     for p in &relevant {
                         let expect = stabilize::merge_successor_list(
                             accused,
@@ -1013,6 +1085,128 @@ impl NodeBehavior for CaNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use octopus_chord::signed::successor_list_table;
+    use octopus_chord::SignedRoutingTable;
+    use octopus_crypto::KeyPair;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Every ordering of `0..n`, by Heap's algorithm.
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        fn heap(k: usize, items: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+            if k <= 1 {
+                out.push(items.clone());
+                return;
+            }
+            for i in 0..k {
+                heap(k - 1, items, out);
+                items.swap(if k % 2 == 0 { i } else { 0 }, k - 1);
+            }
+        }
+        let mut out = Vec::new();
+        heap(n, &mut (0..n).collect(), &mut out);
+        out
+    }
+
+    /// The memo must be invisible: whatever signed lists the CA is shown,
+    /// in whatever order and however often, `verify_signed_list` answers
+    /// as the stateless `SignedRoutingTable::verify` does. All but one
+    /// of the lists share the memo key `(owner, timestamp, signature)`
+    /// of the honest one, so only whole-list equality tells them apart.
+    #[test]
+    fn list_memo_agrees_with_stateless_verify_in_every_order() {
+        let mut rng = StdRng::seed_from_u64(0x4c49_5354);
+        let mut authority = CertificateAuthority::new(&mut rng);
+        let mut foreign_authority = CertificateAuthority::new(&mut rng);
+        let ca_key = authority.public_key();
+        let (a, b) = (NodeId(100), NodeId(200));
+        let (kp_a, kp_b) = (KeyPair::generate(&mut rng), KeyPair::generate(&mut rng));
+        let cert_a = authority.issue(a, 1, kp_a.public(), u64::MAX);
+        let cert_a_short = authority.issue(a, 1, kp_a.public(), 500);
+        let cert_b = authority.issue(b, 2, kp_b.public(), u64::MAX);
+        let cert_a_foreign = foreign_authority.issue(a, 1, kp_a.public(), u64::MAX);
+
+        let table = || successor_list_table(a, vec![NodeId(110), NodeId(120), NodeId(130)]);
+        let valid = SignedRoutingTable::sign(table(), 90, &kp_a, cert_a);
+        let mut flipped = valid.clone();
+        flipped.signature = Signature(valid.signature.0 ^ 1);
+        let mut tampered = valid.clone();
+        tampered.table.successors[1] = NodeId(125);
+        let mut stolen = valid.clone();
+        stolen.certificate = cert_b;
+        let mut foreign = valid.clone();
+        foreign.certificate = cert_a_foreign;
+        // the same statement under a re-issued certificate: valid while
+        // that certificate lasts, and a different list to the memo
+        let mut reissued = valid.clone();
+        reissued.certificate = cert_a_short;
+        let cases = [
+            ("valid", &valid, 100),
+            ("bit-flipped signature", &flipped, 100),
+            ("same key, other successors", &tampered, 100),
+            ("another node's certificate", &stolen, 100),
+            ("foreign CA", &foreign, 100),
+            ("re-issued certificate, in time", &reissued, 400),
+            ("re-issued certificate, expired", &reissued, 501),
+        ];
+        let stateless: Vec<bool> = cases
+            .iter()
+            .map(|(_, list, now)| list.verify(ca_key, *now).is_ok())
+            .collect();
+        assert_eq!(
+            stateless,
+            [true, false, false, false, false, true, false],
+            "the fixture covers both verdicts"
+        );
+
+        let mut ca = CaNode::new(NodeId(1), authority, OctopusConfig::default());
+        for order in permutations(cases.len()) {
+            // the memo stays warm across orders: every order after the
+            // first starts against whatever the previous ones left
+            for &i in order.iter().chain(&order) {
+                let (what, list, now) = cases[i];
+                assert_eq!(
+                    ca.verify_signed_list(list, now),
+                    stateless[i],
+                    "{what} in order {order:?}"
+                );
+            }
+        }
+        // the two lists that ever passed share a key, so one is held
+        assert_eq!(ca.verified_lists.len(), 1);
+    }
+
+    /// Work, not verdicts: a list shown again costs no verification, a
+    /// rejected one costs one every time.
+    #[test]
+    fn list_memo_verifies_each_distinct_list_once() {
+        let mut rng = StdRng::seed_from_u64(0x4f4e_4345);
+        let mut authority = CertificateAuthority::new(&mut rng);
+        let kp = KeyPair::generate(&mut rng);
+        let owner = NodeId(7);
+        let cert = authority.issue(owner, 1, kp.public(), u64::MAX);
+        let mut ca = CaNode::new(NodeId(1), authority, OctopusConfig::default());
+        let lists: Vec<SignedRoutingTable> = (0..5u64)
+            .map(|t| {
+                let table = successor_list_table(owner, vec![NodeId(8 + t), NodeId(20)]);
+                SignedRoutingTable::sign(table, t, &kp, cert)
+            })
+            .collect();
+        for _ in 0..4 {
+            for list in &lists {
+                assert!(ca.verify_signed_list(list, 10));
+            }
+        }
+        assert_eq!(ca.verify_work().list_verifications, 5);
+        assert_eq!(ca.verify_work().certificate_verifications, 1);
+        let mut forged = lists[0].clone();
+        forged.table.successors.push(NodeId(99));
+        for _ in 0..3 {
+            assert!(!ca.verify_signed_list(&forged, 10));
+        }
+        assert_eq!(ca.verify_work().list_verifications, 8);
+        assert_eq!(ca.verify_work().certificate_verifications, 1);
+    }
 
     #[test]
     fn list_consistent_exact_merge() {

@@ -179,7 +179,7 @@ impl OctopusNode {
         // (the verify call is pure — no RNG — so evaluating it
         // unconditionally never shifts a seeded stream)
         let owner_match = owner == awaiting;
-        let sig_ok = table.verify(self.ca_key, now).is_ok();
+        let sig_ok = table.verify_with(&mut self.verifier, now).is_ok();
         let accepted = if mutation::is(Mutation::AcceptStaleTables) {
             owner_match // injected bug: certificate check skipped
         } else {
@@ -236,7 +236,7 @@ impl OctopusNode {
             return;
         };
         let target = st.awaiting;
-        if std::env::var("OCTO_DEBUG").is_ok() {
+        if crate::debug_enabled() {
             eprintln!(
                 "[dbg] lookup timeout at {} flow={flow:x} target={target} relays={relays:?}",
                 ctx.now()

@@ -15,7 +15,7 @@ use octopus_chord::signed::successor_list_table;
 use octopus_chord::{
     stabilize, BoundChecker, ChordConfig, RoutingTable, SignedRoutingTable, SignedSuccessorList,
 };
-use octopus_crypto::{Certificate, KeyPair, PublicKey};
+use octopus_crypto::{Certificate, KeyPair, PublicKey, Verifier};
 use octopus_id::{Key, NodeId};
 use octopus_net::{Addr, NodeBehavior, Runtime};
 use octopus_sim::Duration;
@@ -122,6 +122,14 @@ pub(crate) struct FingerLookup {
     pub hops: usize,
 }
 
+/// Certificates a peer remembers as verified. A peer keeps re-checking
+/// the same two dozen — its successors, predecessors and fingers sign
+/// every stabilization and surveillance reply — while the owners of
+/// lookup and walk tables are met once. The bound covers the first set:
+/// at the §5.1 point it keeps 90 % of what an unbounded memo saves, for
+/// about 1.5 KiB a peer.
+const CERT_MEMO_CAPACITY: usize = 28;
+
 /// An Octopus peer.
 pub struct OctopusNode {
     /// Ring position.
@@ -130,7 +138,7 @@ pub struct OctopusNode {
     pub(crate) keypair: KeyPair,
     pub(crate) cert: Certificate,
     pub(crate) ca_addr: NodeId,
-    pub(crate) ca_key: PublicKey,
+    pub(crate) verifier: Verifier,
 
     // ---- ring state ----
     pub(crate) successors: Vec<NodeId>,
@@ -189,7 +197,7 @@ impl OctopusNode {
             keypair,
             cert,
             ca_addr,
-            ca_key,
+            verifier: Verifier::new(ca_key, CERT_MEMO_CAPACITY),
             successors: Vec::new(),
             predecessors: Vec::new(),
             fingers: Vec::new(),
@@ -229,6 +237,12 @@ impl OctopusNode {
         self.predecessors = predecessors;
         self.fingers = fingers;
         self.relay_pool = relay_pairs.into();
+    }
+
+    /// Forget every memoised certificate and remember none from here
+    /// on (harness hook, see [`CaNode::disable_verify_memo`](crate::CaNode::disable_verify_memo)).
+    pub fn disable_verify_memo(&mut self) {
+        self.verifier = Verifier::new(self.verifier.ca_key(), 0);
     }
 
     /// Is this node malicious?
@@ -829,7 +843,7 @@ impl NodeBehavior for OctopusNode {
             Msg::SuccList { req, list } => {
                 if let Some(DirectPurpose::StabSucc { peer }) = self.direct_pending.remove(&req) {
                     if list
-                        .verify(self.ca_key, ctx.now().as_secs_f64() as u64)
+                        .verify_with(&mut self.verifier, ctx.now().as_secs_f64() as u64)
                         .is_ok()
                     {
                         self.on_succ_list(peer, *list);
@@ -843,7 +857,7 @@ impl NodeBehavior for OctopusNode {
                 match purpose {
                     DirectPurpose::StabPred { peer }
                         if list
-                            .verify(self.ca_key, ctx.now().as_secs_f64() as u64)
+                            .verify_with(&mut self.verifier, ctx.now().as_secs_f64() as u64)
                             .is_ok() =>
                     {
                         self.on_pred_list(peer, &list);

@@ -953,6 +953,25 @@ impl SecuritySim {
         self.keys.get(&id).map(|(_, cert)| *cert)
     }
 
+    /// Switch off the verify-once memos of the CA and of every peer now
+    /// in the world (peers that join later start with a fresh memo), so
+    /// every signature check runs in full — the reference run of the
+    /// memo tripwire.
+    pub fn disable_verify_memo(&mut self) {
+        self.with_ca(CaNode::disable_verify_memo);
+        for id in self.space.to_vec() {
+            if let Some(Actor::Peer(p)) = self.world.node_mut(id) {
+                p.disable_verify_memo();
+            }
+        }
+    }
+
+    /// The CA's verification work counters.
+    #[must_use]
+    pub fn ca_verify_work(&self) -> crate::ca::VerifyWork {
+        self.with_ca_ref(CaNode::verify_work)
+    }
+
     /// Have the CA issue a certificate for `id` that expires at
     /// simulated second `expires_at` — the fuzz harness's stale-cert
     /// vector. `None` when `id` never had keys.

@@ -156,7 +156,7 @@ impl OctopusNode {
         let Some(fc) = self.checks.get_mut(&check) else {
             return;
         };
-        if list.owner() != fc.fprime || list.verify(self.ca_key, now).is_err() {
+        if list.owner() != fc.fprime || list.verify_with(&mut self.verifier, now).is_err() {
             self.checks.remove(&check);
             return;
         }
@@ -214,7 +214,7 @@ impl OctopusNode {
             return;
         };
         let Some(p1) = fc.p1 else { return };
-        if p1_table.owner() != p1 || p1_table.verify(self.ca_key, now).is_err() {
+        if p1_table.owner() != p1 || p1_table.verify_with(&mut self.verifier, now).is_err() {
             return;
         }
         // the violation: some successor of P′₁ is closer to the ideal
@@ -336,7 +336,7 @@ impl OctopusNode {
         let Some(state) = self.finger_lookups.get_mut(&fl) else {
             return;
         };
-        if table.verify(self.ca_key, now).is_err() {
+        if table.verify_with(&mut self.verifier, now).is_err() {
             self.finger_lookups.remove(&fl);
             return;
         }
@@ -391,7 +391,7 @@ impl OctopusNode {
         table: SignedRoutingTable,
     ) {
         let now = ctx.now().as_secs_f64() as u64;
-        if table.owner() != target || table.verify(self.ca_key, now).is_err() {
+        if table.owner() != target || table.verify_with(&mut self.verifier, now).is_err() {
             return;
         }
         let succ = &table.table.successors;

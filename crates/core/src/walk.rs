@@ -94,7 +94,7 @@ impl OctopusNode {
     }
 
     pub(crate) fn abort_walk_why(&mut self, ctx: &mut NodeCtx<'_>, walk: u64, why: &str) {
-        if std::env::var("OCTO_DEBUG").is_ok() {
+        if crate::debug_enabled() {
             eprintln!("[dbg] walk {walk:x} aborted at {} why={why}", ctx.now());
         }
         if self.walks.remove(&walk).is_some() {
@@ -117,7 +117,7 @@ impl OctopusNode {
         let Some(st) = self.walks.get_mut(&walk) else {
             return;
         };
-        if table.owner() != st.awaiting || table.verify(self.ca_key, now).is_err() {
+        if table.owner() != st.awaiting || table.verify_with(&mut self.verifier, now).is_err() {
             self.abort_walk_why(ctx, walk, "sig-or-owner");
             return;
         }
@@ -301,7 +301,7 @@ impl OctopusNode {
                     break 'verify false;
                 };
                 if t.owner() != expected
-                    || t.verify(self.ca_key, now).is_err()
+                    || t.verify_with(&mut self.verifier, now).is_err()
                     || !self.bound_checker().passes(&t.table)
                 {
                     break 'verify false;
@@ -310,7 +310,7 @@ impl OctopusNode {
             }
             true
         };
-        if !ok && std::env::var("OCTO_DEBUG").is_ok() {
+        if !ok && crate::debug_enabled() {
             eprintln!(
                 "[dbg] walk {walk:x} result verification failed (tables={})",
                 tables.len()

@@ -12,6 +12,7 @@ use std::fmt;
 
 use octopus_id::NodeId;
 
+use crate::memo::VerifiedMemo;
 use crate::merkle::MerkleTree;
 use crate::rsa::{KeyPair, PublicKey, Signature, SignatureError};
 use crate::sha256::sha256;
@@ -45,13 +46,18 @@ impl fmt::Debug for Certificate {
 impl Certificate {
     /// Canonical byte encoding signed by the CA.
     #[must_use]
-    pub fn signed_bytes(node_id: NodeId, address: u32, key: PublicKey, expires_at: u64) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 4 + 16 + 8);
-        out.extend_from_slice(&node_id.0.to_be_bytes());
-        out.extend_from_slice(&address.to_be_bytes());
-        out.extend_from_slice(&key.n.to_be_bytes());
-        out.extend_from_slice(&key.e.to_be_bytes());
-        out.extend_from_slice(&expires_at.to_be_bytes());
+    pub fn signed_bytes(
+        node_id: NodeId,
+        address: u32,
+        key: PublicKey,
+        expires_at: u64,
+    ) -> [u8; 36] {
+        let mut out = [0u8; 36];
+        out[..8].copy_from_slice(&node_id.0.to_be_bytes());
+        out[8..12].copy_from_slice(&address.to_be_bytes());
+        out[12..20].copy_from_slice(&key.n.to_be_bytes());
+        out[20..28].copy_from_slice(&key.e.to_be_bytes());
+        out[28..].copy_from_slice(&expires_at.to_be_bytes());
         out
     }
 
@@ -70,6 +76,74 @@ impl Certificate {
             return Err(CertificateError::Expired);
         }
         Ok(())
+    }
+}
+
+/// Checks certificates against one CA key, running the CA-signature
+/// check once per distinct certificate.
+///
+/// [`Verifier::verify_certificate`] returns what [`Certificate::verify`]
+/// returns for the same key and clock, always: a certificate is
+/// remembered only after the stateless check accepted it, a remembered
+/// one is trusted only when the presented certificate equals it in every
+/// field, and expiry — the one input that changes between calls — is
+/// compared on every call. Revocation is not a property of the
+/// certificate bytes; callers keep checking it where they did.
+#[derive(Clone, Debug)]
+pub struct Verifier {
+    ca_key: PublicKey,
+    verified: VerifiedMemo<NodeId, Certificate>,
+    full_verifications: u64,
+}
+
+impl Verifier {
+    /// A verifier for certificates issued under `ca_key`, remembering at
+    /// most `capacity` of them (0: every call verifies in full).
+    #[must_use]
+    pub fn new(ca_key: PublicKey, capacity: usize) -> Self {
+        Verifier {
+            ca_key,
+            verified: VerifiedMemo::new(capacity),
+            full_verifications: 0,
+        }
+    }
+
+    /// The CA key certificates are checked against.
+    #[must_use]
+    pub fn ca_key(&self) -> PublicKey {
+        self.ca_key
+    }
+
+    /// [`Certificate::verify`] against this verifier's CA key, skipping
+    /// the signature check for a certificate already seen to pass it.
+    ///
+    /// # Errors
+    /// Exactly those of [`Certificate::verify`].
+    pub fn verify_certificate(
+        &mut self,
+        cert: &Certificate,
+        now: u64,
+    ) -> Result<(), CertificateError> {
+        if self.verified.contains(&cert.node_id, cert) {
+            // the signature is known good and outranks expiry in
+            // `Certificate::verify`, so expiry is the only verdict left
+            return if now > cert.expires_at {
+                Err(CertificateError::Expired)
+            } else {
+                Ok(())
+            };
+        }
+        self.full_verifications += 1;
+        cert.verify(self.ca_key, now)?;
+        self.verified.remember(cert.node_id, *cert);
+        Ok(())
+    }
+
+    /// How many calls ran the full [`Certificate::verify`] (memo
+    /// misses) — the work counter the verify-once tripwire reads.
+    #[must_use]
+    pub fn full_verifications(&self) -> u64 {
+        self.full_verifications
     }
 }
 
@@ -234,9 +308,9 @@ impl RevocationList {
 /// derive ids from certificates to stop id selection attacks.
 #[must_use]
 pub fn node_id_from_key(key: PublicKey) -> NodeId {
-    let mut bytes = Vec::with_capacity(16);
-    bytes.extend_from_slice(&key.n.to_be_bytes());
-    bytes.extend_from_slice(&key.e.to_be_bytes());
+    let mut bytes = [0u8; 16];
+    bytes[..8].copy_from_slice(&key.n.to_be_bytes());
+    bytes[8..].copy_from_slice(&key.e.to_be_bytes());
     let d = sha256(&bytes);
     NodeId(u64::from_be_bytes(d.0[..8].try_into().expect("32 bytes")))
 }
@@ -317,6 +391,120 @@ mod tests {
     fn node_id_derivation_is_deterministic() {
         let (_, kp, _) = setup();
         assert_eq!(node_id_from_key(kp.public()), node_id_from_key(kp.public()));
+    }
+
+    /// Every ordering of `0..n`, by Heap's algorithm.
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        fn heap(k: usize, items: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+            if k <= 1 {
+                out.push(items.clone());
+                return;
+            }
+            for i in 0..k {
+                heap(k - 1, items, out);
+                items.swap(if k % 2 == 0 { i } else { 0 }, k - 1);
+            }
+        }
+        let mut out = Vec::new();
+        heap(n, &mut (0..n).collect(), &mut out);
+        out
+    }
+
+    /// Certificates an adversary might present around one honest one,
+    /// each with the clock it is presented at.
+    fn adversarial_certs() -> (PublicKey, Vec<(&'static str, Certificate, u64)>) {
+        let (mut ca, kp, mut rng) = setup();
+        let foreign = {
+            let mut other = CertificateAuthority::new(&mut rng);
+            other.issue(NodeId(42), 7, kp.public(), 10_000)
+        };
+        let valid = ca.issue(NodeId(42), 7, kp.public(), 10_000);
+        let reissued = ca.issue(NodeId(42), 7, kp.public(), 500);
+        let other_node = ca.issue(NodeId(43), 7, kp.public(), 10_000);
+        let mut flipped = valid;
+        flipped.ca_signature = Signature(valid.ca_signature.0 ^ 1);
+        // the honest signature over fields it does not cover
+        let mut stretched = reissued;
+        stretched.expires_at = 10_000;
+        let mut moved = valid;
+        moved.address ^= 1;
+        let cases = vec![
+            ("valid", valid, 100),
+            ("valid at its last second", valid, 10_000),
+            ("expired", valid, 10_001),
+            ("re-issued with an earlier expiry, in time", reissued, 100),
+            ("re-issued with an earlier expiry, too late", reissued, 501),
+            (
+                "expiry stretched under the re-issue's signature",
+                stretched,
+                100,
+            ),
+            ("bit-flipped signature", flipped, 100),
+            ("address changed", moved, 100),
+            ("foreign CA, same subject", foreign, 100),
+            ("another subject, same key", other_node, 100),
+        ];
+        (ca.public_key(), cases)
+    }
+
+    #[test]
+    fn verifier_agrees_with_stateless_verify_in_every_order() {
+        let (ca_key, cases) = adversarial_certs();
+        let stateless: Vec<_> = cases
+            .iter()
+            .map(|(_, cert, now)| cert.verify(ca_key, *now))
+            .collect();
+        assert!(stateless.iter().any(Result::is_ok));
+        assert!(stateless.contains(&Err(CertificateError::Expired)));
+        // 10! orders is too many to be useful: take every order of each
+        // window of six neighbouring cases, which pairs every case with
+        // every other both ways round
+        for start in 0..=cases.len() - 6 {
+            for order in permutations(6) {
+                for capacity in [0, 2, 64, 1024] {
+                    let mut verifier = Verifier::new(ca_key, capacity);
+                    // twice through: the second pass meets a warm memo,
+                    // and everything rejected must be rejected again
+                    for &i in order.iter().chain(&order) {
+                        let (what, cert, now) = &cases[start + i];
+                        assert_eq!(
+                            verifier.verify_certificate(cert, *now),
+                            stateless[start + i],
+                            "{what} (capacity {capacity}, order {order:?} from {start})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn verifier_checks_each_distinct_certificate_once() {
+        let (ca_key, cases) = adversarial_certs();
+        let (_, valid, _) = cases[0];
+        let mut verifier = Verifier::new(ca_key, 8);
+        for now in [0, 100, 10_000] {
+            assert!(verifier.verify_certificate(&valid, now).is_ok());
+        }
+        assert_eq!(verifier.full_verifications(), 1);
+        // expiry is still judged on a hit, and costs no verification
+        assert_eq!(
+            verifier.verify_certificate(&valid, 10_001),
+            Err(CertificateError::Expired)
+        );
+        assert_eq!(verifier.full_verifications(), 1);
+        // a rejected certificate is never remembered
+        let (_, flipped, _) = cases[6];
+        for _ in 0..3 {
+            assert!(verifier.verify_certificate(&flipped, 100).is_err());
+        }
+        assert_eq!(verifier.full_verifications(), 4);
+        // and a pass-through verifier remembers nothing at all
+        let mut pass_through = Verifier::new(ca_key, 0);
+        for _ in 0..3 {
+            assert!(pass_through.verify_certificate(&valid, 100).is_ok());
+        }
+        assert_eq!(pass_through.full_verifications(), 3);
     }
 
     #[test]

@@ -31,14 +31,16 @@
 
 pub mod cert;
 pub mod hmac;
+pub mod memo;
 pub mod merkle;
 pub mod onion;
 pub mod rsa;
 pub mod sha256;
 pub mod stream;
 
-pub use cert::{Certificate, CertificateAuthority, CertificateError, RevocationList};
+pub use cert::{Certificate, CertificateAuthority, CertificateError, RevocationList, Verifier};
 pub use hmac::hmac_sha256;
+pub use memo::VerifiedMemo;
 pub use merkle::MerkleTree;
 pub use onion::{OnionError, OnionLayer};
 pub use rsa::{KeyPair, PublicKey, Signature, SignatureError};

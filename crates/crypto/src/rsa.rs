@@ -35,6 +35,8 @@ pub struct Signature(pub u64);
 pub struct KeyPair {
     public: PublicKey,
     d: u64,
+    /// Reduction constants for `public.n`, computed once at generation.
+    mont: Montgomery,
 }
 
 /// Errors from signature verification.
@@ -77,7 +79,10 @@ fn mulmod(a: u64, b: u64, m: u64) -> u64 {
     ((a as u128 * b as u128) % m as u128) as u64
 }
 
-fn powmod(mut base: u64, mut exp: u64, m: u64) -> u64 {
+/// Square-and-multiply with one `u128 %` per product. Serves even
+/// moduli, which Montgomery reduction cannot, and is the reference the
+/// Montgomery path is tested against.
+fn powmod_plain(mut base: u64, mut exp: u64, m: u64) -> u64 {
     let mut acc = 1u64 % m;
     base %= m;
     while exp > 0 {
@@ -88,6 +93,87 @@ fn powmod(mut base: u64, mut exp: u64, m: u64) -> u64 {
         exp >>= 1;
     }
     acc
+}
+
+/// Montgomery arithmetic modulo an odd `m`, with `R = 2^64`: a residue
+/// `x` is held as `x·R mod m`, and a product costs two multiplications
+/// and a conditional add where [`mulmod`] costs a 128-bit division.
+#[derive(Clone, Copy)]
+struct Montgomery {
+    m: u64,
+    /// `m⁻¹ mod 2^64`.
+    m_inv: u64,
+    /// `R mod m`: the Montgomery form of 1.
+    one: u64,
+}
+
+impl Montgomery {
+    /// `m` must be odd.
+    fn new(m: u64) -> Self {
+        debug_assert!(m & 1 == 1, "Montgomery modulus must be odd");
+        // Newton's iteration doubles the correct low bits each round;
+        // m·m ≡ 1 (mod 8) for odd m, so m itself starts with three
+        let mut m_inv = m;
+        for _ in 0..5 {
+            m_inv = m_inv.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(m_inv)));
+        }
+        Montgomery {
+            m,
+            m_inv,
+            one: m.wrapping_neg() % m,
+        }
+    }
+
+    /// `a·b·R⁻¹ mod m` for `a, b < m`.
+    fn mul(&self, a: u64, b: u64) -> u64 {
+        let t = a as u128 * b as u128;
+        // q·m has the same low word as t, so t − q·m is a multiple of R
+        // and the quotient is the difference of the high words
+        let q = (t as u64).wrapping_mul(self.m_inv);
+        let qm_hi = ((q as u128 * self.m as u128) >> 64) as u64;
+        let (r, borrow) = ((t >> 64) as u64).overflowing_sub(qm_hi);
+        if borrow {
+            r.wrapping_add(self.m)
+        } else {
+            r
+        }
+    }
+
+    /// The Montgomery form of `x` (any `x`, reduced first).
+    fn enter(&self, x: u64) -> u64 {
+        ((((x % self.m) as u128) << 64) % self.m as u128) as u64
+    }
+
+    /// Back from Montgomery form.
+    fn leave(&self, x: u64) -> u64 {
+        self.mul(x, 1)
+    }
+
+    /// `base^exp` with `base` and the result in Montgomery form.
+    fn pow(&self, mut base: u64, mut exp: u64) -> u64 {
+        let mut acc = self.one;
+        while exp > 0 {
+            if exp & 1 == 1 {
+                acc = self.mul(acc, base);
+            }
+            base = self.mul(base, base);
+            exp >>= 1;
+        }
+        acc
+    }
+
+    /// `base^exp mod m` on plain residues.
+    fn powmod(&self, base: u64, exp: u64) -> u64 {
+        self.leave(self.pow(self.enter(base), exp))
+    }
+}
+
+fn powmod(base: u64, exp: u64, m: u64) -> u64 {
+    if m & 1 == 1 {
+        Montgomery::new(m).powmod(base, exp)
+    } else {
+        powmod_plain(base, exp, m)
+    }
 }
 
 /// Deterministic Miller–Rabin, exact for all u64 with these witnesses.
@@ -109,14 +195,18 @@ fn is_prime(n: u64) -> bool {
         d /= 2;
         r += 1;
     }
+    // n is odd here; the whole test runs in Montgomery form
+    let mont = Montgomery::new(n);
+    let one = mont.one;
+    let minus_one = n - one;
     'witness: for a in [2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37] {
-        let mut x = powmod(a, d, n);
-        if x == 1 || x == n - 1 {
+        let mut x = mont.pow(mont.enter(a), d);
+        if x == one || x == minus_one {
             continue;
         }
         for _ in 0..r - 1 {
-            x = mulmod(x, x, n);
-            if x == n - 1 {
+            x = mont.mul(x, x);
+            if x == minus_one {
                 continue 'witness;
             }
         }
@@ -168,6 +258,7 @@ impl KeyPair {
             return KeyPair {
                 public: PublicKey { n, e },
                 d,
+                mont: Montgomery::new(n), // n is a product of odd primes
             };
         }
     }
@@ -183,7 +274,7 @@ impl KeyPair {
     #[must_use]
     pub fn sign(&self, message: &[u8]) -> Signature {
         let h = digest_residue(message, self.public.n);
-        Signature(powmod(h, self.d, self.public.n))
+        Signature(self.mont.powmod(h, self.d))
     }
 }
 
@@ -233,6 +324,78 @@ mod tests {
         assert_eq!(powmod(5, 0, 7), 1);
         // (m+1)^2 ≡ 1 (mod m): exercises the 128-bit intermediate product
         assert_eq!(powmod(u64::MAX - 1, 2, u64::MAX - 2), 1);
+    }
+
+    #[test]
+    fn powmod_matches_plain_reference() {
+        let mut rng = StdRng::seed_from_u64(0x4d4f_4e54);
+        let edge_moduli = [
+            1u64,
+            2,
+            3,
+            4,
+            5,
+            65537,
+            (1 << 32) - 1,
+            1 << 32,
+            (1 << 32) + 1,
+            (1 << 63) - 1,
+            1 << 63,
+            (1 << 63) + 1,
+            u64::MAX - 58, // largest u64 prime
+            u64::MAX - 2,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let edge_values = [0u64, 1, 2, 3, 65537, 1 << 63, u64::MAX - 1, u64::MAX];
+        let mut checked = 0u32;
+        for &m in &edge_moduli {
+            for &base in &edge_values {
+                for &exp in &edge_values {
+                    assert_eq!(
+                        powmod(base, exp, m),
+                        powmod_plain(base, exp, m),
+                        "{base}^{exp} mod {m}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        for i in 0..12_000u32 {
+            // every width of modulus, half of them forced odd, and the
+            // top of the range where the reduction's borrow matters
+            let m = match i % 4 {
+                0 => rng.gen::<u64>() | 1,
+                1 => (rng.gen::<u64>() >> rng.gen_range(0..63u32)).max(1),
+                2 => u64::MAX - rng.gen_range(0..1u64 << 20),
+                _ => rng.gen::<u64>().max(1),
+            };
+            let (base, exp) = (rng.gen::<u64>(), rng.gen::<u64>());
+            assert_eq!(
+                powmod(base, exp, m),
+                powmod_plain(base, exp, m),
+                "{base}^{exp} mod {m}"
+            );
+            checked += 1;
+        }
+        assert!(checked >= 10_000);
+    }
+
+    #[test]
+    fn montgomery_mul_matches_mulmod() {
+        let mut rng = StdRng::seed_from_u64(0x5245_4443);
+        for i in 0..10_000u32 {
+            let m = if i % 2 == 0 {
+                rng.gen::<u64>() | 1
+            } else {
+                (u64::MAX - rng.gen_range(0..1u64 << 16)) | 1
+            };
+            let mont = Montgomery::new(m);
+            assert_eq!(m.wrapping_mul(mont.m_inv), 1, "inverse of {m}");
+            let (a, b) = (rng.gen::<u64>() % m, rng.gen::<u64>() % m);
+            let product = mont.leave(mont.mul(mont.enter(a), mont.enter(b)));
+            assert_eq!(product, mulmod(a, b, m), "{a}·{b} mod {m}");
+        }
     }
 
     #[test]

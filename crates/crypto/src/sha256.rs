@@ -87,23 +87,22 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
             self.buf_len += take;
             rest = &rest[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            rest = tail;
+        let mut blocks = rest.chunks_exact(64);
+        for block in &mut blocks {
+            compress(
+                &mut self.state,
+                block.try_into().expect("chunks_exact yields 64 bytes"),
+            );
         }
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
-        }
+        let tail = blocks.remainder();
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Chainable [`update`](Self::update).
@@ -116,65 +115,78 @@ impl Sha256 {
     /// Finish and produce the digest.
     #[must_use]
     pub fn finalize(mut self) -> Digest {
+        // padding: 0x80, zeros up to 56 mod 64, the 8-byte big-endian bit
+        // length; a tail longer than 55 bytes pushes the length into a
+        // block of its own
         let bit_len = self.total_len.wrapping_mul(8);
-        // padding: 0x80 then zeros until 56 mod 64, then 8-byte big-endian length
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            compress(&mut self.state, &self.buf);
+            self.buf = [0u8; 64];
         }
-        // update() would count the length bytes; splice them in manually
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buf);
         let mut out = [0u8; 32];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         Digest(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
+/// One round on named working variables: only `d` and `h` change, so
+/// the eight-way rotation of FIPS 180-4's `h = g; g = f; …` is done by
+/// rotating the argument order of the next invocation instead of moving
+/// values.
+macro_rules! round {
+    ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $kw:expr) => {
+        let s1 = $e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25);
+        let ch = $g ^ ($e & ($f ^ $g));
+        let t1 = $h.wrapping_add(s1).wrapping_add(ch).wrapping_add($kw);
+        let s0 = $a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22);
+        let maj = ($a & $b) | ($c & ($a | $b));
+        $d = $d.wrapping_add(t1);
+        $h = t1.wrapping_add(s0).wrapping_add(maj);
+    };
+}
+
+/// The FIPS 180-4 compression function. The message schedule is a
+/// rolling window of 16 words — `w[i]` depends on nothing older than
+/// `w[i − 16]`, whose slot it takes — refreshed once per 16 rounds.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes(bytes.try_into().expect("chunks_exact yields 4 bytes"));
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for (pass, k) in K.chunks_exact(16).enumerate() {
+        if pass > 0 {
+            for j in 0..16 {
+                let w15 = w[(j + 1) & 15];
+                let w2 = w[(j + 14) & 15];
+                let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+                let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+                w[j] = w[j]
+                    .wrapping_add(s0)
+                    .wrapping_add(w[(j + 9) & 15])
+                    .wrapping_add(s1);
+            }
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+        for (k, w) in k.chunks_exact(8).zip(w.chunks_exact(8)) {
+            round!(a, b, c, d, e, f, g, h, k[0].wrapping_add(w[0]));
+            round!(h, a, b, c, d, e, f, g, k[1].wrapping_add(w[1]));
+            round!(g, h, a, b, c, d, e, f, k[2].wrapping_add(w[2]));
+            round!(f, g, h, a, b, c, d, e, k[3].wrapping_add(w[3]));
+            round!(e, f, g, h, a, b, c, d, k[4].wrapping_add(w[4]));
+            round!(d, e, f, g, h, a, b, c, k[5].wrapping_add(w[5]));
+            round!(c, d, e, f, g, h, a, b, k[6].wrapping_add(w[6]));
+            round!(b, c, d, e, f, g, h, a, k[7].wrapping_add(w[7]));
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -249,6 +261,99 @@ mod tests {
             }
             assert_eq!(h.finalize(), d1, "length {n}");
         }
+    }
+
+    /// The implementation this module shipped before the rolling
+    /// schedule and one-step padding: full 64-word schedule, one padding
+    /// byte at a time. Kept as the reference the kernels are checked
+    /// against.
+    fn reference_sha256(data: &[u8]) -> Digest {
+        fn compress(state: &mut [u32; 8], block: &[u8]) {
+            let mut w = [0u32; 64];
+            for i in 0..16 {
+                w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
+            }
+            for i in 16..64 {
+                let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+                let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+                w[i] = w[i - 16]
+                    .wrapping_add(s0)
+                    .wrapping_add(w[i - 7])
+                    .wrapping_add(s1);
+            }
+            let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+            for i in 0..64 {
+                let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+                let ch = (e & f) ^ (!e & g);
+                let t1 = h
+                    .wrapping_add(s1)
+                    .wrapping_add(ch)
+                    .wrapping_add(K[i])
+                    .wrapping_add(w[i]);
+                let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+                let maj = (a & b) ^ (a & c) ^ (b & c);
+                let t2 = s0.wrapping_add(maj);
+                h = g;
+                g = f;
+                f = e;
+                e = d.wrapping_add(t1);
+                d = c;
+                c = b;
+                b = a;
+                a = t1.wrapping_add(t2);
+            }
+            for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+                *s = s.wrapping_add(v);
+            }
+        }
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64).wrapping_mul(8).to_be_bytes());
+        let mut state = H0;
+        for block in padded.chunks_exact(64) {
+            compress(&mut state, block);
+        }
+        let mut out = [0u8; 32];
+        for (i, w) in state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
+        }
+        Digest(out)
+    }
+
+    #[test]
+    fn every_length_matches_reference() {
+        // a byte pattern with no period near 64, so a misplaced block
+        // cannot go unnoticed
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 167 + 13) as u8).collect();
+        for len in 0..=200usize {
+            let msg = &data[..len];
+            let expected = reference_sha256(msg);
+            assert_eq!(sha256(msg), expected, "one-shot, length {len}");
+            let mut bytewise = Sha256::new();
+            for b in msg {
+                bytewise.update(std::slice::from_ref(b));
+            }
+            assert_eq!(
+                bytewise.finalize(),
+                expected,
+                "byte-at-a-time, length {len}"
+            );
+            for split in 0..=len {
+                let h = Sha256::new().chain(&msg[..split]).chain(&msg[split..]);
+                assert_eq!(h.finalize(), expected, "length {len} split at {split}");
+            }
+        }
+    }
+
+    #[test]
+    fn reference_agrees_on_fips_vector() {
+        assert_eq!(
+            reference_sha256(b"abc").to_hex(),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
     }
 
     #[test]
