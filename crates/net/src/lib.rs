@@ -14,12 +14,12 @@
 //! message-passing substrate over `octopus-sim` event queues: nodes
 //! implement [`world::NodeBehavior`] and exchange typed messages;
 //! delivery samples the latency model; every message is byte-accounted
-//! against [`wire::BandwidthLedger`] using the paper's wire-size model
-//! (footnote 4).
+//! using the paper's wire-size model (footnote 4), in its sender's and
+//! receiver's slab slots, and reported as a [`wire::BandwidthLedger`].
 //!
 //! For large rings the world is *sharded* ([`shard`]): contiguous ID
 //! ranges ([`shard::ShardMap`]) each own a node slab ([`slab`]), an
-//! event queue, pooled scratch buffers and a bandwidth-ledger slice,
+//! event queue, pooled scratch buffers and its nodes' byte counters,
 //! linked by a cross-shard message bus ([`shard::CrossShardBus`]) that
 //! synchronizes conservatively at lookahead barriers bounded by
 //! [`LatencyModel::min_latency`]. Every event's `(time, key)` ordering

@@ -86,7 +86,6 @@ struct PoolShared<B: NodeBehavior, L> {
     slots: Vec<Mutex<Option<Shard<B>>>>,
     /// Fixed per-world execution environment.
     map: ShardMap,
-    master_seed: u64,
     latency: Arc<L>,
     /// Current window's lookahead bound (published before the epoch
     /// bump, read after the epoch observation).
@@ -127,18 +126,11 @@ where
     L: LatencyModel + Send + Sync + 'static,
 {
     /// Spawn `workers` persistent worker threads serving `shards` slots.
-    pub(crate) fn new(
-        shards: usize,
-        workers: usize,
-        map: ShardMap,
-        master_seed: u64,
-        latency: Arc<L>,
-    ) -> Self {
+    pub(crate) fn new(shards: usize, workers: usize, map: ShardMap, latency: Arc<L>) -> Self {
         let workers = workers.clamp(1, shards.max(1));
         let shared = Arc::new(PoolShared {
             slots: (0..shards).map(|_| Mutex::new(None)).collect(),
             map,
-            master_seed,
             latency,
             window_end: AtomicU64::new(0),
             exec_end: AtomicU64::new(0),
@@ -255,7 +247,6 @@ where
         let ctx = ShardCtx {
             map: shared.map,
             latency: &*shared.latency,
-            master_seed: shared.master_seed,
             window_end: SimTime(shared.window_end.load(Ordering::Relaxed)),
             exec_end: SimTime(shared.exec_end.load(Ordering::Relaxed)),
         };

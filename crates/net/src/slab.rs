@@ -10,10 +10,46 @@
 //! across a churn-out can never alias the slot's next occupant. A
 //! sharded world keeps one slab per shard, so each stays dense and
 //! cache-friendly even as the total ring grows toward millions of ids.
+//!
+//! That one index probe is the only hash an event pays, so it is a
+//! cheap one: `IdHasher` is a single 64×64 → 128-bit multiply folded
+//! to 64 bits, not SipHash. That is sound *here* because the keys are
+//! ring ids the simulation driver chose itself — nobody outside the
+//! process can craft colliding ones. A table keyed by addresses that
+//! arrive from a network (`UdpHost`'s peer table) keeps the standard
+//! library's keyed hasher.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::world::Addr;
+
+/// Multiply-and-fold hasher for driver-chosen 64-bit ids: the id times
+/// an odd 64-bit constant as a 128-bit product, high half xored into
+/// the low half. The low half alone is a bijection of the id's low
+/// bits (sequential ids never share a bucket) and the high half carries
+/// the id's high bits down (ids that differ only up there still
+/// spread), so both the bucket bits and the 7 control bits hashbrown
+/// takes from the top are well mixed.
+#[derive(Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        let wide = u128::from(self.0 ^ id) * 0x9e37_79b9_7f4a_7c15_u128;
+        self.0 = (wide as u64) ^ ((wide >> 64) as u64);
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the index is keyed by `NodeId`, which hashes as one `u64`");
+    }
+}
+
+type IdIndex = HashMap<Addr, u32, BuildHasherDefault<IdHasher>>;
 
 /// A stable handle to an occupied slot: index plus the generation at
 /// acquisition time. Resolving a key whose slot has since been freed or
@@ -34,7 +70,7 @@ struct Slot<T> {
 #[derive(Debug)]
 pub struct NodeSlab<T> {
     slots: Vec<Slot<T>>,
-    index: HashMap<Addr, u32>, // keyed O(1) lookup on the per-event hot path; never iterated
+    index: IdIndex, // keyed O(1) lookup on the per-event hot path; never iterated
     free: Vec<u32>,
     len: usize,
 }
@@ -51,7 +87,7 @@ impl<T> NodeSlab<T> {
     pub fn new() -> Self {
         NodeSlab {
             slots: Vec::new(),
-            index: HashMap::new(),
+            index: IdIndex::default(),
             free: Vec::new(),
             len: 0,
         }
@@ -62,7 +98,7 @@ impl<T> NodeSlab<T> {
     pub fn with_capacity(capacity: usize) -> Self {
         NodeSlab {
             slots: Vec::with_capacity(capacity),
-            index: HashMap::with_capacity(capacity),
+            index: IdIndex::with_capacity_and_hasher(capacity, BuildHasherDefault::default()),
             free: Vec::new(),
             len: 0,
         }
@@ -185,7 +221,7 @@ impl<T> NodeSlab<T> {
 
     /// Take the value out of its slot for re-entrant processing, leaving
     /// the slot reserved (address still indexed). Pair with
-    /// [`NodeSlab::restore`]; the round trip costs one hash lookup and
+    /// [`NodeSlab::restore`]; the round trip costs one index probe and
     /// two `Option` moves — no rehashing, no slot churn.
     pub fn take(&mut self, addr: Addr) -> Option<(SlotKey, T)> {
         let &idx = self.index.get(&addr)?;
@@ -232,6 +268,7 @@ impl<T> NodeSlab<T> {
 mod tests {
     use super::*;
     use octopus_id::NodeId;
+    use std::hash::BuildHasher;
 
     #[test]
     fn insert_get_remove() {
@@ -327,5 +364,45 @@ mod tests {
         s.insert(NodeId(7), 7); // reuses node 3's slot
         let order: Vec<u64> = s.addrs().map(|a| a.0).collect();
         assert_eq!(order, vec![5, 7, 9, 1]);
+    }
+
+    /// Most keys in one bucket when `ids` are hashed into 16 384
+    /// buckets by the low 14 bits (hashbrown's bucket choice at this
+    /// size) and into 128 by the top 7 (its control byte).
+    fn worst_buckets(ids: &[u64]) -> (usize, usize) {
+        let mut low = vec![0usize; 1 << 14];
+        let mut top = [0usize; 128];
+        for &id in ids {
+            let h = BuildHasherDefault::<IdHasher>::default().hash_one(NodeId(id));
+            low[(h & ((1 << 14) - 1)) as usize] += 1;
+            top[(h >> 57) as usize] += 1;
+        }
+        (
+            low.into_iter().max().unwrap(),
+            top.into_iter().max().unwrap(),
+        )
+    }
+
+    #[test]
+    fn id_hasher_spreads_the_id_shapes_the_simulator_uses() {
+        use rand::{Rng, SeedableRng};
+        // 10 000 keys in a table of 16 384 buckets: uniformly random
+        // hashes put 7 or 8 in the fullest bucket and about 78 ± 9 on
+        // each control-byte value
+        const N: u64 = 10_000;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x51ab);
+        let low: u64 = rng.gen::<u64>() & 0xffff_ffff;
+        let (lo, hi) = crate::ShardMap::new(64).range(37);
+        let in_range: Vec<u64> = (0..N).map(|_| rng.gen_range(lo..=hi)).collect();
+        let shapes: [(&str, Vec<u64>); 3] = [
+            ("sequential small ids", (0..N).collect()),
+            ("equal low 32 bits", (0..N).map(|i| i << 32 | low).collect()),
+            ("one shard's range", in_range),
+        ];
+        for (shape, ids) in shapes {
+            let (low_worst, top_worst) = worst_buckets(&ids);
+            assert!(low_worst <= 10, "{shape}: {low_worst} keys share low bits");
+            assert!(top_worst <= 130, "{shape}: {top_worst} keys share top bits");
+        }
     }
 }

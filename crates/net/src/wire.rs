@@ -16,8 +16,13 @@
 //! decoder never panics, no matter the bytes. The simulator carries the
 //! same [`FrameHeader`] in-memory inside [`crate::shard::Envelope`], so
 //! there is exactly one place that says what a frame's addressing means.
+//!
+//! [`BandwidthLedger`] is the *report* of the byte accounting, not its
+//! running state: the world counts a datagram's bytes in the slab slot
+//! of the node it is already dispatching (sender at routing, receiver at
+//! delivery) and builds a ledger, ordered by address, when asked.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use octopus_id::NodeId;
 
@@ -346,42 +351,53 @@ pub fn decode_frame<M: WireCodec>(bytes: &[u8]) -> Result<(FrameHeader, M), Fram
     Ok((header, msg))
 }
 
-/// Per-node sent/received byte counters.
-#[derive(Clone, Debug, Default)]
+/// A datagram's weight on the ledger: the message's wire size plus the
+/// UDP/IP header the byte model charges per datagram.
+#[must_use]
+pub(crate) fn datagram_bytes<M: WireMsg>(msg: &M) -> u64 {
+    u64::from(msg.wire_bytes()) + u64::from(sizes::UDP_HEADER)
+}
+
+/// A snapshot of per-node sent/received byte counters, in address
+/// order.
+///
+/// The running counters are not kept here: a [`World`](crate::World)
+/// counts bytes in the slab slot of the node that sends or receives
+/// them, and [`World::ledger`](crate::World::ledger) copies them into
+/// one of these for reporting.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BandwidthLedger {
-    sent: HashMap<NodeId, u64>,
-    received: HashMap<NodeId, u64>,
+    /// `(sent, received)` per node.
+    nodes: BTreeMap<NodeId, (u64, u64)>,
     total: u64,
 }
 
 impl BandwidthLedger {
-    /// Fresh ledger.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Account one datagram of `bytes` payload from `from` to `to`.
-    pub fn record(&mut self, from: NodeId, to: NodeId, bytes: u32) {
-        let total = u64::from(bytes) + u64::from(sizes::UDP_HEADER);
-        *self.sent.entry(from).or_default() += total;
-        *self.received.entry(to).or_default() += total;
-        self.total += total;
+    /// Add `sent` and `received` bytes to `node`'s counters. Sent bytes
+    /// also count toward [`BandwidthLedger::total_bytes`].
+    pub(crate) fn credit(&mut self, node: NodeId, sent: u64, received: u64) {
+        let entry = self.nodes.entry(node).or_default();
+        entry.0 += sent;
+        entry.1 += received;
+        self.total += sent;
     }
 
     /// Bytes sent by `node`.
     #[must_use]
     pub fn sent_by(&self, node: NodeId) -> u64 {
-        self.sent.get(&node).copied().unwrap_or(0)
+        self.nodes.get(&node).map_or(0, |&(sent, _)| sent)
     }
 
-    /// Bytes received by `node`.
+    /// Bytes delivered to `node` while a world hosted it. A datagram
+    /// whose destination had left the overlay is received by nobody; it
+    /// shows in [`World::dropped_to_dead`](crate::World::dropped_to_dead)
+    /// (and in its sender's [`BandwidthLedger::sent_by`]) instead.
     #[must_use]
     pub fn received_by(&self, node: NodeId) -> u64 {
-        self.received.get(&node).copied().unwrap_or(0)
+        self.nodes.get(&node).map_or(0, |&(_, received)| received)
     }
 
-    /// Total bytes moved across the network.
+    /// Total bytes sent into the network.
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
         self.total
@@ -398,28 +414,6 @@ impl BandwidthLedger {
         // every byte is counted once as sent and once as received
         let per_node_bytes = (2.0 * self.total as f64) / n_nodes as f64;
         per_node_bytes * 8.0 / 1000.0 / secs
-    }
-
-    /// Fold another ledger's counters into this one. A sharded world
-    /// keeps one ledger slice per shard (each accounts the traffic its
-    /// own nodes send) and absorbs the slices into one ledger for
-    /// reporting; addition is commutative, so the merge order can never
-    /// change the result.
-    pub fn absorb(&mut self, other: &BandwidthLedger) {
-        for (&node, &bytes) in &other.sent {
-            *self.sent.entry(node).or_default() += bytes; // octolint: allow(OCT-LINT-006) -- u64 += keyed by node: commutative and associative, so visit order cannot change any counter
-        }
-        for (&node, &bytes) in &other.received {
-            *self.received.entry(node).or_default() += bytes; // octolint: allow(OCT-LINT-006) -- same argument as `sent`: per-key commutative u64 merge
-        }
-        self.total += other.total;
-    }
-
-    /// Reset all counters (e.g. after a warm-up phase).
-    pub fn reset(&mut self) {
-        self.sent.clear();
-        self.received.clear();
-        self.total = 0;
     }
 }
 
@@ -443,19 +437,24 @@ mod tests {
 
     #[test]
     fn ledger_accounts_both_ends() {
-        let mut l = BandwidthLedger::new();
-        l.record(NodeId(1), NodeId(2), 100);
-        assert_eq!(l.sent_by(NodeId(1)), 128);
+        let mut l = BandwidthLedger::default();
+        l.credit(NodeId(1), 128, 0);
+        l.credit(NodeId(2), 0, 128);
+        l.credit(NodeId(1), 10, 5);
+        assert_eq!(l.sent_by(NodeId(1)), 138);
+        assert_eq!(l.received_by(NodeId(1)), 5);
         assert_eq!(l.received_by(NodeId(2)), 128);
         assert_eq!(l.sent_by(NodeId(2)), 0);
-        assert_eq!(l.total_bytes(), 128);
+        assert_eq!(l.sent_by(NodeId(3)), 0);
+        assert_eq!(l.total_bytes(), 138, "total counts bytes sent");
     }
 
     #[test]
     fn kbps_computation() {
-        let mut l = BandwidthLedger::new();
-        // 2 nodes, 1000 bytes payload over 10 s
-        l.record(NodeId(1), NodeId(2), 1000 - sizes::UDP_HEADER);
+        let mut l = BandwidthLedger::default();
+        // 2 nodes, one 1000-byte datagram over 10 s
+        l.credit(NodeId(1), 1000, 0);
+        l.credit(NodeId(2), 0, 1000);
         // per-node bytes = 2*1000/2 = 1000 → 8000 bits / 10 s = 0.8 kbps
         let kbps = l.mean_node_kbps(2, 10.0);
         assert!((kbps - 0.8).abs() < 1e-9, "got {kbps}");
@@ -463,18 +462,9 @@ mod tests {
 
     #[test]
     fn kbps_degenerate() {
-        let l = BandwidthLedger::new();
+        let l = BandwidthLedger::default();
         assert_eq!(l.mean_node_kbps(0, 10.0), 0.0);
         assert_eq!(l.mean_node_kbps(10, 0.0), 0.0);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut l = BandwidthLedger::new();
-        l.record(NodeId(1), NodeId(2), 10);
-        l.reset();
-        assert_eq!(l.total_bytes(), 0);
-        assert_eq!(l.sent_by(NodeId(1)), 0);
     }
 
     /// Minimal payload codec for exercising the framing layer alone.

@@ -43,7 +43,7 @@ pub mod window;
 
 pub use churn::ChurnProcess;
 pub use queue::EventQueue;
-pub use rng::{derive_rng, split_seed};
+pub use rng::{component_label, derive_rng, split_seed, stream_rng};
 pub use sched::{BinaryHeapScheduler, Scheduler, SchedulerKind, TimingWheel};
 pub use time::{Duration, SimTime};
 pub use window::LookaheadWindow;
