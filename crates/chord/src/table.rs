@@ -109,7 +109,7 @@ impl RoutingTable {
     /// Length of [`RoutingTable::encode`]'s output: the owner, then per
     /// list a tag byte, a 4-byte count and 8 bytes per entry.
     #[must_use]
-    pub(crate) fn encoded_len(&self) -> usize {
+    pub fn encoded_len(&self) -> usize {
         8 + 3 * 5 + 8 * (self.fingers.len() + self.successors.len() + self.predecessors.len())
     }
 
@@ -122,7 +122,7 @@ impl RoutingTable {
     }
 
     /// Append the canonical encoding to `out`.
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.owner.0.to_be_bytes());
         for (tag, list) in [
             (0u8, &self.fingers),

@@ -94,9 +94,8 @@ fn get_cert(r: &mut PayloadReader<'_>) -> Result<Certificate, DecodeError> {
 }
 
 fn put_signed_table(out: &mut Vec<u8>, t: &SignedRoutingTable) {
-    let table_bytes = t.table.encode();
-    out.extend_from_slice(&(table_bytes.len() as u32).to_be_bytes());
-    out.extend_from_slice(&table_bytes);
+    out.extend_from_slice(&(t.table.encoded_len() as u32).to_be_bytes());
+    t.table.encode_into(out);
     out.extend_from_slice(&t.timestamp.to_be_bytes());
     out.extend_from_slice(&t.signature.0.to_be_bytes());
     put_cert(out, &t.certificate);
@@ -487,5 +486,51 @@ impl WireCodec for Msg {
 
     fn decode_payload(r: &mut PayloadReader<'_>) -> Result<Self, DecodeError> {
         decode_msg(r, 0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use octopus_crypto::{CertificateAuthority, KeyPair};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// `put_signed_table` as it was: the table encoded into a buffer of
+    /// its own, then copied behind its length.
+    fn put_signed_table_reference(out: &mut Vec<u8>, t: &SignedRoutingTable) {
+        let table_bytes = t.table.encode();
+        out.extend_from_slice(&(table_bytes.len() as u32).to_be_bytes());
+        out.extend_from_slice(&table_bytes);
+        out.extend_from_slice(&t.timestamp.to_be_bytes());
+        out.extend_from_slice(&t.signature.0.to_be_bytes());
+        put_cert(out, &t.certificate);
+    }
+
+    #[test]
+    fn signed_table_bytes_unchanged_by_in_place_encoding() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut ca = CertificateAuthority::new(&mut rng);
+        let kp = KeyPair::generate(&mut rng);
+        let owner = NodeId(99);
+        let cert = ca.issue(owner, 7, kp.public(), u64::MAX);
+        let ids = |n: u64| (1..=n).map(NodeId).collect::<Vec<_>>();
+        for (fingers, successors, predecessors) in [(0, 0, 0), (0, 1, 0), (12, 8, 4)] {
+            let table = RoutingTable {
+                owner,
+                fingers: ids(fingers),
+                successors: ids(successors),
+                predecessors: ids(predecessors),
+            };
+            let signed = SignedRoutingTable::sign(table, 5, &kp, cert);
+            // behind bytes already there, as inside a frame
+            let (mut got, mut want) = (vec![0xee; 3], vec![0xee; 3]);
+            put_signed_table(&mut got, &signed);
+            put_signed_table_reference(&mut want, &signed);
+            assert_eq!(got, want, "{} entries", fingers + successors + predecessors);
+            let mut r = PayloadReader::new(&got[3..]);
+            assert_eq!(get_signed_table(&mut r), Ok(signed));
+            assert_eq!(r.remaining(), 0);
+        }
     }
 }

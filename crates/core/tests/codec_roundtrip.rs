@@ -8,7 +8,10 @@ use octopus_core::codec::MAX_ONION_DEPTH;
 use octopus_core::messages::{ExitAction, Hop, Msg, OnionPacket, ReceiptToken, Report};
 use octopus_crypto::{Certificate, CertificateAuthority, KeyPair, PublicKey, Signature};
 use octopus_id::NodeId;
-use octopus_net::{decode_frame, encode_frame, DecodeError, FrameError, FrameHeader};
+use octopus_net::wire::{FRAME_MAGIC, SCHEMA_VERSION};
+use octopus_net::{
+    decode_frame, encode_frame, encode_frame_into, DecodeError, FrameError, FrameHeader, WireCodec,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -215,6 +218,48 @@ fn every_variant_roundtrips() {
             let (h, back): (FrameHeader, Msg) = decode_frame(&bytes).expect("valid frame decodes");
             assert_eq!(h, header());
             assert_eq!(back, msg, "seed {seed}");
+        }
+    }
+}
+
+/// The frame encoder as it was before `encode_frame_into`: payload in a
+/// buffer of its own, checksum over three chunks, everything copied into
+/// a third buffer. Kept as the reference the one-pass encoder must match.
+fn reference_encode_frame(header: FrameHeader, msg: &Msg) -> Vec<u8> {
+    let mut payload = Vec::new();
+    msg.encode_payload(&mut payload);
+    let from = header.from.0.to_be_bytes();
+    let to = header.to.0.to_be_bytes();
+    let checksum = fnv1a_32(&[&from, &to, &payload]);
+    let mut out = Vec::new();
+    out.extend_from_slice(&FRAME_MAGIC);
+    out.extend_from_slice(&SCHEMA_VERSION.to_be_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    out.extend_from_slice(&checksum.to_be_bytes());
+    out.extend_from_slice(&from);
+    out.extend_from_slice(&to);
+    out.extend_from_slice(&payload);
+    out
+}
+
+#[test]
+fn one_pass_encoder_matches_the_reference_on_every_variant() {
+    // one buffer for the whole corpus, as a host reuses its send buffer:
+    // every frame but the first lands on the bytes of another
+    let mut reused = Vec::new();
+    for seed in 0..8u64 {
+        for msg in all_variants(seed) {
+            let want = reference_encode_frame(header(), &msg);
+            assert_eq!(encode_frame(header(), &msg), want, "seed {seed}: {msg:?}");
+            let mut empty = Vec::new();
+            encode_frame_into(header(), &msg, &mut empty).expect("fits a frame");
+            assert_eq!(empty, want, "into an empty buffer, seed {seed}");
+            // dirty and longer than the frame
+            let mut dirty = vec![0xa5; want.len() + 257];
+            encode_frame_into(header(), &msg, &mut dirty).expect("fits a frame");
+            assert_eq!(dirty, want, "into a dirty buffer, seed {seed}");
+            encode_frame_into(header(), &msg, &mut reused).expect("fits a frame");
+            assert_eq!(reused, want, "into the reused buffer, seed {seed}");
         }
     }
 }

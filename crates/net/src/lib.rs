@@ -47,7 +47,7 @@ pub use runtime::{Addr, Ctx, NodeBehavior, Runtime, Transport};
 pub use shard::{CrossShardBus, Envelope, ShardMap};
 pub use slab::{NodeSlab, SlotKey};
 pub use wire::{
-    decode_frame, encode_frame, sizes, BandwidthLedger, DecodeError, FrameError, FrameHeader,
-    PayloadReader, WireCodec, WireMsg,
+    decode_frame, encode_frame, encode_frame_into, sizes, BandwidthLedger, DecodeError, FrameError,
+    FrameHeader, PayloadReader, WireCodec, WireMsg,
 };
 pub use world::{StepOutcome, World};

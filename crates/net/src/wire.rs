@@ -17,6 +17,12 @@
 //! same [`FrameHeader`] in-memory inside [`crate::shard::Envelope`], so
 //! there is exactly one place that says what a frame's addressing means.
 //!
+//! Encoding is one pass: [`encode_frame_into`] writes the header with
+//! its length and checksum left open, lets the payload codec append
+//! straight behind it, and fills the two in. The only buffer is the
+//! caller's, which a host that sends many frames hands in again;
+//! [`encode_frame`] is the same call on a fresh buffer.
+//!
 //! [`BandwidthLedger`] is the *report* of the byte accounting, not its
 //! running state: the world counts a datagram's bytes in the slab slot
 //! of the node it is already dispatching (sender at routing, receiver at
@@ -83,6 +89,16 @@ pub const MAX_PAYLOAD: usize = 64 * 1024;
 /// Bytes of frame overhead before the payload: magic (4) + version (2)
 /// + payload length (4) + checksum (4) + from (8) + to (8).
 pub const FRAME_OVERHEAD: usize = 30;
+
+/// What [`encode_frame`] reserves before the payload's size is known:
+/// room for any frame around one signed routing table of the default
+/// Chord configuration (the largest, an omission report, is 371 bytes),
+/// so that the common frame is allocated once and never moved.
+const TYPICAL_FRAME: usize = 512;
+
+/// Offset of the first checksummed byte: the sender address. Everything
+/// from here to the end of the frame (from, to, payload) is covered.
+const CHECKSUM_COVERS: usize = 14;
 
 /// The addressing header every frame carries — and the same header the
 /// simulator's [`crate::shard::Envelope`] embeds, so the in-memory and
@@ -259,22 +275,57 @@ pub trait WireCodec: Sized {
     fn decode_payload(r: &mut PayloadReader<'_>) -> Result<Self, DecodeError>;
 }
 
-/// FNV-1a over the checksum-covered region (addresses + payload).
+/// FNV-1a over the checksum-covered region (addresses + payload, which
+/// are contiguous in a frame).
 /// Detects corruption, not tampering — authenticity comes from the
 /// protocol's signatures, not the frame.
-fn fnv1a(chunks: &[&[u8]]) -> u32 {
+fn fnv1a(bytes: &[u8]) -> u32 {
     let mut h: u32 = 0x811c_9dc5;
-    for chunk in chunks {
-        for &b in *chunk {
-            h ^= u32::from(b);
-            h = h.wrapping_mul(0x0100_0193);
-        }
+    for &b in bytes {
+        h ^= u32::from(b);
+        h = h.wrapping_mul(0x0100_0193);
     }
     h
 }
 
-/// Encode one frame: `magic ∥ version ∥ payload_len ∥ checksum ∥ from ∥
-/// to ∥ payload`.
+/// Encode one frame into `out`, replacing whatever it held: `magic ∥
+/// version ∥ payload_len ∥ checksum ∥ from ∥ to ∥ payload`.
+///
+/// The payload is encoded once, straight behind the header; its length
+/// and the checksum are patched into the header afterwards, so a frame
+/// costs no buffer besides `out` — which a caller that sends many
+/// frames keeps and hands in again.
+///
+/// # Errors
+///
+/// `Err(len)` if the encoded payload is `len` > [`MAX_PAYLOAD`] bytes;
+/// `out` is left empty.
+pub fn encode_frame_into<M: WireCodec>(
+    header: FrameHeader,
+    msg: &M,
+    out: &mut Vec<u8>,
+) -> Result<(), usize> {
+    out.clear();
+    out.extend_from_slice(&FRAME_MAGIC);
+    out.extend_from_slice(&SCHEMA_VERSION.to_be_bytes());
+    out.extend_from_slice(&[0; 8]); // payload length and checksum, patched below
+    out.extend_from_slice(&header.from.0.to_be_bytes());
+    out.extend_from_slice(&header.to.0.to_be_bytes());
+    msg.encode_payload(out);
+    let len = out.len() - FRAME_OVERHEAD;
+    if len > MAX_PAYLOAD {
+        out.clear();
+        return Err(len);
+    }
+    // the checksum covers from ∥ to ∥ payload, which lie back to back
+    let checksum = fnv1a(&out[CHECKSUM_COVERS..]);
+    out[6..10].copy_from_slice(&(len as u32).to_be_bytes());
+    out[10..14].copy_from_slice(&checksum.to_be_bytes());
+    Ok(())
+}
+
+/// Encode one frame into a fresh buffer: [`encode_frame_into`] for a
+/// caller that keeps none.
 ///
 /// # Panics
 ///
@@ -283,24 +334,10 @@ fn fnv1a(chunks: &[&[u8]]) -> u32 {
 /// input error.
 #[must_use]
 pub fn encode_frame<M: WireCodec>(header: FrameHeader, msg: &M) -> Vec<u8> {
-    let mut payload = Vec::new();
-    msg.encode_payload(&mut payload);
-    assert!(
-        payload.len() <= MAX_PAYLOAD,
-        "frame payload {} exceeds MAX_PAYLOAD",
-        payload.len()
-    );
-    let from = header.from.0.to_be_bytes();
-    let to = header.to.0.to_be_bytes();
-    let checksum = fnv1a(&[&from, &to, &payload]);
-    let mut out = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.extend_from_slice(&SCHEMA_VERSION.to_be_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&checksum.to_be_bytes());
-    out.extend_from_slice(&from);
-    out.extend_from_slice(&to);
-    out.extend_from_slice(&payload);
+    let mut out = Vec::with_capacity(TYPICAL_FRAME);
+    if let Err(len) = encode_frame_into(header, msg, &mut out) {
+        panic!("frame payload {len} exceeds MAX_PAYLOAD");
+    }
     out
 }
 
@@ -331,7 +368,7 @@ pub fn decode_frame<M: WireCodec>(bytes: &[u8]) -> Result<(FrameHeader, M), Fram
     let from_bytes = &bytes[14..22];
     let to_bytes = &bytes[22..30];
     let payload = &bytes[FRAME_OVERHEAD..];
-    let want = fnv1a(&[from_bytes, to_bytes, payload]);
+    let want = fnv1a(&bytes[CHECKSUM_COVERS..]);
     if got != want {
         return Err(FrameError::BadChecksum { got, want });
     }
@@ -496,6 +533,44 @@ mod tests {
         assert_eq!(msg, Ping(0xdead_beef));
     }
 
+    /// A payload of the given number of zero bytes.
+    struct Blob(usize);
+
+    impl WireCodec for Blob {
+        fn encode_payload(&self, out: &mut Vec<u8>) {
+            out.resize(out.len() + self.0, 0);
+        }
+        fn decode_payload(r: &mut PayloadReader<'_>) -> Result<Self, DecodeError> {
+            let n = r.remaining();
+            r.take(n)?;
+            Ok(Blob(n))
+        }
+    }
+
+    #[test]
+    fn encode_into_replaces_the_buffer_and_bounds_the_payload() {
+        let mut buf = vec![0xa5; 500];
+        encode_frame_into(header(), &Ping(7), &mut buf).expect("fits");
+        assert_eq!(buf, encode_frame(header(), &Ping(7)));
+        // the largest payload is a frame; one byte more is refused and
+        // leaves nothing behind to send by mistake
+        encode_frame_into(header(), &Blob(MAX_PAYLOAD), &mut buf).expect("fits");
+        assert_eq!(buf.len(), FRAME_OVERHEAD + MAX_PAYLOAD);
+        let (_, Blob(n)) = decode_frame(&buf).expect("roundtrip");
+        assert_eq!(n, MAX_PAYLOAD);
+        assert_eq!(
+            encode_frame_into(header(), &Blob(MAX_PAYLOAD + 1), &mut buf),
+            Err(MAX_PAYLOAD + 1)
+        );
+        assert!(buf.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_PAYLOAD")]
+    fn encode_frame_panics_past_max_payload() {
+        let _ = encode_frame(header(), &Blob(MAX_PAYLOAD + 1));
+    }
+
     #[test]
     fn frame_rejects_every_truncation() {
         let frame = encode_frame(header(), &Ping(7));
@@ -562,11 +637,9 @@ mod tests {
         let mut payload = inner[FRAME_OVERHEAD..].to_vec();
         payload.push(0xaa);
         padded[6..10].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-        let from = header().from.0.to_be_bytes();
-        let to = header().to.0.to_be_bytes();
-        let sum = fnv1a(&[&from, &to, &payload]);
-        padded[10..14].copy_from_slice(&sum.to_be_bytes());
         padded.extend_from_slice(&payload);
+        let sum = fnv1a(&padded[CHECKSUM_COVERS..]);
+        padded[10..14].copy_from_slice(&sum.to_be_bytes());
         assert_eq!(
             decode_frame::<Ping>(&padded),
             Err(FrameError::TrailingBytes(1))

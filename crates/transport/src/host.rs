@@ -12,14 +12,29 @@
 //! malformation (short frame, bad magic, version skew, checksum
 //! mismatch, payload garbage) is counted in [`HostStats`] and dropped.
 //! A hostile datagram can never panic the host.
+//!
+//! # Datagram path
+//!
+//! A frame in or out touches only its own bytes. The host owns two
+//! byte buffers for its whole life. *In:* `recv_from` writes a datagram
+//! into the receive buffer (`MAX_PAYLOAD + 64` bytes, allocated and
+//! zeroed once, at the first poll — a poll that finds the socket empty
+//! touches none of it), `decode_frame` reads exactly the bytes that
+//! arrived and builds the message in storage of its own, and the buffer
+//! is free again before the handler runs. *Out:*
+//! [`octopus_net::encode_frame_into`] writes header and payload once
+//! into the send buffer, which keeps its capacity from frame to frame,
+//! and `send_to` hands that slice to the kernel. In the steady state
+//! neither direction allocates for the frame, and the handler's outbox
+//! is a pooled `Vec` taken out of the host for the call and put back.
 
 use std::io::ErrorKind;
 use std::net::UdpSocket;
 use std::time::Instant;
 
 use octopus_net::{
-    encode_frame, wire::MAX_PAYLOAD, Addr, Ctx, FrameHeader, NodeBehavior, Runtime, Transport,
-    WireCodec,
+    decode_frame, encode_frame_into, wire::MAX_PAYLOAD, Addr, Ctx, FrameHeader, NodeBehavior,
+    Runtime, Transport, WireCodec,
 };
 use octopus_sim::{derive_rng, split_seed, Duration, EventQueue, SchedulerKind, SimTime};
 use rand::rngs::StdRng;
@@ -28,6 +43,11 @@ use crate::peer::PeerTable;
 
 /// How long one socket wait may block before the loop re-checks timers.
 const READ_TIMEOUT: std::time::Duration = std::time::Duration::from_millis(2);
+
+/// Size of the receive buffer: longer than the largest frame, and than
+/// any datagram UDP carries (65 507 bytes over IPv4), so the buffer
+/// never cuts a datagram short.
+const RECV_BUF: usize = MAX_PAYLOAD + 64;
 
 // This host *is* the sanctioned wall-clock boundary: real sockets run
 // on real time (the octolint OCT-LINT-002 transport exemption; clippy's
@@ -72,7 +92,14 @@ pub struct UdpHost<B: NodeBehavior> {
     rng: StdRng,
     epoch: Instant,
     started: bool,
-    // pooled handler buffers (same discipline as the simulator's shards)
+    /// Where `recv_from` puts a datagram; [`RECV_BUF`] bytes from the
+    /// first poll on, empty before it (a host that never polls, never
+    /// pays for it).
+    recv_buf: Vec<u8>,
+    /// Where `transmit` builds a frame; grows to the largest frame sent.
+    send_buf: Vec<u8>,
+    // pooled handler buffers (same discipline as the simulator's shards:
+    // taken out for the handler call, put back once flushed)
     outbox: Vec<(Addr, B::Msg, Duration)>,
     timers: Vec<(Duration, B::Timer)>,
     controls: Vec<B::Control>,
@@ -110,6 +137,8 @@ where
             rng: derive_rng(split_seed(master_seed, addr.0), b"udp-node", 0),
             epoch: wall_now(),
             started: false,
+            recv_buf: Vec::new(),
+            send_buf: Vec::new(),
             outbox: Vec::new(),
             timers: Vec::new(),
             controls: Vec::new(),
@@ -121,7 +150,13 @@ where
     /// Microseconds since host start, as the node-visible clock.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        SimTime(u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX))
+        self.clock_at(wall_now())
+    }
+
+    /// The node-visible clock's reading at wall-clock instant `t`.
+    fn clock_at(&self, t: Instant) -> SimTime {
+        let since_start = t.saturating_duration_since(self.epoch);
+        SimTime(u64::try_from(since_start.as_micros()).unwrap_or(u64::MAX))
     }
 
     /// The hosted node's overlay address.
@@ -139,19 +174,20 @@ where
     /// Run a handler against the pooled buffers, then flush its effects.
     fn dispatch(&mut self, f: impl FnOnce(&mut B, &mut dyn Runtime<B::Msg, B::Timer, B::Control>)) {
         let now = self.now();
+        // out of `self` for the call, so the flush below may transmit
+        let mut outbox = std::mem::take(&mut self.outbox);
         let mut ctx = Ctx::from_parts(
             now,
             self.addr,
             &mut self.rng,
-            &mut self.outbox,
+            &mut outbox,
             &mut self.timers,
             &mut self.controls,
         );
         f(&mut self.node, &mut ctx);
         // flush: immediate sends hit the socket now; delayed sends and
         // timers go through the wheel keyed by wall-clock microseconds
-        let sends: Vec<_> = self.outbox.drain(..).collect();
-        for (to, msg, extra) in sends {
+        for (to, msg, extra) in outbox.drain(..) {
             if extra == Duration::ZERO && to != self.addr {
                 self.transmit(to, &msg);
             } else {
@@ -160,13 +196,14 @@ where
                 self.queue.push(now + extra, Pending::Send(to, msg));
             }
         }
+        self.outbox = outbox;
         for (delay, timer) in self.timers.drain(..) {
             self.queue.push(now + delay, Pending::Timer(timer));
         }
         self.collected.append(&mut self.controls);
     }
 
-    /// Encode and send one frame.
+    /// Encode one frame into the send buffer and send it.
     fn transmit(&mut self, to: Addr, msg: &B::Msg) {
         let Some(dest) = self.peers.get(to) else {
             self.stats.dropped_unknown_peer += 1;
@@ -176,17 +213,14 @@ where
             from: self.addr,
             to,
         };
-        // encode_frame panics past MAX_PAYLOAD; a live host drops the
-        // oversized message instead (and counts it — silent loss of a
-        // protocol message is a diagnosis nightmare)
-        let mut payload_probe = Vec::new();
-        msg.encode_payload(&mut payload_probe);
-        if payload_probe.len() > MAX_PAYLOAD {
+        // a live host drops a message past MAX_PAYLOAD instead of
+        // panicking as `encode_frame` does (and counts it — silent loss
+        // of a protocol message is a diagnosis nightmare)
+        if encode_frame_into(header, msg, &mut self.send_buf).is_err() {
             self.stats.send_failures += 1;
             return;
         }
-        let frame = encode_frame(header, msg);
-        match self.socket.send_to(&frame, dest) {
+        match self.socket.send_to(&self.send_buf, dest) {
             Ok(_) => self.stats.frames_out += 1,
             Err(_) => self.stats.send_failures += 1,
         }
@@ -200,10 +234,11 @@ where
         }
     }
 
-    /// Fire every timer and queued send that is due now.
-    fn drain_due(&mut self) {
+    /// Fire every timer and queued send that is due at `now`, and what
+    /// comes due while those run.
+    fn drain_due(&mut self, mut now: SimTime) {
         loop {
-            let bound = SimTime(self.now().0.saturating_add(1));
+            let bound = SimTime(now.0.saturating_add(1));
             let Some((_, pending)) = self.queue.pop_before(bound) else {
                 return;
             };
@@ -218,16 +253,21 @@ where
                     }
                 }
             }
+            now = self.now();
         }
     }
 
     /// Block on the socket for up to the read timeout; decode and
     /// deliver at most one frame. Returns whether a datagram arrived.
     fn recv_one(&mut self) -> bool {
-        let mut buf = [0u8; MAX_PAYLOAD + 64];
-        match self.socket.recv_from(&mut buf) {
+        if self.recv_buf.is_empty() {
+            self.recv_buf = vec![0; RECV_BUF];
+        }
+        match self.socket.recv_from(&mut self.recv_buf) {
             Ok((len, _src)) => {
-                match octopus_net::decode_frame::<B::Msg>(&buf[..len]) {
+                // only the `len` bytes this datagram wrote are read:
+                // what an earlier, longer one left behind never shows
+                match decode_frame::<B::Msg>(&self.recv_buf[..len]) {
                     Ok((header, msg)) if header.to == self.addr => {
                         self.stats.frames_in += 1;
                         let from = header.from;
@@ -264,13 +304,15 @@ where
     /// time instead).
     fn drive(&mut self, budget: Duration) -> Vec<B::Control> {
         self.start();
-        let deadline = wall_now() + std::time::Duration::from_micros(budget.0);
+        let mut t = wall_now();
+        let deadline = t + std::time::Duration::from_micros(budget.0);
         loop {
-            self.drain_due();
-            if wall_now() >= deadline {
+            self.drain_due(self.clock_at(t));
+            if t >= deadline {
                 break;
             }
             self.recv_one();
+            t = wall_now();
         }
         std::mem::take(&mut self.collected)
     }
@@ -383,6 +425,100 @@ mod tests {
         assert!(controls.is_empty());
         assert_eq!(h.stats.frames_rejected, 3);
         assert_eq!(h.stats.frames_in, 0);
+    }
+
+    /// A payload of raw bytes, as long as the frame says.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct Bytes(Vec<u8>);
+
+    impl WireMsg for Bytes {
+        fn wire_bytes(&self) -> u32 {
+            self.0.len() as u32
+        }
+    }
+
+    impl WireCodec for Bytes {
+        fn encode_payload(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.0);
+        }
+        fn decode_payload(
+            r: &mut octopus_net::PayloadReader<'_>,
+        ) -> Result<Self, octopus_net::DecodeError> {
+            Ok(Bytes(r.take(r.remaining())?.to_vec()))
+        }
+    }
+
+    /// Keeps what it is sent.
+    struct Sink(Vec<Bytes>);
+
+    impl NodeBehavior for Sink {
+        type Msg = Bytes;
+        type Timer = ();
+        type Control = ();
+
+        fn on_message(&mut self, _ctx: &mut dyn Runtime<Bytes, (), ()>, _from: Addr, msg: Bytes) {
+            self.0.push(msg);
+        }
+        fn on_timer(&mut self, _ctx: &mut dyn Runtime<Bytes, (), ()>, _timer: ()) {}
+        fn on_start(&mut self, _ctx: &mut dyn Runtime<Bytes, (), ()>) {}
+    }
+
+    /// Two `Sink` hosts, the first knowing where the second listens.
+    fn sink_pair() -> (UdpHost<Sink>, UdpHost<Sink>) {
+        let host = |id, peers| {
+            let socket = UdpSocket::bind("127.0.0.1:0").expect("bind");
+            UdpHost::new(Sink(Vec::new()), NodeId(id), socket, peers, 7).expect("host")
+        };
+        let b = host(2, PeerTable::new());
+        let mut peers = PeerTable::new();
+        peers.insert(NodeId(2), b.socket.local_addr().expect("addr"));
+        (host(1, peers), b)
+    }
+
+    #[test]
+    fn short_frame_after_a_long_one_shows_no_stale_tail() {
+        // the longest frame one loopback UDP datagram carries
+        const LONGEST: usize = 65_507 - octopus_net::wire::FRAME_OVERHEAD;
+        let (mut a, mut b) = sink_pair();
+        let long = Bytes((0..LONGEST).map(|i| (i % 251) as u8).collect());
+        a.inject(NodeId(1), NodeId(2), long.clone());
+        // the long frame's header alone: its length and checksum fit the
+        // bytes that frame leaves in the receive buffer, so a host that
+        // read past the datagram's end would take it for a frame
+        let header = FrameHeader {
+            from: NodeId(1),
+            to: NodeId(2),
+        };
+        let frame = octopus_net::encode_frame(header, &long);
+        let spray = UdpSocket::bind("127.0.0.1:0").expect("bind");
+        let dest = b.socket.local_addr().expect("addr");
+        spray
+            .send_to(&frame[..octopus_net::wire::FRAME_OVERHEAD], dest)
+            .expect("send");
+        a.inject(NodeId(1), NodeId(2), Bytes(vec![0x5a]));
+        assert_eq!(a.stats.frames_out, 2);
+        assert_eq!(a.stats.send_failures, 0);
+
+        b.drive(Duration::from_millis(30));
+        assert_eq!(b.node().0, vec![long, Bytes(vec![0x5a])]);
+        assert_eq!(b.stats.frames_in, 2);
+        assert_eq!(b.stats.frames_rejected, 1);
+    }
+
+    #[test]
+    fn oversized_message_counted_and_not_sent() {
+        let (mut a, b) = sink_pair();
+        a.inject(NodeId(1), NodeId(2), Bytes(vec![0; MAX_PAYLOAD + 1]));
+        assert_eq!(a.stats.send_failures, 1);
+        assert_eq!(a.stats.frames_out, 0);
+        // the host still sends afterwards, and that frame is the first
+        // datagram the peer's socket holds
+        a.inject(NodeId(1), NodeId(2), Bytes(vec![1, 2, 3]));
+        assert_eq!(a.stats.frames_out, 1);
+        let mut buf = [0u8; 64];
+        let (len, _) = b.socket.recv_from(&mut buf).expect("one datagram");
+        assert_eq!(len, octopus_net::wire::FRAME_OVERHEAD + 3);
+        assert!(b.socket.recv_from(&mut buf).is_err(), "and no other");
     }
 
     #[test]

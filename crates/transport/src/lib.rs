@@ -22,6 +22,11 @@
 //! here means *seeded protocol randomness* — every node's RNG stream
 //! still derives from the configured master seed — while message
 //! arrival order is whatever the real network delivers.
+//!
+//! No `unsafe`, by the compiler's word: the receive buffer is zeroed
+//! once when the host first polls, not skipped with `MaybeUninit`.
+
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod host;
