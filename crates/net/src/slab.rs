@@ -4,20 +4,22 @@
 //! `HashMap<Addr, Node>`; at N = 10k–100k the per-event hashing and the
 //! pointer-chasing iteration dominate. [`NodeSlab`] stores values in a
 //! dense `Vec` of slots with an `Addr → slot` index on the side: lookups
-//! hash once, the hot take/restore cycle of event dispatch touches only
-//! the slot, and iteration is a linear scan. Slots are *generational* —
-//! each reuse bumps a generation counter so a stale [`SlotKey`] held
-//! across a churn-out can never alias the slot's next occupant. A
-//! sharded world keeps one slab per shard, so each stays dense and
-//! cache-friendly even as the total ring grows toward millions of ids.
+//! hash once, event dispatch borrows the value where it lies
+//! ([`NodeSlab::get_mut_hinted`] — nothing is moved out and back), and
+//! iteration is a linear scan. Slots are *generational* — each reuse
+//! bumps a generation counter so a stale [`SlotKey`] held across a
+//! churn-out can never alias the slot's next occupant. A sharded world
+//! keeps one slab per shard, so each stays dense and cache-friendly
+//! even as the total ring grows toward millions of ids.
 //!
-//! That one index probe is the only hash an event pays, so it is a
-//! cheap one: `IdHasher` is a single 64×64 → 128-bit multiply folded
-//! to 64 bits, not SipHash. That is sound *here* because the keys are
-//! ring ids the simulation driver chose itself — nobody outside the
-//! process can craft colliding ones. A table keyed by addresses that
-//! arrive from a network (`UdpHost`'s peer table) keeps the standard
-//! library's keyed hasher.
+//! That one index probe is the only hash an event pays — and an event
+//! that carries the slot its node was last seen in (a timer does) pays
+//! none while the hint holds — so it is a cheap one: `IdHasher` is a
+//! single 64×64 → 128-bit multiply folded to 64 bits, not SipHash. That
+//! is sound *here* because the keys are ring ids the simulation driver
+//! chose itself — nobody outside the process can craft colliding ones.
+//! A table keyed by addresses that arrive from a network (`UdpHost`'s
+//! peer table) keeps the standard library's keyed hasher.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -50,6 +52,10 @@ impl Hasher for IdHasher {
 }
 
 type IdIndex = HashMap<Addr, u32, BuildHasherDefault<IdHasher>>;
+
+/// The hint of a caller that has none: no slab grows to `u32::MAX`
+/// slots, so [`NodeSlab::get_mut_hinted`] always probes the index.
+pub const NO_HINT: u32 = u32::MAX;
 
 /// A stable handle to an occupied slot: index plus the generation at
 /// acquisition time. Resolving a key whose slot has since been freed or
@@ -125,19 +131,10 @@ impl<T> NodeSlab<T> {
     /// Insert `value` under `addr`, returning its key. Replaces (and
     /// returns) any previous value stored under the same address; keys
     /// taken against the replaced occupant go stale.
-    ///
-    /// # Panics
-    /// Panics when the address's slot is reserved by an un-restored
-    /// [`NodeSlab::take`] — inserting over a taken value is always a
-    /// dispatch-logic bug.
     pub fn insert(&mut self, addr: Addr, value: T) -> (SlotKey, Option<T>) {
         if let Some(&idx) = self.index.get(&addr) {
             let slot = &mut self.slots[idx as usize];
             let old = slot.value.replace((addr, value)).map(|(_, v)| v);
-            assert!(
-                old.is_some(),
-                "insert over a slot reserved by take (restore it first)"
-            );
             // the replacement is a new occupant: retire outstanding keys
             slot.generation = slot.generation.wrapping_add(1);
             return (
@@ -198,6 +195,23 @@ impl<T> NodeSlab<T> {
         self.slots[idx as usize].value.as_mut().map(|(_, v)| v)
     }
 
+    /// Mutable access by address for a caller that remembers where the
+    /// value last lay: the slot index comes back with the value, and
+    /// passing it as `hint` next time skips the index probe. The hinted
+    /// slot is used only if it holds exactly `addr` — otherwise (empty,
+    /// reused by another address, out of range such as [`NO_HINT`]) the
+    /// index decides as in [`NodeSlab::get_mut`], so a stale hint costs
+    /// a probe and never changes the answer.
+    pub fn get_mut_hinted(&mut self, addr: Addr, hint: u32) -> Option<(u32, &mut T)> {
+        let hit = matches!(
+            self.slots.get(hint as usize),
+            Some(Slot { value: Some((a, _)), .. }) if *a == addr
+        );
+        let idx = if hit { hint } else { *self.index.get(&addr)? };
+        let (_, value) = self.slots[idx as usize].value.as_mut()?;
+        Some((idx, value))
+    }
+
     /// The current key for `addr`, for later `O(1)` access via
     /// [`NodeSlab::get_key`].
     #[must_use]
@@ -217,38 +231,6 @@ impl<T> NodeSlab<T> {
             return None;
         }
         slot.value.as_ref().map(|(_, v)| v)
-    }
-
-    /// Take the value out of its slot for re-entrant processing, leaving
-    /// the slot reserved (address still indexed). Pair with
-    /// [`NodeSlab::restore`]; the round trip costs one index probe and
-    /// two `Option` moves — no rehashing, no slot churn.
-    pub fn take(&mut self, addr: Addr) -> Option<(SlotKey, T)> {
-        let &idx = self.index.get(&addr)?;
-        let slot = &mut self.slots[idx as usize];
-        let (_, value) = slot.value.take()?;
-        Some((
-            SlotKey {
-                index: idx,
-                generation: slot.generation,
-            },
-            value,
-        ))
-    }
-
-    /// Put a taken value back into its reserved slot.
-    ///
-    /// # Panics
-    /// Panics when `key` does not name the reserved slot of a preceding
-    /// [`NodeSlab::take`] — restoring into a reused or occupied slot is
-    /// always a dispatch-logic bug.
-    pub fn restore(&mut self, addr: Addr, key: SlotKey, value: T) {
-        let slot = &mut self.slots[key.index as usize];
-        assert!(
-            slot.generation == key.generation && slot.value.is_none(),
-            "restore into a slot that was not reserved by take"
-        );
-        slot.value = Some((addr, value));
     }
 
     /// Iterate `(addr, &value)` pairs in slot order (a dense scan).
@@ -331,27 +313,44 @@ mod tests {
     }
 
     #[test]
-    fn take_restore_roundtrip() {
-        let mut s: NodeSlab<String> = NodeSlab::new();
-        s.insert(NodeId(5), "five".to_string());
-        let (key, mut v) = s.take(NodeId(5)).unwrap();
-        assert!(s.take(NodeId(5)).is_none(), "already taken");
-        assert!(s.contains(NodeId(5)), "slot stays reserved while taken");
-        v.push('!');
-        s.restore(NodeId(5), key, v);
-        assert_eq!(s.get(NodeId(5)).map(String::as_str), Some("five!"));
-    }
-
-    #[test]
-    #[should_panic(expected = "restore into a slot that was not reserved")]
-    fn restore_into_reused_slot_panics() {
+    fn a_hint_never_changes_what_get_mut_returns() {
         let mut s: NodeSlab<u32> = NodeSlab::new();
-        s.insert(NodeId(1), 1);
-        let (key, _) = s.take(NodeId(1)).unwrap();
-        s.restore(NodeId(1), key, 1);
+        for i in 0..4u64 {
+            s.insert(NodeId(i), i as u32); // NodeId(i) lies in slot i
+        }
+        // churn until slot 0 holds NodeId(3) (rejoined elsewhere),
+        // slot 1 NodeId(1) (rejoined in place), slot 2 NodeId(7) (a
+        // stranger) and slot 3 nothing; 0, 2 and 8 are gone
         s.remove(NodeId(1));
-        s.insert(NodeId(2), 2); // reuses the slot, new generation
-        s.restore(NodeId(1), key, 9);
+        s.remove(NodeId(2));
+        s.insert(NodeId(7), 70);
+        s.remove(NodeId(0));
+        s.insert(NodeId(8), 80);
+        s.insert(NodeId(1), 10);
+        s.remove(NodeId(3));
+        s.remove(NodeId(8));
+        s.insert(NodeId(3), 30);
+        assert_eq!(s.get_mut_hinted(NodeId(3), 3), Some((0, &mut 30)));
+        assert_eq!(s.get_mut_hinted(NodeId(2), 2), None, "a stranger's slot");
+        let addrs = [0u64, 1, 2, 3, 7, 8, 9].map(NodeId);
+        let hints = [0, 1, 2, 3, 4, 1000, NO_HINT];
+        for addr in addrs {
+            let expected = s.get_mut(addr).copied();
+            for hint in hints {
+                let got = s.get_mut_hinted(addr, hint);
+                assert_eq!(
+                    got.as_ref().map(|(_, v)| **v),
+                    expected,
+                    "{addr:?} hint {hint}"
+                );
+                // the slot that comes back is the right hint from now on
+                if let Some((idx, _)) = got {
+                    let again = s.get_mut_hinted(addr, idx).map(|(i, v)| (i, *v));
+                    assert_eq!(again, expected.map(|v| (idx, v)));
+                    assert_eq!(s.key_of(addr).map(|k| k.index), Some(idx));
+                }
+            }
+        }
     }
 
     #[test]

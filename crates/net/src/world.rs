@@ -10,8 +10,8 @@
 //! Storage and dispatch are built for scale. The ring is partitioned
 //! into contiguous ID ranges ([`ShardMap`]), each owned
 //! by a shard with its own generational [`NodeSlab`] (nodes colocated
-//! with their RNG streams and event counters, `O(1)` slot take/restore
-//! dispatch), its own event queue, its own pooled [`Ctx`] scratch
+//! with their RNG streams and event counters, dispatched where they
+//! lie), its own event queue, its own pooled [`Ctx`] scratch
 //! buffers, and the byte counters of its own nodes — a shard shares
 //! *nothing* mutable with its siblings, which is what lets
 //! [`World::run_window`] execute shard batches on the persistent
@@ -32,10 +32,16 @@
 //!
 //! A message costs no hash of its own. Bandwidth is counted in the slab
 //! slot dispatch already holds — the sender's when its outbox is
-//! routed, the receiver's when the delivery takes it — and the jitter
+//! routed, the receiver's when the delivery reaches it — and the jitter
 //! stream's base is mixed once per node at insert and seeded only if
-//! the latency model draws. What remains per event is the slab's one
-//! `Addr → slot` probe.
+//! the latency model draws. What remains per delivery is the slab's one
+//! `Addr → slot` probe; a timer names the slot that armed it and pays
+//! the probe only if its node has moved since.
+//!
+//! An event moves nothing it does not use. The handler runs on the node
+//! in its slot, borrowed beside the shard's queue and buffers (two
+//! fields of the shard): nothing is copied out and back, so the cache
+//! lines an event touches are the ones its handler reads and writes.
 //!
 //! Cross-shard messages park in a [`CrossShardBus`]
 //! and are flushed at conservative barriers bounded by the latency
@@ -70,7 +76,7 @@ use rand::RngCore;
 use crate::latency::LatencyModel;
 use crate::pool::{self, ShardPool};
 use crate::shard::{CrossShardBus, Envelope, ShardMap};
-use crate::slab::NodeSlab;
+use crate::slab::{NodeSlab, NO_HINT};
 use crate::wire::{datagram_bytes, BandwidthLedger, FrameHeader};
 
 pub use crate::runtime::{Addr, Ctx, NodeBehavior, Runtime, Transport};
@@ -78,8 +84,20 @@ pub use crate::runtime::{Addr, Ctx, NodeBehavior, Runtime, Transport};
 /// A protocol event on a shard queue (driver controls live on their own
 /// world-level queue).
 enum Event<M, T> {
-    Deliver { from: Addr, to: Addr, msg: M },
-    Timer { node: Addr, timer: T },
+    Deliver {
+        from: Addr,
+        to: Addr,
+        msg: M,
+    },
+    /// `hint` is the slab slot `node` lay in when it armed the timer
+    /// ([`NO_HINT`] when armed from `on_start`, before insertion): the
+    /// slot is tried before the slab's index, so while the node stays
+    /// put its timers pay no hash probe.
+    Timer {
+        node: Addr,
+        hint: u32,
+        timer: T,
+    },
 }
 
 /// What a single [`World::step`] produced.
@@ -207,10 +225,10 @@ impl<L> Copy for ShardCtx<'_, L> {}
 /// is shared with other shards, so a window batch can run on its own
 /// thread.
 pub(crate) struct Shard<B: NodeBehavior> {
-    index: usize,
     nodes: NodeSlab<Hosted<B>>,
-    queue: EventQueue<Event<B::Msg, B::Timer>>,
-    pool: BufferPool<B::Msg, B::Timer, B::Control>,
+    /// Everything a handler's effects flow into. A field of its own so
+    /// an event borrows its node in `nodes` and this side by side.
+    io: ShardIo<B>,
     /// `(sent, received)` bytes of addresses in this shard's range that
     /// no slot holds: what a removed node had counted, and driver
     /// injections from senders outside the overlay. Driver-side only —
@@ -218,26 +236,37 @@ pub(crate) struct Shard<B: NodeBehavior> {
     off_slab: BTreeMap<Addr, (u64, u64)>,
     /// Messages dropped because their destination had left the overlay.
     dropped_to_dead: u64,
+    /// Timestamp of the last event this shard executed.
+    last_exec: SimTime,
+}
+
+/// The half of a [`Shard`] that is not its nodes: where events come
+/// from and where a handler's sends, timers and controls go.
+struct ShardIo<B: NodeBehavior> {
+    index: usize,
+    queue: EventQueue<Event<B::Msg, B::Timer>>,
+    pool: BufferPool<B::Msg, B::Timer, B::Control>,
     /// Cross-shard envelopes produced by the current batch, one lane
     /// per destination shard; moved into the world bus at the barrier.
     outgoing: Vec<Vec<Envelope<B::Msg>>>,
     /// Controls emitted by the current batch, tagged with emission time
     /// and key; sorted into one stream at the barrier.
     emitted: Vec<(SimTime, u128, B::Control)>,
-    /// Timestamp of the last event this shard executed.
-    last_exec: SimTime,
 }
 
-impl<B: NodeBehavior> Shard<B> {
-    /// Run `f` against `hosted` with a pooled context, then flush what
-    /// it produced: messages are routed (local push or outgoing lane),
-    /// timers land on this shard's own queue, controls accumulate in
-    /// [`Shard::emitted`] with fresh keys from the node's counter.
+impl<B: NodeBehavior> ShardIo<B> {
+    /// Run `f` against `hosted` — the node at `addr`, lying in slab
+    /// slot `slot` ([`NO_HINT`] while not yet inserted) — with a pooled
+    /// context, then flush what it produced: messages are routed (local
+    /// push or outgoing lane), timers land on this shard's own queue
+    /// carrying `slot` as their hint, controls accumulate in
+    /// [`ShardIo::emitted`] with fresh keys from the node's counter.
     fn dispatch<L: LatencyModel, F>(
         &mut self,
         ctx: &ShardCtx<'_, L>,
         now: SimTime,
         addr: Addr,
+        slot: u32,
         hosted: &mut Hosted<B>,
         f: F,
     ) where
@@ -262,8 +291,12 @@ impl<B: NodeBehavior> Shard<B> {
         }
         for (delay, timer) in timers.drain(..) {
             let key = proto_key(addr, hosted.next_counter());
-            self.queue
-                .push_with_seq(now + delay, key, Event::Timer { node: addr, timer });
+            let timer = Event::Timer {
+                node: addr,
+                hint: slot,
+                timer,
+            };
+            self.queue.push_with_seq(now + delay, key, timer);
         }
         for c in controls.drain(..) {
             let key = proto_key(addr, hosted.next_counter());
@@ -328,7 +361,9 @@ impl<B: NodeBehavior> Shard<B> {
         }
         bytes
     }
+}
 
+impl<B: NodeBehavior> Shard<B> {
     /// Add to the off-slab counters of `addr`.
     fn bank(&mut self, addr: Addr, sent: u64, received: u64) {
         let entry = self.off_slab.entry(addr).or_default();
@@ -339,13 +374,14 @@ impl<B: NodeBehavior> Shard<B> {
     /// Pop and execute this shard's head event (the caller has
     /// established it is due).
     fn run_one<L: LatencyModel>(&mut self, ctx: &ShardCtx<'_, L>) {
-        let Some((at, ev)) = self.queue.pop() else {
+        let Some((at, ev)) = self.io.queue.pop() else {
             return;
         };
         self.exec_event(ctx, at, ev);
     }
 
-    /// Execute one popped event against its hosted node.
+    /// Execute one popped event against its hosted node, borrowed
+    /// where it lies in the slab.
     fn exec_event<L: LatencyModel>(
         &mut self,
         ctx: &ShardCtx<'_, L>,
@@ -355,24 +391,26 @@ impl<B: NodeBehavior> Shard<B> {
         self.last_exec = at;
         match ev {
             Event::Deliver { from, to, msg } => {
-                let Some((key, mut hosted)) = self.nodes.take(to) else {
+                let Some((slot, hosted)) = self.nodes.get_mut_hinted(to, NO_HINT) else {
                     self.dropped_to_dead += 1;
                     return;
                 };
                 hosted.received_bytes += datagram_bytes(&msg);
-                self.dispatch(ctx, at, to, &mut hosted, |node, cx| {
+                self.io.dispatch(ctx, at, to, slot, hosted, |node, cx| {
                     node.on_message(cx, from, msg);
                 });
-                self.nodes.restore(to, key, hosted);
             }
-            Event::Timer { node: addr, timer } => {
-                let Some((key, mut hosted)) = self.nodes.take(addr) else {
+            Event::Timer {
+                node: addr,
+                hint,
+                timer,
+            } => {
+                let Some((slot, hosted)) = self.nodes.get_mut_hinted(addr, hint) else {
                     return; // timer of a dead node
                 };
-                self.dispatch(ctx, at, addr, &mut hosted, |node, cx| {
+                self.io.dispatch(ctx, at, addr, slot, hosted, |node, cx| {
                     node.on_timer(cx, timer);
                 });
-                self.nodes.restore(addr, key, hosted);
             }
         }
     }
@@ -382,7 +420,7 @@ impl<B: NodeBehavior> Shard<B> {
     /// the window are picked up; messages cannot land inside it (their
     /// latency floor carries them to `exec_end` or beyond).
     pub(crate) fn run_batch<L: LatencyModel>(&mut self, ctx: &ShardCtx<'_, L>) {
-        while let Some((at, ev)) = self.queue.pop_before(ctx.exec_end) {
+        while let Some((at, ev)) = self.io.queue.pop_before(ctx.exec_end) {
             self.exec_event(ctx, at, ev);
         }
     }
@@ -464,14 +502,16 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
         World {
             shards: (0..map.count())
                 .map(|index| Shard {
-                    index,
                     nodes: NodeSlab::new(),
-                    queue: EventQueue::with_scheduler(scheduler),
-                    pool: BufferPool::default(),
+                    io: ShardIo {
+                        index,
+                        queue: EventQueue::with_scheduler(scheduler),
+                        pool: BufferPool::default(),
+                        outgoing: (0..map.count()).map(|_| Vec::new()).collect(),
+                        emitted: Vec::new(),
+                    },
                     off_slab: BTreeMap::new(),
                     dropped_to_dead: 0,
-                    outgoing: (0..map.count()).map(|_| Vec::new()).collect(),
-                    emitted: Vec::new(),
                     last_exec: SimTime::ZERO,
                 })
                 .collect(),
@@ -611,7 +651,7 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
             sent_bytes: 0,
             received_bytes: 0,
         };
-        self.driver_dispatch(addr, &mut hosted, |node, ctx| node.on_start(ctx));
+        self.driver_dispatch(addr, Some(&mut hosted), |node, ctx| node.on_start(ctx));
         let shard = self.shard_mut(addr);
         if let (_, Some(replaced)) = shard.nodes.insert(addr, hosted) {
             shard.bank(addr, replaced.sent_bytes, replaced.received_bytes);
@@ -659,6 +699,7 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
         self.driver_seq += 1;
         let dest = self.map.shard_of(to);
         self.shards[dest]
+            .io
             .queue
             .push_with_seq(at, key, Event::Deliver { from, to, msg });
     }
@@ -670,12 +711,7 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
     where
         F: FnOnce(&mut B, &mut dyn Runtime<B::Msg, B::Timer, B::Control>),
     {
-        let Some((key, mut hosted)) = self.shard_mut(addr).nodes.take(addr) else {
-            return false;
-        };
-        self.driver_dispatch(addr, &mut hosted, f);
-        self.shard_mut(addr).nodes.restore(addr, key, hosted);
-        true
+        self.driver_dispatch(addr, None, f)
     }
 
     fn shard(&self, addr: Addr) -> &Shard<B> {
@@ -686,11 +722,13 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
         &mut self.shards[self.map.shard_of(addr)]
     }
 
-    /// Dispatch on behalf of the driver (insert/with_node): run the
-    /// handler on the node's shard, then immediately publish what it
-    /// produced — envelopes to the bus, emitted controls to the driver
-    /// queue (they pop in key order like everything else).
-    fn driver_dispatch<F>(&mut self, addr: Addr, hosted: &mut Hosted<B>, f: F)
+    /// Dispatch on behalf of the driver: run the handler on the node's
+    /// shard — against `joining`, a node about to be inserted, or else
+    /// against the node hosted at `addr`, borrowed in its slot (`false`
+    /// when there is none) — then immediately publish what it produced:
+    /// envelopes to the bus, emitted controls to the driver queue (they
+    /// pop in key order like everything else).
+    fn driver_dispatch<F>(&mut self, addr: Addr, joining: Option<&mut Hosted<B>>, f: F) -> bool
     where
         F: FnOnce(&mut B, &mut dyn Runtime<B::Msg, B::Timer, B::Control>),
     {
@@ -701,20 +739,27 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
             window_end: self.window.end(),
             exec_end: now,
         };
-        let sh = self.map.shard_of(addr);
-        self.shards[sh].dispatch(&ctx, now, addr, hosted, f);
-        let shard = &mut self.shards[sh];
-        for (t, key, c) in shard.emitted.drain(..) {
+        let Shard { nodes, io, .. } = &mut self.shards[self.map.shard_of(addr)];
+        let (slot, hosted) = match joining {
+            Some(hosted) => (NO_HINT, hosted),
+            None => match nodes.get_mut_hinted(addr, NO_HINT) {
+                Some(found) => found,
+                None => return false,
+            },
+        };
+        io.dispatch(&ctx, now, addr, slot, hosted, f);
+        for (t, key, c) in io.emitted.drain(..) {
             self.controls.push_with_seq(t, key, c);
         }
-        Self::park_outgoing(&mut self.bus, shard);
+        Self::park_outgoing(&mut self.bus, io);
+        true
     }
 
     /// Publish a shard's outgoing envelope lanes onto the bus — the one
     /// place every drive path (driver dispatch, sequential stepping,
     /// window barriers) parks a batch's cross-shard sends.
-    fn park_outgoing(bus: &mut CrossShardBus<B::Msg>, shard: &mut Shard<B>) {
-        for (dest, lane) in shard.outgoing.iter_mut().enumerate() {
+    fn park_outgoing(bus: &mut CrossShardBus<B::Msg>, io: &mut ShardIo<B>) {
+        for (dest, lane) in io.outgoing.iter_mut().enumerate() {
             for e in lane.drain(..) {
                 bus.park(dest, e);
             }
@@ -726,7 +771,7 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
     fn flush_bus(&mut self) {
         let shards = &mut self.shards;
         self.bus.flush(|dest, e| {
-            shards[dest].queue.push_with_seq(
+            shards[dest].io.queue.push_with_seq(
                 e.at,
                 e.seq,
                 Event::Deliver {
@@ -744,7 +789,7 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
         self.shards
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.queue.peek_key().map(|k| (k, i)))
+            .filter_map(|(i, s)| s.io.queue.peek_key().map(|k| (k, i)))
             .min()
     }
 
@@ -789,7 +834,11 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
     /// the bus, or a scheduled control), if any.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        let queued = self.shards.iter().filter_map(|s| s.queue.peek_time()).min();
+        let queued = self
+            .shards
+            .iter()
+            .filter_map(|s| s.io.queue.peek_time())
+            .min();
         [queued, self.controls.peek_time(), self.bus.earliest()]
             .into_iter()
             .flatten()
@@ -827,10 +876,10 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
                     };
                     self.shards[idx].run_one(&ctx);
                     self.now = self.now.max(self.shards[idx].last_exec);
-                    let shard = &mut self.shards[idx];
+                    let io = &mut self.shards[idx].io;
                     let controls: Vec<B::Control> =
-                        shard.emitted.drain(..).map(|(_, _, c)| c).collect();
-                    Self::park_outgoing(&mut self.bus, shard);
+                        io.emitted.drain(..).map(|(_, _, c)| c).collect();
+                    Self::park_outgoing(&mut self.bus, io);
                     if !controls.is_empty() {
                         return StepOutcome::Protocol(controls);
                     }
@@ -889,9 +938,10 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
     /// but only *after* the window's barrier merge, so a driver that
     /// catches it holds a consistent world: every completed event's
     /// effects (messages, timers, clock) are visible, every shard has
-    /// been reclaimed from the worker pool, and only the panicking
-    /// node (which died mid-handler) has left the overlay. Subsequent
-    /// windows, and dropping the world, behave normally.
+    /// been reclaimed from the worker pool, and the panicking node is
+    /// still hosted, in whatever state its handler left it (what the
+    /// interrupted handler had sent, armed or emitted is lost).
+    /// Subsequent windows, and dropping the world, behave normally.
     pub fn run_window(&mut self, deadline: SimTime) -> Option<Vec<(SimTime, B::Control)>>
     where
         B: Send + 'static,
@@ -942,8 +992,8 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
         // here (the pool catches its own workers' panics and hands the
         // first payload back) and re-raised only after the merge, so a
         // caught panic leaves the world consistent: every completed
-        // event's effects are visible, and only the panicking node —
-        // which died mid-handler — is gone from its slab.
+        // event's effects are visible, and only the interrupted
+        // handler's own sends, timers and controls are lost.
         let batch_panic: Option<Box<dyn std::any::Any + Send>> = if exec_end <= t0 {
             // Zero lookahead (or a control due right at t0): degenerate
             // to one sequential event — the flush-per-pop classic
@@ -979,9 +1029,9 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
         let mut emitted: Vec<(SimTime, u128, B::Control)> = Vec::new();
         let mut now = self.now;
         for shard in &mut self.shards {
-            emitted.append(&mut shard.emitted);
+            emitted.append(&mut shard.io.emitted);
             now = now.max(shard.last_exec);
-            Self::park_outgoing(&mut self.bus, shard);
+            Self::park_outgoing(&mut self.bus, &mut shard.io);
         }
         self.now = now;
         if let Some(payload) = batch_panic {
@@ -1491,6 +1541,155 @@ mod tests {
         w.remove_node(NodeId(1));
         let ctrl = w.run_until(SimTime::from_secs(5));
         assert!(ctrl.is_empty());
+    }
+
+    /// Emits `(its address, its life, fires so far)` whenever a timer
+    /// fires and re-arms until it has fired twice; arms one on start
+    /// when told to.
+    struct Alarm {
+        life: u32,
+        arm_on_start: bool,
+        fired: u32,
+    }
+
+    impl Alarm {
+        fn new(life: u32, arm_on_start: bool) -> Self {
+            Alarm {
+                life,
+                arm_on_start,
+                fired: 0,
+            }
+        }
+    }
+
+    impl NodeBehavior for Alarm {
+        type Msg = Pm;
+        type Timer = ();
+        type Control = (Addr, u32, u32);
+
+        fn on_start(&mut self, ctx: &mut dyn Runtime<Pm, (), Self::Control>) {
+            if self.arm_on_start {
+                ctx.set_timer(Duration::from_millis(10), ());
+            }
+        }
+
+        fn on_message(&mut self, _: &mut dyn Runtime<Pm, (), Self::Control>, _: Addr, _: Pm) {}
+
+        fn on_timer(&mut self, ctx: &mut dyn Runtime<Pm, (), Self::Control>, (): ()) {
+            self.fired += 1;
+            ctx.emit((ctx.addr(), self.life, self.fired));
+            if self.fired < 2 {
+                ctx.set_timer(Duration::from_millis(10), ());
+            }
+        }
+    }
+
+    fn alarm_world() -> World<Alarm, ConstantLatency> {
+        World::new(ConstantLatency(Duration::from_millis(5)), 1)
+    }
+
+    #[test]
+    fn timers_armed_in_on_start_fire_and_rearm() {
+        // the first timer is armed before the node has a slot (no
+        // hint), the second from the slot itself
+        let mut w = alarm_world();
+        let x = NodeId(1);
+        w.insert_node(x, Alarm::new(1, true));
+        let ctrl = w.run_until(SimTime::from_secs(1));
+        assert_eq!(
+            ctrl,
+            vec![
+                (SimTime::from_millis(10), (x, 1, 1)),
+                (SimTime::from_millis(20), (x, 1, 2)),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_timer_outlives_its_node_only_through_the_address() {
+        // A pending timer belongs to an address: it dies with a node
+        // that stays away and fires on whoever holds the address when it
+        // comes due — never on another address that took over the slot
+        // it was armed from.
+        let (x, y) = (NodeId(1), NodeId(2));
+        let arm = |w: &mut World<Alarm, ConstantLatency>| {
+            w.insert_node(x, Alarm::new(1, false));
+            assert!(w.with_node(x, |_n, ctx| {
+                ctx.set_timer(Duration::from_secs(1), ());
+            }));
+            assert!(w.remove_node(x).is_some());
+        };
+        let fires = |life: u32| {
+            vec![
+                (SimTime::from_secs(1), (x, life, 1)),
+                (SimTime::from_millis(1010), (x, life, 2)),
+            ]
+        };
+
+        // gone for good, its slot reused by another address
+        let mut w = alarm_world();
+        arm(&mut w);
+        w.insert_node(y, Alarm::new(1, false));
+        w.inject_message(y, x, Pm::Ping);
+        assert!(w.run_until(SimTime::from_secs(5)).is_empty());
+        assert_eq!(w.node(y).unwrap().fired, 0);
+        assert_eq!(w.dropped_to_dead(), 1, "the message to the leaver");
+
+        // rejoined into the slot it left
+        let mut w = alarm_world();
+        arm(&mut w);
+        w.insert_node(x, Alarm::new(2, false));
+        assert_eq!(w.run_until(SimTime::from_secs(5)), fires(2));
+
+        // rejoined into another slot, the old one held by another address
+        let mut w = alarm_world();
+        arm(&mut w);
+        w.insert_node(y, Alarm::new(1, false));
+        w.insert_node(x, Alarm::new(2, false));
+        assert_eq!(w.run_until(SimTime::from_secs(5)), fires(2));
+        assert_eq!(w.node(y).unwrap().fired, 0);
+        assert_eq!(w.node(x).unwrap().fired, 2);
+    }
+
+    /// Panics on its first timer.
+    struct Fragile {
+        timers_seen: u32,
+    }
+
+    impl NodeBehavior for Fragile {
+        type Msg = Pm;
+        type Timer = ();
+        type Control = u32;
+
+        fn on_start(&mut self, ctx: &mut dyn Runtime<Pm, (), u32>) {
+            ctx.set_timer(Duration::from_millis(10), ());
+            ctx.set_timer(Duration::from_millis(20), ());
+        }
+
+        fn on_message(&mut self, _ctx: &mut dyn Runtime<Pm, (), u32>, _from: Addr, _msg: Pm) {}
+
+        fn on_timer(&mut self, ctx: &mut dyn Runtime<Pm, (), u32>, (): ()) {
+            self.timers_seen += 1;
+            assert!(self.timers_seen > 1, "fragile node broke");
+            ctx.emit(self.timers_seen);
+        }
+    }
+
+    #[test]
+    fn a_handler_panic_leaves_the_node_in_its_slot() {
+        let mut w: World<Fragile, _> = World::new(ConstantLatency(Duration::from_millis(5)), 1);
+        w.insert_node(NodeId(1), Fragile { timers_seen: 0 });
+        let deadline = SimTime::from_secs(1);
+        let caught = catch_unwind(AssertUnwindSafe(|| w.run_window(deadline)));
+        assert!(caught.is_err(), "the first timer panics");
+        // dispatched where it lies, the node is still hosted, in the
+        // state its handler left, and its next timer reaches it
+        assert_eq!(w.node(NodeId(1)).map(|n| n.timers_seen), Some(1));
+        let mut emitted = Vec::new();
+        while let Some(controls) = w.run_window(deadline) {
+            emitted.extend(controls);
+        }
+        assert_eq!(emitted, vec![(SimTime::from_millis(20), 2)]);
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!   Simulation workloads are dominated by short periodic timers
 //!   (stabilize / finger / surveillance / walk) and latency-bounded
 //!   message deliveries, which land in the lowest wheel levels and make
-//!   this backend substantially faster than the heap at scale.
+//!   this backend substantially faster than the heap at scale. A due
+//!   slot is sorted ascending by merging the runs it arrived in and
+//!   served from the front.
 //!
 //! # Determinism contract
 //!
@@ -25,8 +27,8 @@
 //! cross-backend regression tests in `tests/scheduler_equivalence.rs`
 //! enforce it.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
@@ -247,24 +249,32 @@ impl<E> Level<E> {
 /// run from which `pop_next` serves. Sorting each drained slot by
 /// `(time, seq)` restores the exact total order the determinism contract
 /// requires — sub-tick timestamps included.
+///
+/// The sort is the standard library's stable, run-merging one, because a
+/// slot is rarely in random order: events execute in time order, so
+/// everything pushed with one delay (a periodic timer, a constant-latency
+/// delivery) arrives already ascending, and a busy slot is a few such
+/// runs laid end to end. Merging them costs one pass; the keys are
+/// unique, so stability changes nothing about the result.
 #[derive(Debug)]
 pub struct TimingWheel<E> {
     levels: Vec<Level<E>>,
     /// Current wheel position in ticks. Invariant: every slot whose
     /// start lies strictly before the cursor is empty.
     cursor: u64,
-    /// Events due next, sorted *descending* by `(time, seq)` and served
-    /// from the tail, so a drained slot can be sorted in place and
-    /// swapped in without copying. Non-empty whenever `len > 0` and
-    /// `staged` is empty (maintained eagerly so `peek_time` is `O(1)`).
-    ready: Vec<Entry<E>>,
+    /// Events due next, sorted ascending by `(time, seq)` and served
+    /// from the front. A drained slot is sorted in place and adopted
+    /// without copying (`Vec` ↔ `VecDeque` conversions of a whole buffer
+    /// are `O(1)`). Non-empty whenever `len > 0` and `staged` is empty
+    /// (maintained eagerly so `peek_time` is `O(1)`).
+    ready: VecDeque<Entry<E>>,
     /// Entries scheduled at or behind the cursor tick (timers re-armed
     /// behind the eagerly-advanced cursor, and cross-shard bus-flush
     /// batches). A second min-heap beside `ready`: a bus flush can dump
     /// tens of thousands of same-tick entries here in one burst, and a
     /// heap absorbs any burst shape in `O(log n)` per entry where a
     /// sorted run degrades to a quadratic memmove. `pop_next` serves
-    /// from whichever of `ready`'s tail and this heap's top holds the
+    /// from whichever of `ready`'s front and this heap's top holds the
     /// smaller key — no merge, ever.
     staged: BinaryHeap<Entry<E>>,
     /// Events beyond the wheel horizon (min-heap via inverted `Ord`).
@@ -285,7 +295,7 @@ impl<E> TimingWheel<E> {
         TimingWheel {
             levels: (0..LEVELS).map(|_| Level::new()).collect(),
             cursor: 0,
-            ready: Vec::new(),
+            ready: VecDeque::new(),
             staged: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             len: 0,
@@ -378,10 +388,13 @@ impl<E> TimingWheel<E> {
     /// from different levels in global `(time, seq)` order.
     fn drain_due_at_cursor(&mut self) {
         debug_assert!(self.ready.is_empty());
+        // The emptied ready buffer collects the tick (an empty deque
+        // converts without copying and keeps its capacity).
+        let mut due = Vec::from(std::mem::take(&mut self.ready));
         while let Some(top) = self.overflow.peek() {
             if Self::tick_of(top.time) == self.cursor {
                 let e = self.overflow.pop().expect("peeked entry exists");
-                self.ready.push(e);
+                due.push(e);
             } else {
                 break;
             }
@@ -404,7 +417,7 @@ impl<E> TimingWheel<E> {
             self.levels[level].occupied &= !(1 << idx);
             for e in batch.drain(..) {
                 if Self::tick_of(e.time) == self.cursor {
-                    self.ready.push(e);
+                    due.push(e);
                 } else {
                     self.place(e);
                 }
@@ -413,23 +426,20 @@ impl<E> TimingWheel<E> {
         }
         let idx0 = (self.cursor & SLOT_MASK) as usize;
         if self.levels[0].occupied & (1 << idx0) != 0 {
-            let mut batch = std::mem::take(&mut self.levels[0].slots[idx0]);
             self.levels[0].occupied &= !(1 << idx0);
-            debug_assert!(batch.iter().all(|e| Self::tick_of(e.time) == self.cursor));
-            if self.ready.is_empty() {
+            let slot = &mut self.levels[0].slots[idx0];
+            debug_assert!(slot.iter().all(|e| Self::tick_of(e.time) == self.cursor));
+            if due.is_empty() {
                 // Common case: the whole tick lives in one level-0 slot.
-                // Sort it in place and swap it in — the emptied ready
-                // vec becomes the slot's fresh buffer. Zero copies.
-                batch.sort_unstable_by_key(|e| Reverse(e.key()));
-                std::mem::swap(&mut self.ready, &mut batch);
+                // Swap it out — the emptied ready buffer becomes the
+                // slot's fresh one. Zero copies.
+                std::mem::swap(&mut due, slot);
             } else {
-                self.ready.append(&mut batch);
-                self.ready.sort_unstable_by_key(|e| Reverse(e.key()));
+                due.append(slot);
             }
-            self.levels[0].slots[idx0] = batch;
-        } else {
-            self.ready.sort_unstable_by_key(|e| Reverse(e.key()));
         }
+        due.sort_by_key(Entry::key);
+        self.ready = VecDeque::from(due);
     }
 }
 
@@ -441,9 +451,9 @@ impl<E> Scheduler<E> for TimingWheel<E> {
     }
 
     fn pop_next(&mut self) -> Option<(SimTime, E)> {
-        // Serve from whichever of ready's tail (its minimum) and the
+        // Serve from whichever of ready's front (its minimum) and the
         // staged heap's top holds the smaller key.
-        let from_staged = match (self.ready.last(), self.staged.peek()) {
+        let from_staged = match (self.ready.front(), self.staged.peek()) {
             (Some(r), Some(s)) => s.key() < r.key(),
             (None, Some(_)) => true,
             _ => false,
@@ -451,7 +461,7 @@ impl<E> Scheduler<E> for TimingWheel<E> {
         let e = if from_staged {
             self.staged.pop()
         } else {
-            self.ready.pop()
+            self.ready.pop_front()
         }?;
         self.len -= 1;
         self.ensure_ready();
@@ -463,7 +473,7 @@ impl<E> Scheduler<E> for TimingWheel<E> {
     }
 
     fn peek_key(&self) -> Option<(SimTime, u128)> {
-        match (self.ready.last(), self.staged.peek()) {
+        match (self.ready.front(), self.staged.peek()) {
             (Some(r), Some(s)) => Some(r.key().min(s.key())),
             (r, s) => r.or(s).map(Entry::key),
         }
@@ -518,7 +528,7 @@ mod tests {
 
     #[test]
     fn wheel_handles_sub_tick_ordering() {
-        // events inside the same ≈1 ms tick must still sort by exact time
+        // events inside the same 8.192 ms tick must still sort by exact time
         let mut w = TimingWheel::new();
         w.schedule(SimTime(500), 0, 2);
         w.schedule(SimTime(100), 1, 1);
@@ -592,6 +602,45 @@ mod tests {
         let order: Vec<u64> = std::iter::from_fn(|| w.pop_next().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![100, 200, 300, 500, 700, 900, 9999]);
         assert!(w.is_empty());
+    }
+
+    #[test]
+    fn drained_slots_keep_their_capacity() {
+        // steady state: 40 events in every tick, each re-armed 36 ticks
+        // ahead as it pops. A drained slot is handed the emptied ready
+        // buffer and the sorted one is adopted whole, so once every
+        // buffer in the rotation has held a tick, nothing allocates.
+        const PER_TICK: u64 = 40;
+        const AHEAD: u64 = 36;
+        let tick = 1u64 << TICK_BITS;
+        let mut w: TimingWheel<u64> = TimingWheel::new();
+        let mut seq = 0u128;
+        for i in 0..AHEAD * PER_TICK {
+            w.schedule(SimTime((i / PER_TICK) * tick + i % PER_TICK), seq, i);
+            seq += 1;
+        }
+        let mut rotate = |w: &mut TimingWheel<u64>, rotations: u64| {
+            for _ in 0..rotations * SLOTS as u64 * PER_TICK {
+                let (t, e) = w.pop_next().expect("the workload never drains");
+                w.schedule(SimTime(t.0 + AHEAD * tick), seq, e);
+                seq += 1;
+            }
+        };
+        let capacities = |w: &TimingWheel<u64>| {
+            let mut caps: Vec<usize> = w.levels[0].slots.iter().map(Vec::capacity).collect();
+            caps.push(w.ready.capacity());
+            caps.sort_unstable(); // buffers rotate between the slots and `ready`
+            caps
+        };
+        rotate(&mut w, 3);
+        let warm = capacities(&w);
+        assert!(
+            warm.iter().all(|&c| c >= PER_TICK as usize),
+            "a drained slot lost its buffer: {warm:?}"
+        );
+        rotate(&mut w, 3);
+        assert_eq!(capacities(&w), warm, "a buffer was reallocated");
+        assert_eq!(w.len(), (AHEAD * PER_TICK) as usize);
     }
 
     #[test]

@@ -135,3 +135,185 @@ fn popped_order_is_monotone_with_fifo_ties() {
         }
     }
 }
+
+// --- run-shaped inputs ---------------------------------------------------
+//
+// The wheel sorts a drained slot with a run-merging sort and serves the
+// result from the front of a deque; the heap does neither. The inputs
+// below are the shapes that sort meets in a simulation — whole runs,
+// runs laid end to end, reversed runs, ties — each with pops interleaved
+// so slots are drained while later ones are still filling.
+
+/// One wheel tick in microseconds (`2^13`).
+const TICK: u64 = 1 << 13;
+
+/// Run `script` on both backends — it pushes `(time, key)` events whose
+/// payload is their key and returns what it popped — and return the one
+/// trace both must produce, having checked it lost nothing.
+fn same_on_both_backends(
+    pushed: usize,
+    script: impl Fn(&mut EventQueue<u128>) -> Vec<(SimTime, u128)>,
+) -> Vec<(SimTime, u128)> {
+    let [heap, wheel] = KINDS.map(|kind| {
+        let mut q = EventQueue::with_scheduler(kind);
+        let mut trace = script(&mut q);
+        while let Some(ev) = q.pop() {
+            trace.push(ev);
+        }
+        assert_eq!(trace.len(), pushed, "{kind:?} lost events");
+        trace
+    });
+    assert_eq!(
+        heap, wheel,
+        "binary-heap and timing-wheel backends diverged"
+    );
+    wheel
+}
+
+/// Pop everything due strictly before `bound`.
+fn pop_until(q: &mut EventQueue<u128>, bound: SimTime, trace: &mut Vec<(SimTime, u128)>) {
+    while let Some(ev) = q.pop_before(bound) {
+        trace.push(ev);
+    }
+}
+
+fn assert_ascending(trace: &[(SimTime, u128)]) {
+    assert!(
+        trace.windows(2).all(|w| w[0] < w[1]),
+        "trace is not in ascending (time, key) order"
+    );
+}
+
+#[test]
+fn one_ascending_run_per_tick() {
+    const TICKS: u64 = 200;
+    const RUN: u64 = 50;
+    let trace = same_on_both_backends((TICKS * RUN) as usize, |q| {
+        let mut trace = Vec::new();
+        let mut key = 0u128;
+        for tick in 0..TICKS {
+            // the run lands three ticks ahead of what is being popped
+            for j in 0..RUN {
+                q.push_with_seq(SimTime((tick + 3) * TICK + j * 100), key, key);
+                key += 1;
+            }
+            pop_until(q, SimTime((tick + 1) * TICK), &mut trace);
+        }
+        trace
+    });
+    assert_ascending(&trace);
+}
+
+/// A sharded world's key: lane bit, the creating node's address, that
+/// node's own counter — unique, and in no order relative to time.
+fn packed_key(origin: u64, counter: u64) -> u128 {
+    (1 << 127) | (u128::from(origin) << 63) | u128::from(counter)
+}
+
+#[test]
+fn two_ascending_runs_end_to_end_with_packed_keys() {
+    // the gossip overlay's slot: every tick files 300 timers 36 ticks
+    // ahead and then 300 deliveries 5 ticks ahead, each in time order,
+    // so a slot fills with the timers of 36 ticks ago followed by the
+    // deliveries of 5 ticks ago — two runs that interleave in time
+    const TICKS: u64 = 120;
+    const RUN: u64 = 300;
+    let trace = same_on_both_backends((TICKS * RUN * 2) as usize, |q| {
+        let mut trace = Vec::new();
+        for tick in 0..TICKS {
+            for j in 0..RUN {
+                let origin = (2 * j).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let at = SimTime((tick + 36) * TICK + j * 27);
+                let key = packed_key(origin, tick);
+                q.push_with_seq(at, key, key);
+            }
+            for j in 0..RUN {
+                // deliveries tie in time two by two; their keys decide
+                let origin = (2 * j + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let at = SimTime((tick + 5) * TICK + (j / 2) * 54 + 13);
+                let key = packed_key(origin, tick);
+                q.push_with_seq(at, key, key);
+            }
+            pop_until(q, SimTime((tick + 1) * TICK), &mut trace);
+        }
+        trace
+    });
+    assert_ascending(&trace);
+}
+
+#[test]
+fn strictly_descending_pushes() {
+    // every block arrives latest event first, two blocks ahead of the
+    // clock; part of what is pending is popped between blocks
+    const BLOCKS: u64 = 20;
+    const RUN: u64 = 500;
+    const SPAN: u64 = RUN * 40; // 20 ms: a block covers two or three ticks
+    let trace = same_on_both_backends((BLOCKS * RUN) as usize, |q| {
+        let mut trace = Vec::new();
+        let mut key = 0u128;
+        for block in 0..BLOCKS {
+            for j in (0..RUN).rev() {
+                q.push_with_seq(SimTime((block + 2) * SPAN + j * 40), key, key);
+                key += 1;
+            }
+            for _ in 0..300 {
+                trace.extend(q.pop());
+            }
+        }
+        trace
+    });
+    assert!(trace.windows(2).all(|w| w[0].0 < w[1].0), "times ascend");
+}
+
+#[test]
+fn one_timestamp_with_shuffled_keys() {
+    const N: usize = 5_000;
+    let mut keys: Vec<u128> = (0..N as u128).collect();
+    let mut rng = derive_rng(0x5eed, b"sched-shuffle", 0);
+    for i in (1..N).rev() {
+        keys.swap(i, rng.gen_range(0..=i));
+    }
+    let at = SimTime::from_secs(3);
+    let trace = same_on_both_backends(N, |q| {
+        let mut trace = Vec::new();
+        for &key in &keys[..3_000] {
+            q.push_with_seq(at, key, key);
+        }
+        for _ in 0..1_000 {
+            trace.extend(q.pop());
+        }
+        // the clock stands at `at` now: the rest arrives at the cursor
+        // tick, with keys on both sides of what is still pending
+        for &key in &keys[3_000..] {
+            q.push_with_seq(at, key, key);
+        }
+        trace
+    });
+    // each half comes out in key order; the halves overlap
+    assert_ascending(&trace[..1_000]);
+    assert_ascending(&trace[1_000..]);
+}
+
+#[test]
+fn push_at_the_cursor_tick_below_the_ready_front_pops_first() {
+    let t = SimTime::from_millis(100);
+    let later = SimTime(t.0 + 1); // same tick, one microsecond on
+    let trace = same_on_both_backends(6, |q| {
+        q.push_with_seq(t, 50, 50);
+        q.push_with_seq(t, 60, 60);
+        q.push_with_seq(later, 10, 10);
+        let mut trace = vec![q.pop().expect("first event")];
+        // the wheel now serves (t, 60), (later, 10) from its sorted run;
+        // a bus flush hands it older keys at the same instants
+        q.push_with_seq(t, 55, 55);
+        assert_eq!(q.peek_key(), Some((t, 55)), "{}", q.backend_name());
+        q.push_with_seq(t, 70, 70);
+        q.push_with_seq(later, 5, 5);
+        assert_eq!(q.peek_key(), Some((t, 55)), "{}", q.backend_name());
+        trace.extend(q.pop());
+        assert_eq!(q.peek_key(), Some((t, 60)), "{}", q.backend_name());
+        trace
+    });
+    let expected = [(t, 50), (t, 55), (t, 60), (t, 70), (later, 5), (later, 10)];
+    assert_eq!(trace, expected);
+}
