@@ -45,7 +45,7 @@ pub use latency::{ConstantLatency, KingLikeLatency, LatencyModel};
 pub use octopus_sim::SchedulerKind;
 pub use runtime::{Addr, Ctx, NodeBehavior, Runtime, Transport};
 pub use shard::{CrossShardBus, Envelope, ShardMap};
-pub use slab::{NodeSlab, SlotKey};
+pub use slab::NodeSlab;
 pub use wire::{
     decode_frame, encode_frame, encode_frame_into, sizes, BandwidthLedger, DecodeError, FrameError,
     FrameHeader, PayloadReader, WireCodec, WireMsg,

@@ -1,4 +1,4 @@
-//! Generational slab storage for world-hosted nodes.
+//! Slab storage for world-hosted nodes.
 //!
 //! An early version of the [`World`](crate::World) kept its nodes in a
 //! `HashMap<Addr, Node>`; at N = 10k–100k the per-event hashing and the
@@ -6,9 +6,10 @@
 //! dense `Vec` of slots with an `Addr → slot` index on the side: lookups
 //! hash once, event dispatch borrows the value where it lies
 //! ([`NodeSlab::get_mut_hinted`] — nothing is moved out and back), and
-//! iteration is a linear scan. Slots are *generational* — each reuse
-//! bumps a generation counter so a stale [`SlotKey`] held across a
-//! churn-out can never alias the slot's next occupant. A sharded world
+//! iteration is a linear scan. A freed slot is reused by the next
+//! insert, and a slot records the address it holds, so a remembered
+//! slot index is only ever a hint: it is checked against the address
+//! and can never alias the slot's next occupant. A sharded world
 //! keeps one slab per shard, so each stays dense and cache-friendly
 //! even as the total ring grows toward millions of ids.
 //!
@@ -57,25 +58,10 @@ type IdIndex = HashMap<Addr, u32, BuildHasherDefault<IdHasher>>;
 /// slots, so [`NodeSlab::get_mut_hinted`] always probes the index.
 pub const NO_HINT: u32 = u32::MAX;
 
-/// A stable handle to an occupied slot: index plus the generation at
-/// acquisition time. Resolving a key whose slot has since been freed or
-/// reused yields `None`, never another node's state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct SlotKey {
-    index: u32,
-    generation: u32,
-}
-
-#[derive(Debug)]
-struct Slot<T> {
-    generation: u32,
-    value: Option<(Addr, T)>,
-}
-
-/// Dense generational storage with address lookup.
+/// Dense storage with address lookup.
 #[derive(Debug)]
 pub struct NodeSlab<T> {
-    slots: Vec<Slot<T>>,
+    slots: Vec<Option<(Addr, T)>>,
     index: IdIndex, // keyed O(1) lookup on the per-event hot path; never iterated
     free: Vec<u32>,
     len: usize,
@@ -128,55 +114,36 @@ impl<T> NodeSlab<T> {
         self.index.contains_key(&addr)
     }
 
-    /// Insert `value` under `addr`, returning its key. Replaces (and
-    /// returns) any previous value stored under the same address; keys
-    /// taken against the replaced occupant go stale.
-    pub fn insert(&mut self, addr: Addr, value: T) -> (SlotKey, Option<T>) {
+    /// Insert `value` under `addr`. Replaces (and returns) any previous
+    /// value stored under the same address.
+    pub fn insert(&mut self, addr: Addr, value: T) -> Option<T> {
         if let Some(&idx) = self.index.get(&addr) {
-            let slot = &mut self.slots[idx as usize];
-            let old = slot.value.replace((addr, value)).map(|(_, v)| v);
-            // the replacement is a new occupant: retire outstanding keys
-            slot.generation = slot.generation.wrapping_add(1);
-            return (
-                SlotKey {
-                    index: idx,
-                    generation: slot.generation,
-                },
-                old,
-            );
+            return self.slots[idx as usize]
+                .replace((addr, value))
+                .map(|(_, v)| v);
         }
         let idx = match self.free.pop() {
             Some(idx) => {
-                self.slots[idx as usize].value = Some((addr, value));
+                self.slots[idx as usize] = Some((addr, value));
                 idx
             }
             None => {
                 let idx = u32::try_from(self.slots.len()).expect("slab index fits u32");
-                self.slots.push(Slot {
-                    generation: 0,
-                    value: Some((addr, value)),
-                });
+                self.slots.push(Some((addr, value)));
                 idx
             }
         };
         self.index.insert(addr, idx);
         self.len += 1;
-        (
-            SlotKey {
-                index: idx,
-                generation: self.slots[idx as usize].generation,
-            },
-            None,
-        )
+        None
     }
 
-    /// Remove and return the value under `addr`, bumping the slot's
-    /// generation so outstanding keys to it go stale.
+    /// Remove and return the value under `addr`, freeing its slot.
     pub fn remove(&mut self, addr: Addr) -> Option<T> {
         let idx = self.index.remove(&addr)?;
-        let slot = &mut self.slots[idx as usize];
-        let (_, value) = slot.value.take().expect("indexed slot must be occupied");
-        slot.generation = slot.generation.wrapping_add(1);
+        let (_, value) = self.slots[idx as usize]
+            .take()
+            .expect("indexed slot must be occupied");
         self.free.push(idx);
         self.len -= 1;
         Some(value)
@@ -186,13 +153,13 @@ impl<T> NodeSlab<T> {
     #[must_use]
     pub fn get(&self, addr: Addr) -> Option<&T> {
         let &idx = self.index.get(&addr)?;
-        self.slots[idx as usize].value.as_ref().map(|(_, v)| v)
+        self.slots[idx as usize].as_ref().map(|(_, v)| v)
     }
 
     /// Mutable access by address.
     pub fn get_mut(&mut self, addr: Addr) -> Option<&mut T> {
         let &idx = self.index.get(&addr)?;
-        self.slots[idx as usize].value.as_mut().map(|(_, v)| v)
+        self.slots[idx as usize].as_mut().map(|(_, v)| v)
     }
 
     /// Mutable access by address for a caller that remembers where the
@@ -205,39 +172,18 @@ impl<T> NodeSlab<T> {
     pub fn get_mut_hinted(&mut self, addr: Addr, hint: u32) -> Option<(u32, &mut T)> {
         let hit = matches!(
             self.slots.get(hint as usize),
-            Some(Slot { value: Some((a, _)), .. }) if *a == addr
+            Some(Some((a, _))) if *a == addr
         );
         let idx = if hit { hint } else { *self.index.get(&addr)? };
-        let (_, value) = self.slots[idx as usize].value.as_mut()?;
+        let (_, value) = self.slots[idx as usize].as_mut()?;
         Some((idx, value))
-    }
-
-    /// The current key for `addr`, for later `O(1)` access via
-    /// [`NodeSlab::get_key`].
-    #[must_use]
-    pub fn key_of(&self, addr: Addr) -> Option<SlotKey> {
-        let &idx = self.index.get(&addr)?;
-        Some(SlotKey {
-            index: idx,
-            generation: self.slots[idx as usize].generation,
-        })
-    }
-
-    /// Shared access by key; `None` when the key went stale.
-    #[must_use]
-    pub fn get_key(&self, key: SlotKey) -> Option<&T> {
-        let slot = self.slots.get(key.index as usize)?;
-        if slot.generation != key.generation {
-            return None;
-        }
-        slot.value.as_ref().map(|(_, v)| v)
     }
 
     /// Iterate `(addr, &value)` pairs in slot order (a dense scan).
     pub fn iter(&self) -> impl Iterator<Item = (Addr, &T)> + '_ {
         self.slots
             .iter()
-            .filter_map(|s| s.value.as_ref().map(|(a, v)| (*a, v)))
+            .filter_map(|s| s.as_ref().map(|(a, v)| (*a, v)))
     }
 
     /// Iterate stored addresses in slot order.
@@ -271,14 +217,10 @@ mod tests {
     #[test]
     fn insert_replaces_same_addr() {
         let mut s: NodeSlab<u32> = NodeSlab::new();
-        let (k1, _) = s.insert(NodeId(1), 1);
-        let (k2, old) = s.insert(NodeId(1), 2);
-        assert_eq!(old, Some(1));
+        assert_eq!(s.insert(NodeId(1), 1), None);
+        assert_eq!(s.insert(NodeId(1), 2), Some(1));
         assert_eq!(s.len(), 1);
         assert_eq!(s.get(NodeId(1)), Some(&2));
-        // the replaced occupant's key must not alias the new one
-        assert_eq!(s.get_key(k1), None, "stale key after replacement");
-        assert_eq!(s.get_key(k2), Some(&2));
     }
 
     #[test]
@@ -296,20 +238,6 @@ mod tests {
         }
         assert_eq!(s.len(), 8);
         assert_eq!(s.slots.len(), 8, "freed slots must be reused");
-    }
-
-    #[test]
-    fn stale_keys_never_alias() {
-        let mut s: NodeSlab<u32> = NodeSlab::new();
-        let (k1, _) = s.insert(NodeId(1), 11);
-        assert_eq!(s.get_key(k1), Some(&11));
-        s.remove(NodeId(1));
-        assert_eq!(s.get_key(k1), None, "freed slot");
-        // reuse the slot for another node: the old key must stay dead
-        s.insert(NodeId(2), 22);
-        assert_eq!(s.get_key(k1), None, "reused slot, stale generation");
-        let k2 = s.key_of(NodeId(2)).unwrap();
-        assert_eq!(s.get_key(k2), Some(&22));
     }
 
     #[test]
@@ -347,7 +275,7 @@ mod tests {
                 if let Some((idx, _)) = got {
                     let again = s.get_mut_hinted(addr, idx).map(|(i, v)| (i, *v));
                     assert_eq!(again, expected.map(|v| (idx, v)));
-                    assert_eq!(s.key_of(addr).map(|k| k.index), Some(idx));
+                    assert_eq!(s.index.get(&addr), Some(&idx));
                 }
             }
         }

@@ -9,7 +9,7 @@
 //!
 //! Storage and dispatch are built for scale. The ring is partitioned
 //! into contiguous ID ranges ([`ShardMap`]), each owned
-//! by a shard with its own generational [`NodeSlab`] (nodes colocated
+//! by a shard with its own [`NodeSlab`] (nodes colocated
 //! with their RNG streams and event counters, dispatched where they
 //! lie), its own event queue, its own pooled [`Ctx`] scratch
 //! buffers, and the byte counters of its own nodes — a shard shares
@@ -653,7 +653,7 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
         };
         self.driver_dispatch(addr, Some(&mut hosted), |node, ctx| node.on_start(ctx));
         let shard = self.shard_mut(addr);
-        if let (_, Some(replaced)) = shard.nodes.insert(addr, hosted) {
+        if let Some(replaced) = shard.nodes.insert(addr, hosted) {
             shard.bank(addr, replaced.sent_bytes, replaced.received_bytes);
         }
     }
