@@ -33,7 +33,6 @@ fn octopus_config(args: &RunArgs, lookup_interval: Duration, secs: u64) -> SimCo
         seed: args.seed_or(77),
         octopus,
         lookups_enabled: true,
-        scheduler: args.scheduler,
         shards: args.shards,
         parallel: args.parallel,
         pool_threads: args.pool_threads,

@@ -1,10 +1,11 @@
-//! The benchmark harness: one runnable target per table and figure of
-//! the paper (see DESIGN.md §3 for the full experiment index).
+//! The experiment harness: one runnable target per table and figure of
+//! the paper (README's "Reproducing the paper's figures" table is the
+//! experiment index).
 //!
 //! Experiment binaries live in `src/bin/` and print rows/series shaped
-//! like the paper's tables and figures; `cargo bench` additionally runs
-//! Criterion micro-benchmarks of the underlying machinery (`benches/`),
-//! including the `sim_engine` bench comparing event-queue backends.
+//! like the paper's tables and figures. Speed is measured elsewhere:
+//! the standalone `benchmark/` package (`octobench`) is the
+//! repository's one bench harness.
 //!
 //! Every binary reads one shared [`RunArgs`] configuration, from the
 //! environment or CLI flags (flags win):
@@ -15,7 +16,6 @@
 //! | `OCTOPUS_SEED` | `--seed` | master seed override | per-bin constant |
 //! | `OCTOPUS_THREADS` | `--threads` | trial-runner worker threads | available parallelism |
 //! | `OCTOPUS_TRIALS` | `--trials` | independent trials merged per data point | 1 |
-//! | `OCTOPUS_SCHEDULER` | `--scheduler` | `timing-wheel` or `binary-heap` backend | `timing-wheel` |
 //! | `OCTOPUS_SHARDS` | `--shards` | world shards per simulation (results identical at any count) | 1 |
 //! | `OCTOPUS_PAR` | `--par` | parallel window execution across shards (results identical either way) | off |
 //! | `OCTOPUS_POOL_THREADS` | `--pool-threads` | worker-pool width for parallel windows, `0` = auto (results identical at any width) | `0` |
@@ -23,9 +23,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod sharded;
-
-use octopus_core::{AttackKind, OctopusConfig, SchedulerKind, SimConfig, TrialRunner};
+use octopus_core::{AttackKind, OctopusConfig, SimConfig, TrialRunner};
 use octopus_sim::Duration;
 
 /// Experiment scale (paper-exact vs CI-sized), from `OCTOPUS_SCALE`.
@@ -119,9 +117,9 @@ impl Scale {
     }
 }
 
-/// Shared experiment configuration parsed once per binary: scale, seed,
-/// trial/thread fan-out and scheduler backend, from environment
-/// variables or CLI flags (see the [crate docs](self) for the table).
+/// Shared experiment configuration parsed once per binary: scale, seed
+/// and trial/thread fan-out, from environment variables or CLI flags
+/// (see the [crate docs](self) for the table).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunArgs {
     /// Experiment scale.
@@ -133,10 +131,8 @@ pub struct RunArgs {
     pub threads: usize,
     /// Independent trials merged per data point.
     pub trials: usize,
-    /// Event-queue backend for every simulation in the run.
-    pub scheduler: SchedulerKind,
-    /// World shards per simulation. Like the scheduler backend, a pure
-    /// speed/layout knob: results are identical at any shard count.
+    /// World shards per simulation. A pure speed/layout knob: results
+    /// are identical at any shard count.
     pub shards: usize,
     /// Parallel window execution: fan each shard's in-window event
     /// batch across the persistent worker pool between lookahead
@@ -168,7 +164,6 @@ impl Default for RunArgs {
             #[allow(clippy::disallowed_methods)]
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             trials: 1,
-            scheduler: SchedulerKind::default(),
             shards: 1,
             parallel: false,
             pool_threads: 0,
@@ -210,11 +205,6 @@ impl RunArgs {
                     out.trials = t.max(1);
                 }
             }
-            "scheduler" => {
-                if let Some(k) = SchedulerKind::parse(value) {
-                    out.scheduler = k;
-                }
-            }
             "shards" => {
                 if let Ok(s) = value.parse::<usize>() {
                     out.shards = s.max(1);
@@ -240,7 +230,6 @@ impl RunArgs {
             ("OCTOPUS_SEED", "seed"),
             ("OCTOPUS_THREADS", "threads"),
             ("OCTOPUS_TRIALS", "trials"),
-            ("OCTOPUS_SCHEDULER", "scheduler"),
             ("OCTOPUS_SHARDS", "shards"),
             ("OCTOPUS_PAR", "par"),
             ("OCTOPUS_POOL_THREADS", "pool-threads"),
@@ -252,12 +241,11 @@ impl RunArgs {
                 apply(key, &v);
             }
         }
-        const KNOWN_FLAGS: [&str; 11] = [
+        const KNOWN_FLAGS: [&str; 10] = [
             "scale",
             "seed",
             "threads",
             "trials",
-            "scheduler",
             "shards",
             "par",
             "pool-threads",
@@ -314,8 +302,8 @@ impl RunArgs {
         TrialRunner::new(self.threads)
     }
 
-    /// A security-sim configuration matching §5.1 at this run's scale,
-    /// seed policy and scheduler backend.
+    /// A security-sim configuration matching §5.1 at this run's scale
+    /// and seed policy.
     #[must_use]
     pub fn security_config(&self, attack: AttackKind, attack_rate: f64, seed: u64) -> SimConfig {
         SimConfig {
@@ -329,7 +317,6 @@ impl RunArgs {
             seed: self.seed_or(seed),
             octopus: OctopusConfig::for_network(self.scale.sim_n()),
             lookups_enabled: true,
-            scheduler: self.scheduler,
             shards: self.shards,
             parallel: self.parallel,
             pool_threads: self.pool_threads,
@@ -413,7 +400,6 @@ mod tests {
         assert_eq!(a.seed, None);
         assert_eq!(a.trials, 1);
         assert!(a.threads >= 1);
-        assert_eq!(a.scheduler, SchedulerKind::TimingWheel);
         assert_eq!(a.shards, 1);
         assert!(!a.parallel);
         assert_eq!(a.seed_or(31), 31);
@@ -492,7 +478,6 @@ mod tests {
             "OCTOPUS_SEED" => Some("99".to_string()),
             "OCTOPUS_THREADS" => Some("2".to_string()),
             "OCTOPUS_TRIALS" => Some("5".to_string()),
-            "OCTOPUS_SCHEDULER" => Some("binary-heap".to_string()),
             "OCTOPUS_SHARDS" => Some("4".to_string()),
             "OCTOPUS_PAR" => Some("1".to_string()),
             _ => None,
@@ -502,7 +487,6 @@ mod tests {
         assert_eq!(a.seed_or(31), 99);
         assert_eq!(a.threads, 2);
         assert_eq!(a.trials, 5);
-        assert_eq!(a.scheduler, SchedulerKind::BinaryHeap);
         assert_eq!(a.shards, 4);
         assert!(a.parallel);
     }
@@ -510,14 +494,13 @@ mod tests {
     #[test]
     fn cli_flags_override_env() {
         let env = |k: &str| (k == "OCTOPUS_SCALE").then(|| "full".to_string());
-        let args: Vec<String> = ["--scale", "quick", "--seed=7", "--scheduler", "heap"]
+        let args: Vec<String> = ["--scale", "quick", "--seed=7"]
             .iter()
             .map(ToString::to_string)
             .collect();
         let a = RunArgs::parse(&args, env);
         assert_eq!(a.scale, Scale::Quick);
         assert_eq!(a.seed, Some(7));
-        assert_eq!(a.scheduler, SchedulerKind::BinaryHeap);
     }
 
     #[test]
@@ -548,25 +531,14 @@ mod tests {
 
     #[test]
     fn run_args_plumb_into_security_config() {
-        let args: Vec<String> = [
-            "--scale",
-            "full",
-            "--scheduler",
-            "heap",
-            "--seed",
-            "5",
-            "--shards",
-            "2",
-            "--par",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect();
+        let args: Vec<String> = ["--scale", "full", "--seed", "5", "--shards", "2", "--par"]
+            .iter()
+            .map(ToString::to_string)
+            .collect();
         let a = RunArgs::parse(&args, no_env);
         let c = a.security_config(AttackKind::FingerPollution, 0.5, 34);
         assert_eq!(c.n, 1000);
         assert_eq!(c.seed, 5);
-        assert_eq!(c.scheduler, SchedulerKind::BinaryHeap);
         assert_eq!(c.shards, 2);
         assert!(c.parallel);
         assert!((c.attack_rate - 0.5).abs() < 1e-12);

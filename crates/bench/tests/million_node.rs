@@ -1,6 +1,11 @@
-//! Million-node scale determinism: the gossip workload at N=1,000,000
-//! on 8 shards must reproduce a pinned byte ledger, in both the
-//! sequential and the pooled-parallel engine.
+//! Million-node scale determinism: a gossip workload at N=1,000,000
+//! on 8 shards must reproduce a pinned byte ledger, in both sequential
+//! and pooled-parallel windows.
+//!
+//! The workload builds an N-node overlay and drives one simulated
+//! second of staggered per-node gossip timers, with half the traffic
+//! deliberately crossing the ID-space midpoint so multi-shard runs
+//! exercise the cross-shard bus and its lookahead barriers.
 //!
 //! Ignored by default — the run processes ~6.6M events over a
 //! million-node world and takes minutes in a debug build. Run it with
@@ -9,7 +14,85 @@
 //! cargo test -p octopus-bench --release -- --ignored million_node_ring
 //! ```
 
-use octopus_bench::sharded::{drive, Mode};
+use octopus_id::NodeId;
+use octopus_net::{Addr, ConstantLatency, NodeBehavior, Runtime, SchedulerKind, WireMsg, World};
+use octopus_sim::{Duration, SimTime};
+
+/// Simulated horizon driven per run, in milliseconds.
+const SIM_MILLIS: u64 = 1000;
+
+/// The engine's real ~72-byte message shape.
+#[derive(Clone, Copy)]
+struct Gossip(#[allow(dead_code)] [u64; 9]);
+
+impl WireMsg for Gossip {
+    fn wire_bytes(&self) -> u32 {
+        72
+    }
+}
+
+/// A node that gossips to a ring neighbor and to a node across the
+/// ID-space midpoint on alternating ~300 ms ticks.
+struct GossipNode {
+    near: Addr,
+    far: Addr,
+    tick: u64,
+}
+
+impl NodeBehavior for GossipNode {
+    type Msg = Gossip;
+    type Timer = ();
+    type Control = ();
+
+    fn on_start(&mut self, ctx: &mut dyn Runtime<Gossip, (), ()>) {
+        // stagger the first tick so load spreads over the horizon
+        let phase = ctx.addr().0 % 300_000;
+        ctx.set_timer(Duration(phase), ());
+    }
+
+    fn on_message(&mut self, _ctx: &mut dyn Runtime<Gossip, (), ()>, _from: Addr, _msg: Gossip) {}
+
+    fn on_timer(&mut self, ctx: &mut dyn Runtime<Gossip, (), ()>, (): ()) {
+        let dest = if self.tick % 2 == 0 {
+            self.near
+        } else {
+            self.far
+        };
+        self.tick += 1;
+        ctx.send(dest, Gossip([self.tick; 9]));
+        // re-arm until the horizon, then let the queue drain
+        if ctx.now() + Duration::from_millis(300) <= SimTime::from_millis(SIM_MILLIS) {
+            ctx.set_timer(Duration::from_millis(300), ());
+        }
+    }
+}
+
+/// Build an overlay of `n` addresses spread evenly around the ID space
+/// and run [`SIM_MILLIS`] of gossip to idle; returns total bytes
+/// shipped.
+fn drive(n: usize, shards: usize, parallel: bool) -> u64 {
+    let stride = u64::MAX / n as u64;
+    let ids: Vec<Addr> = (0..n as u64).map(|i| NodeId(i * stride + i)).collect();
+    let mut w: World<GossipNode, _> = World::with_shards(
+        ConstantLatency(Duration::from_millis(40)),
+        7,
+        SchedulerKind::default(),
+        shards,
+    );
+    w.set_parallel(parallel);
+    for (i, &id) in ids.iter().enumerate() {
+        w.insert_node(
+            id,
+            GossipNode {
+                near: ids[(i + 1) % n],
+                far: ids[(i + n / 2) % n],
+                tick: id.0 % 2,
+            },
+        );
+    }
+    while w.run_window(SimTime(u64::MAX)).is_some() {}
+    w.ledger().total_bytes()
+}
 
 /// Total bytes shipped by `drive(1_000_000, 8, _)`, pinned from a
 /// release run. Any engine change that shifts this number changed
@@ -20,12 +103,12 @@ const MILLION_NODE_BYTES: u64 = 333_336_500;
 #[ignore = "minutes-long at N=1,000,000; run with --release -- --ignored"]
 fn million_node_ring() {
     assert_eq!(
-        drive(1_000_000, 8, Mode::Par),
+        drive(1_000_000, 8, true),
         MILLION_NODE_BYTES,
         "parallel million-node ledger diverged from the pinned digest"
     );
     assert_eq!(
-        drive(1_000_000, 8, Mode::Step),
+        drive(1_000_000, 8, false),
         MILLION_NODE_BYTES,
         "sequential million-node ledger diverged from the pinned digest"
     );

@@ -23,7 +23,7 @@
 //!   workload (Fig. 7b) — on a sharded `octopus-net` world
 //!   ([`SimConfig::shards`](simnet::SimConfig::shards)), with
 //!   [`trial::TrialRunner`] fanning seeded trials across threads.
-//!   Scheduler backend, thread count and shard count are pure speed
+//!   Thread count, shard count and window execution mode are pure speed
 //!   knobs: fixed-seed reports are byte-identical at any setting.
 //!
 //! The adversary ([`adversary`]) is a first-class implementation:
@@ -54,7 +54,6 @@ pub use ca::CaNode;
 pub use config::OctopusConfig;
 pub use messages::{Msg, OnionPacket, Timer};
 pub use node::OctopusNode;
-pub use octopus_sim::SchedulerKind;
 pub use simnet::{Actor, Control, RunAccum, SecuritySim, SimConfig, SimReport};
 pub use trace::TraceEvent;
 pub use trial::{trial_configs, TrialRunner};

@@ -179,9 +179,6 @@ pub struct SimConfig {
     pub octopus: OctopusConfig,
     /// Whether peers run application lookups (Fig. 3(b) accounting).
     pub lookups_enabled: bool,
-    /// Event-queue backend. All backends produce identical reports (the
-    /// scheduler determinism contract); they differ only in speed.
-    pub scheduler: SchedulerKind,
     /// Number of contiguous ID-range shards the world is partitioned
     /// into (clamped to at least 1). Sharding splits storage — one node
     /// slab and one event queue per shard, joined by a cross-shard
@@ -191,7 +188,7 @@ pub struct SimConfig {
     pub shards: usize,
     /// Whether the world fans each shard's in-window event batch across
     /// the persistent worker pool between lookahead barriers
-    /// (`OCTOPUS_PAR`). Like `shards` and `scheduler`, a pure speed
+    /// (`OCTOPUS_PAR`). Like `shards`, a pure speed
     /// knob: sequential and parallel windows produce byte-identical
     /// reports (also pinned by `engine_determinism`).
     pub parallel: bool,
@@ -215,7 +212,6 @@ impl Default for SimConfig {
             seed: 42,
             octopus: OctopusConfig::default(),
             lookups_enabled: true,
-            scheduler: SchedulerKind::default(),
             shards: 1,
             parallel: false,
             pool_threads: 0,
@@ -476,7 +472,7 @@ impl SecuritySim {
         // --- world ---
         let latency = KingLikeLatency::new(octopus_sim::split_seed(cfg.seed, 7));
         let mut world: World<Actor, KingLikeLatency> =
-            World::with_shards(latency, cfg.seed, cfg.scheduler, cfg.shards);
+            World::with_shards(latency, cfg.seed, SchedulerKind::default(), cfg.shards);
         world.set_parallel(cfg.parallel);
         world.set_worker_threads(cfg.pool_threads);
         world.insert_node(CA_ADDR, Actor::Ca(Box::new(ca_node)));
@@ -590,9 +586,9 @@ impl SecuritySim {
     /// window at a time ([`World::run_window`] — each shard's in-window
     /// batch on its own thread when [`SimConfig::parallel`] is set),
     /// and the driver folds the window's control events, in global
-    /// `(time, key)` order, between barriers. Scheduler backend, shard
-    /// count and execution mode are all pure speed knobs: a fixed seed
-    /// yields a byte-identical report under every combination.
+    /// `(time, key)` order, between barriers. Shard count and
+    /// execution mode are pure speed knobs: a fixed seed yields a
+    /// byte-identical report under every combination.
     pub fn run(&mut self) -> SimReport {
         let mut acc = self.begin();
         let end = acc.end;

@@ -1,6 +1,6 @@
 //! Shared harness for the reference-model oracle suites: the probe
 //! configuration (a small, fast network with accelerated protocol
-//! periods and tracing on), the shards × mode × backend cube, and the
+//! periods and tracing on), the shards × mode cube, and the
 //! seeded Byzantine injection rounds used by the fuzz oracle and the
 //! mutation-kill suite.
 //!
@@ -15,26 +15,22 @@ use octopus_core::messages::{receipt_bytes, ExitAction, Hop, ReceiptToken, Repor
 use octopus_core::simnet::CA_ADDR;
 use octopus_core::spec_adapter::replay_trace;
 use octopus_core::{
-    AttackKind, Msg, OctopusConfig, OnionPacket, SchedulerKind, SecuritySim, SimConfig, SimReport,
-    TraceEvent,
+    AttackKind, Msg, OctopusConfig, OnionPacket, SecuritySim, SimConfig, SimReport, TraceEvent,
 };
 use octopus_id::NodeId;
 use octopus_sim::{Duration, SimTime};
 use octopus_spec::{check_invariants, Replay};
 
-/// One point of the acceptance cube: shard count, parallel windows,
-/// scheduler backend.
-pub type CubePoint = (usize, bool, SchedulerKind);
+/// One point of the acceptance cube: shard count, parallel windows.
+pub type CubePoint = (usize, bool);
 
-/// The full shards × {seq, par} × backend cube (12 points). Index 0 is
-/// the 1-shard sequential timing-wheel baseline.
+/// The full shards × {seq, par} cube (6 points). Index 0 is the
+/// 1-shard sequential baseline.
 pub fn cube() -> Vec<CubePoint> {
     let mut points = Vec::new();
     for shards in [1usize, 2, 4] {
         for parallel in [false, true] {
-            for kind in [SchedulerKind::TimingWheel, SchedulerKind::BinaryHeap] {
-                points.push((shards, parallel, kind));
-            }
+            points.push((shards, parallel));
         }
     }
     points
@@ -44,7 +40,7 @@ pub fn cube() -> Vec<CubePoint> {
 /// accelerated so a debug-build run still exercises walks, lookups,
 /// onion relaying, receipts, surveillance and CA intake — with the
 /// trace oracle recording.
-pub fn probe(seed: u64, (shards, parallel, scheduler): CubePoint) -> SimConfig {
+pub fn probe(seed: u64, (shards, parallel): CubePoint) -> SimConfig {
     let mut octopus = OctopusConfig::for_network(40);
     octopus.surveillance_every = Duration::from_secs(5);
     octopus.walk_every = Duration::from_secs(3);
@@ -59,7 +55,6 @@ pub fn probe(seed: u64, (shards, parallel, scheduler): CubePoint) -> SimConfig {
         seed,
         shards,
         parallel,
-        scheduler,
         octopus,
         ..SimConfig::default()
     }

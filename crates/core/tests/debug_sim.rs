@@ -19,7 +19,6 @@ fn diagnose_passive() {
         seed: 3,
         octopus: octopus_core::OctopusConfig::for_network(150),
         lookups_enabled: true,
-        scheduler: Default::default(),
         shards: 1,
         parallel: false,
         pool_threads: 0,

@@ -1,7 +1,7 @@
 //! Differential checking: the real `SecuritySim` engine and the
 //! dependency-free reference model (`octopus-spec`) are driven from the
 //! same seeded schedule, and must agree event for event — across the
-//! full shards × {sequential, parallel} × scheduler-backend cube.
+//! full shards × {sequential, parallel} cube.
 //!
 //! The engine emits a semantic trace of every security decision it
 //! makes (onion hop processing, receipt acceptance, signed-table
@@ -34,8 +34,8 @@ fn check_seed(seed: u64) -> TracedRun {
         !baseline.trace.is_empty(),
         "seed {seed}: probe produced no trace"
     );
-    // rotate through the 11 non-baseline cube points so ~5 seeds cover
-    // every point of the cube
+    // rotate through the 5 non-baseline cube points so 5 consecutive
+    // seeds cover every point of the cube
     let variant_point = points[1 + (seed as usize) % (points.len() - 1)];
     let variant = run_traced(probe(seed, variant_point));
     assert_eq!(

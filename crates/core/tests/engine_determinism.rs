@@ -1,21 +1,19 @@
 //! Engine-level determinism regressions: the same seeded experiment
-//! must produce byte-identical reports across scheduler backends,
-//! across trial-runner thread counts, across world shard counts, and
-//! across window execution modes (sequential vs parallel shard
-//! threads). These guard the engine's core promise — backends,
-//! parallelism and partitioning change speed, never results.
+//! must produce byte-identical reports across trial-runner thread
+//! counts, across world shard counts, and across window execution
+//! modes (sequential vs parallel shard threads). These guard the
+//! engine's core promise — parallelism and partitioning change speed,
+//! never results.
 //!
 //! CI additionally drives this suite across an `OCTOPUS_SHARDS` ×
 //! `OCTOPUS_PAR` matrix (see `determinism_under_env_matrix`), so
 //! sequential/parallel equivalence is enforced on every push for every
 //! matrix point, not just the combinations hard-coded below.
 
-use octopus_core::{
-    trial_configs, AttackKind, OctopusConfig, SchedulerKind, SecuritySim, SimConfig, TrialRunner,
-};
+use octopus_core::{trial_configs, AttackKind, OctopusConfig, SecuritySim, SimConfig, TrialRunner};
 use octopus_sim::Duration;
 
-fn small(seed: u64, scheduler: SchedulerKind) -> SimConfig {
+fn small(seed: u64) -> SimConfig {
     SimConfig {
         n: 60,
         malicious_fraction: 0.2,
@@ -24,31 +22,15 @@ fn small(seed: u64, scheduler: SchedulerKind) -> SimConfig {
         duration: Duration::from_secs(45),
         seed,
         octopus: OctopusConfig::for_network(60),
-        scheduler,
         ..SimConfig::default()
     }
-}
-
-/// A fixed-seed `SecuritySim` produces byte-identical `SimReport`s on
-/// the binary-heap and timing-wheel scheduler backends.
-#[test]
-fn security_sim_identical_across_scheduler_backends() {
-    let heap = SecuritySim::new(small(11, SchedulerKind::BinaryHeap)).run();
-    let wheel = SecuritySim::new(small(11, SchedulerKind::TimingWheel)).run();
-    assert!(
-        heap.completed_lookups > 0 || heap.walks_ok > 0,
-        "run must exercise the protocol"
-    );
-    assert_eq!(heap, wheel, "scheduler backends diverged");
-    // byte-identical, not merely structurally equal
-    assert_eq!(format!("{heap:?}"), format!("{wheel:?}"));
 }
 
 /// T trials on 1 thread and the same T trials on 4 threads merge to
 /// identical metrics.
 #[test]
 fn trial_runner_merge_is_thread_count_invariant() {
-    let configs = trial_configs(&small(23, SchedulerKind::default()), 4);
+    let configs = trial_configs(&small(23), 4);
     let serial = TrialRunner::new(1).run_merged(&configs).expect("4 trials");
     let parallel = TrialRunner::new(4).run_merged(&configs).expect("4 trials");
     assert_eq!(serial.trials, 4);
@@ -58,14 +40,13 @@ fn trial_runner_merge_is_thread_count_invariant() {
 
 /// A fixed-seed `SecuritySim` produces identical `SimReport`s at 1, 2,
 /// and 4 shards: origin-derived `(time, key)` event ordering makes the
-/// partition — like the scheduler backend — a pure speed/layout knob
-/// that can never change results.
+/// partition a pure speed/layout knob that can never change results.
 #[test]
 fn security_sim_identical_across_shard_counts() {
     let report_at = |shards: usize| {
         let cfg = SimConfig {
             shards,
-            ..small(17, SchedulerKind::default())
+            ..small(17)
         };
         SecuritySim::new(cfg).run()
     };
@@ -81,52 +62,35 @@ fn security_sim_identical_across_shard_counts() {
     }
 }
 
-/// Sharding also composes with the scheduler backends: a 4-shard run on
-/// the heap matches a 4-shard run on the wheel.
-#[test]
-fn sharded_runs_identical_across_scheduler_backends() {
-    let run = |kind: SchedulerKind| {
-        let cfg = SimConfig {
-            shards: 4,
-            ..small(19, kind)
-        };
-        SecuritySim::new(cfg).run()
-    };
-    assert_eq!(
-        run(SchedulerKind::BinaryHeap),
-        run(SchedulerKind::TimingWheel)
-    );
-}
-
 /// The acceptance cube: a fixed-seed `SecuritySim` produces
 /// byte-identical `SimReport`s for **every** combination of shard count
-/// {1, 2, 4}, execution mode {sequential, parallel windows}, and
-/// scheduler backend {binary heap, timing wheel}.
+/// {1, 2, 4} and execution mode {sequential, parallel windows}. (The
+/// name is kept for the test floor; the two scheduler backends are
+/// compared in `scheduler_equivalence` and in the world's
+/// `identical_on_both_scheduler_backends`, not here.)
 #[test]
 fn security_sim_identical_across_modes_shards_and_backends() {
-    let report_at = |shards: usize, parallel: bool, kind: SchedulerKind| {
+    let report_at = |shards: usize, parallel: bool| {
         let cfg = SimConfig {
             shards,
             parallel,
-            ..small(17, kind)
+            ..small(17)
         };
         SecuritySim::new(cfg).run()
     };
-    let baseline = report_at(1, false, SchedulerKind::TimingWheel);
+    let baseline = report_at(1, false);
     assert!(
         baseline.completed_lookups > 0 || baseline.walks_ok > 0,
         "run must exercise the protocol"
     );
     for shards in [1usize, 2, 4] {
         for parallel in [false, true] {
-            for kind in [SchedulerKind::TimingWheel, SchedulerKind::BinaryHeap] {
-                let probe = report_at(shards, parallel, kind);
-                assert_eq!(
-                    baseline, probe,
-                    "{shards}-shard parallel={parallel} {kind:?} run diverged"
-                );
-                assert_eq!(format!("{baseline:?}"), format!("{probe:?}"));
-            }
+            let probe = report_at(shards, parallel);
+            assert_eq!(
+                baseline, probe,
+                "{shards}-shard parallel={parallel} run diverged"
+            );
+            assert_eq!(format!("{baseline:?}"), format!("{probe:?}"));
         }
     }
 }
@@ -134,25 +98,20 @@ fn security_sim_identical_across_modes_shards_and_backends() {
 /// The persistent worker pool is invisible in results: forcing a
 /// 2-thread pool (which single-core CI would otherwise size down to
 /// inline execution) reproduces the sequential baseline byte for byte
-/// at every shard count and on both scheduler backends.
+/// at every shard count.
 #[test]
 fn pooled_windows_identical_to_sequential_baseline() {
-    let baseline = SecuritySim::new(small(17, SchedulerKind::TimingWheel)).run();
+    let baseline = SecuritySim::new(small(17)).run();
     for shards in [2usize, 4] {
-        for kind in [SchedulerKind::TimingWheel, SchedulerKind::BinaryHeap] {
-            let cfg = SimConfig {
-                shards,
-                parallel: true,
-                pool_threads: 2,
-                ..small(17, kind)
-            };
-            let probe = SecuritySim::new(cfg).run();
-            assert_eq!(
-                baseline, probe,
-                "{shards}-shard pooled {kind:?} run diverged"
-            );
-            assert_eq!(format!("{baseline:?}"), format!("{probe:?}"));
-        }
+        let cfg = SimConfig {
+            shards,
+            parallel: true,
+            pool_threads: 2,
+            ..small(17)
+        };
+        let probe = SecuritySim::new(cfg).run();
+        assert_eq!(baseline, probe, "{shards}-shard pooled run diverged");
+        assert_eq!(format!("{baseline:?}"), format!("{probe:?}"));
     }
 }
 
@@ -160,7 +119,7 @@ fn pooled_windows_identical_to_sequential_baseline() {
 /// through one batch, and every grid point matches.
 #[test]
 fn mode_sweep_grid_is_invariant() {
-    let base = small(29, SchedulerKind::default());
+    let base = small(29);
     let grid = TrialRunner::new(4).run_mode_sweep(&base, &[1, 2], 2);
     assert_eq!(grid.len(), 4);
     assert_eq!(
@@ -189,11 +148,11 @@ fn determinism_under_env_matrix() {
         .max(1);
     let parallel = std::env::var("OCTOPUS_PAR")
         .is_ok_and(|v| matches!(v.as_str(), "1" | "true" | "yes" | "on"));
-    let baseline = SecuritySim::new(small(37, SchedulerKind::default())).run();
+    let baseline = SecuritySim::new(small(37)).run();
     let probe = SecuritySim::new(SimConfig {
         shards,
         parallel,
-        ..small(37, SchedulerKind::default())
+        ..small(37)
     })
     .run();
     assert_eq!(
@@ -206,7 +165,7 @@ fn determinism_under_env_matrix() {
 /// worker count, and a 1-trial merged run reproduces the plain run.
 #[test]
 fn trial_runner_preserves_order_and_base_seed() {
-    let configs = trial_configs(&small(31, SchedulerKind::default()), 3);
+    let configs = trial_configs(&small(31), 3);
     let one = TrialRunner::new(1).run(&configs);
     let many = TrialRunner::new(3).run(&configs);
     assert_eq!(one, many);

@@ -11,7 +11,7 @@
 mod common;
 
 use common::{assert_model_agrees, count, probe, run_fuzzed, INJECT_FLOW_BASE};
-use octopus_core::{SchedulerKind, TraceEvent};
+use octopus_core::TraceEvent;
 use octopus_spec::ReportKind;
 
 /// Fuzzed seeds: enough schedules that every injection kind lands on
@@ -30,7 +30,7 @@ fn byzantine_mutations_rejected_in_agreement_with_model() {
     let mut injected_onions = 0usize;
     let mut tracked_revocations = 0usize;
     for seed in SEEDS {
-        let (run, stats) = run_fuzzed(probe(seed, (1, false, SchedulerKind::TimingWheel)));
+        let (run, stats) = run_fuzzed(probe(seed, (1, false)));
         assert_model_agrees(&run, &format!("fuzzed seed {seed}"));
 
         // Deterministically injected kinds must have fired every round.
@@ -156,13 +156,13 @@ fn byzantine_mutations_rejected_in_agreement_with_model() {
 }
 
 /// The injections compose with the execution cube: the same fuzzed
-/// schedule on a 2-shard parallel binary-heap engine reproduces the
+/// schedule on a 2-shard parallel engine reproduces the
 /// 1-shard sequential run byte for byte — report and trace.
 #[test]
 fn fuzzed_runs_deterministic_across_modes() {
     for seed in [44u64, 45] {
-        let (seq, seq_stats) = run_fuzzed(probe(seed, (1, false, SchedulerKind::TimingWheel)));
-        let (par, par_stats) = run_fuzzed(probe(seed, (2, true, SchedulerKind::BinaryHeap)));
+        let (seq, seq_stats) = run_fuzzed(probe(seed, (1, false)));
+        let (par, par_stats) = run_fuzzed(probe(seed, (2, true)));
         assert_eq!(
             format!("{seq_stats:?}"),
             format!("{par_stats:?}"),

@@ -13,14 +13,14 @@ mod common;
 
 use common::{assert_model_agrees, probe, run_fuzzed, TracedRun};
 use octopus_core::mutation::{self, Mutation};
-use octopus_core::{SchedulerKind, SecuritySim};
+use octopus_core::SecuritySim;
 use octopus_sim::{Duration, SimTime};
 use octopus_spec::check_invariants;
 
 const SEED: u64 = 7;
 
 fn fuzzed_probe() -> octopus_core::SimConfig {
-    probe(SEED, (1, false, SchedulerKind::TimingWheel))
+    probe(SEED, (1, false))
 }
 
 /// Divergences plus invariant breaches for a traced run.

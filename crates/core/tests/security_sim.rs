@@ -18,7 +18,6 @@ fn base(attack: AttackKind, seed: u64) -> SimConfig {
         seed,
         octopus: octopus_core::OctopusConfig::for_network(150),
         lookups_enabled: true,
-        scheduler: Default::default(),
         shards: 1,
         parallel: false,
         pool_threads: 0,

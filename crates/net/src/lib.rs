@@ -50,4 +50,4 @@ pub use wire::{
     decode_frame, encode_frame, encode_frame_into, sizes, BandwidthLedger, DecodeError, FrameError,
     FrameHeader, PayloadReader, WireCodec, WireMsg,
 };
-pub use world::{StepOutcome, World};
+pub use world::World;

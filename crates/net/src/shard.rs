@@ -119,10 +119,6 @@ pub struct Envelope<M> {
 pub struct CrossShardBus<M> {
     lanes: Vec<Vec<Envelope<M>>>,
     len: usize,
-    /// Running minimum arrival time of the parked envelopes, kept on
-    /// `park` so [`CrossShardBus::earliest`] is `O(1)` (the driver
-    /// polls it every step between barriers).
-    earliest: Option<SimTime>,
 }
 
 impl<M> CrossShardBus<M> {
@@ -132,7 +128,6 @@ impl<M> CrossShardBus<M> {
         CrossShardBus {
             lanes: (0..shards.max(1)).map(|_| Vec::new()).collect(),
             len: 0,
-            earliest: None,
         }
     }
 
@@ -153,18 +148,8 @@ impl<M> CrossShardBus<M> {
     /// # Panics
     /// Panics when `dest` is not a valid shard index.
     pub fn park(&mut self, dest: usize, envelope: Envelope<M>) {
-        self.earliest = Some(match self.earliest {
-            Some(t) => t.min(envelope.at),
-            None => envelope.at,
-        });
         self.lanes[dest].push(envelope);
         self.len += 1;
-    }
-
-    /// The earliest arrival time of any parked envelope (`O(1)`).
-    #[must_use]
-    pub fn earliest(&self) -> Option<SimTime> {
-        self.earliest
     }
 
     /// Drain every lane at a barrier, handing each envelope to
@@ -179,7 +164,6 @@ impl<M> CrossShardBus<M> {
             }
         }
         self.len = 0;
-        self.earliest = None;
     }
 }
 
@@ -244,7 +228,6 @@ mod tests {
     fn bus_parks_and_flushes_in_lane_order() {
         let mut bus: CrossShardBus<&str> = CrossShardBus::new(3);
         assert!(bus.is_empty());
-        assert_eq!(bus.earliest(), None);
         bus.park(
             2,
             Envelope {
@@ -270,7 +253,6 @@ mod tests {
             },
         );
         assert_eq!(bus.len(), 2);
-        assert_eq!(bus.earliest(), Some(SimTime::from_millis(10)));
         let mut seen = Vec::new();
         bus.flush(|dest, e| seen.push((dest, e.msg, e.seq)));
         assert_eq!(seen, vec![(0, "a", 6), (2, "b", 5)]);

@@ -50,17 +50,15 @@
 //! `t` cannot arrive before `t + lookahead`, so parking it until the
 //! window closes can never deliver it late.
 //!
-//! Two drive styles share all of that machinery:
-//!
-//! * [`World::step`] / [`World::run_until`] — the classic sequential
-//!   engine: pop the globally smallest `(time, key)` across all shard
-//!   queues, one event at a time.
-//! * [`World::run_window`] — windowed execution: open a lookahead
-//!   window, run *every* shard's in-window batch (fanned across the
-//!   persistent worker pool when [`World::set_parallel`] is on), then
-//!   merge envelopes and emitted control events by key at the barrier.
-//!   Sequential and parallel windows are byte-identical by
-//!   construction — threads change wall-clock time, never state.
+//! One driver runs all of that machinery: [`World::run_window`] opens
+//! a lookahead window, runs *every* shard's in-window batch (fanned
+//! across the persistent worker pool when [`World::set_parallel`] is
+//! on), then merges envelopes and emitted control events by key at the
+//! barrier. Sequential and parallel windows are byte-identical by
+//! construction — threads change wall-clock time, never state — and a
+//! one-shard sequential run *is* the single-queue engine: its only
+//! queue pops in `(time, key)` order, and it is the reference every
+//! other shard count and mode is compared to.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -98,18 +96,6 @@ enum Event<M, T> {
         hint: u32,
         timer: T,
     },
-}
-
-/// What a single [`World::step`] produced.
-pub enum StepOutcome<C> {
-    /// A protocol event (message or timer) was processed; control events
-    /// it emitted are included.
-    Protocol(Vec<C>),
-    /// A driver-scheduled control event came due.
-    Control(C),
-    /// The event queue is exhausted (or, for
-    /// [`World::run_until`], drained up to the deadline).
-    Idle,
 }
 
 /// Lane bit of an event key: protocol-origin keys sort after driver
@@ -469,21 +455,15 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
     /// seed, on the default event-queue backend.
     #[must_use]
     pub fn new(latency: L, master_seed: u64) -> Self {
-        Self::with_scheduler(latency, master_seed, SchedulerKind::default())
-    }
-
-    /// New single-shard world on an explicit event-queue backend. All
-    /// backends are observationally identical (the
-    /// [`octopus_sim::Scheduler`] determinism contract); they differ
-    /// only in speed.
-    #[must_use]
-    pub fn with_scheduler(latency: L, master_seed: u64, scheduler: SchedulerKind) -> Self {
-        Self::with_shards(latency, master_seed, scheduler, 1)
+        Self::with_shards(latency, master_seed, SchedulerKind::default(), 1)
     }
 
     /// New world partitioned into `shards` contiguous ID-range shards
     /// (clamped to at least 1), each with its own node slab and event
-    /// queue on the chosen backend.
+    /// queue on the chosen backend. All backends are observationally
+    /// identical (the [`octopus_sim::Scheduler`] determinism contract);
+    /// the timing wheel is the one every configuration runs on, the
+    /// heap the reference it is checked against.
     ///
     /// Sharding is observationally identical too: a fixed-seed run
     /// produces byte-identical results at every shard count, because
@@ -531,9 +511,9 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
         }
     }
 
-    /// Turn parallel window execution on or off (default off). Only
-    /// [`World::run_window`] looks at this; with it on, shard batches
-    /// are fanned across the persistent worker pool between barriers.
+    /// Turn parallel window execution on or off (default off). With it
+    /// on, shard batches are fanned across the persistent worker pool
+    /// between barriers.
     /// Results are byte-identical either way.
     pub fn set_parallel(&mut self, parallel: bool) {
         self.parallel = parallel;
@@ -628,7 +608,7 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
     }
 
     /// Mutable access to a node's state (driver-side mutation between
-    /// steps; protocol code should use messages instead).
+    /// windows; protocol code should use messages instead).
     pub fn node_mut(&mut self, addr: Addr) -> Option<&mut B> {
         self.shard_mut(addr)
             .nodes
@@ -756,8 +736,8 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
     }
 
     /// Publish a shard's outgoing envelope lanes onto the bus — the one
-    /// place every drive path (driver dispatch, sequential stepping,
-    /// window barriers) parks a batch's cross-shard sends.
+    /// place both drive paths (driver dispatch, window barriers) park a
+    /// batch's cross-shard sends.
     fn park_outgoing(bus: &mut CrossShardBus<B::Msg>, io: &mut ShardIo<B>) {
         for (dest, lane) in io.outgoing.iter_mut().enumerate() {
             for e in lane.drain(..) {
@@ -793,117 +773,6 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
             .min()
     }
 
-    /// Locate the globally earliest due event (flushing the bus at
-    /// lookahead barriers so parked messages become visible before they
-    /// are due), without popping it. `None` when nothing remains at or
-    /// before `deadline`.
-    fn pop_source(&mut self, deadline: SimTime) -> Option<StepSource> {
-        loop {
-            let shard_head = self.shard_head();
-            let ctrl_head = self.controls.peek_key();
-            let head = match (shard_head, ctrl_head) {
-                (Some((sk, _)), Some(ck)) if ck < sk => Some((ck, StepSource::Control)),
-                (Some((sk, i)), _) => Some((sk, StepSource::Shard(i))),
-                (None, Some(ck)) => Some((ck, StepSource::Control)),
-                (None, None) => None,
-            };
-            let Some(((t, _), src)) = head else {
-                if self.bus.is_empty() {
-                    return None;
-                }
-                self.flush_bus();
-                continue;
-            };
-            if !self.bus.is_empty() && !self.window.covers(t) {
-                // barrier: in-flight messages could be due at or before
-                // the window's edge — deliver them before advancing
-                self.flush_bus();
-                continue;
-            }
-            if t > deadline {
-                return None;
-            }
-            if self.bus.is_empty() {
-                self.window.open(t);
-            }
-            return Some(src);
-        }
-    }
-
-    /// The timestamp of the next pending event (queued, in flight on
-    /// the bus, or a scheduled control), if any.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let queued = self
-            .shards
-            .iter()
-            .filter_map(|s| s.io.queue.peek_time())
-            .min();
-        [queued, self.controls.peek_time(), self.bus.earliest()]
-            .into_iter()
-            .flatten()
-            .min()
-    }
-
-    /// Process the next event. Returns what happened so the driver can
-    /// react to control events.
-    pub fn step(&mut self) -> StepOutcome<B::Control> {
-        self.step_bounded(SimTime(u64::MAX))
-    }
-
-    /// Process events one at a time until something driver-visible
-    /// happens, but never past `deadline`: every internal skip (a
-    /// delivery to a dead node, a dead timer, a quiet protocol event
-    /// that emits no controls) re-checks the bound, so a single call
-    /// can no longer run protocol work arbitrarily far beyond it.
-    fn step_bounded(&mut self, deadline: SimTime) -> StepOutcome<B::Control> {
-        loop {
-            let Some(src) = self.pop_source(deadline) else {
-                return StepOutcome::Idle;
-            };
-            match src {
-                StepSource::Control => {
-                    let (t, c) = self.controls.pop().expect("peeked control exists");
-                    self.now = t;
-                    return StepOutcome::Control(c);
-                }
-                StepSource::Shard(idx) => {
-                    let ctx = ShardCtx {
-                        map: self.map,
-                        latency: &*self.latency,
-                        window_end: self.window.end(),
-                        exec_end: self.now,
-                    };
-                    self.shards[idx].run_one(&ctx);
-                    self.now = self.now.max(self.shards[idx].last_exec);
-                    let io = &mut self.shards[idx].io;
-                    let controls: Vec<B::Control> =
-                        io.emitted.drain(..).map(|(_, _, c)| c).collect();
-                    Self::park_outgoing(&mut self.bus, io);
-                    if !controls.is_empty() {
-                        return StepOutcome::Protocol(controls);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Run the protocol until `deadline` or queue exhaustion, returning
-    /// emitted control events tagged with their emission time. Events
-    /// strictly after `deadline` are left pending — the clock never
-    /// overshoots.
-    pub fn run_until(&mut self, deadline: SimTime) -> Vec<(SimTime, B::Control)> {
-        let mut out = Vec::new();
-        loop {
-            match self.step_bounded(deadline) {
-                StepOutcome::Idle => break,
-                StepOutcome::Control(c) => out.push((self.now, c)),
-                StepOutcome::Protocol(cs) => out.extend(cs.into_iter().map(|c| (self.now, c))),
-            }
-        }
-        out
-    }
-
     /// Execute one conservative window and return the control events it
     /// produced, tagged with their emission times and sorted in global
     /// `(time, key)` order. Returns `None` when nothing remains at or
@@ -913,8 +782,7 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
     ///
     /// 1. If the globally earliest pending event is a driver control,
     ///    pop just it — the driver reacts (possibly mutating the world)
-    ///    before any later event runs, exactly as in sequential
-    ///    stepping.
+    ///    before any later event runs.
     /// 2. Otherwise open the lookahead window from the earliest pending
     ///    time, cap it at the next scheduled control and the deadline,
     ///    and run **every shard's in-window batch** — fanned across the
@@ -996,8 +864,7 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
         // handler's own sends, timers and controls are lost.
         let batch_panic: Option<Box<dyn std::any::Any + Send>> = if exec_end <= t0 {
             // Zero lookahead (or a control due right at t0): degenerate
-            // to one sequential event — the flush-per-pop classic
-            // engine. Slower, never wrong.
+            // to one event per barrier. Slower, never wrong.
             let shard = &mut self.shards[head_idx];
             catch_unwind(AssertUnwindSafe(|| shard.run_one(&ctx))).err()
         } else if self.parallel && self.shards.len() > 1 {
@@ -1058,28 +925,31 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
     }
 }
 
-impl<B: NodeBehavior, L: LatencyModel> Transport<B> for World<B, L> {
+impl<B, L> Transport<B> for World<B, L>
+where
+    B: NodeBehavior + Send + 'static,
+    B::Msg: Send + 'static,
+    B::Timer: Send + 'static,
+    B::Control: Send + 'static,
+    L: LatencyModel + Send + Sync + 'static,
+{
     fn inject(&mut self, from: Addr, to: Addr, msg: B::Msg) {
         self.inject_message(from, to, msg);
     }
 
-    /// Advance *virtual* time by `budget`: the simulator's clock moves
-    /// as fast as its event queues drain, wall-clock free.
+    /// Advance *virtual* time by exactly `budget`: every window due by
+    /// `now + budget` runs — the simulator's clock moves as fast as its
+    /// event queues drain, wall-clock free — and the clock then stands
+    /// at the deadline, so consecutive calls tile time without gaps.
     fn drive(&mut self, budget: Duration) -> Vec<B::Control> {
         let deadline = self.now + budget;
-        self.run_until(deadline)
-            .into_iter()
-            .map(|(_, c)| c)
-            .collect()
+        let mut controls = Vec::new();
+        while let Some(window) = self.run_window(deadline) {
+            controls.extend(window.into_iter().map(|(_, c)| c));
+        }
+        self.now = deadline;
+        controls
     }
-}
-
-/// Where [`World::pop_source`] found the globally earliest event.
-enum StepSource {
-    /// The driver control queue holds the head.
-    Control,
-    /// The indexed shard's queue holds the head.
-    Shard(usize),
 }
 
 #[cfg(test)]
@@ -1090,6 +960,22 @@ mod tests {
     use octopus_id::NodeId;
     use rand::{Rng, SeedableRng};
     use std::collections::HashMap;
+
+    /// Run every window due by `deadline`; the controls they produced.
+    fn run_windows<B, L>(w: &mut World<B, L>, deadline: SimTime) -> Vec<(SimTime, B::Control)>
+    where
+        B: NodeBehavior + Send + 'static,
+        B::Msg: Send + 'static,
+        B::Timer: Send + 'static,
+        B::Control: Send + 'static,
+        L: LatencyModel + Send + Sync + 'static,
+    {
+        let mut out = Vec::new();
+        while let Some(controls) = w.run_window(deadline) {
+            out.extend(controls);
+        }
+        out
+    }
 
     /// A ping-pong node: replies to Ping with Pong, counts pongs.
     struct PingPong {
@@ -1150,7 +1036,7 @@ mod tests {
                 peer: Some(NodeId(2)),
             },
         );
-        let ctrl = w.run_until(SimTime::from_secs(1));
+        let ctrl = run_windows(&mut w, SimTime::from_secs(1));
         assert_eq!(ctrl.len(), 1);
         assert_eq!(ctrl[0].1, 1);
         // RTT with 10ms one-way latency
@@ -1168,7 +1054,7 @@ mod tests {
                 peer: Some(NodeId(2)),
             },
         );
-        let ctrl = w.run_until(SimTime::from_secs(1));
+        let ctrl = run_windows(&mut w, SimTime::from_secs(1));
         assert!(ctrl.is_empty());
         assert_eq!(w.dropped_to_dead(), 1);
     }
@@ -1190,7 +1076,7 @@ mod tests {
                 peer: Some(NodeId(2)),
             },
         );
-        w.run_until(SimTime::from_secs(1));
+        run_windows(&mut w, SimTime::from_secs(1));
         // two 8-byte messages + 28B UDP headers each
         assert_eq!(w.ledger().total_bytes(), 2 * (8 + 28));
     }
@@ -1204,7 +1090,7 @@ mod tests {
         };
         w.insert_node(NodeId(2), pinger(NodeId(1)));
         w.insert_node(NodeId(1), pinger(NodeId(2)));
-        w.run_until(SimTime::from_secs(1));
+        run_windows(&mut w, SimTime::from_secs(1));
         // each node pinged once and ponged once, all four delivered
         let datagram = 8 + u64::from(sizes::UDP_HEADER);
         for id in [NodeId(1), NodeId(2)] {
@@ -1217,7 +1103,7 @@ mod tests {
         assert_eq!(w.ledger().total_bytes(), 4 * datagram);
         // the same address rejoins and pings again: both lives count
         w.insert_node(NodeId(1), pinger(NodeId(2)));
-        w.run_until(SimTime::from_secs(2));
+        run_windows(&mut w, SimTime::from_secs(2));
         assert_eq!(w.ledger().sent_by(NodeId(1)), 3 * datagram);
         assert_eq!(w.ledger().received_by(NodeId(1)), 3 * datagram);
         assert_eq!(w.ledger().total_bytes(), 6 * datagram);
@@ -1241,7 +1127,7 @@ mod tests {
                 },
             );
             w.inject_message(outsider, node, Pm::Ping);
-            w.run_until(SimTime::from_secs(1));
+            run_windows(&mut w, SimTime::from_secs(1));
             let datagram = 8 + u64::from(sizes::UDP_HEADER);
             let ledger = w.ledger();
             assert_eq!(ledger.sent_by(outsider), datagram);
@@ -1325,17 +1211,10 @@ mod tests {
         }
     }
 
-    #[derive(Clone, Copy, Debug)]
-    enum Driver {
-        Step,
-        Windows,
-        Par2,
-    }
-
     /// Two shards of chatters with a never-hosted destination, a node
     /// that leaves for good and one that leaves and rejoins, run to
     /// idle: the ledger, the log and the drop count.
-    fn churned_chatter_run(driver: Driver) -> (BandwidthLedger, Vec<Log>, u64) {
+    fn churned_chatter_run(parallel: bool) -> (BandwidthLedger, Vec<Log>, u64) {
         let ids = gossip_ids();
         let ghost = NodeId(u64::MAX - 5);
         let outsider = NodeId(3);
@@ -1360,7 +1239,7 @@ mod tests {
             w.shard_map().shard_of(leaver),
             w.shard_map().shard_of(rejoiner)
         );
-        if matches!(driver, Driver::Par2) {
+        if parallel {
             w.set_parallel(true);
             w.set_worker_threads(2);
         }
@@ -1372,19 +1251,8 @@ mod tests {
         w.schedule_control(SimTime::from_millis(41), Log::Inject);
         w.schedule_control(SimTime::from_millis(66), Log::Join(rejoiner));
         let mut log = Vec::new();
-        loop {
-            let controls: Vec<Log> = match driver {
-                Driver::Step => match w.step() {
-                    StepOutcome::Idle => break,
-                    StepOutcome::Control(c) => vec![c],
-                    StepOutcome::Protocol(cs) => cs,
-                },
-                Driver::Windows | Driver::Par2 => match w.run_window(SimTime(u64::MAX)) {
-                    None => break,
-                    Some(cs) => cs.into_iter().map(|(_, c)| c).collect(),
-                },
-            };
-            for c in controls {
+        while let Some(controls) = w.run_window(SimTime(u64::MAX)) {
+            for (_, c) in controls {
                 match c {
                     Log::Kill(addr) => assert!(w.remove_node(addr).is_some()),
                     Log::Join(addr) => w.insert_node(addr, chatter(3)),
@@ -1405,7 +1273,7 @@ mod tests {
 
     #[test]
     fn slot_counters_equal_the_per_message_hashmap_ledger() {
-        let (ledger, log, dropped) = churned_chatter_run(Driver::Step);
+        let (ledger, log, dropped) = churned_chatter_run(false);
         // the accounting `BandwidthLedger::record` did per message:
         // both ends credited at the send, in two hash maps
         let datagram = |bytes: u32| u64::from(bytes) + u64::from(sizes::UDP_HEADER);
@@ -1452,14 +1320,11 @@ mod tests {
                 "received_by({a:?})"
             );
         }
-        for driver in [Driver::Windows, Driver::Par2] {
-            // windows order same-instant controls by emitter, step by
-            // causing event, so the logs are compared as counts
-            let (other_ledger, other_log, other_dropped) = churned_chatter_run(driver);
-            assert_eq!(other_ledger, ledger, "{driver:?} diverged from step");
-            assert_eq!(other_dropped, dropped, "{driver:?} diverged from step");
-            assert_eq!(other_log.len(), log.len(), "{driver:?} diverged from step");
-        }
+        assert_eq!(
+            churned_chatter_run(true),
+            (ledger, log, dropped),
+            "pooled windows diverged from sequential ones"
+        );
     }
 
     #[test]
@@ -1498,7 +1363,7 @@ mod tests {
             },
         );
         w.schedule_control(SimTime::from_secs(5), 42);
-        let ctrl = w.run_until(SimTime::from_secs(10));
+        let ctrl = run_windows(&mut w, SimTime::from_secs(10));
         assert_eq!(ctrl, vec![(SimTime::from_secs(5), 42)]);
     }
 
@@ -1521,7 +1386,7 @@ mod tests {
         );
         assert!(w.with_node(NodeId(1), |_n, ctx| ctx.send(NodeId(2), Pm::Ping)));
         assert!(!w.with_node(NodeId(9), |_n, _ctx| {}));
-        let ctrl = w.run_until(SimTime::from_secs(1));
+        let ctrl = run_windows(&mut w, SimTime::from_secs(1));
         assert_eq!(ctrl.len(), 1);
     }
 
@@ -1539,7 +1404,7 @@ mod tests {
             ctx.set_timer(Duration::from_secs(1), ())
         });
         w.remove_node(NodeId(1));
-        let ctrl = w.run_until(SimTime::from_secs(5));
+        let ctrl = run_windows(&mut w, SimTime::from_secs(5));
         assert!(ctrl.is_empty());
     }
 
@@ -1595,7 +1460,7 @@ mod tests {
         let mut w = alarm_world();
         let x = NodeId(1);
         w.insert_node(x, Alarm::new(1, true));
-        let ctrl = w.run_until(SimTime::from_secs(1));
+        let ctrl = run_windows(&mut w, SimTime::from_secs(1));
         assert_eq!(
             ctrl,
             vec![
@@ -1631,7 +1496,7 @@ mod tests {
         arm(&mut w);
         w.insert_node(y, Alarm::new(1, false));
         w.inject_message(y, x, Pm::Ping);
-        assert!(w.run_until(SimTime::from_secs(5)).is_empty());
+        assert!(run_windows(&mut w, SimTime::from_secs(5)).is_empty());
         assert_eq!(w.node(y).unwrap().fired, 0);
         assert_eq!(w.dropped_to_dead(), 1, "the message to the leaver");
 
@@ -1639,14 +1504,14 @@ mod tests {
         let mut w = alarm_world();
         arm(&mut w);
         w.insert_node(x, Alarm::new(2, false));
-        assert_eq!(w.run_until(SimTime::from_secs(5)), fires(2));
+        assert_eq!(run_windows(&mut w, SimTime::from_secs(5)), fires(2));
 
         // rejoined into another slot, the old one held by another address
         let mut w = alarm_world();
         arm(&mut w);
         w.insert_node(y, Alarm::new(1, false));
         w.insert_node(x, Alarm::new(2, false));
-        assert_eq!(w.run_until(SimTime::from_secs(5)), fires(2));
+        assert_eq!(run_windows(&mut w, SimTime::from_secs(5)), fires(2));
         assert_eq!(w.node(y).unwrap().fired, 0);
         assert_eq!(w.node(x).unwrap().fired, 2);
     }
@@ -1685,44 +1550,43 @@ mod tests {
         // dispatched where it lies, the node is still hosted, in the
         // state its handler left, and its next timer reaches it
         assert_eq!(w.node(NodeId(1)).map(|n| n.timers_seen), Some(1));
-        let mut emitted = Vec::new();
-        while let Some(controls) = w.run_window(deadline) {
-            emitted.extend(controls);
-        }
-        assert_eq!(emitted, vec![(SimTime::from_millis(20), 2)]);
+        assert_eq!(
+            run_windows(&mut w, deadline),
+            vec![(SimTime::from_millis(20), 2)]
+        );
     }
 
     #[test]
     fn identical_on_both_scheduler_backends() {
-        let run = |kind: SchedulerKind| {
+        // opposite ends of the ID space: with 2 shards every message
+        // crosses the bus and is flushed into its queue out of key order
+        let (a, b) = (NodeId(1), NodeId(u64::MAX - 1));
+        let run = |kind: SchedulerKind, shards: usize| {
             let mut w: World<PingPong, _> =
-                World::with_scheduler(ConstantLatency(Duration::from_millis(7)), 3, kind);
-            w.insert_node(
-                NodeId(2),
-                PingPong {
-                    pongs: 0,
-                    peer: Some(NodeId(1)),
-                },
-            );
-            w.insert_node(
-                NodeId(1),
-                PingPong {
-                    pongs: 0,
-                    peer: Some(NodeId(2)),
-                },
-            );
+                World::with_shards(ConstantLatency(Duration::from_millis(7)), 3, kind, shards);
+            for (id, peer) in [(b, a), (a, b)] {
+                w.insert_node(
+                    id,
+                    PingPong {
+                        pongs: 0,
+                        peer: Some(peer),
+                    },
+                );
+            }
             w.schedule_control(SimTime::from_millis(9), 7);
-            w.run_until(SimTime::from_secs(1))
+            run_windows(&mut w, SimTime::from_secs(1))
         };
-        assert_eq!(
-            run(SchedulerKind::BinaryHeap),
-            run(SchedulerKind::TimingWheel)
-        );
+        let wheel = run(SchedulerKind::TimingWheel, 1);
+        assert_eq!(wheel.len(), 3, "two pongs and the control");
+        for shards in [1usize, 2] {
+            assert_eq!(run(SchedulerKind::BinaryHeap, shards), wheel);
+            assert_eq!(run(SchedulerKind::TimingWheel, shards), wheel);
+        }
     }
 
     /// Fixed latency that *reports* no guaranteed floor (inherits the
     /// default `min_latency` of zero), forcing the degenerate
-    /// flush-before-every-pop path of a zero-lookahead shard set.
+    /// one-event windows of a zero-lookahead shard set.
     struct NoFloor(Duration);
 
     impl LatencyModel for NoFloor {
@@ -1760,32 +1624,9 @@ mod tests {
     }
 
     /// A gossip workload whose control trace captures the full event
-    /// order: every pong emits the receiver's running count.
-    fn gossip_trace<L: LatencyModel>(shards: usize, latency: L) -> Vec<(SimTime, u32)> {
-        let ids = gossip_ids();
-        let mut w = gossip_world(shards, latency);
-        // keep the network busy: every pong re-pings a different peer
-        let mut out = Vec::new();
-        let deadline = SimTime::from_millis(400);
-        while w.peek_time().is_some_and(|t| t <= deadline) {
-            match w.step() {
-                StepOutcome::Idle => break,
-                StepOutcome::Control(c) => out.push((w.now(), c)),
-                StepOutcome::Protocol(cs) => {
-                    out.extend(cs.into_iter().map(|c| (w.now(), c)));
-                    // ping a rotating peer to generate cross-shard load
-                    let k = out.len() % ids.len();
-                    w.with_node(ids[k], |_n, ctx| {
-                        ctx.send(ids[(k + 7) % 16], Pm::Ping);
-                    });
-                }
-            }
-        }
-        assert_eq!(w.node_count(), 16);
-        out
-    }
-
-    /// The same workload driven through the windowed executor.
+    /// order: every pong emits the receiver's running count, and the
+    /// driver answers each with a ping to a rotating peer, so the
+    /// network stays busy and the load crosses shards.
     fn gossip_trace_windowed<L: LatencyModel + Send + Sync + 'static>(
         shards: usize,
         parallel: bool,
@@ -1806,19 +1647,6 @@ mod tests {
         }
         assert_eq!(w.node_count(), 16);
         out
-    }
-
-    #[test]
-    fn shard_count_never_changes_results() {
-        let one = gossip_trace(1, ConstantLatency(Duration::from_millis(7)));
-        assert!(one.len() > 40, "workload must generate traffic");
-        for shards in [2usize, 3, 4, 8] {
-            assert_eq!(
-                gossip_trace(shards, ConstantLatency(Duration::from_millis(7))),
-                one,
-                "{shards}-shard run diverged from the single-queue engine"
-            );
-        }
     }
 
     #[test]
@@ -1843,16 +1671,10 @@ mod tests {
     #[test]
     fn zero_lookahead_still_deterministic() {
         // a model with no guaranteed floor gives a zero lookahead: the
-        // window covers nothing and the engine degenerates to flushing
-        // the bus before every pop — slower, never wrong
-        let one = gossip_trace(1, NoFloor(Duration::from_millis(7)));
-        assert!(!one.is_empty());
-        for shards in [2usize, 4] {
-            assert_eq!(gossip_trace(shards, NoFloor(Duration::from_millis(7))), one);
-        }
-        // the windowed executor degenerates identically (its windows
-        // collapse to single events)
+        // window covers nothing and collapses to a single event, with
+        // the bus flushed before every pop — slower, never wrong
         let windowed = gossip_trace_windowed(1, false, NoFloor(Duration::from_millis(7)));
+        assert!(!windowed.is_empty());
         for shards in [2usize, 4] {
             for parallel in [false, true] {
                 assert_eq!(
@@ -1860,6 +1682,81 @@ mod tests {
                     windowed
                 );
             }
+        }
+    }
+
+    /// Emits `(now, its address)` for every message it gets and passes
+    /// the first `hops` of them on to `next`.
+    struct Relay {
+        next: Addr,
+        hops: u32,
+    }
+
+    impl NodeBehavior for Relay {
+        type Msg = Pm;
+        type Timer = ();
+        type Control = (SimTime, Addr);
+
+        fn on_start(&mut self, _: &mut dyn Runtime<Pm, (), Self::Control>) {}
+
+        fn on_message(&mut self, ctx: &mut dyn Runtime<Pm, (), Self::Control>, _: Addr, msg: Pm) {
+            ctx.emit((ctx.now(), ctx.addr()));
+            if self.hops > 0 {
+                self.hops -= 1;
+                ctx.send(self.next, msg);
+            }
+        }
+
+        fn on_timer(&mut self, _: &mut dyn Runtime<Pm, (), Self::Control>, (): ()) {}
+    }
+
+    /// Inject eight messages, then `drive` for `budget` — both through
+    /// the [`Transport`] trait, as a host-agnostic driver would.
+    fn drive_relays<H: Transport<Relay>>(host: &mut H, budget: Duration) -> Vec<(SimTime, Addr)> {
+        let ids = gossip_ids();
+        for k in 0..8 {
+            host.inject(NodeId(3), ids[2 * k], Pm::Ping);
+        }
+        host.drive(budget)
+    }
+
+    #[test]
+    fn a_world_driven_through_the_transport_trait() {
+        let relay_world = |shards: usize| {
+            let ids = gossip_ids();
+            let mut w: World<Relay, _> = World::with_shards(
+                ConstantLatency(Duration::from_millis(7)),
+                11,
+                SchedulerKind::default(),
+                shards,
+            );
+            for (i, &id) in ids.iter().enumerate() {
+                let next = ids[(i + 5) % ids.len()];
+                w.insert_node(id, Relay { next, hops: 6 });
+            }
+            w
+        };
+        let budget = Duration::from_millis(20);
+        for shards in [1usize, 2] {
+            // deliveries land every 7 ms: two rounds fit the budget and
+            // more remain beyond it, so the clock stops at the budget
+            let mut w = relay_world(shards);
+            let first = drive_relays(&mut w, budget);
+            assert_eq!(first.len(), 16);
+            assert_eq!(w.now(), SimTime::ZERO + budget);
+            let mut halves = first;
+            halves.extend(w.drive(budget));
+            assert_eq!(w.now(), SimTime::ZERO + budget + budget);
+            assert_eq!(halves.len(), 8 * 5, "rounds at 7, 14, 21, 28 and 35 ms");
+            assert!(
+                halves.windows(2).all(|pair| pair[0] < pair[1]),
+                "{shards} shards: controls out of (time, key) order"
+            );
+            // two budgets spent one after the other are one of twice the size
+            let mut whole = relay_world(shards);
+            assert_eq!(drive_relays(&mut whole, budget + budget), halves);
+            assert_eq!(whole.ledger(), w.ledger());
+            assert_eq!(whole.now(), w.now());
         }
     }
 
@@ -1889,7 +1786,7 @@ mod tests {
                 peer: Some(b),
             },
         );
-        let ctrl = w.run_until(SimTime::from_secs(1));
+        let ctrl = run_windows(&mut w, SimTime::from_secs(1));
         assert_eq!(ctrl, vec![(SimTime::from_millis(20), 1)]);
         assert_eq!(w.node(a).unwrap().pongs, 1);
     }
@@ -1921,15 +1818,15 @@ mod tests {
             },
         );
         w.remove_node(far);
-        let ctrl = w.run_until(SimTime::from_secs(1));
+        let ctrl = run_windows(&mut w, SimTime::from_secs(1));
         assert!(ctrl.is_empty());
         assert_eq!(w.dropped_to_dead(), 1);
         assert_eq!(w.node_count(), 1);
     }
 
     /// A node that re-arms a quiet timer forever and never emits a
-    /// control: the workload on which an unbounded internal step loop
-    /// would run away past any deadline.
+    /// control: the workload on which a driver that only stopped at
+    /// controls would run away past any deadline.
     struct QuietTicker;
 
     impl NodeBehavior for QuietTicker {
@@ -1949,21 +1846,23 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_exactly_at_the_deadline() {
+    fn a_window_stops_exactly_at_the_deadline() {
         let mut w: World<QuietTicker, _> = World::new(ConstantLatency(Duration::from_millis(5)), 1);
         w.insert_node(NodeId(1), QuietTicker);
-        let ctrl = w.run_until(SimTime::from_millis(95));
-        assert!(ctrl.is_empty());
-        // events at 10..=90 ms ran; the 100 ms tick must still be
-        // pending and the clock must not have overshot
+        let tick = SimTime::from_millis(100);
+        let just_short = SimTime(tick.0 - 1);
+        assert!(run_windows(&mut w, just_short).is_empty());
+        // events at 10..=90 ms ran; the 100 ms tick, due one instant
+        // past the deadline, stays queued and the clock has not overshot
         assert_eq!(w.now(), SimTime::from_millis(90), "clock overshot");
-        assert_eq!(w.peek_time(), Some(SimTime::from_millis(100)));
-        // a second call makes no progress (nothing due before 95 ms)
-        assert!(w.run_until(SimTime::from_millis(95)).is_empty());
+        // a second call makes no progress (nothing is due by then)
+        assert!(w.run_window(just_short).is_none());
         assert_eq!(w.now(), SimTime::from_millis(90));
-        // the windowed executor honors the same bound
-        assert!(w.run_window(SimTime::from_millis(95)).is_none());
-        assert_eq!(w.now(), SimTime::from_millis(90));
+        // an event due exactly at the deadline runs: the tick was still
+        // queued, and nothing after it is touched
+        assert_eq!(w.run_window(tick), Some(Vec::new()));
+        assert_eq!(w.now(), tick);
+        assert!(w.run_window(tick).is_none());
     }
 
     #[test]
@@ -1977,12 +1876,12 @@ mod tests {
             },
         );
         w.schedule_control(SimTime::from_secs(5), 1);
-        let ctrl = w.run_until(SimTime::from_secs(10));
+        let ctrl = run_windows(&mut w, SimTime::from_secs(10));
         assert_eq!(ctrl, vec![(SimTime::from_secs(5), 1)]);
         assert_eq!(w.now(), SimTime::from_secs(5));
         // a control scheduled into the past pops immediately, at `now`
         w.schedule_control(SimTime::from_secs(1), 2);
-        let ctrl = w.run_until(SimTime::from_secs(10));
+        let ctrl = run_windows(&mut w, SimTime::from_secs(10));
         assert_eq!(ctrl, vec![(SimTime::from_secs(5), 2)], "clamped to now");
         assert_eq!(w.now(), SimTime::from_secs(5), "time moved backwards");
     }
@@ -2026,7 +1925,7 @@ mod tests {
         );
         // b's reply is sampled at 1 ms inside a 10 ms-lookahead window:
         // the cross-shard park must fail loudly, not corrupt the run
-        w.run_until(SimTime::from_secs(1));
+        run_windows(&mut w, SimTime::from_secs(1));
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //! world on top, and `octopus-core::simnet` layers the full Octopus
 //! security simulation on that.
 //!
-//! The queue's storage is pluggable ([`sched`]): a reference
-//! binary-heap backend and a hierarchical timing-wheel backend that is
-//! ≥ 2× faster on the timer-dominated paper workload. Both obey the
-//! same ordering contract, so the choice ([`SchedulerKind`]) changes
-//! speed, never results.
+//! The queue's storage has two implementations ([`sched`]): the
+//! hierarchical timing wheel every simulation runs on, and a
+//! binary-heap reference that is ≥ 2× slower on the timer-dominated
+//! paper workload. Both obey the same ordering contract — which
+//! `tests/scheduler_equivalence.rs` checks by popping the same pushes
+//! from each ([`SchedulerKind`] names them for that purpose).
 //!
 //! The engine also composes to *several* queues: a sharded world keeps
 //! one [`EventQueue`] per shard, assigns totally ordered `(time, seq)`

@@ -1,12 +1,13 @@
-//! Pluggable event-queue backends.
+//! Event-queue backends.
 //!
 //! [`EventQueue`](crate::EventQueue) delegates storage and ordering to a
 //! [`Scheduler`] implementation. Two backends ship with the engine:
 //!
 //! * [`BinaryHeapScheduler`] — a classic `O(log n)` priority heap; the
-//!   reference implementation and the right choice for sparse or highly
-//!   irregular workloads.
-//! * [`TimingWheel`] — a hierarchical timing wheel with `O(1)` insertion.
+//!   reference implementation the wheel is tested and timed against.
+//!   No run configuration selects it.
+//! * [`TimingWheel`] — a hierarchical timing wheel with `O(1)` insertion,
+//!   the backend every simulation runs on.
 //!   Simulation workloads are dominated by short periodic timers
 //!   (stabilize / finger / surveillance / walk) and latency-bounded
 //!   message deliveries, which land in the lowest wheel levels and make
@@ -23,7 +24,7 @@
 //! `(lane, origin, counter)` key that is unique without being dense.
 //! Ties at the same timestamp therefore pop in key order (insertion
 //! FIFO for the plain queue). This contract is what makes simulations
-//! byte-for-byte reproducible regardless of the backend chosen; the
+//! byte-for-byte reproducible on either backend; the
 //! cross-backend regression tests in `tests/scheduler_equivalence.rs`
 //! enforce it.
 
@@ -99,23 +100,12 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// Short stable name (used by benches and CLI parsing).
+    /// Short stable name (used in logs and bench labels).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             SchedulerKind::BinaryHeap => "binary-heap",
             SchedulerKind::TimingWheel => "timing-wheel",
-        }
-    }
-
-    /// Parse a backend name as accepted by `OCTOPUS_SCHEDULER` and the
-    /// bench harness CLI (`binary-heap`/`heap`, `timing-wheel`/`wheel`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "binary-heap" | "heap" => Some(SchedulerKind::BinaryHeap),
-            "timing-wheel" | "wheel" => Some(SchedulerKind::TimingWheel),
-            _ => None,
         }
     }
 }
@@ -673,23 +663,6 @@ mod tests {
             s.schedule(SimTime::from_secs(1000), 0, 1);
             assert_eq!(s.pop_next().map(|(_, e)| e), Some(1));
         }
-    }
-
-    #[test]
-    fn kind_parse_roundtrip() {
-        for kind in [SchedulerKind::BinaryHeap, SchedulerKind::TimingWheel] {
-            assert_eq!(SchedulerKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(
-            SchedulerKind::parse("heap"),
-            Some(SchedulerKind::BinaryHeap)
-        );
-        assert_eq!(
-            SchedulerKind::parse("wheel"),
-            Some(SchedulerKind::TimingWheel)
-        );
-        assert_eq!(SchedulerKind::parse("fifo"), None);
-        assert_eq!(SchedulerKind::default(), SchedulerKind::TimingWheel);
     }
 
     #[test]

@@ -18,7 +18,6 @@ fn main() {
         seed: 1,
         octopus: OctopusConfig::for_network(n),
         lookups_enabled: true,
-        scheduler: Default::default(),
         shards: 1,
         ..SimConfig::default()
     };
