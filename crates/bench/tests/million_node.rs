@@ -53,7 +53,7 @@ impl NodeBehavior for GossipNode {
     fn on_message(&mut self, _ctx: &mut dyn Runtime<Gossip, (), ()>, _from: Addr, _msg: Gossip) {}
 
     fn on_timer(&mut self, ctx: &mut dyn Runtime<Gossip, (), ()>, (): ()) {
-        let dest = if self.tick % 2 == 0 {
+        let dest = if self.tick.is_multiple_of(2) {
             self.near
         } else {
             self.far

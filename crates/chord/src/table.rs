@@ -84,7 +84,7 @@ impl RoutingTable {
         for c in self.candidates() {
             if c.is_between(self.owner, key.as_id()) {
                 let advance = self.owner.distance_to(c);
-                if best.map_or(true, |(b, _)| advance > b) {
+                if best.is_none_or(|(b, _)| advance > b) {
                     best = Some((advance, c));
                 }
             }

@@ -1100,7 +1100,7 @@ mod tests {
             }
             for i in 0..k {
                 heap(k - 1, items, out);
-                items.swap(if k % 2 == 0 { i } else { 0 }, k - 1);
+                items.swap(if k.is_multiple_of(2) { i } else { 0 }, k - 1);
             }
         }
         let mut out = Vec::new();

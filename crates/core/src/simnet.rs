@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use octopus_chord::ChordConfig;
+use octopus_chord::{ChordConfig, SignedSuccessorList};
 use octopus_crypto::{CertificateAuthority, KeyPair};
 use octopus_id::{IdSpace, Key, NodeId, ShardedIdSpace};
 use octopus_metrics::{merge_point_series, Merge};
@@ -486,6 +486,9 @@ impl SecuritySim {
         let adversary = adversary_state.sharded(world.shard_count());
         let shard_map = world.shard_map();
         let space = ShardedIdSpace::from(space);
+        // the genesis ring is one membership at one instant: each
+        // signer's list is signed once for all the nodes citing it
+        let mut genesis_lists = BTreeMap::new();
         for id in space.iter() {
             let (kp, cert) = keys.get(&id).expect("key exists");
             let adv = malicious
@@ -494,7 +497,7 @@ impl SecuritySim {
             let mut node =
                 OctopusNode::new(id, cfg.octopus, kp.clone(), *cert, CA_ADDR, ca_key, adv);
             seed_from_truth(&mut node, &space, chord, &mut rng);
-            seed_provenance(&mut node, &space, chord, &keys, 0);
+            seed_provenance(&mut node, &space, chord, &keys, 0, &mut genesis_lists);
             world.insert_node(id, Actor::Peer(Box::new(node)));
         }
 
@@ -830,6 +833,7 @@ impl SecuritySim {
             chord,
             &self.keys,
             now.as_secs_f64() as u64,
+            &mut BTreeMap::new(),
         );
         if malicious {
             let (kp, cert) = self.keys.get(&id).expect("keys exist");
@@ -985,15 +989,21 @@ impl SecuritySim {
 /// join protocol runs checked finger lookups, so each seeded finger
 /// comes with the signed third-party list a real §4.5 check would have
 /// produced — the successor list of the finger target's predecessor.
+///
+/// `signed` holds the lists already signed at `now` over this `space`,
+/// by signer; a signer's list is signed once and cloned after that. The
+/// signature is deterministic, so the clone is the bytes a second
+/// signing would give. The caller starts a fresh map whenever `space`
+/// or `now` changes.
 fn seed_provenance(
     node: &mut OctopusNode,
     space: &ShardedIdSpace,
     chord: ChordConfig,
     keys: &BTreeMap<NodeId, (KeyPair, octopus_crypto::Certificate)>,
     now: u64,
+    signed: &mut BTreeMap<NodeId, SignedSuccessorList>,
 ) {
     use octopus_chord::signed::successor_list_table;
-    use octopus_chord::SignedRoutingTable;
     for i in 0..chord.fingers {
         let ideal = chord.finger_target(node.id, i);
         let owner = space.owner_of(ideal).owner;
@@ -1007,9 +1017,11 @@ fn seed_provenance(
         let Some((kp, cert)) = keys.get(&signer) else {
             continue;
         };
-        let list = space.successor_list(signer, chord.successors);
-        let signed = SignedRoutingTable::sign(successor_list_table(signer, list), now, kp, *cert);
-        node.set_finger_provenance(i, signed);
+        let list = signed.entry(signer).or_insert_with(|| {
+            let list = space.successor_list(signer, chord.successors);
+            SignedSuccessorList::sign(successor_list_table(signer, list), now, kp, *cert)
+        });
+        node.set_finger_provenance(i, list.clone());
     }
 }
 
@@ -1037,4 +1049,44 @@ fn seed_from_truth(
         }
     }
     node.seed_state(succs, preds, fingers, pairs);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn genesis_lists_signed_once_equal_lists_signed_per_call() {
+        // `new` seeds the §5.1 ring with one map shared by every genesis
+        // node; seeding again with a fresh map per call signs every list
+        // anew, and must give the same provenance field for field
+        let sim = SecuritySim::new(SimConfig {
+            seed: 31,
+            ..SimConfig::default()
+        });
+        let chord = sim.cfg.octopus.chord;
+        let ca_key = sim.with_ca_ref(CaNode::public_key);
+        let (mut cited, mut signers) = (0, BTreeSet::new());
+        for id in sim.space.iter() {
+            let (kp, cert) = sim.keys.get(&id).expect("key exists").clone();
+            let mut fresh = OctopusNode::new(id, sim.cfg.octopus, kp, cert, CA_ADDR, ca_key, None);
+            seed_provenance(
+                &mut fresh,
+                &sim.space,
+                chord,
+                &sim.keys,
+                0,
+                &mut BTreeMap::new(),
+            );
+            let shared = sim
+                .with_peer(id, |p| p.finger_prov.clone())
+                .expect("genesis node is live");
+            assert_eq!(shared, fresh.finger_prov, "provenance of {id:?}");
+            cited += shared.len();
+            signers.extend(shared.values().map(|list| list.table.owner));
+        }
+        // twelve fingers on each of 1000 nodes cite fewer than 1000 lists
+        assert_eq!(cited, 12_000);
+        assert!(signers.len() < 1_000, "{} signers", signers.len());
+    }
 }

@@ -9,8 +9,9 @@
 //!    (§4.3–4.5). The paper uses ECDSA + X.509; we implement RSA with a
 //!    64-bit modulus ([`rsa`]): *real* sign/verify semantics (hash,
 //!    modular exponentiation, key pairs) that are functionally faithful
-//!    but deliberately toy-sized. DESIGN.md records this substitution;
-//!    the bandwidth model uses the paper's byte counts, not ours.
+//!    but deliberately toy-sized. ARCHITECTURE.md ("Crypto cost model")
+//!    records this substitution; the bandwidth model uses the paper's
+//!    byte counts, not ours.
 //! 2. **Onion encryption** — queries are relayed over anonymous paths
 //!    with layered encryption (§4.1). The paper uses AES-128; we build a
 //!    CTR-mode stream cipher over our SHA-256 ([`stream`]) and layered
@@ -18,15 +19,18 @@
 //! 3. **A hash** mapping certificates to ring positions and keys to the
 //!    key space ([`sha256`](mod@sha256)).
 //!
-//! Everything here is `#![forbid(unsafe_code)]`, dependency-free (beyond
-//! `rand` for keygen), and test-vectored where vectors exist (SHA-256,
-//! HMAC).
+//! The crate is dependency-free (beyond `rand` for keygen) and
+//! test-vectored where vectors exist (SHA-256, HMAC). It is
+//! `#![deny(unsafe_code)]` rather than `forbid`, which every other crate
+//! is, for one call: `sha256::sha_ni::compress` runs the SHA-NI kernel
+//! after detecting the CPU features it needs. That function is the only
+//! `#[allow(unsafe_code)]` in the workspace.
 //!
 //! **Do not use this crate for real-world security** — the RSA modulus is
 //! 64 bits and the cipher is home-grown. It exists so the reproduced
 //! protocols exercise true sign/verify/encrypt code paths.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cert;

@@ -101,7 +101,7 @@ impl MerkleTree {
         let mut path = Vec::new();
         let mut i = index;
         for level in &self.levels[..self.levels.len() - 1] {
-            let sibling = if i % 2 == 0 {
+            let sibling = if i.is_multiple_of(2) {
                 // sibling on the right (or self-pair at odd tail)
                 let s = if i + 1 < level.len() {
                     level[i + 1]

@@ -9,7 +9,7 @@
 //! This module implements the byte-level construction used by the live
 //! examples and unit tests. The discrete-event simulators carry
 //! structured `OnionPacket` values instead (same information, no byte
-//! churn) — see DESIGN.md §1.
+//! churn) — see ARCHITECTURE.md, "Crypto cost model".
 
 use std::fmt;
 

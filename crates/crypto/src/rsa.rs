@@ -8,8 +8,9 @@
 //! `sign = H(m)^d mod n`, `verify: sig^e mod n == H(m) mod n`.
 //!
 //! 64-bit RSA is trivially breakable; the point is functional fidelity,
-//! not security (see the crate-level warning and DESIGN.md). The
-//! simulators account bandwidth using the paper's 40-byte ECDSA figure.
+//! not security (see the crate-level warning and ARCHITECTURE.md,
+//! "Crypto cost model"). The simulators account bandwidth using the
+//! paper's 40-byte ECDSA figure.
 
 use std::fmt;
 
@@ -176,22 +177,47 @@ fn powmod(base: u64, exp: u64, m: u64) -> u64 {
     }
 }
 
-/// Deterministic Miller–Rabin, exact for all u64 with these witnesses.
+/// The first twelve primes: trial divisors, and Miller–Rabin witnesses
+/// that are exact for every u64.
+const TWELVE_WITNESSES: [u64; 12] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37];
+
+/// Witnesses exact below [`THREE_WITNESS_BOUND`] (Jaeschke 1993).
+const THREE_WITNESSES: [u64; 3] = [2, 7, 61];
+
+/// The smallest strong pseudoprime to bases 2, 7 and 61
+/// (= 48 781 · 97 561). Every 32-bit RSA prime candidate is below it.
+const THREE_WITNESS_BOUND: u64 = 4_759_123_141;
+
+/// Deterministic Miller–Rabin after trial division by the first twelve
+/// primes. Below 4 759 123 141 the witnesses are {2, 7, 61}; from there
+/// up they are the first twelve primes, 2 to 37. Both sets are exact on
+/// their range, so the answer is the same as with twelve witnesses
+/// everywhere.
 fn is_prime(n: u64) -> bool {
     if n < 2 {
         return false;
     }
-    for p in [2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37] {
+    for p in TWELVE_WITNESSES {
         if n == p {
             return true;
         }
-        if n % p == 0 {
+        if n.is_multiple_of(p) {
             return false;
         }
     }
+    if n < THREE_WITNESS_BOUND {
+        miller_rabin(n, &THREE_WITNESSES)
+    } else {
+        miller_rabin(n, &TWELVE_WITNESSES)
+    }
+}
+
+/// `false` when one of `witnesses` proves the odd `n > 2` composite.
+/// A witness that `n` divides proves nothing and is skipped.
+fn miller_rabin(n: u64, witnesses: &[u64]) -> bool {
     let mut d = n - 1;
     let mut r = 0u32;
-    while d % 2 == 0 {
+    while d.is_multiple_of(2) {
         d /= 2;
         r += 1;
     }
@@ -199,7 +225,10 @@ fn is_prime(n: u64) -> bool {
     let mont = Montgomery::new(n);
     let one = mont.one;
     let minus_one = n - one;
-    'witness: for a in [2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37] {
+    'witness: for &a in witnesses {
+        if a % n == 0 {
+            continue;
+        }
         let mut x = mont.pow(mont.enter(a), d);
         if x == one || x == minus_one {
             continue;
@@ -236,7 +265,7 @@ fn modinv(a: u64, m: u64) -> Option<u64> {
 fn random_prime<R: Rng + ?Sized>(rng: &mut R, bits: u32) -> u64 {
     let mut p: u64 = rng.gen_range(0..1u64 << (bits - 1)) | (1 << (bits - 1)) | 1;
     // ensure p-1 not divisible by 65537 so e is invertible
-    while !is_prime(p) || (p - 1) % 65537 == 0 {
+    while !is_prime(p) || (p - 1).is_multiple_of(65537) {
         p = rng.gen_range(0..1u64 << (bits - 1)) | (1 << (bits - 1)) | 1;
     }
     p
@@ -315,6 +344,78 @@ mod tests {
         assert!(!is_prime(0));
         assert!(!is_prime(65536));
         assert!(!is_prime(3_215_031_751)); // strong pseudoprime to bases 2,3,5,7
+    }
+
+    #[test]
+    fn three_witnesses_agree_with_twelve_where_used() {
+        // the range 32-bit RSA primes are drawn from starts at 2^31
+        for n in ((1u64 << 31) + 1..(1 << 31) + (1 << 20)).step_by(2) {
+            let twelve =
+                TWELVE_WITNESSES.iter().all(|&p| n % p != 0) && miller_rabin(n, &TWELVE_WITNESSES);
+            assert_eq!(is_prime(n), twelve, "{n}");
+        }
+        // small n, where n can divide a witness (n = 61)
+        for n in 2..=1_000u64 {
+            let trial = (2..n).take_while(|d| d * d <= n).all(|d| n % d != 0);
+            assert_eq!(is_prime(n), trial, "{n}");
+        }
+        let n = 3_215_031_751;
+        assert!(
+            miller_rabin(n, &[2, 3, 5, 7]),
+            "strong pseudoprime to 2, 3, 5, 7"
+        );
+        assert!(!miller_rabin(n, &THREE_WITNESSES) && !is_prime(n));
+        // the bound is tight: three witnesses would call it prime, so it
+        // must take the twelve-witness path
+        let n = THREE_WITNESS_BOUND;
+        assert_eq!(48_781 * 97_561, n);
+        assert!(miller_rabin(n, &THREE_WITNESSES));
+        assert!(!miller_rabin(n, &TWELVE_WITNESSES) && !is_prime(n));
+    }
+
+    #[test]
+    fn keys_and_signatures_are_pinned() {
+        // (n, signature of b"x") for seeds 0..32, recorded before the
+        // three-witness primality test and the SHA-NI kernel
+        let pinned: [(u64, u64); 32] = [
+            (0x5174c1638af5307b, 0x354233f4e16ae4dd),
+            (0xa72a90e53149919d, 0x0185bc7e61220e1d),
+            (0x8a47aecdd0680a33, 0x77cb1a12959b8377),
+            (0x6fff7299ba79f05b, 0x5b62d742f9d24b6c),
+            (0x98155b674091f66d, 0x3b8ed41ca0d3cc76),
+            (0x6e60dfdf56221fd5, 0x2dbdba381187a2a9),
+            (0xa542da0fcce45265, 0x76df7b2c285627a2),
+            (0x741b16cd90008f95, 0x1a6601552976ef48),
+            (0x7612e6f47e5aa6a1, 0x3c35e75095d8d19d),
+            (0x52015c339dd34efb, 0x0529c1a14dd7e728),
+            (0xc26fd3a3a8313fa5, 0x27b03c4a01820907),
+            (0x590be258a8a3b0df, 0x0105b74a3c956524),
+            (0x933e4d7d18c8e009, 0x7f1af823fd5d6a37),
+            (0xa03dc12f6af8a0a3, 0x51b066967df65808),
+            (0x819da1680031a3e5, 0x405b55451ffb9b16),
+            (0x9808b4816c4792ef, 0x399e1923f154de4f),
+            (0x6d226c16c9b37ef5, 0x49bdce89a472f8ea),
+            (0x7c02be643e996901, 0x1f8120c82a64b86a),
+            (0x7eb169b3de9734e7, 0x2bcdc4620e6314f7),
+            (0xae19005b3d760099, 0x424e2f326131c3f5),
+            (0xa000ae252c78a657, 0x4913cfc424a9a8d2),
+            (0x73a93a36be72b8bd, 0x43a4e824148a7aff),
+            (0x78710dfbeb693b57, 0x23de05610091d374),
+            (0x71048653db581bf5, 0x5de2619ef34905b2),
+            (0x869937ed6e170c2d, 0x24f84ca61ca5613d),
+            (0x5d331dcef5a8797b, 0x07276b245d2ca359),
+            (0x53972d630e0f3be1, 0x04d19ceefd050038),
+            (0x79212caf26e0bf19, 0x53efbfa8816d1cc1),
+            (0x6a0b0a8d25323069, 0x00597e3c2b5545e2),
+            (0xa42f73ac3a1ff2f7, 0x587416f246cd519b),
+            (0xa24ea5921a0cdf11, 0x8f1f66bd4bb5d7ef),
+            (0xd9fe99fd268c32ed, 0x5bde0b94c40eb20d),
+        ];
+        for (seed, (n, sig)) in (0u64..).zip(pinned) {
+            let kp = KeyPair::generate(&mut StdRng::seed_from_u64(seed));
+            assert_eq!(kp.public(), PublicKey { n, e: 65537 }, "seed {seed}");
+            assert_eq!(kp.sign(b"x"), Signature(sig), "seed {seed}");
+        }
     }
 
     #[test]

@@ -152,10 +152,23 @@ macro_rules! round {
     };
 }
 
-/// The FIPS 180-4 compression function. The message schedule is a
-/// rolling window of 16 words — `w[i]` depends on nothing older than
-/// `w[i − 16]`, whose slot it takes — refreshed once per 16 rounds.
+/// The FIPS 180-4 compression function: on the CPU's SHA extensions
+/// where it has them, otherwise [`compress_scalar`]. Both give the same
+/// state for every input; only CPU detection picks between them.
 fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni::compress(state, block) {
+        return;
+    }
+    compress_scalar(state, block);
+}
+
+/// The compression function in portable code — the path on every CPU
+/// without SHA extensions, and the reference the SHA-NI kernel is
+/// tested against. The message schedule is a rolling window of 16
+/// words — `w[i]` depends on nothing older than `w[i − 16]`, whose slot
+/// it takes — refreshed once per 16 rounds.
+fn compress_scalar(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 16];
     for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
         *word = u32::from_be_bytes(bytes.try_into().expect("chunks_exact yields 4 bytes"));
@@ -187,6 +200,90 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     }
     for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
         *s = s.wrapping_add(v);
+    }
+}
+
+/// The compression function on x86's SHA extensions (`sha256rnds2`,
+/// `sha256msg1`, `sha256msg2`). The kernel is a safe function compiled
+/// for those features; calling it is sound only on a CPU that has them,
+/// which this module's `compress` checks at run time.
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    use super::K;
+
+    /// Compress `block` into `state` on the SHA extensions and return
+    /// `true`, or leave `state` alone and return `false` when the CPU
+    /// lacks them.
+    #[allow(unsafe_code)]
+    pub(super) fn compress(state: &mut [u32; 8], block: &[u8; 64]) -> bool {
+        if !(is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1"))
+        {
+            return false;
+        }
+        // SAFETY: `kernel` is safe code whose only precondition is that
+        // the CPU supports the features it is compiled for (sha, sse2,
+        // ssse3, sse4.1). sse2 is part of the x86_64 baseline and the
+        // other three were detected just above. It takes no pointers:
+        // words enter through `_mm_set_epi32` and leave through
+        // `_mm_extract_epi32`.
+        unsafe { kernel(state, block) };
+        true
+    }
+
+    /// Four rounds per step, two per `sha256rnds2`. The state is held as
+    /// the instruction wants it, `abef` and `cdgh` with `a` and `c` in
+    /// the top lane; `w` holds the message words of the next four steps,
+    /// the oldest first.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn kernel(state: &mut [u32; 8], block: &[u8; 64]) {
+        let words = |i: usize| {
+            let word = |j: usize| {
+                let at = 16 * i + 4 * j;
+                u32::from_be_bytes([block[at], block[at + 1], block[at + 2], block[at + 3]]) as i32
+            };
+            _mm_set_epi32(word(3), word(2), word(1), word(0))
+        };
+        let mut w: [__m128i; 4] = [words(0), words(1), words(2), words(3)];
+        let [a, b, c, d, e, f, g, h] = state.map(|x| x as i32);
+        let abef_in = _mm_set_epi32(a, b, e, f);
+        let cdgh_in = _mm_set_epi32(c, d, g, h);
+        let (mut abef, mut cdgh) = (abef_in, cdgh_in);
+        for k in K.chunks_exact(4) {
+            let k = _mm_set_epi32(k[3] as i32, k[2] as i32, k[1] as i32, k[0] as i32);
+            let wk = _mm_add_epi32(w[0], k);
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+            // the next four schedule words (the last four steps compute
+            // words no round uses, so every step is the same code)
+            let next = _mm_sha256msg2_epu32(
+                _mm_add_epi32(
+                    _mm_sha256msg1_epu32(w[0], w[1]),
+                    _mm_alignr_epi8::<4>(w[3], w[2]),
+                ),
+                w[3],
+            );
+            w = [w[1], w[2], w[3], next];
+        }
+        let abef = _mm_add_epi32(abef, abef_in);
+        let cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        *state = [
+            _mm_extract_epi32::<3>(abef),
+            _mm_extract_epi32::<2>(abef),
+            _mm_extract_epi32::<3>(cdgh),
+            _mm_extract_epi32::<2>(cdgh),
+            _mm_extract_epi32::<1>(abef),
+            _mm_extract_epi32::<0>(abef),
+            _mm_extract_epi32::<1>(cdgh),
+            _mm_extract_epi32::<0>(cdgh),
+        ]
+        .map(|x| x as u32);
     }
 }
 
@@ -263,49 +360,51 @@ mod tests {
         }
     }
 
-    /// The implementation this module shipped before the rolling
-    /// schedule and one-step padding: full 64-word schedule, one padding
-    /// byte at a time. Kept as the reference the kernels are checked
-    /// against.
-    fn reference_sha256(data: &[u8]) -> Digest {
-        fn compress(state: &mut [u32; 8], block: &[u8]) {
-            let mut w = [0u32; 64];
-            for i in 0..16 {
-                w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
-            }
-            for i in 16..64 {
-                let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-                let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-                w[i] = w[i - 16]
-                    .wrapping_add(s0)
-                    .wrapping_add(w[i - 7])
-                    .wrapping_add(s1);
-            }
-            let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-            for i in 0..64 {
-                let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-                let ch = (e & f) ^ (!e & g);
-                let t1 = h
-                    .wrapping_add(s1)
-                    .wrapping_add(ch)
-                    .wrapping_add(K[i])
-                    .wrapping_add(w[i]);
-                let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-                let maj = (a & b) ^ (a & c) ^ (b & c);
-                let t2 = s0.wrapping_add(maj);
-                h = g;
-                g = f;
-                f = e;
-                e = d.wrapping_add(t1);
-                d = c;
-                c = b;
-                b = a;
-                a = t1.wrapping_add(t2);
-            }
-            for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-                *s = s.wrapping_add(v);
-            }
+    /// The compression function this module shipped before the rolling
+    /// schedule: full 64-word schedule, FIPS 180-4's textbook rotation.
+    fn reference_compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        let mut w = [0u32; 64];
+        for i in 0..16 {
+            w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
         }
+        for i in 16..64 {
+            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16]
+                .wrapping_add(s0)
+                .wrapping_add(w[i - 7])
+                .wrapping_add(s1);
+        }
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+        for i in 0..64 {
+            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+            let ch = (e & f) ^ (!e & g);
+            let t1 = h
+                .wrapping_add(s1)
+                .wrapping_add(ch)
+                .wrapping_add(K[i])
+                .wrapping_add(w[i]);
+            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+            let maj = (a & b) ^ (a & c) ^ (b & c);
+            let t2 = s0.wrapping_add(maj);
+            h = g;
+            g = f;
+            f = e;
+            e = d.wrapping_add(t1);
+            d = c;
+            c = b;
+            b = a;
+            a = t1.wrapping_add(t2);
+        }
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+
+    /// SHA-256 with the padding this module shipped before one-step
+    /// padding (one padding byte at a time, the whole message at once),
+    /// over the compression function `kernel`.
+    fn padded_digest(data: &[u8], kernel: fn(&mut [u32; 8], &[u8; 64])) -> Digest {
         let mut padded = data.to_vec();
         padded.push(0x80);
         while padded.len() % 64 != 56 {
@@ -314,7 +413,7 @@ mod tests {
         padded.extend_from_slice(&(data.len() as u64).wrapping_mul(8).to_be_bytes());
         let mut state = H0;
         for block in padded.chunks_exact(64) {
-            compress(&mut state, block);
+            kernel(&mut state, block.try_into().unwrap());
         }
         let mut out = [0u8; 32];
         for (i, w) in state.iter().enumerate() {
@@ -323,14 +422,38 @@ mod tests {
         Digest(out)
     }
 
+    /// The implementation this module shipped before the rolling
+    /// schedule and one-step padding. Kept as the reference the kernels
+    /// are checked against.
+    fn reference_sha256(data: &[u8]) -> Digest {
+        padded_digest(data, reference_compress)
+    }
+
+    /// Whether `compress` runs the SHA-NI kernel on this CPU.
+    #[cfg(target_arch = "x86_64")]
+    fn has_sha_ni() -> bool {
+        sha_ni::compress(&mut [0; 8], &[0; 64])
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn has_sha_ni() -> bool {
+        false
+    }
+
     #[test]
     fn every_length_matches_reference() {
+        // `sha256` runs the SHA-NI kernel where the CPU has one, so this
+        // checks it against the scalar path on every length and split
+        if !has_sha_ni() {
+            eprintln!("this CPU has no SHA extensions: checking the scalar path only");
+        }
         // a byte pattern with no period near 64, so a misplaced block
         // cannot go unnoticed
-        let data: Vec<u8> = (0..200u32).map(|i| (i * 167 + 13) as u8).collect();
-        for len in 0..=200usize {
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 167 + 13) as u8).collect();
+        for len in 0..=300usize {
             let msg = &data[..len];
-            let expected = reference_sha256(msg);
+            let expected = padded_digest(msg, compress_scalar);
+            assert_eq!(reference_sha256(msg), expected, "scalar, length {len}");
             assert_eq!(sha256(msg), expected, "one-shot, length {len}");
             let mut bytewise = Sha256::new();
             for b in msg {
@@ -344,6 +467,33 @@ mod tests {
             for split in 0..=len {
                 let h = Sha256::new().chain(&msg[..split]).chain(&msg[split..]);
                 assert_eq!(h.finalize(), expected, "length {len} split at {split}");
+            }
+        }
+    }
+
+    #[test]
+    fn sha_ni_matches_scalar_on_random_blocks() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let ni = has_sha_ni();
+        if !ni {
+            eprintln!("this CPU has no SHA extensions: checking the scalar path only");
+        }
+        let mut rng = StdRng::seed_from_u64(0x5348_414e);
+        for i in 0..10_000 {
+            let start: [u32; 8] = std::array::from_fn(|_| rng.gen());
+            let mut block = [0u8; 64];
+            rng.fill(&mut block);
+            let mut scalar = start;
+            compress_scalar(&mut scalar, &block);
+            let mut reference = start;
+            reference_compress(&mut reference, &block);
+            assert_eq!(scalar, reference, "scalar, block {i}");
+            #[cfg(target_arch = "x86_64")]
+            if ni {
+                let mut kernel = start;
+                assert!(sha_ni::compress(&mut kernel, &block));
+                assert_eq!(kernel, scalar, "SHA-NI, block {i}");
             }
         }
     }

@@ -81,7 +81,7 @@ pub(crate) fn check_crate(files: &[FileCtx<'_>]) -> Vec<(usize, Candidate)> {
             for i in start..end {
                 let t = &ctx.toks[i];
                 if !t.ident
-                    || !ctx.toks.get(i + 1).is_some_and(|n| n.text == "(")
+                    || ctx.toks.get(i + 1).is_none_or(|n| n.text != "(")
                     || (i > 0 && ctx.toks[i - 1].text == "fn")
                 {
                     continue;

@@ -140,7 +140,8 @@ fn detonate_and_recover(mut world: World<Bomb, ConstantLatency>) -> String {
     });
     // Unpoisoned: every shard is back in the world (the pool returns a
     // shard to its slot even when its batch panics), so stepping
-    // continues — the dead bomb node is simply gone from its slab.
+    // continues. The panicking node stays hosted where its handler left
+    // it; what is checked below is that the panic cost no other node.
     let resumed = panic::catch_unwind(AssertUnwindSafe(|| {
         let extended = deadline + Duration::from_millis(100);
         let mut windows = 0usize;

@@ -359,7 +359,7 @@ mod tests {
         fn on_message(&mut self, ctx: &mut dyn Runtime<Num, u8, u32>, from: Addr, msg: Num) {
             self.seen.push((from, msg.0));
             ctx.emit(msg.0);
-            if msg.0 % 2 == 0 {
+            if msg.0.is_multiple_of(2) {
                 ctx.send(from, Num(msg.0 + 1));
             }
         }
