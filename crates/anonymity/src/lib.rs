@@ -19,12 +19,12 @@
 //! * [`timing`] — the end-to-end timing-analysis attack of §4.7
 //!   (Table 1).
 //!
-//! Modeling notes (see DESIGN.md): relay compromise is sampled i.i.d.
-//! with probability `f`; random-walk linkability of a relay to its
-//! initiator is approximated as `f²` (both hops of the pair observed);
-//! the dummy-filtering of Appendix III is evaluated by enumerating
-//! subsets of the (small) observed query set against the paper's two
-//! ordering rules. Absolute bit counts therefore differ from the paper's
+//! Modeling notes (see ARCHITECTURE.md, "Modelling substitutions"):
+//! relay compromise is sampled i.i.d. with probability `f`; random-walk
+//! linkability of a relay to its initiator is approximated as `f²` (both
+//! hops of the pair observed); the dummy-filtering of Appendix III is
+//! evaluated by enumerating subsets of the (small) observed query set
+//! against the paper's two ordering rules. Absolute bit counts therefore differ from the paper's
 //! (whose exact estimator is not fully specified), but the comparisons —
 //! who leaks more, and by roughly what factor — are preserved.
 

@@ -53,9 +53,9 @@ pub enum ExitAction {
 /// The byte-level layered encryption lives in `octopus_crypto::onion` and
 /// is exercised by the live examples; the simulator carries the
 /// structured equivalent under the observation discipline documented in
-/// DESIGN.md (adversarial code only reads fields a real relay could
-/// decrypt: its predecessor hop, its successor hop, and — at the exit —
-/// the action).
+/// ARCHITECTURE.md, "Modelling substitutions" (adversarial code only
+/// reads fields a real relay could decrypt: its predecessor hop, its
+/// successor hop, and — at the exit — the action).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OnionPacket {
     /// Flow id correlating the forward path with its reply path.
@@ -469,6 +469,16 @@ mod tests {
             revoked: vec![NodeId(1), NodeId(2), NodeId(3)],
         };
         assert_eq!(r3.wire_bytes() - r1.wire_bytes(), 2 * sizes::ROUTING_ITEM);
+    }
+
+    #[test]
+    fn a_message_fits_the_wheel_entry() {
+        // Every pending delivery is stored as one timing-wheel entry of
+        // 112 bytes: the 24-byte (time, key) and the world's 88-byte
+        // `Deliver { from, to, msg }`, whose tag fits inside `Msg`. A
+        // variant that grows `Msg` past 72 bytes grows every entry of
+        // every run by 16 bytes; box it instead.
+        assert!(std::mem::size_of::<Msg>() <= 72);
     }
 
     #[test]

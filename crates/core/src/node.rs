@@ -223,9 +223,9 @@ impl OctopusNode {
         }
     }
 
-    /// Seed the node's ring state (idealized join — see DESIGN.md: the
-    /// driver plays the role of the join protocol; stabilization then
-    /// maintains the state).
+    /// Seed the node's ring state (idealized join — see ARCHITECTURE.md,
+    /// "Modelling substitutions": the driver plays the role of the join
+    /// protocol; stabilization then maintains the state).
     pub fn seed_state(
         &mut self,
         successors: Vec<NodeId>,
@@ -647,7 +647,7 @@ impl OctopusNode {
     }
 
     /// Learn about a node directly adjacent on the ring (driver-assisted
-    /// join announcement; see DESIGN.md).
+    /// join announcement; see ARCHITECTURE.md, "Modelling substitutions").
     pub fn learn_neighbor(&mut self, joiner: NodeId) {
         if joiner == self.id || self.revoked.contains(&joiner) {
             return;
