@@ -13,6 +13,7 @@
 //! death, a recent join, or a verifiable signed proof.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use octopus_chord::{stabilize, SignedSuccessorList};
 use octopus_crypto::{CertificateAuthority, PublicKey, Signature, VerifiedMemo, Verifier};
@@ -294,10 +295,17 @@ impl CaNode {
             verdict: Verdict::Revoked(id),
             category,
         });
-        // broadcast the revocation so honest nodes purge the attacker
+        // broadcast the revocation so honest nodes purge the attacker;
+        // every recipient shares the one list
+        let revoked: Arc<[NodeId]> = Arc::from([id]);
         for &n in &self.broadcast_to {
             if n != id && self.live.contains(&n) {
-                ctx.send(n, Msg::Revocation { revoked: vec![id] });
+                ctx.send(
+                    n,
+                    Msg::Revocation {
+                        revoked: Arc::clone(&revoked),
+                    },
+                );
             }
         }
     }
@@ -620,7 +628,7 @@ impl CaNode {
         ctx: &mut CaCtx<'_>,
         from: NodeId,
         case_id: u64,
-        proofs: Vec<SignedSuccessorList>,
+        proofs: Vec<Arc<SignedSuccessorList>>,
     ) {
         let now = Self::now_secs(ctx);
         let Some(Case::ListOmission { accused, .. }) = self.cases.get(&case_id) else {
@@ -659,6 +667,7 @@ impl CaNode {
         let slack = self.cfg.stabilize_every.as_secs_f64() as u64 + 1;
         let relevant: Vec<&SignedSuccessorList> = proofs
             .iter()
+            .map(|p| &**p)
             .filter(|p| {
                 p.owner() != accused
                     && p.timestamp <= accused_list.timestamp + slack

@@ -17,12 +17,15 @@
 //! are rejected with [`DecodeError::TooDeep`] instead of blowing the
 //! stack.
 
+use std::borrow::Borrow;
+use std::sync::Arc;
+
 use octopus_chord::{RoutingTable, SignedRoutingTable};
 use octopus_crypto::{Certificate, PublicKey, Signature};
 use octopus_id::NodeId;
 use octopus_net::{DecodeError, PayloadReader, WireCodec};
 
-use crate::messages::{ExitAction, Hop, Msg, OnionPacket, ReceiptToken, Report};
+use crate::messages::{Delegation, ExitAction, Hop, Msg, OnionPacket, ReceiptToken, Report};
 
 /// Deepest allowed [`Msg::OnionReply`] nesting. Honest traffic nests
 /// exactly once (a `Table` or `WalkResult` inside the reply onion);
@@ -119,10 +122,12 @@ fn get_signed_table(r: &mut PayloadReader<'_>) -> Result<SignedRoutingTable, Dec
     })
 }
 
-fn put_signed_tables(out: &mut Vec<u8>, ts: &[SignedRoutingTable]) {
+/// Tables held by value (`WalkResult`) or shared (`CaProofReply`)
+/// encode alike.
+fn put_signed_tables<T: Borrow<SignedRoutingTable>>(out: &mut Vec<u8>, ts: &[T]) {
     out.extend_from_slice(&(ts.len() as u32).to_be_bytes());
     for t in ts {
-        put_signed_table(out, t);
+        put_signed_table(out, t.borrow());
     }
 }
 
@@ -155,15 +160,11 @@ fn put_action(out: &mut Vec<u8>, a: &ExitAction) {
             out.push(0);
             put_id(out, *target);
         }
-        ExitAction::Delegate {
-            seed,
-            length,
-            fingers,
-        } => {
+        ExitAction::Delegate(d) => {
             out.push(1);
-            out.extend_from_slice(&seed.to_be_bytes());
-            out.extend_from_slice(&(*length as u64).to_be_bytes());
-            put_ids(out, fingers);
+            out.extend_from_slice(&d.seed.to_be_bytes());
+            out.extend_from_slice(&(d.length as u64).to_be_bytes());
+            put_ids(out, &d.fingers);
         }
     }
 }
@@ -178,11 +179,11 @@ fn get_action(r: &mut PayloadReader<'_>) -> Result<ExitAction, DecodeError> {
             if length > octopus_net::wire::MAX_PAYLOAD as u64 / 8 {
                 return Err(DecodeError::BadLength);
             }
-            Ok(ExitAction::Delegate {
+            Ok(ExitAction::Delegate(Box::new(Delegation {
                 seed,
                 length: length as usize,
                 fingers: get_ids(r)?,
-            })
+            })))
         }
         t => Err(DecodeError::BadTag(t)),
     }
@@ -447,7 +448,7 @@ fn decode_msg(r: &mut PayloadReader<'_>, depth: usize) -> Result<Msg, DecodeErro
         12 => Ok(Msg::CaProofReply {
             case: r.u64()?,
             own_list: Box::new(get_signed_table(r)?),
-            proofs: get_signed_tables(r)?,
+            proofs: get_signed_tables(r)?.into_iter().map(Arc::new).collect(),
         }),
         13 => Ok(Msg::CaReceiptRequest {
             case: r.u64()?,
@@ -473,7 +474,7 @@ fn decode_msg(r: &mut PayloadReader<'_>, depth: usize) -> Result<Msg, DecodeErro
             },
         }),
         17 => Ok(Msg::Revocation {
-            revoked: get_ids(r)?,
+            revoked: get_ids(r)?.into(),
         }),
         t => Err(DecodeError::BadTag(t)),
     }

@@ -47,6 +47,7 @@ pub mod spec_adapter;
 pub mod surveillance;
 pub mod trace;
 pub mod trial;
+mod vec_map;
 pub mod walk;
 
 pub use adversary::{AdversaryHandle, AdversaryState, AttackKind, ShardedAdversary};

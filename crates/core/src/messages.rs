@@ -9,6 +9,8 @@
 //! `octopus_net::sizes`, so the bandwidth rows of Table 3 are computed on
 //! the paper's terms.
 
+use std::sync::Arc;
+
 use octopus_chord::{SignedPredecessorList, SignedRoutingTable, SignedSuccessorList};
 use octopus_crypto::{Certificate, Signature};
 use octopus_id::NodeId;
@@ -35,17 +37,24 @@ pub enum ExitAction {
         /// The queried node Eᵢ.
         target: NodeId,
     },
-    /// The exit *is* Uₗ of a random walk: perform phase 2 guided by
-    /// `seed` over `fingers` (the fingertable Uₗ signed in phase 1) and
-    /// return the collected signed tables (Appendix I).
-    Delegate {
-        /// Seed de-randomizing Uₗ's choices.
-        seed: u64,
-        /// Hops to take.
-        length: usize,
-        /// The fingertable snapshot the seed indexes into.
-        fingers: Vec<NodeId>,
-    },
+    /// The exit *is* Uₗ of a random walk: perform phase 2 (Appendix I).
+    /// Boxed because it is rare (one per walk) and, inline, would make
+    /// every [`Msg`] — and every pending delivery in the simulator's
+    /// timing wheel — 16 bytes larger.
+    Delegate(Box<Delegation>),
+}
+
+/// A random walk's phase 2, handed to Uₗ: walk guided by `seed` over
+/// `fingers` (the fingertable Uₗ signed in phase 1) and return the
+/// collected signed tables.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Delegation {
+    /// Seed de-randomizing Uₗ's choices.
+    pub seed: u64,
+    /// Hops to take.
+    pub length: usize,
+    /// The fingertable snapshot the seed indexes into.
+    pub fingers: Vec<NodeId>,
 }
 
 /// A structured onion packet.
@@ -73,8 +82,8 @@ impl OnionPacket {
     pub fn wire_bytes(&self) -> u32 {
         let mut b = match &self.action {
             ExitAction::QueryTable { .. } => sizes::REQUEST,
-            ExitAction::Delegate { fingers, .. } => {
-                sizes::REQUEST + 8 + fingers.len() as u32 * sizes::ROUTING_ITEM
+            ExitAction::Delegate(d) => {
+                sizes::REQUEST + 8 + d.fingers.len() as u32 * sizes::ROUTING_ITEM
             }
         };
         for _ in 0..=self.route.len() {
@@ -260,8 +269,8 @@ pub enum Msg {
         /// The node's own current signed successor list.
         own_list: Box<SignedSuccessorList>,
         /// Queue of the latest signed successor lists received during
-        /// stabilization.
-        proofs: Vec<SignedSuccessorList>,
+        /// stabilization, shared with the node's own queue.
+        proofs: Vec<Arc<SignedSuccessorList>>,
     },
     /// CA asks a relay for its forwarding receipt on a flow.
     CaReceiptRequest {
@@ -298,8 +307,9 @@ pub enum Msg {
     },
     /// CA → everyone: certificate revocations (malicious nodes ejected).
     Revocation {
-        /// Newly revoked node ids.
-        revoked: Vec<NodeId>,
+        /// Newly revoked node ids; one allocation shared by every
+        /// recipient of a broadcast.
+        revoked: Arc<[NodeId]>,
     },
 }
 
@@ -451,11 +461,11 @@ mod tests {
         let d = OnionPacket {
             flow: 1,
             route: vec![],
-            action: ExitAction::Delegate {
+            action: ExitAction::Delegate(Box::new(Delegation {
                 seed: 7,
                 length: 3,
                 fingers: vec![NodeId(1); 12],
-            },
+            })),
         };
         assert!(d.wire_bytes() > q.wire_bytes());
     }
@@ -463,10 +473,10 @@ mod tests {
     #[test]
     fn revocation_scales_with_count() {
         let r1 = Msg::Revocation {
-            revoked: vec![NodeId(1)],
+            revoked: Arc::from([NodeId(1)]),
         };
         let r3 = Msg::Revocation {
-            revoked: vec![NodeId(1), NodeId(2), NodeId(3)],
+            revoked: Arc::from([NodeId(1), NodeId(2), NodeId(3)]),
         };
         assert_eq!(r3.wire_bytes() - r1.wire_bytes(), 2 * sizes::ROUTING_ITEM);
     }
@@ -474,11 +484,15 @@ mod tests {
     #[test]
     fn a_message_fits_the_wheel_entry() {
         // Every pending delivery is stored as one timing-wheel entry of
-        // 112 bytes: the 24-byte (time, key) and the world's 88-byte
+        // 96 bytes: the 24-byte (time, key) and the world's 72-byte
         // `Deliver { from, to, msg }`, whose tag fits inside `Msg`. A
-        // variant that grows `Msg` past 72 bytes grows every entry of
-        // every run by 16 bytes; box it instead.
-        assert!(std::mem::size_of::<Msg>() <= 72);
+        // variant that grows `Msg` past 56 bytes grows every entry of
+        // every run by 16 bytes; box it instead. That is why
+        // `ExitAction::Delegate` (one per walk) is boxed; `Onion` (several
+        // per lookup) stays inline, where a box would cost an allocation
+        // per hop.
+        assert!(std::mem::size_of::<OnionPacket>() <= 48);
+        assert!(std::mem::size_of::<Msg>() <= 56);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! property §4.3 relies on.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use octopus_chord::signed::successor_list_table;
 use octopus_chord::{
@@ -31,6 +32,7 @@ use crate::mutation::{self, Mutation};
 use crate::simnet::Control;
 use crate::surveillance::FingerCheck;
 use crate::trace::TraceEvent;
+use crate::vec_map::VecMap;
 use crate::walk::{DelegatedWalk, WalkState};
 
 /// Handler context alias used throughout the node implementation.
@@ -146,30 +148,35 @@ pub struct OctopusNode {
     pub(crate) fingers: Vec<NodeId>,
 
     // ---- proofs and buffers ----
-    pub(crate) proof_queue: VecDeque<SignedSuccessorList>,
+    // Signed lists are shared, not copied: the proof queue, the finger
+    // provenance and the proofs shown to the CA hold the same allocation.
+    pub(crate) proof_queue: VecDeque<Arc<SignedSuccessorList>>,
     pub(crate) table_buffer: VecDeque<SignedRoutingTable>,
     pub(crate) relay_pool: VecDeque<(NodeId, NodeId)>,
 
-    // ---- request tracking ----
+    // ---- request tracking: a few entries each, empty most of the
+    // time, so key-sorted `Vec`s rather than B-trees ----
     pub(crate) next_req: u64,
-    pub(crate) direct_pending: BTreeMap<u64, DirectPurpose>,
-    pub(crate) anon_pending: BTreeMap<u64, (AnonPurpose, Vec<NodeId>)>,
-    pub(crate) lookups: BTreeMap<u64, LookupState>,
-    pub(crate) walks: BTreeMap<u64, WalkState>,
-    pub(crate) delegated: BTreeMap<u64, DelegatedWalk>,
-    pub(crate) finger_lookups: BTreeMap<u64, FingerLookup>,
-    pub(crate) checks: BTreeMap<u64, FingerCheck>,
+    pub(crate) direct_pending: VecMap<u64, DirectPurpose>,
+    pub(crate) anon_pending: VecMap<u64, (AnonPurpose, Vec<NodeId>)>,
+    pub(crate) lookups: VecMap<u64, LookupState>,
+    pub(crate) walks: VecMap<u64, WalkState>,
+    pub(crate) delegated: VecMap<u64, DelegatedWalk>,
+    pub(crate) finger_lookups: VecMap<u64, FingerLookup>,
+    pub(crate) checks: VecMap<u64, FingerCheck>,
 
-    // ---- relaying ----
+    // ---- relaying (nothing expires a `relay_flows` or `receipts` entry
+    // whose reply never comes, so those two grow with uptime and stay
+    // B-trees, where an insert is not linear) ----
     pub(crate) relay_flows: BTreeMap<u64, RelayFlow>,
-    pub(crate) exit_flows: BTreeMap<u64, u64>, // exit req -> flow
+    pub(crate) exit_flows: VecMap<u64, u64>, // exit req -> flow
     pub(crate) receipts: BTreeMap<u64, ReceiptToken>, // flow -> receipt held
-    pub(crate) awaiting_receipt: BTreeMap<u64, NodeId>, // flow -> next hop
+    pub(crate) awaiting_receipt: VecMap<u64, NodeId>, // flow -> next hop
 
     // ---- finger adoption provenance (per slot): the third-party
     // signed list that justified the finger, shown to the CA when the
-    // finger is challenged ----
-    pub(crate) finger_prov: BTreeMap<u32, SignedSuccessorList>,
+    // finger is challenged; one entry per configured finger ----
+    pub(crate) finger_prov: Vec<Option<Arc<SignedSuccessorList>>>,
 
     // ---- misc ----
     pub(crate) revoked: BTreeSet<NodeId>,
@@ -205,18 +212,18 @@ impl OctopusNode {
             table_buffer: VecDeque::new(),
             relay_pool: VecDeque::new(),
             next_req: 1,
-            direct_pending: BTreeMap::new(),
-            anon_pending: BTreeMap::new(),
-            lookups: BTreeMap::new(),
-            walks: BTreeMap::new(),
-            delegated: BTreeMap::new(),
-            finger_lookups: BTreeMap::new(),
-            checks: BTreeMap::new(),
+            direct_pending: VecMap::new(),
+            anon_pending: VecMap::new(),
+            lookups: VecMap::new(),
+            walks: VecMap::new(),
+            delegated: VecMap::new(),
+            finger_lookups: VecMap::new(),
+            checks: VecMap::new(),
             relay_flows: BTreeMap::new(),
-            exit_flows: BTreeMap::new(),
+            exit_flows: VecMap::new(),
             receipts: BTreeMap::new(),
-            awaiting_receipt: BTreeMap::new(),
-            finger_prov: BTreeMap::new(),
+            awaiting_receipt: VecMap::new(),
+            finger_prov: vec![None; cfg.chord.fingers as usize],
             revoked: BTreeSet::new(),
             adversary,
             lookups_done: 0,
@@ -318,8 +325,12 @@ impl OctopusNode {
     /// Driver-side: record the provenance justifying finger `slot`
     /// (the idealized join protocol runs checked lookups, so seeded
     /// fingers come with the same evidence real adoptions produce).
-    pub fn set_finger_provenance(&mut self, slot: u32, prov: SignedSuccessorList) {
-        self.finger_prov.insert(slot, prov);
+    /// A slot past the configured finger count is ignored: no challenge
+    /// can name it.
+    pub fn set_finger_provenance(&mut self, slot: u32, prov: impl Into<Arc<SignedSuccessorList>>) {
+        if let Some(entry) = self.finger_prov.get_mut(slot as usize) {
+            *entry = Some(prov.into());
+        }
     }
 
     /// Driver-side repair: replace the successor list (used by the
@@ -599,17 +610,17 @@ impl OctopusNode {
         if list.owner() != peer {
             return; // mis-signed response
         }
-        // keep the signed list as a proof (§4.3's proof queue)
-        if self.proof_queue.len() >= self.cfg.proof_queue {
-            self.proof_queue.pop_front();
-        }
-        self.proof_queue.push_back(list.clone());
         let merged = stabilize::merge_successor_list(
             self.id,
             peer,
             &list.table.successors,
             self.cfg.chord.successors,
         );
+        // keep the signed list as a proof (§4.3's proof queue)
+        if self.proof_queue.len() >= self.cfg.proof_queue {
+            self.proof_queue.pop_front();
+        }
+        self.proof_queue.push_back(Arc::new(list));
         let merged: Vec<NodeId> = merged
             .into_iter()
             .filter(|n| !self.revoked.contains(n))
@@ -730,7 +741,7 @@ impl OctopusNode {
                 }
             }
         }
-        self.finger_prov.get(&slot).cloned()
+        self.finger_prov[slot as usize].as_deref().cloned()
     }
 }
 
@@ -952,7 +963,7 @@ impl NodeBehavior for OctopusNode {
                 self.on_revocation(&revoked);
                 self.trace(ctx, || TraceEvent::RevocationSeen {
                     node: self.id,
-                    revoked: revoked.clone(),
+                    revoked: revoked.to_vec(),
                     tracked: revoked.iter().all(|r| self.revoked.contains(r)),
                 });
             }
@@ -1038,12 +1049,8 @@ impl OctopusNode {
                     self.exit_flows.insert(req, flow);
                     ctx.send(target, Msg::GetTable { req });
                 }
-                ExitAction::Delegate {
-                    seed,
-                    length,
-                    fingers,
-                } => {
-                    self.on_walk_delegate(ctx, flow, seed, length, fingers);
+                ExitAction::Delegate(delegation) => {
+                    self.on_walk_delegate(ctx, flow, *delegation);
                 }
             }
         } else {
@@ -1160,6 +1167,74 @@ mod tests {
             ca.public_key(),
             None,
         )
+    }
+
+    /// Run `f` on `n` under a throw-away context at time zero, and
+    /// return the messages it sent.
+    fn run(
+        n: &mut OctopusNode,
+        f: impl FnOnce(&mut OctopusNode, &mut NodeCtx<'_>),
+    ) -> Vec<(Addr, Msg)> {
+        let mut rng = StdRng::seed_from_u64(1);
+        let (mut outbox, mut timers, mut controls) = (Vec::new(), Vec::new(), Vec::new());
+        let mut ctx: octopus_net::Ctx<'_, Msg, Timer, Control> = octopus_net::Ctx::from_parts(
+            octopus_sim::SimTime::ZERO,
+            n.id,
+            &mut rng,
+            &mut outbox,
+            &mut timers,
+            &mut controls,
+        );
+        f(n, &mut ctx);
+        outbox.into_iter().map(|(to, msg, _)| (to, msg)).collect()
+    }
+
+    #[test]
+    fn a_finger_adopted_from_the_proof_queue_shares_its_allocation() {
+        let mut n = test_node(100);
+        n.seed_state(vec![NodeId(99)], vec![], vec![], vec![]);
+        let peer = test_node(99);
+        let list = peer.sign_table(successor_list_table(NodeId(99), vec![]), 0);
+        n.on_succ_list(NodeId(99), list);
+        // the one successor sits just behind us, so its span covers every
+        // finger target: each slot is adopted on the newest proof
+        run(&mut n, |n, ctx| n.start_finger_update(ctx));
+        let proof = n.proof_queue.back().expect("the list was queued");
+        assert_eq!(n.finger_prov.len(), n.cfg.chord.fingers as usize);
+        for (slot, prov) in n.finger_prov.iter().enumerate() {
+            assert_eq!(n.fingers[slot], NodeId(99), "slot {slot} adopted");
+            let prov = prov.as_ref().expect("adopted with provenance");
+            assert!(Arc::ptr_eq(prov, proof), "slot {slot} holds a copy");
+        }
+    }
+
+    #[test]
+    fn a_ca_proof_reply_shows_the_queues_own_lists() {
+        let mut n = test_node(100);
+        let other = test_node(200);
+        for i in 0..3 {
+            let list =
+                other.sign_table(successor_list_table(NodeId(200), vec![NodeId(300 + i)]), i);
+            n.on_succ_list(NodeId(200), list);
+        }
+        let ca = n.ca_addr;
+        let sent = run(&mut n, |n, ctx| {
+            n.on_message(ctx, ca, Msg::CaProofRequest { case: 7 });
+        });
+        let [(
+            to,
+            Msg::CaProofReply {
+                case: 7, proofs, ..
+            },
+        )] = sent.as_slice()
+        else {
+            panic!("expected one proof reply, sent {sent:?}");
+        };
+        assert_eq!(*to, ca);
+        assert_eq!(proofs.len(), n.proof_queue.len());
+        for (shown, held) in proofs.iter().zip(&n.proof_queue) {
+            assert!(Arc::ptr_eq(shown, held), "the reply holds a copy");
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! workload (Fig. 7(b)).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use octopus_chord::{ChordConfig, SignedSuccessorList};
 use octopus_crypto::{CertificateAuthority, KeyPair};
@@ -991,17 +992,17 @@ impl SecuritySim {
 /// produced — the successor list of the finger target's predecessor.
 ///
 /// `signed` holds the lists already signed at `now` over this `space`,
-/// by signer; a signer's list is signed once and cloned after that. The
-/// signature is deterministic, so the clone is the bytes a second
-/// signing would give. The caller starts a fresh map whenever `space`
-/// or `now` changes.
+/// by signer; a signer's list is signed once and shared after that, by
+/// every node that cites it. The signature is deterministic, so the
+/// shared list is the bytes a second signing would give. The caller
+/// starts a fresh map whenever `space` or `now` changes.
 fn seed_provenance(
     node: &mut OctopusNode,
     space: &ShardedIdSpace,
     chord: ChordConfig,
     keys: &BTreeMap<NodeId, (KeyPair, octopus_crypto::Certificate)>,
     now: u64,
-    signed: &mut BTreeMap<NodeId, SignedSuccessorList>,
+    signed: &mut BTreeMap<NodeId, Arc<SignedSuccessorList>>,
 ) {
     use octopus_chord::signed::successor_list_table;
     for i in 0..chord.fingers {
@@ -1019,9 +1020,14 @@ fn seed_provenance(
         };
         let list = signed.entry(signer).or_insert_with(|| {
             let list = space.successor_list(signer, chord.successors);
-            SignedSuccessorList::sign(successor_list_table(signer, list), now, kp, *cert)
+            Arc::new(SignedSuccessorList::sign(
+                successor_list_table(signer, list),
+                now,
+                kp,
+                *cert,
+            ))
         });
-        node.set_finger_provenance(i, list.clone());
+        node.set_finger_provenance(i, Arc::clone(list));
     }
 }
 
@@ -1059,14 +1065,16 @@ mod tests {
     fn genesis_lists_signed_once_equal_lists_signed_per_call() {
         // `new` seeds the §5.1 ring with one map shared by every genesis
         // node; seeding again with a fresh map per call signs every list
-        // anew, and must give the same provenance field for field
+        // anew, and must give the same provenance field for field. The
+        // shared lists are shared in memory too: one allocation per
+        // signer, however many slots cite it.
         let sim = SecuritySim::new(SimConfig {
             seed: 31,
             ..SimConfig::default()
         });
         let chord = sim.cfg.octopus.chord;
         let ca_key = sim.with_ca_ref(CaNode::public_key);
-        let (mut cited, mut signers) = (0, BTreeSet::new());
+        let (mut cited, mut signers, mut allocations) = (0, BTreeSet::new(), BTreeSet::new());
         for id in sim.space.iter() {
             let (kp, cert) = sim.keys.get(&id).expect("key exists").clone();
             let mut fresh = OctopusNode::new(id, sim.cfg.octopus, kp, cert, CA_ADDR, ca_key, None);
@@ -1082,11 +1090,19 @@ mod tests {
                 .with_peer(id, |p| p.finger_prov.clone())
                 .expect("genesis node is live");
             assert_eq!(shared, fresh.finger_prov, "provenance of {id:?}");
-            cited += shared.len();
-            signers.extend(shared.values().map(|list| list.table.owner));
+            for list in shared.iter().flatten() {
+                cited += 1;
+                signers.insert(list.table.owner);
+                allocations.insert(Arc::as_ptr(list));
+            }
         }
         // twelve fingers on each of 1000 nodes cite fewer than 1000 lists
         assert_eq!(cited, 12_000);
         assert!(signers.len() < 1_000, "{} signers", signers.len());
+        assert_eq!(
+            allocations.len(),
+            signers.len(),
+            "one allocation per signer"
+        );
     }
 }

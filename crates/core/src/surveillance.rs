@@ -14,6 +14,8 @@
 //! * **Checked finger updates** (§4.5): the same two-step check is run on
 //!   the result of every finger-update lookup before it is adopted.
 
+use std::sync::Arc;
+
 use octopus_chord::{NextHop, SignedRoutingTable};
 use octopus_id::{Key, NodeId};
 use octopus_sim::Duration;
@@ -262,7 +264,7 @@ impl OctopusNode {
                     // keep the check transcript: P′₁'s signed list is the
                     // adoption provenance shown to the CA if the finger
                     // is ever challenged
-                    self.finger_prov.insert(slot, p1_table);
+                    self.finger_prov[slot as usize] = Some(Arc::new(p1_table));
                 }
             }
         }
@@ -297,9 +299,9 @@ impl OctopusNode {
                 // double as adoption provenance. Without a proof in hand
                 // yet (fresh join), defer the adoption — an unjustifiable
                 // finger is a liability under challenge.
-                if let Some(proof) = self.proof_queue.back().cloned() {
+                if let Some(proof) = self.proof_queue.back() {
+                    self.finger_prov[index as usize] = Some(Arc::clone(proof));
                     self.adopt_finger(index, owner);
-                    self.finger_prov.insert(index, proof);
                 }
             }
             NextHop::Forward(next) => {

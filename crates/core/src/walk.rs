@@ -18,7 +18,7 @@ use octopus_sim::split_seed;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::messages::{ExitAction, Msg};
+use crate::messages::{Delegation, ExitAction, Msg};
 use crate::node::{AnonPurpose, DirectPurpose, NodeCtx, OctopusNode};
 use crate::simnet::Control;
 
@@ -194,11 +194,11 @@ impl OctopusNode {
         self.send_anon_action(
             ctx,
             &relays,
-            ExitAction::Delegate {
+            ExitAction::Delegate(Box::new(Delegation {
                 seed,
                 length,
                 fingers: ul_fingers,
-            },
+            })),
             AnonPurpose::WalkDelegate { walk },
         );
     }
@@ -208,15 +208,13 @@ impl OctopusNode {
         &mut self,
         ctx: &mut NodeCtx<'_>,
         flow: u64,
-        seed: u64,
-        length: usize,
-        fingers: Vec<NodeId>,
+        delegation: Delegation,
     ) {
         let dw = DelegatedWalk {
-            seed,
-            length,
+            seed: delegation.seed,
+            length: delegation.length,
             collected: Vec::new(),
-            current_fingers: fingers,
+            current_fingers: delegation.fingers,
         };
         self.delegated.insert(flow, dw);
         self.step_delegated(ctx, flow);

@@ -3,9 +3,11 @@
 //! flips, forged lengths, hostile nesting, pure noise) is rejected with
 //! an error — never a panic.
 
+use std::sync::Arc;
+
 use octopus_chord::{RoutingTable, SignedRoutingTable};
 use octopus_core::codec::MAX_ONION_DEPTH;
-use octopus_core::messages::{ExitAction, Hop, Msg, OnionPacket, ReceiptToken, Report};
+use octopus_core::messages::{Delegation, ExitAction, Hop, Msg, OnionPacket, ReceiptToken, Report};
 use octopus_crypto::{Certificate, CertificateAuthority, KeyPair, PublicKey, Signature};
 use octopus_id::NodeId;
 use octopus_net::wire::{FRAME_MAGIC, SCHEMA_VERSION};
@@ -114,11 +116,11 @@ fn all_variants(seed: u64) -> Vec<Msg> {
         Msg::Onion(OnionPacket {
             flow: rng.gen(),
             route: vec![],
-            action: ExitAction::Delegate {
+            action: ExitAction::Delegate(Box::new(Delegation {
                 seed: rng.gen(),
                 length: 3,
                 fingers: vec![NodeId(rng.gen()), NodeId(rng.gen())],
-            },
+            })),
         }),
         Msg::OnionReply {
             flow: rng.gen(),
@@ -175,7 +177,7 @@ fn all_variants(seed: u64) -> Vec<Msg> {
         Msg::CaProofReply {
             case: rng.gen(),
             own_list: Box::new(signed_table(rng)),
-            proofs: vec![signed_table(rng)],
+            proofs: vec![Arc::new(signed_table(rng))],
         },
         Msg::CaReceiptRequest {
             case: rng.gen(),
@@ -204,9 +206,9 @@ fn all_variants(seed: u64) -> Vec<Msg> {
             prov: None,
         },
         Msg::Revocation {
-            revoked: vec![NodeId(rng.gen()), NodeId(rng.gen())],
+            revoked: [NodeId(rng.gen()), NodeId(rng.gen())].into(),
         },
-        Msg::Revocation { revoked: vec![] },
+        Msg::Revocation { revoked: [].into() },
     ]
 }
 

@@ -370,7 +370,7 @@ impl Injector {
             CA_ADDR,
             victim,
             Msg::Revocation {
-                revoked: vec![attacker],
+                revoked: [attacker].into(),
             },
         );
         self.stats.spoofed_revocations += 1;

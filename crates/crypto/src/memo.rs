@@ -72,6 +72,11 @@ impl<K: Copy + Eq + Hash, V: PartialEq> VerifiedMemo<K, V> {
             return;
         }
         let slot = if self.ring.len() < self.capacity {
+            if self.ring.is_empty() && self.index.is_none() {
+                // a scanned ring is small and fills up: size it once,
+                // where doubling would overshoot (28 entries → room for 32)
+                self.ring.reserve_exact(self.capacity);
+            }
             self.ring.push((key, value));
             self.ring.len() - 1
         } else {

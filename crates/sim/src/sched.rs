@@ -254,12 +254,20 @@ impl<E> Level<E> {
 /// allocates. A coarse slot (level ≥ 1) frees its buffer when it
 /// cascades: the slot is next due a whole rotation later (≈ 33.5 s at
 /// level 1), and a kept buffer would pin the busiest load it ever saw.
-/// In the §5.1 simulator, whose entries are 112 bytes, kept buffers left
-/// level 1 with room for 221 184 entries at the end of an 80 s job that
-/// stored 21 875 there; given back, the room is 32 376. The price is
-/// regrowth: a coarse slot refills by doubling from four entries, which
-/// cost that job 145 allocations and 1 061 reallocations more, beside
-/// 1.9 million allocations.
+/// In the §5.1 simulator, whose entries were then 112 bytes, kept
+/// buffers left level 1 with room for 221 184 entries at the end of an
+/// 80 s job that stored 21 875 there; given back, the room is 32 376.
+/// The price is regrowth: a coarse slot refills by doubling from four
+/// entries, which cost that job 145 allocations and 1 061 reallocations
+/// more, beside 1.9 million allocations.
+///
+/// Entry size is the event's business, and every entry pays for the
+/// largest event. The simulator's entries are 96 bytes: the 24-byte
+/// `(time, seq)` and a 72-byte delivery whose `Msg` is at most 56
+/// bytes. That holds because `Msg` boxes its rare large payloads (a
+/// walk's phase-2 delegation, once per walk) and keeps its frequent
+/// ones inline (an onion, several per lookup, where a box would cost an
+/// allocation per hop).
 #[derive(Debug)]
 pub struct TimingWheel<E> {
     levels: Vec<Level<E>>,

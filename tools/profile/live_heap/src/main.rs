@@ -11,9 +11,14 @@
 //! `t_s live_mib peak_mib allocations reallocations`. What the allocator
 //! holds back (free lists, fragmentation) is not counted, so the peak
 //! here is below the process's peak RSS.
+//!
+//! After the last line comes a census of what is live at that moment:
+//! the ten block sizes holding the most bytes, as `size blocks mib`. A
+//! size that holds much memory names its type more often than not (a
+//! `BTreeMap` leaf, a `Vec` of wheel entries at some capacity).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering::Relaxed};
 
 use octopus_core::{SecuritySim, SimConfig};
 use octopus_sim::{Duration, SimTime};
@@ -30,30 +35,80 @@ fn grew(bytes: usize) {
     PEAK.fetch_max(live, Relaxed);
 }
 
+/// Live blocks per block size, in an open-addressed table the allocator
+/// fills without allocating: a slot holds a size (0 while free; no block
+/// has size 0) and its live block count. A size that finds every slot
+/// taken goes uncounted, which `census_report` says.
+const CENSUS_BITS: u32 = 14;
+const CENSUS_SLOTS: usize = 1 << CENSUS_BITS;
+static CENSUS_SIZE: [AtomicUsize; CENSUS_SLOTS] = [const { AtomicUsize::new(0) }; CENSUS_SLOTS];
+static CENSUS_LIVE: [AtomicIsize; CENSUS_SLOTS] = [const { AtomicIsize::new(0) }; CENSUS_SLOTS];
+static CENSUS_MISSED: AtomicUsize = AtomicUsize::new(0);
+
+fn census(size: usize, blocks: isize) {
+    let mut i = ((size as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - CENSUS_BITS)) as usize;
+    for _ in 0..CENSUS_SLOTS {
+        match CENSUS_SIZE[i].compare_exchange(0, size, Relaxed, Relaxed) {
+            Ok(_) => {}
+            Err(held) if held == size => {}
+            Err(_) => {
+                i = (i + 1) % CENSUS_SLOTS;
+                continue;
+            }
+        }
+        CENSUS_LIVE[i].fetch_add(blocks, Relaxed);
+        return;
+    }
+    CENSUS_MISSED.fetch_add(1, Relaxed);
+}
+
+fn census_report(top: usize) {
+    let mut sizes: Vec<(usize, isize)> = (0..CENSUS_SLOTS)
+        .map(|i| (CENSUS_SIZE[i].load(Relaxed), CENSUS_LIVE[i].load(Relaxed)))
+        .filter(|&(size, blocks)| size > 0 && blocks > 0)
+        .collect();
+    sizes.sort_by_key(|&(size, blocks)| std::cmp::Reverse(size as u128 * blocks as u128));
+    println!("# census: the {top} block sizes holding the most live bytes");
+    println!("# size blocks mib");
+    for (size, blocks) in sizes.into_iter().take(top) {
+        let mib = (size as u128 * blocks as u128) as f64 / (1 << 20) as f64;
+        println!("{size} {blocks} {mib:.2}");
+    }
+    let missed = CENSUS_MISSED.load(Relaxed);
+    if missed > 0 {
+        println!("# census: {missed} size changes found the table full and were not counted");
+    }
+}
+
 // SAFETY: every call is forwarded unchanged to `System`; the counters
 // are only read, never used to decide anything about memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Relaxed);
         grew(layout.size());
+        census(layout.size(), 1);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Relaxed);
         grew(layout.size());
+        census(layout.size(), 1);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE.fetch_sub(layout.size(), Relaxed);
+        census(layout.size(), -1);
         System.dealloc(ptr, layout);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         REALLOCATIONS.fetch_add(1, Relaxed);
         LIVE.fetch_sub(layout.size(), Relaxed);
+        census(layout.size(), -1);
         grew(new_size);
+        census(new_size, 1);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -95,6 +150,7 @@ fn main() {
         sim.advance_until(&mut acc, SimTime::from_secs(t));
         line(t);
     }
+    census_report(10);
     let report = sim.finish(acc);
     println!("# completed_lookups={}", report.completed_lookups);
 }
