@@ -2,7 +2,7 @@
 //! time at attack rates 100 % and 50 %, plus cumulative all/biased
 //! lookup counts.
 
-use octopus_bench::{print_fraction_series, run_merged_sweep, RunArgs};
+use octopus_bench::{print_fraction_series, RunArgs};
 use octopus_core::AttackKind;
 
 fn main() {
@@ -13,7 +13,8 @@ fn main() {
         .iter()
         .map(|&rate| args.security_config(AttackKind::LookupBias, rate, 31))
         .collect();
-    for (report, rate) in run_merged_sweep(&args, &points).iter().zip(rates) {
+    let reports = args.runner().run_sweep(&points, args.trials);
+    for (report, rate) in reports.iter().zip(rates) {
         print_fraction_series(
             &format!("attack rate = {:.0}%", rate * 100.0),
             &report.mean_series(&report.malicious_fraction),

@@ -8,18 +8,18 @@ use octopus_anonymity::{
     chord_entropies, initiator_entropy, nisan_entropies, target_entropy, torsk_entropies,
     AnonymityConfig, LookupPresim, PresimConfig,
 };
-use octopus_bench::Scale;
+use octopus_bench::RunArgs;
 use octopus_metrics::TextTable;
 
 fn main() {
-    let scale = Scale::from_env();
-    let n = scale.anon_n();
-    let trials = scale.anon_trials();
+    let args = RunArgs::from_env();
+    let n = args.scale.anon_n();
+    let trials = args.scale.anon_trials() * args.trials;
     println!("pre-simulating lookups on an N = {n} ring…");
     let presim = LookupPresim::run(PresimConfig {
         n,
         samples: 1500,
-        seed: 7,
+        seed: args.seed_or(7),
     });
     let ideal = (n as f64).log2();
     println!("ideal entropy: {ideal:.2} bits\n");
@@ -30,7 +30,7 @@ fn main() {
         alpha,
         dummies,
         trials,
-        seed: 42,
+        seed: args.seed_or(42),
     };
     let fs = [0.04, 0.08, 0.12, 0.16, 0.20];
 

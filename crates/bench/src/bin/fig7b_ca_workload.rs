@@ -3,7 +3,7 @@
 //! beginning (most attackers alive), ~2 msgs/s at the busiest, and
 //! hardly any new reports after 20 min.
 
-use octopus_bench::{run_merged_sweep, RunArgs};
+use octopus_bench::RunArgs;
 use octopus_core::AttackKind;
 
 fn main() {
@@ -18,7 +18,8 @@ fn main() {
         .iter()
         .map(|&(_, attack)| args.security_config(attack, 1.0, 37))
         .collect();
-    for (report, (name, _)) in run_merged_sweep(&args, &points).iter().zip(attacks) {
+    let reports = args.runner().run_sweep(&points, args.trials);
+    for (report, (name, _)) in reports.iter().zip(attacks) {
         let bins = report.mean_series(&report.ca_messages);
         println!("# {name}: time(s)  CA msgs in bin");
         for &(t, v) in bins.iter().step_by(2) {

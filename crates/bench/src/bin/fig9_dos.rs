@@ -1,7 +1,7 @@
 //! Fig. 9: selective-DoS attack — remaining malicious fraction over time
 //! at attack rates 100 % and 50 % (Appendix II defense).
 
-use octopus_bench::{print_fraction_series, run_merged_sweep, RunArgs};
+use octopus_bench::{print_fraction_series, RunArgs};
 use octopus_core::AttackKind;
 
 fn main() {
@@ -12,7 +12,8 @@ fn main() {
         .iter()
         .map(|&rate| args.security_config(AttackKind::SelectiveDos, rate, 39))
         .collect();
-    for (report, rate) in run_merged_sweep(&args, &points).iter().zip(rates) {
+    let reports = args.runner().run_sweep(&points, args.trials);
+    for (report, rate) in reports.iter().zip(rates) {
         print_fraction_series(
             &format!("attack rate = {:.0}%", rate * 100.0),
             &report.mean_series(&report.malicious_fraction),

@@ -3,7 +3,7 @@
 //! churn (λ = 60 min vs λ = 10 min), attack rate 100 %, consistent
 //! collusion 50 %.
 
-use octopus_bench::{run_merged_sweep, RunArgs};
+use octopus_bench::RunArgs;
 use octopus_core::simnet::ReportCat;
 use octopus_core::AttackKind;
 use octopus_metrics::TextTable;
@@ -54,7 +54,7 @@ fn main() {
             })
         })
         .collect();
-    let reports = run_merged_sweep(&args, &points);
+    let reports = args.runner().run_sweep(&points, args.trials);
     for (row, (name, _, cat)) in reports.chunks(LIFETIMES_MIN.len()).zip(attacks) {
         let mut cells = vec![name.to_string()];
         let mut fns = Vec::new();

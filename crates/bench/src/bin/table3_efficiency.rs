@@ -33,9 +33,7 @@ fn octopus_config(args: &RunArgs, lookup_interval: Duration, secs: u64) -> SimCo
         seed: args.seed_or(77),
         octopus,
         lookups_enabled: true,
-        shards: args.shards,
-        parallel: args.parallel,
-        pool_threads: args.pool_threads,
+        ..SimConfig::default()
     }
 }
 
@@ -70,12 +68,12 @@ fn main() {
     println!("running Octopus ({N} nodes, {secs}s, real protocol in the event sim)…");
     // the two lookup-interval runs (× trials) are independent: one
     // parallel batch, merged per interval
-    let octopus_reports = octopus_bench::run_merged_sweep(
-        &args,
+    let octopus_reports = args.runner().run_sweep(
         &[
             octopus_config(&args, Duration::from_secs(300), secs),
             octopus_config(&args, Duration::from_secs(600), secs),
         ],
+        args.trials,
     );
     let mut oct_lat = Summary::new();
     oct_lat.extend(

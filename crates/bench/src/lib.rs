@@ -16,9 +16,20 @@
 //! | `OCTOPUS_SEED` | `--seed` | master seed override | per-bin constant |
 //! | `OCTOPUS_THREADS` | `--threads` | trial-runner worker threads | available parallelism |
 //! | `OCTOPUS_TRIALS` | `--trials` | independent trials merged per data point | 1 |
-//! | `OCTOPUS_SHARDS` | `--shards` | world shards per simulation (results identical at any count) | 1 |
-//! | `OCTOPUS_PAR` | `--par` | parallel window execution across shards (results identical either way) | off |
-//! | `OCTOPUS_POOL_THREADS` | `--pool-threads` | worker-pool width for parallel windows, `0` = auto (results identical at any width) | `0` |
+//!
+//! `octopus-node` also reads `OCTOPUS_ADDR`/`--addr`,
+//! `OCTOPUS_PEERS`/`--peers` and `OCTOPUS_NODE_CONFIG`/`--node-config`.
+//! [`RunArgs::from_env`] is the only reader of the environment in the
+//! workspace.
+//!
+//! The bins run every simulation on one shard with sequential windows.
+//! Shard count and parallel windows never change a report, and on the
+//! §5 simulations they only slow it down: a window there holds too few
+//! events to pay for the barrier. `fig3_bias` at `--scale full` took
+//! 7.7 s sequentially and 43.9 s at 4 parallel shards on a 2-vCPU host.
+//! Both stay an engine API ([`SimConfig::shards`],
+//! [`SimConfig::parallel`]) for worlds with wide windows, measured by
+//! octobench's `net.world.par2_*` probes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,12 +47,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read the scale from the environment (`quick` default).
-    #[must_use]
-    pub fn from_env() -> Self {
-        RunArgs::from_env().scale
-    }
-
     /// Parse a scale name (`quick`/`full`).
     #[must_use]
     pub fn parse(s: &str) -> Option<Self> {
@@ -131,18 +136,6 @@ pub struct RunArgs {
     pub threads: usize,
     /// Independent trials merged per data point.
     pub trials: usize,
-    /// World shards per simulation. A pure speed/layout knob: results
-    /// are identical at any shard count.
-    pub shards: usize,
-    /// Parallel window execution: fan each shard's in-window event
-    /// batch across the persistent worker pool between lookahead
-    /// barriers. A pure speed knob too — sequential and parallel runs
-    /// are byte-identical.
-    pub parallel: bool,
-    /// Worker-pool width for parallel windows (`0` = auto: available
-    /// parallelism capped at the shard count). Byte-identical at every
-    /// width.
-    pub pool_threads: usize,
     /// This process's own endpoint for the UDP transport, as
     /// `id@host:port` (`octopus-node` only; simulations ignore it).
     pub addr: Option<String>,
@@ -164,9 +157,6 @@ impl Default for RunArgs {
             #[allow(clippy::disallowed_methods)]
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             trials: 1,
-            shards: 1,
-            parallel: false,
-            pool_threads: 0,
             addr: None,
             peers: None,
             node_config: None,
@@ -177,6 +167,9 @@ impl Default for RunArgs {
 impl RunArgs {
     /// Parse from the process environment and CLI arguments.
     #[must_use]
+    // The workspace's one reader of the environment: clippy.toml
+    // disallows `std::env::var` everywhere else.
+    #[allow(clippy::disallowed_methods)]
     pub fn from_env() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         Self::parse(&args, |k| std::env::var(k).ok())
@@ -205,21 +198,6 @@ impl RunArgs {
                     out.trials = t.max(1);
                 }
             }
-            "shards" => {
-                if let Ok(s) = value.parse::<usize>() {
-                    out.shards = s.max(1);
-                }
-            }
-            "par" => match value {
-                "1" | "true" | "yes" | "on" => out.parallel = true,
-                "0" | "false" | "no" | "off" => out.parallel = false,
-                _ => {}
-            },
-            "pool-threads" => {
-                if let Ok(t) = value.parse::<usize>() {
-                    out.pool_threads = t;
-                }
-            }
             "addr" => out.addr = Some(value.to_string()),
             "peers" => out.peers = Some(value.to_string()),
             "node-config" => out.node_config = Some(value.to_string()),
@@ -230,9 +208,6 @@ impl RunArgs {
             ("OCTOPUS_SEED", "seed"),
             ("OCTOPUS_THREADS", "threads"),
             ("OCTOPUS_TRIALS", "trials"),
-            ("OCTOPUS_SHARDS", "shards"),
-            ("OCTOPUS_PAR", "par"),
-            ("OCTOPUS_POOL_THREADS", "pool-threads"),
             ("OCTOPUS_ADDR", "addr"),
             ("OCTOPUS_PEERS", "peers"),
             ("OCTOPUS_NODE_CONFIG", "node-config"),
@@ -241,14 +216,11 @@ impl RunArgs {
                 apply(key, &v);
             }
         }
-        const KNOWN_FLAGS: [&str; 10] = [
+        const KNOWN_FLAGS: [&str; 7] = [
             "scale",
             "seed",
             "threads",
             "trials",
-            "shards",
-            "par",
-            "pool-threads",
             "addr",
             "peers",
             "node-config",
@@ -260,20 +232,6 @@ impl RunArgs {
             };
             match flag.split_once('=') {
                 Some((key, value)) => apply(key, value),
-                None if flag == "par" => {
-                    // `--par` is a switch: consume the next token only
-                    // when it is an explicit on/off word, so a bare
-                    // `--par <bench-filter>` turns parallel on without
-                    // swallowing the filter.
-                    const PAR_WORDS: [&str; 8] =
-                        ["1", "true", "yes", "on", "0", "false", "no", "off"];
-                    if it.peek().is_some_and(|v| PAR_WORDS.contains(&v.as_str())) {
-                        let value = it.next().expect("peeked value exists");
-                        apply("par", value);
-                    } else {
-                        apply("par", "1");
-                    }
-                }
                 None => {
                     // Only a known flag may consume the next token as
                     // its value, and never one that is itself a flag —
@@ -317,47 +275,9 @@ impl RunArgs {
             seed: self.seed_or(seed),
             octopus: OctopusConfig::for_network(self.scale.sim_n()),
             lookups_enabled: true,
-            shards: self.shards,
-            parallel: self.parallel,
-            pool_threads: self.pool_threads,
+            ..SimConfig::default()
         }
     }
-}
-
-/// A security-sim configuration matching §5.1 at the given scale (the
-/// pre-[`RunArgs`] entry point, kept for tests and external callers).
-#[must_use]
-pub fn security_config(scale: Scale, attack: AttackKind, attack_rate: f64, seed: u64) -> SimConfig {
-    RunArgs {
-        scale,
-        ..RunArgs::default()
-    }
-    .security_config(attack, attack_rate, seed)
-}
-
-/// Run every sweep point — expanded to `args.trials` independent seeded
-/// trials each — through one parallel [`TrialRunner`] batch, and return
-/// one merged [`SimReport`](octopus_core::SimReport) per point, in
-/// order. Points *and* trials share the thread pool, so a six-point
-/// sweep saturates the machine even at one trial per point.
-#[must_use]
-pub fn run_merged_sweep(args: &RunArgs, points: &[SimConfig]) -> Vec<octopus_core::SimReport> {
-    let configs: Vec<SimConfig> = points
-        .iter()
-        .flat_map(|p| octopus_core::trial_configs(p, args.trials))
-        .collect();
-    let mut reports = args.runner().run(&configs).into_iter();
-    points
-        .iter()
-        .map(|_| {
-            reports
-                .by_ref()
-                .take(args.trials)
-                .collect::<octopus_metrics::Accumulator<_>>()
-                .into_inner()
-                .expect("at least one trial per sweep point")
-        })
-        .collect()
 }
 
 /// Print a malicious-fraction-over-time series as the figures do.
@@ -387,7 +307,11 @@ mod tests {
 
     #[test]
     fn security_config_matches_paper_shape() {
-        let c = security_config(Scale::Full, AttackKind::LookupBias, 1.0, 1);
+        let full = RunArgs {
+            scale: Scale::Full,
+            ..RunArgs::default()
+        };
+        let c = full.security_config(AttackKind::LookupBias, 1.0, 1);
         assert_eq!(c.n, 1000);
         assert!((c.malicious_fraction - 0.2).abs() < 1e-12);
         assert_eq!(c.duration, Duration::from_secs(1000));
@@ -400,39 +324,7 @@ mod tests {
         assert_eq!(a.seed, None);
         assert_eq!(a.trials, 1);
         assert!(a.threads >= 1);
-        assert_eq!(a.shards, 1);
-        assert!(!a.parallel);
         assert_eq!(a.seed_or(31), 31);
-    }
-
-    #[test]
-    fn par_flag_forms() {
-        // bare flag, even as the last token or followed by another flag
-        let bare: Vec<String> = ["--par"].iter().map(ToString::to_string).collect();
-        assert!(RunArgs::parse(&bare, no_env).parallel);
-        let before_flag: Vec<String> = ["--par", "--scale", "full"]
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        let a = RunArgs::parse(&before_flag, no_env);
-        assert!(a.parallel);
-        assert_eq!(a.scale, Scale::Full);
-        // explicit values, both spellings
-        let off: Vec<String> = ["--par=0"].iter().map(ToString::to_string).collect();
-        let env_on = |k: &str| (k == "OCTOPUS_PAR").then(|| "1".to_string());
-        assert!(!RunArgs::parse(&off, env_on).parallel, "flag overrides env");
-        assert!(RunArgs::parse(&[], env_on).parallel);
-        let valued: Vec<String> = ["--par", "true"].iter().map(ToString::to_string).collect();
-        assert!(RunArgs::parse(&valued, no_env).parallel);
-        // a non-boolean token after --par is NOT swallowed: parallel
-        // turns on and the token stays available to later flags
-        let with_stray: Vec<String> = ["--par", "2", "--scale", "full"]
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        let a = RunArgs::parse(&with_stray, no_env);
-        assert!(a.parallel);
-        assert_eq!(a.scale, Scale::Full);
     }
 
     #[test]
@@ -478,8 +370,6 @@ mod tests {
             "OCTOPUS_SEED" => Some("99".to_string()),
             "OCTOPUS_THREADS" => Some("2".to_string()),
             "OCTOPUS_TRIALS" => Some("5".to_string()),
-            "OCTOPUS_SHARDS" => Some("4".to_string()),
-            "OCTOPUS_PAR" => Some("1".to_string()),
             _ => None,
         };
         let a = RunArgs::parse(&[], env);
@@ -487,8 +377,6 @@ mod tests {
         assert_eq!(a.seed_or(31), 99);
         assert_eq!(a.threads, 2);
         assert_eq!(a.trials, 5);
-        assert_eq!(a.shards, 4);
-        assert!(a.parallel);
     }
 
     #[test]
@@ -515,6 +403,35 @@ mod tests {
         assert_eq!(a.scale, Scale::Full);
         assert_eq!(a.seed, None);
         assert_eq!(a.trials, 3);
+
+        // shard and pool settings are not bin flags: neither they nor
+        // their values set anything, bare or valued
+        let args: Vec<String> = [
+            "--shards",
+            "4",
+            "--par",
+            "--pool-threads",
+            "2",
+            "--scale",
+            "full",
+        ]
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+        let expected = RunArgs {
+            scale: Scale::Full,
+            ..RunArgs::default()
+        };
+        assert_eq!(RunArgs::parse(&args, no_env), expected);
+        let args: Vec<String> = ["--par", "true", "--trials", "2"]
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        let expected = RunArgs {
+            trials: 2,
+            ..RunArgs::default()
+        };
+        assert_eq!(RunArgs::parse(&args, no_env), expected);
     }
 
     #[test]
@@ -531,7 +448,7 @@ mod tests {
 
     #[test]
     fn run_args_plumb_into_security_config() {
-        let args: Vec<String> = ["--scale", "full", "--seed", "5", "--shards", "2", "--par"]
+        let args: Vec<String> = ["--scale", "full", "--seed", "5"]
             .iter()
             .map(ToString::to_string)
             .collect();
@@ -539,8 +456,8 @@ mod tests {
         let c = a.security_config(AttackKind::FingerPollution, 0.5, 34);
         assert_eq!(c.n, 1000);
         assert_eq!(c.seed, 5);
-        assert_eq!(c.shards, 2);
-        assert!(c.parallel);
         assert!((c.attack_rate - 0.5).abs() < 1e-12);
+        // every bin runs one shard with sequential windows
+        assert_eq!((c.shards, c.parallel, c.pool_threads), (1, false, 0));
     }
 }

@@ -275,13 +275,6 @@ impl CaNode {
     }
 
     fn revoke(&mut self, ctx: &mut CaCtx<'_>, id: NodeId, category: ReportCat) {
-        self.revoke_why(ctx, id, category, "");
-    }
-
-    fn revoke_why(&mut self, ctx: &mut CaCtx<'_>, id: NodeId, category: ReportCat, why: &str) {
-        if !why.is_empty() && crate::debug_enabled() {
-            eprintln!("[ca] revoke {id} why={why}");
-        }
         if !self.authority.revoke(id) {
             return; // already revoked
         }
@@ -744,36 +737,6 @@ impl CaNode {
                     self.dismiss(ctx, category);
                     return;
                 }
-                if crate::debug_enabled() {
-                    for p in &relevant {
-                        let expect = stabilize::merge_successor_list(
-                            accused,
-                            p.owner(),
-                            &p.table.successors,
-                            k,
-                        );
-                        for e in expect {
-                            if !accused_list.table.successors.contains(&e) {
-                                eprintln!(
-                                    "[ca]   missing {e}: live={} revoked={} died={:?} joined={:?} now={now}",
-                                    self.live.contains(&e),
-                                    self.authority.is_revoked(e),
-                                    self.death_times.get(&e),
-                                    self.join_times.get(&e)
-                                );
-                            }
-                        }
-                    }
-                    eprintln!(
-                        "[ca] convict {accused} omitted={omitted} listts={} list={:?} proofs={:?}",
-                        accused_list.timestamp,
-                        accused_list.table.successors,
-                        proofs
-                            .iter()
-                            .map(|p| (p.owner(), p.timestamp, p.table.successors.clone()))
-                            .collect::<Vec<_>>()
-                    );
-                }
                 // no valid proof justifies the signed list: the accused
                 // manufactured it
                 self.revoke(ctx, accused, category);
@@ -912,11 +875,11 @@ impl CaNode {
         };
         let Some(list) = prov else {
             // no justification for a finger that skips a stable node
-            self.revoke_why(ctx, y, category, "no-prov");
+            self.revoke(ctx, y, category);
             return;
         };
         if !self.verify_signed_list(&list, now) {
-            self.revoke_why(ctx, y, category, "bad-prov-sig");
+            self.revoke(ctx, y, category);
             return;
         }
         // does the list actually justify the adoption? no member may sit
@@ -990,7 +953,7 @@ impl CaNode {
             // alive, stable, yet stonewalling the CA: evasion is an
             // admission. (A recently churned node may simply have missed
             // the request.)
-            self.revoke_why(ctx, accused, category, "case-timeout");
+            self.revoke(ctx, accused, category);
         } else {
             self.dismiss(ctx, category);
         }

@@ -58,12 +58,3 @@ pub use node::OctopusNode;
 pub use simnet::{Actor, Control, RunAccum, SecuritySim, SimConfig, SimReport};
 pub use trace::TraceEvent;
 pub use trial::{trial_configs, TrialRunner};
-
-/// Is `OCTO_DEBUG` set? Read once per process: the diagnostics it gates
-/// sit on protocol paths that run inside parallel windows and trial
-/// threads, where `std::env::var` would take the environment lock on
-/// every event.
-pub(crate) fn debug_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var_os("OCTO_DEBUG").is_some())
-}

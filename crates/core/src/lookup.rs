@@ -236,12 +236,6 @@ impl OctopusNode {
             return;
         };
         let target = st.awaiting;
-        if crate::debug_enabled() {
-            eprintln!(
-                "[dbg] lookup timeout at {} flow={flow:x} target={target} relays={relays:?}",
-                ctx.now()
-            );
-        }
         // Appendix II: report the failed path so the CA can walk the
         // forwarding receipts and identify the dropper
         let initiator_receipt = self.receipts.get(&flow).cloned();

@@ -188,15 +188,15 @@ pub struct SimConfig {
     /// `engine_determinism` regression tests).
     pub shards: usize,
     /// Whether the world fans each shard's in-window event batch across
-    /// the persistent worker pool between lookahead barriers
-    /// (`OCTOPUS_PAR`). Like `shards`, a pure speed
-    /// knob: sequential and parallel windows produce byte-identical
-    /// reports (also pinned by `engine_determinism`).
+    /// the persistent worker pool between lookahead barriers. Like
+    /// `shards`, a pure speed knob: sequential and parallel windows
+    /// produce byte-identical reports (also pinned by
+    /// `engine_determinism`).
     pub parallel: bool,
-    /// Worker-pool width for parallel windows (`OCTOPUS_POOL_THREADS`;
-    /// `0` = auto: the machine's available parallelism, capped at the
-    /// shard count). Another pure speed knob — reports are
-    /// byte-identical at every width.
+    /// Worker-pool width for parallel windows (`0` = auto: the
+    /// machine's available parallelism, capped at the shard count).
+    /// Another pure speed knob — reports are byte-identical at every
+    /// width.
     pub pool_threads: usize,
 }
 
@@ -426,7 +426,6 @@ pub struct SecuritySim {
     keys: BTreeMap<NodeId, (KeyPair, octopus_crypto::Certificate)>,
     churn: ChurnProcess,
     rng: rand::rngs::StdRng,
-    debug: bool,
     /// Recorded semantic trace, present iff [`OctopusConfig::trace`] is
     /// on: node/CA events arrive via [`Control::Trace`] in global
     /// control order; driver events (joins, kills, applied revocations)
@@ -519,7 +518,6 @@ impl SecuritySim {
             keys,
             churn,
             rng,
-            debug: false,
             trace: trace_on.then(Vec::new),
         };
         if sim.trace.is_some() {
@@ -576,12 +574,6 @@ impl SecuritySim {
     #[must_use]
     pub fn adversary(&self) -> &ShardedAdversary {
         &self.adversary
-    }
-
-    /// Run with verbose verdict logging to stdout (diagnostics).
-    pub fn run_debug(&mut self) -> SimReport {
-        self.debug = true;
-        self.run()
     }
 
     /// Run to completion and produce the report.
@@ -760,10 +752,6 @@ impl SecuritySim {
                 }
                 match verdict {
                     Verdict::Revoked(id) => {
-                        if self.debug {
-                            let mal = self.initial_malicious.contains(&id);
-                            println!("[{t:.1}s] REVOKED {id} malicious={mal} cat={category:?}");
-                        }
                         report.revocations += 1;
                         report.convicted += 1;
                         if !self.initial_malicious.contains(&id) {

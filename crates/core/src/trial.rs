@@ -5,7 +5,7 @@
 //! single-threaded and deterministic, so trials are embarrassingly
 //! parallel: [`TrialRunner`] fans a batch of [`SimConfig`]s across
 //! scoped OS threads and collects the [`SimReport`]s in *submission
-//! order*, so results — including [`TrialRunner::run_merged`] folds —
+//! order*, so results — including [`TrialRunner::run_sweep`] folds —
 //! are bit-identical no matter how many threads run them or how the OS
 //! schedules completion.
 
@@ -26,20 +26,14 @@ use crate::simnet::{SecuritySim, SimConfig, SimReport};
 ///     octopus: octopus_core::OctopusConfig::for_network(30),
 ///     ..SimConfig::default()
 /// };
-/// // two seeded trials, fanned across two threads, merged in
-/// // submission order — identical to a 1-thread run
-/// let merged = TrialRunner::new(2).run_trials(&base, 2).expect("2 trials");
-/// assert_eq!(merged.trials, 2);
+/// // one point, two seeded trials, fanned across two threads, merged
+/// // in submission order — identical to a 1-thread run
+/// let merged = TrialRunner::new(2).run_sweep(&[base], 2);
+/// assert_eq!(merged[0].trials, 2);
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct TrialRunner {
     threads: usize,
-}
-
-impl Default for TrialRunner {
-    fn default() -> Self {
-        Self::from_env()
-    }
 }
 
 impl TrialRunner {
@@ -49,22 +43,6 @@ impl TrialRunner {
         TrialRunner {
             threads: threads.max(1),
         }
-    }
-
-    /// Thread count from `OCTOPUS_THREADS`, defaulting to the machine's
-    /// available parallelism.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let threads = std::env::var("OCTOPUS_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| {
-                // Sanctioned thread-count site (OCT-LINT-004): sizing the
-                // trial fan-out; merge order stays submission-order.
-                #[allow(clippy::disallowed_methods)]
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            });
-        Self::new(threads)
     }
 
     /// Worker thread count.
@@ -120,54 +98,22 @@ impl TrialRunner {
             .collect()
     }
 
-    /// Run every config and fold the reports — in config order — into
-    /// one merged [`SimReport`]. `None` when `configs` is empty.
-    #[must_use]
-    pub fn run_merged(&self, configs: &[SimConfig]) -> Option<SimReport> {
-        self.run(configs)
-            .into_iter()
-            .collect::<Accumulator<SimReport>>()
-            .into_inner()
-    }
-
-    /// Run `trials` copies of `base` whose per-trial master seeds are
-    /// derived from `base.seed`, merged into one report.
-    #[must_use]
-    pub fn run_trials(&self, base: &SimConfig, trials: usize) -> Option<SimReport> {
-        self.run_merged(&trial_configs(base, trials))
-    }
-
-    /// Run the full shards × trials grid — every shard count in
-    /// `shard_counts` crossed with `trials` seeded repetitions of
-    /// `base` — through *one* thread-pool batch, and return one merged
-    /// report per shard count, in order. Shard counts and trials share
-    /// the workers, so even a single-trial sweep saturates the machine.
-    /// `base.parallel` (sequential vs parallel windows) applies to
-    /// every grid point; cross it too with
-    /// [`TrialRunner::run_mode_sweep`].
+    /// Run every sweep point — expanded to `trials` (at least 1)
+    /// independent seeded trials each, see [`trial_configs`] — through
+    /// one [`run`] batch, and return one merged [`SimReport`] per point,
+    /// in point order. Points *and* trials share the workers, so a six-point sweep
+    /// saturates the machine even at one trial per point.
     ///
-    /// Because sharding never changes results, every returned report is
-    /// identical; the grid exists to *measure* shard configurations
-    /// (the `sharded_world` bench) and to regression-test that very
-    /// invariance.
+    /// [`run`]: TrialRunner::run
     #[must_use]
-    pub fn run_shard_sweep(
-        &self,
-        base: &SimConfig,
-        shard_counts: &[usize],
-        trials: usize,
-    ) -> Vec<SimReport> {
+    pub fn run_sweep(&self, points: &[SimConfig], trials: usize) -> Vec<SimReport> {
         let trials = trials.max(1);
-        let configs: Vec<SimConfig> = shard_counts
+        let configs: Vec<SimConfig> = points
             .iter()
-            .flat_map(|&s| {
-                let mut b = base.clone();
-                b.shards = s;
-                trial_configs(&b, trials)
-            })
+            .flat_map(|p| trial_configs(p, trials))
             .collect();
         let mut reports = self.run(&configs).into_iter();
-        shard_counts
+        points
             .iter()
             .map(|_| {
                 reports
@@ -175,52 +121,7 @@ impl TrialRunner {
                     .take(trials)
                     .collect::<Accumulator<SimReport>>()
                     .into_inner()
-                    .expect("at least one trial per shard count")
-            })
-            .collect()
-    }
-
-    /// Run the shards × execution-mode × trials grid: every shard count
-    /// in `shard_counts` crossed with both window execution modes
-    /// (sequential, then parallel) and `trials` seeded repetitions of
-    /// `base`, all through one thread-pool batch. Returns
-    /// `(shards, parallel, merged report)` per grid point, in
-    /// shards-major order.
-    ///
-    /// Like the plain shard sweep, every report is identical by the
-    /// determinism contract — the grid exists for benchmarking and for
-    /// the `engine_determinism` regressions that enforce exactly that.
-    #[must_use]
-    pub fn run_mode_sweep(
-        &self,
-        base: &SimConfig,
-        shard_counts: &[usize],
-        trials: usize,
-    ) -> Vec<(usize, bool, SimReport)> {
-        let trials = trials.max(1);
-        let grid: Vec<(usize, bool)> = shard_counts
-            .iter()
-            .flat_map(|&s| [(s, false), (s, true)])
-            .collect();
-        let configs: Vec<SimConfig> = grid
-            .iter()
-            .flat_map(|&(shards, parallel)| {
-                let mut b = base.clone();
-                b.shards = shards;
-                b.parallel = parallel;
-                trial_configs(&b, trials)
-            })
-            .collect();
-        let mut reports = self.run(&configs).into_iter();
-        grid.into_iter()
-            .map(|(shards, parallel)| {
-                let merged = reports
-                    .by_ref()
-                    .take(trials)
-                    .collect::<Accumulator<SimReport>>()
-                    .into_inner()
-                    .expect("at least one trial per grid point");
-                (shards, parallel, merged)
+                    .expect("at least one trial per sweep point")
             })
             .collect()
     }
@@ -268,22 +169,38 @@ mod tests {
 
     #[test]
     fn empty_batch_merges_to_none() {
-        assert_eq!(TrialRunner::new(2).run_merged(&[]), None);
+        assert!(TrialRunner::new(2).run_sweep(&[], 2).is_empty());
     }
 
     #[test]
-    fn shard_sweep_composes_the_grid() {
-        // shape only (the determinism of the reports themselves is
-        // pinned by the engine_determinism integration tests)
-        let base = SimConfig {
-            n: 30,
-            duration: octopus_sim::Duration::from_secs(10),
-            octopus: crate::OctopusConfig::for_network(30),
-            ..SimConfig::default()
-        };
-        let reports = TrialRunner::new(2).run_shard_sweep(&base, &[1, 2], 2);
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].trials, 2);
-        assert_eq!(reports[0], reports[1], "shard count changed results");
+    fn run_sweep_folds_each_point_in_point_order() {
+        let points: Vec<SimConfig> = [11, 12, 13]
+            .into_iter()
+            .map(|seed| SimConfig {
+                n: 30,
+                duration: octopus_sim::Duration::from_secs(10),
+                seed,
+                octopus: crate::OctopusConfig::for_network(30),
+                ..SimConfig::default()
+            })
+            .collect();
+        let expected: Vec<SimReport> = points
+            .iter()
+            .map(|p| {
+                TrialRunner::new(1)
+                    .run(&trial_configs(p, 2))
+                    .into_iter()
+                    .collect::<Accumulator<SimReport>>()
+                    .into_inner()
+                    .expect("2 trials")
+            })
+            .collect();
+        assert_ne!(expected[0], expected[1], "points must be distinguishable");
+        assert_ne!(expected[1], expected[2], "points must be distinguishable");
+        for threads in [1, 3] {
+            let swept = TrialRunner::new(threads).run_sweep(&points, 2);
+            assert_eq!(swept, expected, "{threads} threads");
+            assert!(swept.iter().all(|r| r.trials == 2));
+        }
     }
 }

@@ -90,13 +90,6 @@ impl OctopusNode {
 
     /// Abort a walk (timeout, bad signature, failed bound check).
     pub(crate) fn abort_walk(&mut self, ctx: &mut NodeCtx<'_>, walk: u64) {
-        self.abort_walk_why(ctx, walk, "timeout");
-    }
-
-    pub(crate) fn abort_walk_why(&mut self, ctx: &mut NodeCtx<'_>, walk: u64, why: &str) {
-        if crate::debug_enabled() {
-            eprintln!("[dbg] walk {walk:x} aborted at {} why={why}", ctx.now());
-        }
         if self.walks.remove(&walk).is_some() {
             ctx.emit(Control::WalkDone {
                 initiator: self.id,
@@ -118,13 +111,13 @@ impl OctopusNode {
             return;
         };
         if table.owner() != st.awaiting || table.verify_with(&mut self.verifier, now).is_err() {
-            self.abort_walk_why(ctx, walk, "sig-or-owner");
+            self.abort_walk(ctx, walk);
             return;
         }
         // Appendix I / §4.1: bound checking limits fingertable
         // manipulation along the walk
         if !self.bound_checker().passes(&table.table) {
-            self.abort_walk_why(ctx, walk, "bound");
+            self.abort_walk(ctx, walk);
             return;
         }
         let st = self.walks.get_mut(&walk).expect("still present");
@@ -146,7 +139,7 @@ impl OctopusNode {
             .filter(|f| *f != self.id && !hops.contains(f) && !self.revoked.contains(f))
             .collect();
         let Some(&next) = candidates.as_slice().choose(ctx.rng()) else {
-            self.abort_walk_why(ctx, walk, "no-candidates");
+            self.abort_walk(ctx, walk);
             return;
         };
         let st = self.walks.get_mut(&walk).expect("still present");
@@ -187,7 +180,7 @@ impl OctopusNode {
             .map(|t| t.table.fingers.clone())
             .unwrap_or_default();
         if ul_fingers.is_empty() {
-            self.abort_walk_why(ctx, walk, "no-ul-fingers");
+            self.abort_walk(ctx, walk);
             return;
         }
         let relays = st.hops.clone(); // the full phase-1 path, exit = Uₗ
@@ -308,12 +301,6 @@ impl OctopusNode {
             }
             true
         };
-        if !ok && crate::debug_enabled() {
-            eprintln!(
-                "[dbg] walk {walk:x} result verification failed (tables={})",
-                tables.len()
-            );
-        }
         if ok {
             for t in &tables {
                 self.buffer_table(t.clone());

@@ -38,14 +38,11 @@ pub(crate) const WALL_CLOCK_EXEMPT: &[&str] = &["crates/bench/", "crates/transpo
 /// Engine crates keep the rule unconditionally.
 pub(crate) const AMBIENT_RNG_EXEMPT: &[&str] = &["crates/transport/"];
 
-/// `OCT-LINT-004` exemptions: the three sanctioned fan-out sizing
-/// sites (trial fan-out, CLI parsing, and the shard worker pool —
-/// whose width is a pure speed knob, never an input to results).
-pub(crate) const THREAD_IDENTITY_EXEMPT: &[&str] = &[
-    "crates/core/src/trial.rs",
-    "crates/bench/src/lib.rs",
-    "crates/net/src/pool.rs",
-];
+/// `OCT-LINT-004` exemptions: the two sanctioned fan-out sizing sites
+/// (`RunArgs`, which sizes the trial fan-out, and the shard worker
+/// pool — whose width is a pure speed knob, never an input to results).
+pub(crate) const THREAD_IDENTITY_EXEMPT: &[&str] =
+    &["crates/bench/src/lib.rs", "crates/net/src/pool.rs"];
 
 /// `OCT-LINT-005` exemptions: the single-threaded driver modules that
 /// legitimately take the adversary write lock between windows, and the

@@ -50,11 +50,11 @@ use crate::shard::ShardMap;
 use crate::world::{NodeBehavior, Shard, ShardCtx};
 
 /// Effective worker count for a parallel window dispatch: the explicit
-/// override if non-zero, else `OCTOPUS_POOL_THREADS`, else the
-/// machine's available parallelism — always capped at the shard count
-/// (more workers than shards would just park). A result of `0` or `1`
-/// means the dispatcher should run batches inline: one worker behind a
-/// barrier is strictly worse than no barrier.
+/// override if non-zero, else the machine's available parallelism —
+/// always capped at the shard count (more workers than shards would
+/// just park). A result of `0` or `1` means the dispatcher should run
+/// batches inline: one worker behind a barrier is strictly worse than
+/// no barrier.
 ///
 /// Worker count never affects results (the determinism contract); it
 /// only sizes the fan-out, which is why reading host parallelism here
@@ -64,17 +64,10 @@ pub fn worker_count(override_threads: usize, shards: usize) -> usize {
     let width = if override_threads > 0 {
         override_threads
     } else {
-        std::env::var("OCTOPUS_POOL_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or_else(|| {
-                // Sanctioned thread-count site (OCT-LINT-004): sizing
-                // the worker pool; execution stays byte-identical at
-                // every width.
-                #[allow(clippy::disallowed_methods)]
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            })
+        // Sanctioned thread-count site (OCT-LINT-004): sizing the
+        // worker pool; execution stays byte-identical at every width.
+        #[allow(clippy::disallowed_methods)]
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     };
     width.min(shards)
 }

@@ -441,8 +441,8 @@ pub struct World<B: NodeBehavior, L: LatencyModel> {
     /// [`pool::worker_count`]).
     worker_threads: usize,
     /// Resolved pool width for the current `worker_threads` setting
-    /// (`0` = not yet resolved; resolved lazily so the env knob is read
-    /// once, not per window).
+    /// (`0` = not yet resolved; resolved lazily so host parallelism is
+    /// queried once, not per window).
     pool_workers: usize,
     /// The persistent shard worker pool, spawned on the first parallel
     /// window that has more than one effective worker and reused for
@@ -520,8 +520,8 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
     }
 
     /// Pin the parallel worker-pool width (`0` restores auto sizing:
-    /// `OCTOPUS_POOL_THREADS` if set, else the machine's available
-    /// parallelism, capped at the shard count either way). Takes effect
+    /// the machine's available parallelism, capped at the shard count
+    /// either way). Takes effect
     /// at the next parallel window; an existing pool of a different
     /// width is torn down and respawned. Like [`World::set_parallel`],
     /// a pure speed knob — results are byte-identical at every width.
