@@ -423,15 +423,31 @@ mod tests {
             ..RunArgs::default()
         };
         assert_eq!(RunArgs::parse(&args, no_env), expected);
-        let args: Vec<String> = ["--par", "true", "--trials", "2"]
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        let expected = RunArgs {
+    }
+
+    #[test]
+    fn par_flag_forms() {
+        // --par is no longer a bin flag: in every form it used to take,
+        // and from OCTOPUS_PAR, it sets nothing and eats no real flag
+        let parse = |tokens: &[&str]| {
+            let args: Vec<String> = tokens.iter().map(ToString::to_string).collect();
+            RunArgs::parse(&args, no_env)
+        };
+        let full = RunArgs {
+            scale: Scale::Full,
+            ..RunArgs::default()
+        };
+        assert_eq!(parse(&["--par"]), RunArgs::default());
+        assert_eq!(parse(&["--par", "--scale", "full"]), full);
+        assert_eq!(parse(&["--par=0", "--scale", "full"]), full);
+        assert_eq!(parse(&["--par", "2", "--scale", "full"]), full);
+        let two_trials = RunArgs {
             trials: 2,
             ..RunArgs::default()
         };
-        assert_eq!(RunArgs::parse(&args, no_env), expected);
+        assert_eq!(parse(&["--par", "true", "--trials", "2"]), two_trials);
+        let env_on = |k: &str| (k == "OCTOPUS_PAR").then(|| "1".to_string());
+        assert_eq!(RunArgs::parse(&[], env_on), RunArgs::default());
     }
 
     #[test]
