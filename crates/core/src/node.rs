@@ -165,9 +165,11 @@ pub struct OctopusNode {
     pub(crate) finger_lookups: VecMap<u64, FingerLookup>,
     pub(crate) checks: VecMap<u64, FingerCheck>,
 
-    // ---- relaying (nothing expires a `relay_flows` or `receipts` entry
-    // whose reply never comes, so those two grow with uptime and stay
-    // B-trees, where an insert is not linear) ----
+    // ---- relaying (a relay forgets a flow once its reply passes back,
+    // an exit once it sends the reply; nothing yet expires a
+    // `relay_flows` or `receipts` entry whose reply never comes, so
+    // those two grow with uptime and stay B-trees, where an insert is
+    // not linear) ----
     pub(crate) relay_flows: BTreeMap<u64, RelayFlow>,
     pub(crate) exit_flows: VecMap<u64, u64>, // exit req -> flow
     pub(crate) receipts: BTreeMap<u64, ReceiptToken>, // flow -> receipt held
@@ -883,8 +885,9 @@ impl NodeBehavior for OctopusNode {
                 if let Some(purpose) = self.direct_pending.remove(&req) {
                     self.on_direct_table(ctx, purpose, *table);
                 } else if let Some(flow) = self.exit_flows.remove(&req) {
-                    // we are an exit relay: carry the reply back
-                    if let Some(rf) = self.relay_flows.get(&flow) {
+                    // we are an exit relay: carry the reply back, and
+                    // forget the flow it answers
+                    if let Some(rf) = self.relay_flows.remove(&flow) {
                         let payload = Msg::Table { req: flow, table };
                         ctx.send(
                             rf.prev,
@@ -1235,6 +1238,65 @@ mod tests {
         for (shown, held) in proofs.iter().zip(&n.proof_queue) {
             assert!(Arc::ptr_eq(shown, held), "the reply holds a copy");
         }
+    }
+
+    /// `exit` receives the last layer of onion `flow` from `prev` and
+    /// the exit's one `GetTable` is answered with `target`'s table;
+    /// returns what the exit sent on that answer.
+    fn serve_as_exit(
+        exit: &mut OctopusNode,
+        prev: Addr,
+        flow: u64,
+        action: ExitAction,
+        target: &OctopusNode,
+    ) -> Vec<(Addr, Msg)> {
+        let onion = Msg::Onion(OnionPacket {
+            flow,
+            route: Vec::new(),
+            action,
+        });
+        let sent = run(exit, |n, ctx| n.on_message(ctx, prev, onion));
+        let req = sent
+            .iter()
+            .find_map(|(to, msg)| match msg {
+                Msg::GetTable { req } if *to == target.id => Some(*req),
+                _ => None,
+            })
+            .expect("the exit queries the target");
+        assert!(exit.relay_flows.contains_key(&flow), "flow forgotten early");
+        let table = Box::new(target.sign_table(target.routing_table(), 0));
+        run(exit, |n, ctx| {
+            n.on_message(ctx, target.id, Msg::Table { req, table });
+        })
+    }
+
+    #[test]
+    fn an_exit_forgets_the_flow_it_returns_a_table_on() {
+        let (mut exit, target) = (test_node(100), test_node(300));
+        let action = ExitAction::QueryTable { target: target.id };
+        let sent = serve_as_exit(&mut exit, NodeId(50), 7, action, &target);
+        let [(NodeId(50), Msg::OnionReply { flow: 7, payload })] = sent.as_slice() else {
+            panic!("expected one reply to the previous hop, sent {sent:?}");
+        };
+        assert!(matches!(**payload, Msg::Table { req: 7, .. }));
+        assert!(exit.relay_flows.is_empty(), "the answered flow is kept");
+    }
+
+    #[test]
+    fn an_exit_forgets_the_flow_it_returns_a_walk_result_on() {
+        let (mut exit, target) = (test_node(100), test_node(300));
+        let delegation = crate::messages::Delegation {
+            seed: 1,
+            length: 1,
+            fingers: vec![target.id],
+        };
+        let action = ExitAction::Delegate(Box::new(delegation));
+        let sent = serve_as_exit(&mut exit, NodeId(50), 7, action, &target);
+        let [(NodeId(50), Msg::OnionReply { flow: 7, payload })] = sent.as_slice() else {
+            panic!("expected one reply to the previous hop, sent {sent:?}");
+        };
+        assert!(matches!(&**payload, Msg::WalkResult { flow: 7, tables } if tables.len() == 1));
+        assert!(exit.relay_flows.is_empty(), "the answered flow is kept");
     }
 
     #[test]

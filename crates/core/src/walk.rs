@@ -225,10 +225,10 @@ impl OctopusNode {
                 flow,
                 tables: dw.collected,
             };
-            if let Some(rf) = self.relay_flows.get(&flow) {
-                let prev = rf.prev;
+            // the exit's part of the flow ends with its reply
+            if let Some(rf) = self.relay_flows.remove(&flow) {
                 ctx.send(
-                    prev,
+                    rf.prev,
                     Msg::OnionReply {
                         flow,
                         payload: Box::new(reply),

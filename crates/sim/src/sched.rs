@@ -247,11 +247,17 @@ impl<E> Level<E> {
 /// runs laid end to end. Merging them costs one pass; the keys are
 /// unique, so stability changes nothing about the result.
 ///
-/// Buffers: kept where they are reused at once, given back where they
-/// are not. Level 0 and `ready` rotate theirs: a drained level-0
-/// slot is handed the emptied `ready` buffer and its own sorted buffer
-/// becomes `ready`, so once each has held a busy tick that path never
-/// allocates. A coarse slot (level ≥ 1) frees its buffer when it
+/// Buffers: kept only where events wait, and recycled where they are
+/// reused soon. A drained level-0 slot's sorted buffer becomes `ready`,
+/// the emptied `ready` buffer goes onto the `spare` list, and a level-0
+/// slot takes a spare before its first push. So the wheel holds one
+/// buffer per *occupied* level-0 slot, plus `ready`, plus what waits on
+/// `spare` — never more than one per slot and `ready` — and once each
+/// has held a busy tick that path never allocates. A gossip overlay
+/// whose 300 ms timers and 40 ms deliveries keep ≈ 37 of the 64 slots
+/// busy would otherwise pin ≈ 27 idle buffers of ≈ 1 024 entries; a
+/// drained slot that freed its buffer instead would regrow one every
+/// tick. A coarse slot (level ≥ 1) frees its buffer when it
 /// cascades: the slot is next due a whole rotation later (≈ 33.5 s at
 /// level 1), and a kept buffer would pin the busiest load it ever saw.
 /// In the §5.1 simulator, whose entries were then 112 bytes, kept
@@ -280,6 +286,9 @@ pub struct TimingWheel<E> {
     /// are `O(1)`). Non-empty whenever `len > 0` and `staged` is empty
     /// (maintained eagerly so `peek_time` is `O(1)`).
     ready: VecDeque<Entry<E>>,
+    /// Emptied level-0 buffers, waiting for the next empty level-0 slot
+    /// to be filled.
+    spare: Vec<Vec<Entry<E>>>,
     /// Entries scheduled at or behind the cursor tick (timers re-armed
     /// behind the eagerly-advanced cursor, and cross-shard bus-flush
     /// batches). A second min-heap beside `ready`: a bus flush can dump
@@ -308,6 +317,7 @@ impl<E> TimingWheel<E> {
             levels: (0..LEVELS).map(|_| Level::new()).collect(),
             cursor: 0,
             ready: VecDeque::new(),
+            spare: Vec::new(),
             staged: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             len: 0,
@@ -339,7 +349,14 @@ impl<E> TimingWheel<E> {
         }
         let level = (63 - delta.leading_zeros()) as usize / LEVEL_BITS as usize;
         let idx = ((tick >> (LEVEL_BITS * level as u32)) & SLOT_MASK) as usize;
-        self.levels[level].slots[idx].push(entry);
+        let slot = &mut self.levels[level].slots[idx];
+        if level == 0 && slot.capacity() == 0 {
+            // an empty level-0 slot borrows a spare buffer (see "Buffers")
+            if let Some(buffer) = self.spare.pop() {
+                *slot = buffer;
+            }
+        }
+        slot.push(entry);
         self.levels[level].occupied |= 1 << idx;
     }
 
@@ -440,15 +457,20 @@ impl<E> TimingWheel<E> {
         let idx0 = (self.cursor & SLOT_MASK) as usize;
         if self.levels[0].occupied & (1 << idx0) != 0 {
             self.levels[0].occupied &= !(1 << idx0);
-            let slot = &mut self.levels[0].slots[idx0];
+            let mut slot = std::mem::take(&mut self.levels[0].slots[idx0]);
             debug_assert!(slot.iter().all(|e| Self::tick_of(e.time) == self.cursor));
-            if due.is_empty() {
-                // Common case: the whole tick lives in one level-0 slot.
-                // Swap it out — the emptied ready buffer becomes the
-                // slot's fresh one. Zero copies.
-                std::mem::swap(&mut due, slot);
+            // The slot keeps no buffer: whichever of the two ends up
+            // empty waits on the spare list (see "Buffers" above).
+            let emptied = if due.is_empty() {
+                // Common case: the whole tick lives in one level-0 slot,
+                // whose buffer is adopted whole. Zero copies.
+                std::mem::replace(&mut due, slot)
             } else {
-                due.append(slot);
+                due.append(&mut slot);
+                slot
+            };
+            if emptied.capacity() > 0 {
+                self.spare.push(emptied);
             }
         }
         due.sort_by_key(Entry::key);
@@ -617,43 +639,103 @@ mod tests {
         assert!(w.is_empty());
     }
 
+    /// `per_tick` events in each of the first `ahead` ticks, each
+    /// re-armed `ahead` ticks later whenever it pops: a periodic load
+    /// that keeps about `ahead` level-0 slots occupied.
+    struct Periodic {
+        wheel: TimingWheel<u64>,
+        seq: u128,
+        per_tick: u64,
+        ahead: u64,
+    }
+
+    impl Periodic {
+        const TICK: u64 = 1 << TICK_BITS;
+
+        fn new(per_tick: u64, ahead: u64) -> Self {
+            let mut p = Periodic {
+                wheel: TimingWheel::new(),
+                seq: 0,
+                per_tick,
+                ahead,
+            };
+            for i in 0..ahead * per_tick {
+                let t = SimTime((i / per_tick) * Self::TICK + i % per_tick);
+                p.wheel.schedule(t, p.seq, i);
+                p.seq += 1;
+            }
+            p
+        }
+
+        /// Pop and re-arm `rotations` whole rotations' worth of events,
+        /// calling `check` after each re-arm.
+        fn rotate(&mut self, rotations: u64, mut check: impl FnMut(&TimingWheel<u64>)) {
+            for _ in 0..rotations * SLOTS as u64 * self.per_tick {
+                let (t, e) = self.wheel.pop_next().expect("the load never drains");
+                let next = SimTime(t.0 + self.ahead * Self::TICK);
+                self.wheel.schedule(next, self.seq, e);
+                self.seq += 1;
+                check(&self.wheel);
+            }
+        }
+    }
+
+    /// Capacities of the level-0 buffers a wheel holds — its slots',
+    /// `ready`'s and the spare list's — in ascending order. An empty
+    /// `Vec` holds no buffer and is left out.
+    fn level0_buffers(w: &TimingWheel<u64>) -> Vec<usize> {
+        let slots = w.levels[0].slots.iter().map(Vec::capacity);
+        let spare = w.spare.iter().map(Vec::capacity);
+        let mut caps: Vec<usize> = slots
+            .chain(spare)
+            .chain([w.ready.capacity()])
+            .filter(|&c| c > 0)
+            .collect();
+        caps.sort_unstable(); // buffers move between slots, `ready` and `spare`
+        caps
+    }
+
     #[test]
     fn drained_slots_keep_their_capacity() {
         // steady state: 40 events in every tick, each re-armed 36 ticks
-        // ahead as it pops. A drained slot is handed the emptied ready
-        // buffer and the sorted one is adopted whole, so once every
-        // buffer in the rotation has held a tick, nothing allocates.
+        // ahead as it pops. A drained slot's buffer is adopted whole as
+        // `ready`, and the emptied `ready` buffer waits on the spare list
+        // for the next slot to fill, so once every buffer in circulation
+        // has held a tick, nothing allocates; and no more circulate than
+        // the occupied slots, `ready` and one spare.
         const PER_TICK: u64 = 40;
-        const AHEAD: u64 = 36;
-        let tick = 1u64 << TICK_BITS;
-        let mut w: TimingWheel<u64> = TimingWheel::new();
-        let mut seq = 0u128;
-        for i in 0..AHEAD * PER_TICK {
-            w.schedule(SimTime((i / PER_TICK) * tick + i % PER_TICK), seq, i);
-            seq += 1;
-        }
-        let mut rotate = |w: &mut TimingWheel<u64>, rotations: u64| {
-            for _ in 0..rotations * SLOTS as u64 * PER_TICK {
-                let (t, e) = w.pop_next().expect("the workload never drains");
-                w.schedule(SimTime(t.0 + AHEAD * tick), seq, e);
-                seq += 1;
-            }
+        let mut p = Periodic::new(PER_TICK, 36);
+        let bounded = |w: &TimingWheel<u64>| {
+            let occupied = w.levels[0].occupied.count_ones() as usize;
+            let held = level0_buffers(w);
+            assert!(
+                held.len() <= occupied + 2,
+                "{} buffers for {occupied} occupied slots: {held:?}",
+                held.len()
+            );
         };
-        let capacities = |w: &TimingWheel<u64>| {
-            let mut caps: Vec<usize> = w.levels[0].slots.iter().map(Vec::capacity).collect();
-            caps.push(w.ready.capacity());
-            caps.sort_unstable(); // buffers rotate between the slots and `ready`
-            caps
-        };
-        rotate(&mut w, 3);
-        let warm = capacities(&w);
+        p.rotate(3, bounded);
+        let warm = level0_buffers(&p.wheel);
         assert!(
             warm.iter().all(|&c| c >= PER_TICK as usize),
-            "a drained slot lost its buffer: {warm:?}"
+            "a buffer in circulation never held a tick: {warm:?}"
         );
-        rotate(&mut w, 3);
-        assert_eq!(capacities(&w), warm, "a buffer was reallocated");
-        assert_eq!(w.len(), (AHEAD * PER_TICK) as usize);
+        p.rotate(3, bounded);
+        assert_eq!(level0_buffers(&p.wheel), warm, "a buffer was reallocated");
+        assert_eq!(p.wheel.len(), (p.ahead * PER_TICK) as usize);
+    }
+
+    #[test]
+    fn idle_slots_hold_no_buffer() {
+        // three events per tick, each re-armed 4 ticks ahead: at most
+        // four slots are occupied at once, so the buffers in circulation
+        // are those, `ready` and a spare. Slots that each kept the buffer
+        // of their last tick would hold 64 plus `ready`'s.
+        let mut p = Periodic::new(3, 4);
+        p.rotate(3, |_| {});
+        let held = level0_buffers(&p.wheel);
+        assert!(held.len() <= 6, "{} buffers held: {held:?}", held.len());
+        assert_eq!(p.wheel.len(), 12);
     }
 
     #[test]

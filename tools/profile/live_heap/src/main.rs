@@ -1,16 +1,26 @@
-//! Live-heap curve of one `SecuritySim` job at the §5.1 point.
+//! Live-heap curve of one `SecuritySim` job at the §5.1 point, or of
+//! the bare engine under octobench's gossip overlay.
 //!
 //! ```text
 //! live-heap [N] [SECONDS] [SEED] [EVERY]      defaults: 1000 80 31 10
+//! live-heap engine [N] [SECONDS] [SEED]       defaults: 10000 15 31
 //! ```
 //!
 //! A counting global allocator keeps the bytes the program holds, their
 //! peak, and how many blocks were allocated and reallocated. The job is
-//! built, then advanced `EVERY` simulated seconds at a time; after the
-//! set-up and after each step one line is printed:
-//! `t_s live_mib peak_mib allocations reallocations`. What the allocator
-//! holds back (free lists, fragmentation) is not counted, so the peak
-//! here is below the process's peak RSS.
+//! built, then advanced `EVERY` simulated seconds at a time (one second
+//! in `engine` mode); after the set-up and after each step one line is
+//! printed: `t_s live_mib peak_mib allocations reallocations`. What the
+//! allocator holds back (free lists, fragmentation) is not counted, so
+//! the peak here is below the process's peak RSS.
+//!
+//! `engine` runs `engine-gossip-10k`'s overlay on one `World` shard: N
+//! nodes at seeded ring positions, each firing a ≈ 300 ms timer until
+//! `SECONDS` and sending one 72-byte message per tick, alternately to
+//! its ring neighbour and to the node across the ring, over a constant
+//! 40 ms latency (`crates/bench/tests/million_node.rs` has the same
+//! node). No protocol and no crypto run, so what it holds is the
+//! scheduler's, the slab's and the messages' own.
 //!
 //! After the last line comes a census of what is live at that moment:
 //! the ten block sizes holding the most bytes, as `size blocks mib`. A
@@ -21,7 +31,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering::Relaxed};
 
 use octopus_core::{SecuritySim, SimConfig};
-use octopus_sim::{Duration, SimTime};
+use octopus_id::IdSpace;
+use octopus_net::{Addr, ConstantLatency, NodeBehavior, Runtime, SchedulerKind, WireMsg, World};
+use octopus_sim::{derive_rng, Duration, SimTime};
 
 struct Counting;
 
@@ -127,13 +139,97 @@ fn line(t_s: u64) {
     );
 }
 
+/// The gossip overlay's ~72-byte message.
+struct Gossip(#[allow(dead_code)] [u64; 9]);
+
+impl WireMsg for Gossip {
+    fn wire_bytes(&self) -> u32 {
+        72
+    }
+}
+
+/// A node that ticks every ~300 ms until `horizon` and gossips on
+/// every tick, alternately to `near` and to `far`.
+struct GossipNode {
+    near: Addr,
+    far: Addr,
+    tick: u64,
+    horizon: SimTime,
+}
+
+impl NodeBehavior for GossipNode {
+    type Msg = Gossip;
+    type Timer = ();
+    type Control = ();
+
+    fn on_start(&mut self, ctx: &mut dyn Runtime<Gossip, (), ()>) {
+        // stagger the first tick so load spreads over the horizon
+        ctx.set_timer(Duration(ctx.addr().0 % 300_000), ());
+    }
+
+    fn on_message(&mut self, _ctx: &mut dyn Runtime<Gossip, (), ()>, _from: Addr, _msg: Gossip) {}
+
+    fn on_timer(&mut self, ctx: &mut dyn Runtime<Gossip, (), ()>, (): ()) {
+        let dest = if self.tick.is_multiple_of(2) {
+            self.near
+        } else {
+            self.far
+        };
+        self.tick += 1;
+        ctx.send(dest, Gossip([self.tick; 9]));
+        if ctx.now() + Duration::from_millis(300) <= self.horizon {
+            ctx.set_timer(Duration::from_millis(300), ());
+        }
+    }
+}
+
+/// `live-heap engine`: build the gossip overlay, run it a simulated
+/// second at a time to `seconds`, take the census, then run it to idle.
+fn engine(n: u64, seconds: u64, seed: u64) {
+    let ids = IdSpace::random(n as usize, &mut derive_rng(seed, b"octobench-engine", 0))
+        .ids()
+        .to_vec();
+    let horizon = SimTime::from_secs(seconds);
+    let mut w: World<GossipNode, _> = World::with_shards(
+        ConstantLatency(Duration::from_millis(40)),
+        seed,
+        SchedulerKind::default(),
+        1,
+    );
+    for (i, &id) in ids.iter().enumerate() {
+        let node = GossipNode {
+            near: ids[(i + 1) % ids.len()],
+            far: ids[(i + ids.len() / 2) % ids.len()],
+            tick: id.0 % 2,
+            horizon,
+        };
+        w.insert_node(id, node);
+    }
+    println!("# engine n={n} seconds={seconds} seed={seed}");
+    println!("# t_s live_mib peak_mib allocations reallocations");
+    line(0);
+    for t in 1..=seconds {
+        while w.run_window(SimTime::from_secs(t)).is_some() {}
+        line(t);
+    }
+    census_report(10);
+    while w.run_window(SimTime(u64::MAX)).is_some() {}
+    println!("# ledger_bytes={}", w.ledger().total_bytes());
+}
+
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let engine_mode = args.first().is_some_and(|a| a == "engine");
+    let numbers = &args[usize::from(engine_mode)..];
     let arg = |i: usize, default: u64| {
-        std::env::args()
-            .nth(i)
+        numbers
+            .get(i)
             .map_or(default, |a| a.parse().expect("arguments are whole numbers"))
     };
-    let (n, seconds, seed, every) = (arg(1, 1000), arg(2, 80), arg(3, 31), arg(4, 10).max(1));
+    if engine_mode {
+        return engine(arg(0, 10_000), arg(1, 15), arg(2, 31));
+    }
+    let (n, seconds, seed, every) = (arg(0, 1000), arg(1, 80), arg(2, 31), arg(3, 10).max(1));
     let mut sim = SecuritySim::new(SimConfig {
         n: n as usize,
         seed,
