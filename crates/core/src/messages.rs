@@ -389,7 +389,7 @@ impl WireMsg for Msg {
 }
 
 /// Per-node timers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Timer {
     /// Run successor + predecessor stabilization (every 2 s).
     Stabilize,

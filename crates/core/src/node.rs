@@ -854,7 +854,7 @@ impl NodeBehavior for OctopusNode {
 
             // ---- replies to our direct requests ----
             Msg::SuccList { req, list } => {
-                if let Some(DirectPurpose::StabSucc { peer }) = self.direct_pending.remove(&req) {
+                if let Some(DirectPurpose::StabSucc { peer }) = self.answer_direct(ctx, req) {
                     if list
                         .verify_with(&mut self.verifier, ctx.now().as_secs_f64() as u64)
                         .is_ok()
@@ -864,7 +864,7 @@ impl NodeBehavior for OctopusNode {
                 }
             }
             Msg::PredList { req, list } => {
-                let Some(purpose) = self.direct_pending.remove(&req) else {
+                let Some(purpose) = self.answer_direct(ctx, req) else {
                     return;
                 };
                 match purpose {
@@ -882,7 +882,7 @@ impl NodeBehavior for OctopusNode {
                 }
             }
             Msg::Table { req, table } => {
-                if let Some(purpose) = self.direct_pending.remove(&req) {
+                if let Some(purpose) = self.answer_direct(ctx, req) {
                     self.on_direct_table(ctx, purpose, *table);
                 } else if let Some(flow) = self.exit_flows.remove(&req) {
                     // we are an exit relay: carry the reply back, and
@@ -919,7 +919,9 @@ impl NodeBehavior for OctopusNode {
                     accepted,
                 });
                 if accepted {
-                    self.awaiting_receipt.remove(&token.flow);
+                    if self.awaiting_receipt.remove(&token.flow).is_some() {
+                        ctx.cancel_timer(Timer::ReceiptDeadline { flow: token.flow });
+                    }
                     self.receipts.insert(token.flow, token);
                 }
             }
@@ -1090,6 +1092,7 @@ impl OctopusNode {
     fn on_onion_reply(&mut self, ctx: &mut NodeCtx<'_>, _from: Addr, flow: u64, payload: Msg) {
         if let Some((purpose, relays)) = self.anon_pending.remove(&flow) {
             // the reply reached the initiator
+            ctx.cancel_timer(Timer::RequestTimeout { req: flow });
             self.receipts.remove(&flow);
             self.handle_anon_reply(ctx, flow, purpose, relays, payload);
             return;
@@ -1105,6 +1108,15 @@ impl OctopusNode {
                 },
             );
         }
+    }
+
+    /// Retire the direct request `req` that a reply answers, and cancel
+    /// its timeout, which would now find nothing to do. `None` when the
+    /// request is not pending (answered or timed out already).
+    fn answer_direct(&mut self, ctx: &mut NodeCtx<'_>, req: u64) -> Option<DirectPurpose> {
+        let purpose = self.direct_pending.remove(&req)?;
+        ctx.cancel_timer(Timer::RequestTimeout { req });
+        Some(purpose)
     }
 
     /// Dispatch a `Table` reply to a direct request.
@@ -1172,24 +1184,276 @@ mod tests {
         )
     }
 
-    /// Run `f` on `n` under a throw-away context at time zero, and
-    /// return the messages it sent.
-    fn run(
+    /// What a handler did.
+    #[derive(Debug, Default)]
+    struct Effects {
+        sent: Vec<(Addr, Msg)>,
+        armed: Vec<Timer>,
+        controls: Vec<Control>,
+        cancelled: Vec<Timer>,
+    }
+
+    /// Run `f` on `n` under a throw-away context at time zero that
+    /// records cancelled timers, as the UDP host's does, and return
+    /// everything it did.
+    fn run_recording(
         n: &mut OctopusNode,
         f: impl FnOnce(&mut OctopusNode, &mut NodeCtx<'_>),
-    ) -> Vec<(Addr, Msg)> {
+    ) -> Effects {
         let mut rng = StdRng::seed_from_u64(1);
-        let (mut outbox, mut timers, mut controls) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut outbox, mut timers, mut fx) = (Vec::new(), Vec::new(), Effects::default());
         let mut ctx: octopus_net::Ctx<'_, Msg, Timer, Control> = octopus_net::Ctx::from_parts(
             octopus_sim::SimTime::ZERO,
             n.id,
             &mut rng,
             &mut outbox,
             &mut timers,
-            &mut controls,
-        );
+            &mut fx.controls,
+        )
+        .with_cancels(&mut fx.cancelled);
         f(n, &mut ctx);
-        outbox.into_iter().map(|(to, msg, _)| (to, msg)).collect()
+        fx.sent = outbox.into_iter().map(|(to, msg, _)| (to, msg)).collect();
+        fx.armed = timers.into_iter().map(|(_, t)| t).collect();
+        fx
+    }
+
+    /// The messages `f` sent (see [`run_recording`]).
+    fn run(
+        n: &mut OctopusNode,
+        f: impl FnOnce(&mut OctopusNode, &mut NodeCtx<'_>),
+    ) -> Vec<(Addr, Msg)> {
+        run_recording(n, f).sent
+    }
+
+    /// A test node whose traces show up as controls.
+    fn traced_node(id: u64) -> OctopusNode {
+        let mut n = test_node(id);
+        n.cfg.trace = true;
+        n
+    }
+
+    /// The request tables a moot timer must leave alone.
+    fn pending_tables(n: &OctopusNode) -> (Vec<u64>, Vec<u64>, Vec<(u64, NodeId)>) {
+        (
+            n.direct_pending.iter().map(|(&req, _)| req).collect(),
+            n.anon_pending.iter().map(|(&flow, _)| flow).collect(),
+            n.awaiting_receipt_flows(),
+        )
+    }
+
+    /// Fire `timer` by hand, as a host that ignored the cancel would:
+    /// it sends, arms, emits and cancels nothing, and leaves the
+    /// request tables as they were.
+    fn assert_moot(n: &mut OctopusNode, timer: Timer) {
+        let before = pending_tables(n);
+        let fx = run_recording(n, |n, ctx| n.on_timer(ctx, timer));
+        assert!(
+            fx.sent.is_empty()
+                && fx.armed.is_empty()
+                && fx.controls.is_empty()
+                && fx.cancelled.is_empty(),
+            "the cancelled {timer:?} still acts: {fx:?}"
+        );
+        assert_eq!(
+            pending_tables(n),
+            before,
+            "the cancelled {timer:?} changed state"
+        );
+    }
+
+    /// The `req` of the one request `fx` sent to `to`.
+    fn req_sent_to(fx: &Effects, to: NodeId) -> u64 {
+        let reqs: Vec<u64> = fx
+            .sent
+            .iter()
+            .filter(|(dest, _)| *dest == to)
+            .filter_map(|(_, msg)| match msg {
+                Msg::GetSuccList { req } | Msg::GetPredList { req } | Msg::GetTable { req } => {
+                    Some(*req)
+                }
+                _ => None,
+            })
+            .collect();
+        let [req] = reqs[..] else {
+            panic!("expected one request to {to:?}, sent {:?}", fx.sent);
+        };
+        req
+    }
+
+    #[test]
+    fn stabilization_replies_cancel_their_timeouts() {
+        let mut n = traced_node(100);
+        n.seed_state(vec![NodeId(120)], vec![NodeId(80)], vec![], vec![]);
+        let fx = run_recording(&mut n, |n, ctx| n.stabilize(ctx));
+        assert!(
+            fx.cancelled.is_empty(),
+            "a request cancelled its own timeout"
+        );
+        let succ_req = req_sent_to(&fx, NodeId(120));
+        let pred_req = req_sent_to(&fx, NodeId(80));
+        let table = |owner: u64| {
+            let peer = test_node(owner);
+            Box::new(peer.sign_table(successor_list_table(NodeId(owner), vec![]), 0))
+        };
+        let replies = [
+            (
+                succ_req,
+                NodeId(120),
+                Msg::SuccList {
+                    req: succ_req,
+                    list: table(120),
+                },
+            ),
+            (
+                pred_req,
+                NodeId(80),
+                Msg::PredList {
+                    req: pred_req,
+                    list: table(80),
+                },
+            ),
+        ];
+        for (req, from, reply) in replies {
+            let fx = run_recording(&mut n, |n, ctx| n.on_message(ctx, from, reply));
+            let timeout = Timer::RequestTimeout { req };
+            assert_eq!(fx.cancelled, vec![timeout]);
+            assert!(
+                n.direct_pending.get(&req).is_none(),
+                "the request is still pending"
+            );
+            assert_moot(&mut n, timeout);
+        }
+        // a second copy of a reply finds nothing to retire or cancel
+        let fx = run_recording(&mut n, |n, ctx| {
+            n.on_message(
+                ctx,
+                NodeId(120),
+                Msg::SuccList {
+                    req: succ_req,
+                    list: table(120),
+                },
+            );
+        });
+        assert!(fx.cancelled.is_empty());
+    }
+
+    #[test]
+    fn a_table_reply_cancels_its_timeout() {
+        let mut n = traced_node(100);
+        let purpose = DirectPurpose::FingerLookupStep { fl: 9 };
+        let fx = run_recording(&mut n, |n, ctx| {
+            n.send_direct(ctx, NodeId(300), |req| Msg::GetTable { req }, purpose);
+        });
+        assert!(
+            fx.cancelled.is_empty(),
+            "a request cancelled its own timeout"
+        );
+        let req = req_sent_to(&fx, NodeId(300));
+        let target = test_node(300);
+        let table = Box::new(target.sign_table(target.routing_table(), 0));
+        let fx = run_recording(&mut n, |n, ctx| {
+            n.on_message(ctx, NodeId(300), Msg::Table { req, table });
+        });
+        let timeout = Timer::RequestTimeout { req };
+        assert_eq!(fx.cancelled, vec![timeout]);
+        assert!(n.direct_pending.get(&req).is_none());
+        assert_moot(&mut n, timeout);
+    }
+
+    /// `n` sends a dummy lookup query through `relays`; returns its flow.
+    fn send_dummy_query(n: &mut OctopusNode, relays: &[NodeId]) -> u64 {
+        let purpose = AnonPurpose::LookupQuery {
+            lookup: 1,
+            dummy: true,
+        };
+        let mut flow = 0;
+        let fx = run_recording(n, |n, ctx| {
+            flow = n.send_anonymous_query(ctx, relays, NodeId(400), purpose);
+        });
+        assert!(
+            fx.cancelled.is_empty(),
+            "a query cancelled its own timeouts"
+        );
+        flow
+    }
+
+    #[test]
+    fn a_receipt_and_an_onion_reply_cancel_their_deadlines() {
+        let mut n = traced_node(100);
+        let first = test_node(201);
+        let flow = send_dummy_query(&mut n, &[first.id, NodeId(202), NodeId(203)]);
+        // the first relay's receipt retires the receipt deadline
+        let token = first.receipt_token(flow);
+        let fx = run_recording(&mut n, |n, ctx| {
+            n.on_message(ctx, first.id, Msg::Receipt { token });
+        });
+        let deadline = Timer::ReceiptDeadline { flow };
+        assert_eq!(fx.cancelled, vec![deadline]);
+        assert!(n.awaiting_receipt.get(&flow).is_none());
+        assert!(
+            n.anon_pending.get(&flow).is_some(),
+            "the query is still open"
+        );
+        assert_moot(&mut n, deadline);
+        // the reply retires the query's request timeout
+        let target = test_node(400);
+        let table = Box::new(target.sign_table(target.routing_table(), 0));
+        let payload = Box::new(Msg::Table { req: flow, table });
+        let fx = run_recording(&mut n, |n, ctx| {
+            n.on_message(ctx, first.id, Msg::OnionReply { flow, payload });
+        });
+        let timeout = Timer::RequestTimeout { req: flow };
+        assert_eq!(fx.cancelled, vec![timeout]);
+        assert!(n.anon_pending.get(&flow).is_none());
+        assert_moot(&mut n, timeout);
+    }
+
+    #[test]
+    fn a_receipt_from_the_wrong_signer_cancels_nothing() {
+        let mut n = traced_node(100);
+        let flow = send_dummy_query(&mut n, &[NodeId(201), NodeId(202), NodeId(203)]);
+        let token = test_node(202).receipt_token(flow);
+        let fx = run_recording(&mut n, |n, ctx| {
+            n.on_message(ctx, NodeId(202), Msg::Receipt { token });
+        });
+        assert!(fx.cancelled.is_empty());
+        assert!(n.awaiting_receipt.get(&flow).is_some());
+    }
+
+    #[test]
+    fn unanswered_requests_still_time_out() {
+        let mut n = traced_node(100);
+        n.seed_state(vec![NodeId(120), NodeId(130)], vec![], vec![], vec![]);
+        let fx = run_recording(&mut n, |n, ctx| n.stabilize(ctx));
+        let req = req_sent_to(&fx, NodeId(120));
+        // the direct timeout reaches `on_peer_dead`
+        let fx = run_recording(&mut n, |n, ctx| {
+            n.on_timer(ctx, Timer::RequestTimeout { req });
+        });
+        assert!(fx.cancelled.is_empty());
+        assert!(n.direct_pending.get(&req).is_none());
+        assert_eq!(
+            n.successors(),
+            &[NodeId(130)],
+            "the silent successor is kept"
+        );
+        // the anonymous one reaches `handle_anon_timeout`, and the
+        // receipt deadline still expires
+        let flow = send_dummy_query(&mut n, &[NodeId(201), NodeId(202), NodeId(203)]);
+        let fx = run_recording(&mut n, |n, ctx| {
+            n.on_timer(ctx, Timer::ReceiptDeadline { flow });
+            n.on_timer(ctx, Timer::RequestTimeout { req: flow });
+        });
+        assert!(fx.cancelled.is_empty());
+        assert!(n.awaiting_receipt.get(&flow).is_none());
+        assert!(
+            n.anon_pending.get(&flow).is_none(),
+            "the query is still pending"
+        );
+        let expired = fx.controls.iter().any(|c| {
+            matches!(c, Control::Trace(ev) if matches!(**ev, TraceEvent::ReceiptExpired { .. }))
+        });
+        assert!(expired, "no ReceiptExpired trace: {:?}", fx.controls);
     }
 
     #[test]

@@ -60,6 +60,16 @@ pub trait Runtime<M, T, C> {
     /// Arm a timer to fire after `delay`.
     fn set_timer(&mut self, delay: Duration, timer: T);
 
+    /// Say that an armed `timer` has become moot: the answer it waited
+    /// for arrived, and its handler would now do nothing. A host may
+    /// then drop it instead of firing it; the default lets it fire, and
+    /// so does the simulator (see `ARCHITECTURE.md`, "Event path"). A
+    /// node must therefore behave the same whether the timer fires or
+    /// not.
+    fn cancel_timer(&mut self, timer: T) {
+        let _ = timer;
+    }
+
     /// Emit a control event to the hosting driver.
     fn emit(&mut self, control: C);
 
@@ -126,6 +136,9 @@ pub struct Ctx<'a, M, T, C> {
     outbox: &'a mut Vec<(Addr, M, Duration)>,
     timers: &'a mut Vec<(Duration, T)>,
     controls: &'a mut Vec<C>,
+    /// Where [`Runtime::cancel_timer`] records moot timers; `None` (the
+    /// simulator's case) ignores them.
+    cancels: Option<&'a mut Vec<T>>,
 }
 
 impl<'a, M, T, C> Ctx<'a, M, T, C> {
@@ -149,7 +162,18 @@ impl<'a, M, T, C> Ctx<'a, M, T, C> {
             outbox,
             timers,
             controls,
+            cancels: None,
         }
+    }
+
+    /// Record the timers the handler cancels in `cancels` (empty), for
+    /// the host to withdraw afterwards. Without this, a cancelled timer
+    /// still fires.
+    #[must_use]
+    pub fn with_cancels(mut self, cancels: &'a mut Vec<T>) -> Self {
+        debug_assert!(cancels.is_empty());
+        self.cancels = Some(cancels);
+        self
     }
 }
 
@@ -172,6 +196,12 @@ impl<M, T, C> Runtime<M, T, C> for Ctx<'_, M, T, C> {
 
     fn set_timer(&mut self, delay: Duration, timer: T) {
         self.timers.push((delay, timer));
+    }
+
+    fn cancel_timer(&mut self, timer: T) {
+        if let Some(cancels) = self.cancels.as_deref_mut() {
+            cancels.push(timer);
+        }
     }
 
     fn emit(&mut self, control: C) {
@@ -213,6 +243,7 @@ mod tests {
         cx.send(NodeId(1), "hi");
         cx.send_delayed(NodeId(2), "later", Duration::from_millis(3));
         cx.set_timer(Duration::from_secs(1), 42);
+        cx.cancel_timer(41); // no cancel buffer: ignored
         cx.emit("done");
         let _: u64 = cx.rng().gen();
         assert_eq!(outbox.len(), 2);
@@ -220,6 +251,26 @@ mod tests {
         assert_eq!(outbox[1].2, Duration::from_millis(3));
         assert_eq!(timers, vec![(Duration::from_secs(1), 42)]);
         assert_eq!(controls, vec!["done"]);
+    }
+
+    #[test]
+    fn ctx_with_cancels_records_cancelled_timers() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let (mut outbox, mut timers, mut controls) = (Vec::new(), Vec::new(), Vec::new());
+        let mut cancels: Vec<u32> = Vec::new();
+        let mut cx: Ctx<'_, &str, u32, &str> = Ctx::from_parts(
+            SimTime::ZERO,
+            NodeId(9),
+            &mut rng,
+            &mut outbox,
+            &mut timers,
+            &mut controls,
+        )
+        .with_cancels(&mut cancels);
+        cx.set_timer(Duration::from_secs(1), 42);
+        cx.cancel_timer(41);
+        assert_eq!(timers, vec![(Duration::from_secs(1), 42)]);
+        assert_eq!(cancels, vec![41]);
     }
 
     /// The same behavior runs against any `Runtime` implementation —

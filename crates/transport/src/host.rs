@@ -27,7 +27,19 @@
 //! and `send_to` hands that slice to the kernel. In the steady state
 //! neither direction allocates for the frame, and the handler's outbox
 //! is a pooled `Vec` taken out of the host for the call and put back.
+//!
+//! # Answered timers
+//!
+//! Almost every request timeout and receipt deadline a node arms comes
+//! due after its answer has arrived, and then does nothing. The node
+//! says so through [`Runtime::cancel_timer`]; the host remembers the
+//! queue key each armed timer was pushed under and withdraws the
+//! cancelled ones ([`EventQueue::cancel`]), so the wheel holds the
+//! node's unanswered requests rather than every request of the last
+//! timeout's span.
 
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::io::ErrorKind;
 use std::net::UdpSocket;
 use std::time::Instant;
@@ -102,8 +114,13 @@ pub struct UdpHost<B: NodeBehavior> {
     // taken out for the handler call, put back once flushed)
     outbox: Vec<(Addr, B::Msg, Duration)>,
     timers: Vec<(Duration, B::Timer)>,
+    cancels: Vec<B::Timer>,
     controls: Vec<B::Control>,
     collected: Vec<B::Control>,
+    /// The queue key of each armed timer, until it fires or is
+    /// cancelled. A timer armed again while an earlier copy waits maps
+    /// to the newer key; the older copy then fires as armed.
+    armed: HashMap<B::Timer, u128>,
     /// Datagram counters.
     pub stats: HostStats,
 }
@@ -111,6 +128,7 @@ pub struct UdpHost<B: NodeBehavior> {
 impl<B: NodeBehavior> UdpHost<B>
 where
     B::Msg: WireCodec,
+    B::Timer: Clone + Eq + Hash,
 {
     /// Host `node` at overlay address `addr` on `socket`. The node's
     /// RNG stream derives from `master_seed` and its overlay id — two
@@ -141,8 +159,10 @@ where
             send_buf: Vec::new(),
             outbox: Vec::new(),
             timers: Vec::new(),
+            cancels: Vec::new(),
             controls: Vec::new(),
             collected: Vec::new(),
+            armed: HashMap::new(),
             stats: HostStats::default(),
         })
     }
@@ -171,6 +191,13 @@ where
         &self.node
     }
 
+    /// Timers and queued sends still to come (cancelled timers not
+    /// counted).
+    #[must_use]
+    pub fn pending(&self) -> usize {
+        self.queue.len()
+    }
+
     /// Run a handler against the pooled buffers, then flush its effects.
     fn dispatch(&mut self, f: impl FnOnce(&mut B, &mut dyn Runtime<B::Msg, B::Timer, B::Control>)) {
         let now = self.now();
@@ -183,7 +210,8 @@ where
             &mut outbox,
             &mut self.timers,
             &mut self.controls,
-        );
+        )
+        .with_cancels(&mut self.cancels);
         f(&mut self.node, &mut ctx);
         // flush: immediate sends hit the socket now; delayed sends and
         // timers go through the wheel keyed by wall-clock microseconds
@@ -197,8 +225,16 @@ where
             }
         }
         self.outbox = outbox;
+        // cancels before arms: a handler that cancels a timer and arms
+        // the same one again keeps the new one
+        for timer in self.cancels.drain(..) {
+            if let Some(key) = self.armed.remove(&timer) {
+                self.queue.cancel(key);
+            }
+        }
         for (delay, timer) in self.timers.drain(..) {
-            self.queue.push(now + delay, Pending::Timer(timer));
+            let key = self.queue.push(now + delay, Pending::Timer(timer.clone()));
+            self.armed.insert(timer, key);
         }
         self.collected.append(&mut self.controls);
     }
@@ -239,11 +275,19 @@ where
     fn drain_due(&mut self, mut now: SimTime) {
         loop {
             let bound = SimTime(now.0.saturating_add(1));
+            let Some((_, key)) = self.queue.peek_key() else {
+                return;
+            };
             let Some((_, pending)) = self.queue.pop_before(bound) else {
                 return;
             };
             match pending {
-                Pending::Timer(t) => self.dispatch(|n, ctx| n.on_timer(ctx, t)),
+                Pending::Timer(t) => {
+                    if self.armed.get(&t) == Some(&key) {
+                        self.armed.remove(&t);
+                    }
+                    self.dispatch(|n, ctx| n.on_timer(ctx, t));
+                }
                 Pending::Send(to, msg) => {
                     if to == self.addr {
                         let from = self.addr;
@@ -290,6 +334,7 @@ where
 impl<B: NodeBehavior> Transport<B> for UdpHost<B>
 where
     B::Msg: WireCodec,
+    B::Timer: Clone + Eq + Hash,
 {
     fn inject(&mut self, from: Addr, to: Addr, msg: B::Msg) {
         if to == self.addr {
@@ -537,6 +582,169 @@ mod tests {
         assert_eq!(h.node().seen, vec![(NodeId(9), 3)]);
         let controls = h.drive(Duration::from_millis(10));
         assert_eq!(controls, vec![3]);
+    }
+
+    /// Asks its peer `left` questions one after another, each under a
+    /// 2 s timeout that the answer makes moot, and answers what it is
+    /// asked. Questions are even, the answer to `q` is `q + 1`, and the
+    /// timer is the question.
+    struct Rounds {
+        peer: Addr,
+        left: u32,
+        answered: u32,
+        timed_out: u32,
+    }
+
+    impl Rounds {
+        fn ask(&mut self, ctx: &mut dyn Runtime<Num, u32, ()>) {
+            if self.left > 0 {
+                self.left -= 1;
+                let question = 2 * self.left;
+                ctx.send(self.peer, Num(question));
+                ctx.set_timer(Duration::from_secs(2), question);
+            }
+        }
+    }
+
+    impl NodeBehavior for Rounds {
+        type Msg = Num;
+        type Timer = u32;
+        type Control = ();
+
+        fn on_start(&mut self, ctx: &mut dyn Runtime<Num, u32, ()>) {
+            self.ask(ctx);
+        }
+
+        fn on_message(&mut self, ctx: &mut dyn Runtime<Num, u32, ()>, from: Addr, msg: Num) {
+            if msg.0.is_multiple_of(2) {
+                ctx.send(from, Num(msg.0 + 1));
+            } else {
+                ctx.cancel_timer(msg.0 - 1);
+                self.answered += 1;
+                self.ask(ctx);
+            }
+        }
+
+        fn on_timer(&mut self, _ctx: &mut dyn Runtime<Num, u32, ()>, _question: u32) {
+            self.timed_out += 1;
+        }
+    }
+
+    /// Host 1 asks host 2 `rounds` questions over loopback; returns the
+    /// most events host 1 ever held queued.
+    fn most_pending_over(rounds: u32) -> usize {
+        let bind = || UdpSocket::bind("127.0.0.1:0").expect("bind");
+        let (sock_a, sock_b) = (bind(), bind());
+        let mut peers = PeerTable::new();
+        peers.insert(NodeId(1), sock_a.local_addr().expect("addr"));
+        peers.insert(NodeId(2), sock_b.local_addr().expect("addr"));
+        let host = |id, peer, left, socket| {
+            let node = Rounds {
+                peer,
+                left,
+                answered: 0,
+                timed_out: 0,
+            };
+            UdpHost::new(node, id, socket, peers.clone(), 7).expect("host")
+        };
+        let mut asker = host(NodeId(1), NodeId(2), rounds, sock_a);
+        let mut answerer = host(NodeId(2), NodeId(1), 0, sock_b);
+        let mut most = 0;
+        // a microsecond's budget: each drive delivers at most one frame
+        for _ in 0..100 * rounds {
+            if asker.node().answered == rounds {
+                break;
+            }
+            asker.drive(Duration(1));
+            answerer.drive(Duration(1));
+            most = most.max(asker.pending());
+        }
+        assert_eq!(asker.node().answered, rounds, "rounds went unanswered");
+        assert_eq!(asker.node().timed_out, 0);
+        most
+    }
+
+    #[test]
+    fn answered_timeouts_leave_the_queue() {
+        // every round's answer comes well inside its 2 s timeout; a host
+        // that kept the moot timers would hold one per round
+        for rounds in [50, 500] {
+            let most = most_pending_over(rounds);
+            assert!(most <= 1, "{most} events queued over {rounds} rounds");
+        }
+    }
+
+    /// Arms timer 1 for 20 ms and timer 2 for 60 ms at start, and
+    /// cancels timer 1 on any message.
+    struct TwoAlarms {
+        started: SimTime,
+        fired: Vec<(u32, SimTime)>,
+    }
+
+    impl NodeBehavior for TwoAlarms {
+        type Msg = Num;
+        type Timer = u32;
+        type Control = ();
+
+        fn on_start(&mut self, ctx: &mut dyn Runtime<Num, u32, ()>) {
+            self.started = ctx.now();
+            ctx.set_timer(Duration::from_millis(20), 1);
+            ctx.set_timer(Duration::from_millis(60), 2);
+        }
+
+        fn on_message(&mut self, ctx: &mut dyn Runtime<Num, u32, ()>, _from: Addr, _msg: Num) {
+            ctx.cancel_timer(1);
+        }
+
+        fn on_timer(&mut self, ctx: &mut dyn Runtime<Num, u32, ()>, timer: u32) {
+            self.fired.push((timer, ctx.now()));
+        }
+    }
+
+    fn alarm_host() -> UdpHost<TwoAlarms> {
+        let socket = UdpSocket::bind("127.0.0.1:0").expect("bind");
+        let node = TwoAlarms {
+            started: SimTime::ZERO,
+            fired: Vec::new(),
+        };
+        UdpHost::new(node, NodeId(1), socket, PeerTable::new(), 7).expect("host")
+    }
+
+    #[test]
+    fn a_cancelled_earliest_timer_does_not_pull_the_next_one_forward() {
+        let mut h = alarm_host();
+        h.start();
+        assert_eq!(h.pending(), 2);
+        h.inject(NodeId(9), NodeId(1), Num(0)); // cancels timer 1
+        assert_eq!(h.pending(), 1);
+        h.drive(Duration::from_millis(100));
+        let started = h.node().started;
+        let [(2, at)] = h.node().fired[..] else {
+            panic!("fired {:?}", h.node().fired);
+        };
+        assert!(
+            at.0 - started.0 >= 60_000,
+            "timer 2 fired {} µs after it was armed for 60 ms",
+            at.0 - started.0
+        );
+        assert_eq!(h.pending(), 0);
+    }
+
+    #[test]
+    fn cancelling_a_timer_that_fired_changes_nothing() {
+        let mut h = alarm_host();
+        h.drive(Duration::from_millis(40)); // timer 1 fires
+        assert_eq!(
+            h.node().fired.iter().map(|f| f.0).collect::<Vec<_>>(),
+            vec![1]
+        );
+        h.inject(NodeId(9), NodeId(1), Num(0)); // its cancel comes too late
+        assert_eq!(h.pending(), 1);
+        h.drive(Duration::from_millis(40));
+        assert_eq!(
+            h.node().fired.iter().map(|f| f.0).collect::<Vec<_>>(),
+            vec![1, 2]
+        );
     }
 
     #[test]
