@@ -22,14 +22,14 @@
 //! [`RunArgs::from_env`] is the only reader of the environment in the
 //! workspace.
 //!
-//! The bins run every simulation on one shard with sequential windows.
-//! Shard count and parallel windows never change a report, and on the
-//! §5 simulations they only slow it down: a window there holds too few
-//! events to pay for the barrier. `fig3_bias` at `--scale full` took
-//! 7.7 s sequentially and 43.9 s at 4 parallel shards on a 2-vCPU host.
-//! Both stay an engine API ([`SimConfig::shards`],
-//! [`SimConfig::parallel`]) for worlds with wide windows, measured by
-//! octobench's `net.world.par2_*` probes.
+//! The bins run every simulation on one shard. Shard count never
+//! changes a report; [`SimConfig::shards`] stays an engine setting for
+//! worlds too large for one node slab. Windows always run their shards
+//! one after another: parallel windows never made a figure faster (a
+//! §5 window holds too few events to pay for a barrier; `fig3_bias` at
+//! `--scale full` took 7.7 s sequentially and 43.9 s at 4 parallel
+//! shards on a 2-vCPU host), so they were removed and
+//! [`SimConfig::parallel`] is accepted and ignored.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,5 @@
 //! Million-node scale determinism: a gossip workload at N=1,000,000
-//! on 8 shards must reproduce a pinned byte ledger, in both sequential
-//! and pooled-parallel windows.
+//! on 8 shards must reproduce a pinned byte ledger.
 //!
 //! The workload builds an N-node overlay and drives one simulated
 //! second of staggered per-node gossip timers, with half the traffic
@@ -70,7 +69,7 @@ impl NodeBehavior for GossipNode {
 /// Build an overlay of `n` addresses spread evenly around the ID space
 /// and run [`SIM_MILLIS`] of gossip to idle; returns total bytes
 /// shipped.
-fn drive(n: usize, shards: usize, parallel: bool) -> u64 {
+fn drive(n: usize, shards: usize) -> u64 {
     let stride = u64::MAX / n as u64;
     let ids: Vec<Addr> = (0..n as u64).map(|i| NodeId(i * stride + i)).collect();
     let mut w: World<GossipNode, _> = World::with_shards(
@@ -79,7 +78,6 @@ fn drive(n: usize, shards: usize, parallel: bool) -> u64 {
         SchedulerKind::default(),
         shards,
     );
-    w.set_parallel(parallel);
     for (i, &id) in ids.iter().enumerate() {
         w.insert_node(
             id,
@@ -94,7 +92,7 @@ fn drive(n: usize, shards: usize, parallel: bool) -> u64 {
     w.ledger().total_bytes()
 }
 
-/// Total bytes shipped by `drive(1_000_000, 8, _)`, pinned from a
+/// Total bytes shipped by `drive(1_000_000, 8)`, pinned from a
 /// release run. Any engine change that shifts this number changed
 /// *results*, not just speed.
 const MILLION_NODE_BYTES: u64 = 333_336_500;
@@ -103,13 +101,8 @@ const MILLION_NODE_BYTES: u64 = 333_336_500;
 #[ignore = "minutes-long at N=1,000,000; run with --release -- --ignored"]
 fn million_node_ring() {
     assert_eq!(
-        drive(1_000_000, 8, true),
+        drive(1_000_000, 8),
         MILLION_NODE_BYTES,
-        "parallel million-node ledger diverged from the pinned digest"
-    );
-    assert_eq!(
-        drive(1_000_000, 8, false),
-        MILLION_NODE_BYTES,
-        "sequential million-node ledger diverged from the pinned digest"
+        "million-node ledger diverged from the pinned digest"
     );
 }

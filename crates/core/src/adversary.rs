@@ -5,17 +5,14 @@
 //! with negligible delay. This module is that channel: a directory of
 //! live colluders plus the fabrication routines for each active attack.
 //!
-//! Malicious nodes hold an [`AdversaryHandle`] onto *their shard's
-//! replica* of the directory, so a successful fabrication by one node
-//! (e.g. "which colluder most closely succeeds this position?") reflects
+//! Every malicious node holds an [`AdversaryHandle`] onto the one
+//! shared directory, so a successful fabrication by one node (e.g.
+//! "which colluder most closely succeeds this position?") reflects
 //! every colluder instantly — the paper's "high-speed communication
 //! channel" assumption. Protocol code only ever *reads* the directory
-//! (the dice rolls draw from each node's own RNG stream), and because
-//! each shard reads a private replica, parallel window execution never
-//! contends on a shared lock or bounces its cache lines. The
-//! single-threaded simulation driver mutates **all** replicas in shard
-//! order between windows via [`ShardedAdversary::update`] — the
-//! deterministic barrier-time merge that keeps every replica identical.
+//! (the dice rolls draw from each node's own RNG stream); the
+//! simulation driver mutates it between windows via
+//! [`ShardedAdversary::update`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
@@ -67,89 +64,67 @@ pub struct AdversaryState {
     keypairs: BTreeMap<NodeId, (KeyPair, Certificate)>,
 }
 
-/// The range-partitioned adversary directory: one [`AdversaryState`]
-/// replica per world shard. Shard threads read *their own* replica
-/// through an [`AdversaryHandle`], so parallel windows never contend on
-/// one lock; the single-threaded driver mutates **all** replicas in
-/// shard order between windows via [`ShardedAdversary::update`], which
-/// keeps every replica byte-identical (the barrier-time merge).
+/// The adversary directory of a simulated world: one [`AdversaryState`]
+/// behind a lock, shared by every malicious node on every shard. Nodes
+/// read it through an [`AdversaryHandle`]; the driver mutates it
+/// between windows via [`ShardedAdversary::update`]. The lock is an
+/// `RwLock` rather than a `RefCell` so that nodes holding a handle stay
+/// `Send`.
 #[derive(Clone, Debug)]
 pub struct ShardedAdversary {
-    replicas: Arc<Vec<RwLock<AdversaryState>>>,
+    state: Arc<RwLock<AdversaryState>>,
 }
 
 impl ShardedAdversary {
-    /// A handle pinned to `shard`'s replica, cloned into each malicious
-    /// node that the world maps onto that shard.
-    ///
-    /// # Panics
-    /// Panics when `shard` is out of range.
+    /// The directory holding `state`.
     #[must_use]
-    pub fn handle(&self, shard: usize) -> AdversaryHandle {
-        assert!(
-            shard < self.replicas.len(),
-            "shard {shard} out of range ({} replicas)",
-            self.replicas.len()
-        );
-        AdversaryHandle {
-            replicas: Arc::clone(&self.replicas),
-            shard,
+    pub fn new(state: AdversaryState) -> Self {
+        ShardedAdversary {
+            state: Arc::new(RwLock::new(state)),
         }
     }
 
-    /// Number of per-shard replicas.
+    /// A read handle onto the directory, cloned into each malicious
+    /// node.
     #[must_use]
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
+    pub fn handle(&self) -> AdversaryHandle {
+        AdversaryHandle {
+            state: Arc::clone(&self.state),
+        }
     }
 
-    /// Driver-side read access (replica 0; every replica is identical).
+    /// Driver-side read access.
     ///
     /// # Panics
     /// Panics if a previous lock holder panicked (poisoned lock).
     pub fn read(&self) -> RwLockReadGuard<'_, AdversaryState> {
-        self.replicas[0].read().expect("adversary lock poisoned")
+        self.state.read().expect("adversary lock poisoned")
     }
 
-    /// Apply one mutation to every replica, in shard order, and return
-    /// the value it produced on replica 0. Driver-only, between windows
-    /// — this is the deterministic barrier-time merge; `f` must be a
-    /// pure function of its argument (it runs once per replica).
+    /// Apply one mutation and return what it produced. Driver-only,
+    /// between windows.
     ///
     /// # Panics
     /// Panics if a previous lock holder panicked (poisoned lock).
-    pub fn update<T>(&self, f: impl Fn(&mut AdversaryState) -> T) -> T {
-        let mut first = None;
-        for (i, replica) in self.replicas.iter().enumerate() {
-            let out = f(&mut replica.write().expect("adversary lock poisoned"));
-            if i == 0 {
-                first = Some(out);
-            }
-        }
-        first.expect("at least one replica")
+    pub fn update<T>(&self, f: impl FnOnce(&mut AdversaryState) -> T) -> T {
+        f(&mut self.state.write().expect("adversary lock poisoned"))
     }
 }
 
-/// A malicious node's read handle onto its shard's replica of the
-/// adversary directory. Reads are uncontended across shards by
-/// construction; all writes flow through [`ShardedAdversary::update`].
+/// A malicious node's read handle onto the adversary directory; all
+/// writes flow through [`ShardedAdversary::update`].
 #[derive(Clone, Debug)]
 pub struct AdversaryHandle {
-    replicas: Arc<Vec<RwLock<AdversaryState>>>,
-    shard: usize,
+    state: Arc<RwLock<AdversaryState>>,
 }
 
 impl AdversaryHandle {
-    /// Read access (protocol fabrication paths; safe from the owning
-    /// shard's thread — or any thread, the replica is merely *warmer*
-    /// on its own shard).
+    /// Read access (protocol fabrication paths).
     ///
     /// # Panics
     /// Panics if a previous lock holder panicked (poisoned lock).
     pub fn read(&self) -> RwLockReadGuard<'_, AdversaryState> {
-        self.replicas[self.shard]
-            .read()
-            .expect("adversary lock poisoned")
+        self.state.read().expect("adversary lock poisoned")
     }
 }
 
@@ -199,21 +174,6 @@ impl AdversaryState {
             kp,
             *cert,
         ))
-    }
-
-    /// Replicate into the sharded directory, one replica per world
-    /// shard (clamped to at least one).
-    #[must_use]
-    pub fn sharded(self, shards: usize) -> ShardedAdversary {
-        let shards = shards.max(1);
-        let mut replicas = Vec::with_capacity(shards);
-        for _ in 0..shards.saturating_sub(1) {
-            replicas.push(RwLock::new(self.clone()));
-        }
-        replicas.push(RwLock::new(self));
-        ShardedAdversary {
-            replicas: Arc::new(replicas),
-        }
     }
 
     /// The active attack.
@@ -444,18 +404,19 @@ mod tests {
 
     #[test]
     fn sharded_update_keeps_replicas_identical() {
-        let sharded = adversary_with(&[10, 20]).sharded(4);
-        assert_eq!(sharded.replica_count(), 4);
-        assert!(sharded.update(|a| a.remove(NodeId(10))));
-        sharded.update(|a| a.enroll(NodeId(40)));
-        for s in 0..4 {
-            let view = sharded.handle(s);
+        // every node's handle, taken before or after the driver's
+        // updates, sees them
+        let directory = ShardedAdversary::new(adversary_with(&[10, 20]));
+        let early: Vec<AdversaryHandle> = (0..4).map(|_| directory.handle()).collect();
+        assert!(directory.update(|a| a.remove(NodeId(10))));
+        directory.update(|a| a.enroll(NodeId(40)));
+        for view in early.iter().chain([&directory.handle()]) {
             let a = view.read();
             assert!(!a.is_colluder(NodeId(10)));
             assert!(a.is_colluder(NodeId(40)));
             assert_eq!(a.live_count(), 2);
         }
-        assert_eq!(sharded.read().live_count(), 2);
+        assert_eq!(directory.read().live_count(), 2);
     }
 
     #[test]

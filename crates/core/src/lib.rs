@@ -23,8 +23,8 @@
 //!   workload (Fig. 7b) — on a sharded `octopus-net` world
 //!   ([`SimConfig::shards`](simnet::SimConfig::shards)), with
 //!   [`trial::TrialRunner`] fanning seeded trials across threads.
-//!   Thread count, shard count and window execution mode are pure speed
-//!   knobs: fixed-seed reports are byte-identical at any setting.
+//!   Thread count and shard count never change results: fixed-seed
+//!   reports are byte-identical at any setting.
 //!
 //! The adversary ([`adversary`]) is a first-class implementation:
 //! colluding malicious nodes mount lookup bias, fingertable manipulation,

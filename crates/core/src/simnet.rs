@@ -187,16 +187,13 @@ pub struct SimConfig {
     /// identical [`SimReport`] at every shard count (pinned by the
     /// `engine_determinism` regression tests).
     pub shards: usize,
-    /// Whether the world fans each shard's in-window event batch across
-    /// the persistent worker pool between lookahead barriers. Like
-    /// `shards`, a pure speed knob: sequential and parallel windows
-    /// produce byte-identical reports (also pinned by
-    /// `engine_determinism`).
+    /// Accepted and ignored: windows always run their shards one after
+    /// another. Kept so configs written for the parallel windows of
+    /// earlier versions still compile; reports were byte-identical
+    /// either way.
     pub parallel: bool,
-    /// Worker-pool width for parallel windows (`0` = auto: the
-    /// machine's available parallelism, capped at the shard count).
-    /// Another pure speed knob — reports are byte-identical at every
-    /// width.
+    /// Accepted and ignored, like `parallel`: there is no worker pool
+    /// to size.
     pub pool_threads: usize,
 }
 
@@ -473,8 +470,6 @@ impl SecuritySim {
         let latency = KingLikeLatency::new(octopus_sim::split_seed(cfg.seed, 7));
         let mut world: World<Actor, KingLikeLatency> =
             World::with_shards(latency, cfg.seed, SchedulerKind::default(), cfg.shards);
-        world.set_parallel(cfg.parallel);
-        world.set_worker_threads(cfg.pool_threads);
         world.insert_node(CA_ADDR, Actor::Ca(Box::new(ca_node)));
 
         let chord = cfg.octopus.chord;
@@ -482,18 +477,14 @@ impl SecuritySim {
             let (kp, cert) = keys.get(&m).expect("key exists");
             adversary_state.share_keys(m, kp.clone(), *cert);
         }
-        // replicate the fully-seeded directory, one replica per shard
-        let adversary = adversary_state.sharded(world.shard_count());
-        let shard_map = world.shard_map();
+        let adversary = ShardedAdversary::new(adversary_state);
         let space = ShardedIdSpace::from(space);
         // the genesis ring is one membership at one instant: each
         // signer's list is signed once for all the nodes citing it
         let mut genesis_lists = BTreeMap::new();
         for id in space.iter() {
             let (kp, cert) = keys.get(&id).expect("key exists");
-            let adv = malicious
-                .contains(&id)
-                .then(|| adversary.handle(shard_map.shard_of(id)));
+            let adv = malicious.contains(&id).then(|| adversary.handle());
             let mut node =
                 OctopusNode::new(id, cfg.octopus, kp.clone(), *cert, CA_ADDR, ca_key, adv);
             seed_from_truth(&mut node, &space, chord, &mut rng);
@@ -570,7 +561,7 @@ impl SecuritySim {
         self.space.owner_of(key).owner
     }
 
-    /// The sharded adversary directory.
+    /// The adversary directory.
     #[must_use]
     pub fn adversary(&self) -> &ShardedAdversary {
         &self.adversary
@@ -579,12 +570,10 @@ impl SecuritySim {
     /// Run to completion and produce the report.
     ///
     /// Execution is windowed: the world runs one conservative lookahead
-    /// window at a time ([`World::run_window`] — each shard's in-window
-    /// batch on its own thread when [`SimConfig::parallel`] is set),
-    /// and the driver folds the window's control events, in global
-    /// `(time, key)` order, between barriers. Shard count and
-    /// execution mode are pure speed knobs: a fixed seed yields a
-    /// byte-identical report under every combination.
+    /// window at a time ([`World::run_window`]), and the driver folds
+    /// the window's control events, in global `(time, key)` order,
+    /// between barriers. A fixed seed yields a byte-identical report at
+    /// every shard count.
     pub fn run(&mut self) -> SimReport {
         let mut acc = self.begin();
         let end = acc.end;
@@ -812,7 +801,7 @@ impl SecuritySim {
             cert,
             CA_ADDR,
             ca_key,
-            malicious.then(|| self.adversary.handle(self.world.shard_map().shard_of(id))),
+            malicious.then(|| self.adversary.handle()),
         );
         let chord = self.cfg.octopus.chord;
         seed_from_truth(&mut node, &self.space, chord, &mut self.rng);

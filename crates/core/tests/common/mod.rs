@@ -1,6 +1,6 @@
 //! Shared harness for the reference-model oracle suites: the probe
 //! configuration (a small, fast network with accelerated protocol
-//! periods and tracing on), the shards × mode cube, and the
+//! periods and tracing on), the shard-count cube, and the
 //! seeded Byzantine injection rounds used by the fuzz oracle and the
 //! mutation-kill suite.
 //!
@@ -21,26 +21,19 @@ use octopus_id::NodeId;
 use octopus_sim::{Duration, SimTime};
 use octopus_spec::{check_invariants, Replay};
 
-/// One point of the acceptance cube: shard count, parallel windows.
-pub type CubePoint = (usize, bool);
+/// One point of the acceptance cube: a shard count.
+pub type CubePoint = usize;
 
-/// The full shards × {seq, par} cube (6 points). Index 0 is the
-/// 1-shard sequential baseline.
+/// The cube's shard counts. Index 0 is the 1-shard baseline.
 pub fn cube() -> Vec<CubePoint> {
-    let mut points = Vec::new();
-    for shards in [1usize, 2, 4] {
-        for parallel in [false, true] {
-            points.push((shards, parallel));
-        }
-    }
-    points
+    vec![1, 2, 4]
 }
 
 /// The probe network: 40 nodes, 12 simulated seconds, protocol periods
 /// accelerated so a debug-build run still exercises walks, lookups,
 /// onion relaying, receipts, surveillance and CA intake — with the
 /// trace oracle recording.
-pub fn probe(seed: u64, (shards, parallel): CubePoint) -> SimConfig {
+pub fn probe(seed: u64, shards: CubePoint) -> SimConfig {
     let mut octopus = OctopusConfig::for_network(40);
     octopus.surveillance_every = Duration::from_secs(5);
     octopus.walk_every = Duration::from_secs(3);
@@ -54,7 +47,6 @@ pub fn probe(seed: u64, (shards, parallel): CubePoint) -> SimConfig {
         duration: Duration::from_secs(12),
         seed,
         shards,
-        parallel,
         octopus,
         ..SimConfig::default()
     }

@@ -1,8 +1,7 @@
 //! Engine-level determinism regressions: the same seeded experiment
 //! must produce byte-identical reports across trial-runner thread
-//! counts, across world shard counts, and across window execution
-//! modes (sequential vs parallel shard threads). These guard the
-//! engine's core promise — parallelism and partitioning change speed,
+//! counts and across world shard counts. These guard the engine's core
+//! promise — trial threads and partitioning change speed and memory,
 //! never results.
 
 use octopus_core::{trial_configs, AttackKind, OctopusConfig, SecuritySim, SimConfig, TrialRunner};
@@ -34,42 +33,35 @@ fn trial_runner_merge_is_thread_count_invariant() {
 }
 
 /// The acceptance cube: a fixed-seed `SecuritySim` produces
-/// byte-identical `SimReport`s for **every** combination of shard count
-/// {1, 2, 4} and execution mode {sequential, parallel windows}. (The
-/// name is kept for the test floor; the two scheduler backends are
-/// compared in `scheduler_equivalence` and in the world's
+/// byte-identical `SimReport`s at every shard count {1, 2, 4}. (The
+/// name is kept for the test floor; windows have one execution mode,
+/// and the two scheduler backends are compared in
+/// `scheduler_equivalence` and in the world's
 /// `identical_on_both_scheduler_backends`, not here.)
 #[test]
 fn security_sim_identical_across_modes_shards_and_backends() {
-    let report_at = |shards: usize, parallel: bool| {
-        let cfg = SimConfig {
+    let report_at = |shards: usize| {
+        SecuritySim::new(SimConfig {
             shards,
-            parallel,
             ..small(17)
-        };
-        SecuritySim::new(cfg).run()
+        })
+        .run()
     };
-    let baseline = report_at(1, false);
+    let baseline = report_at(1);
     assert!(
         baseline.completed_lookups > 0 || baseline.walks_ok > 0,
         "run must exercise the protocol"
     );
-    for shards in [1usize, 2, 4] {
-        for parallel in [false, true] {
-            let probe = report_at(shards, parallel);
-            assert_eq!(
-                baseline, probe,
-                "{shards}-shard parallel={parallel} run diverged"
-            );
-            assert_eq!(format!("{baseline:?}"), format!("{probe:?}"));
-        }
+    for shards in [2usize, 4] {
+        let probe = report_at(shards);
+        assert_eq!(baseline, probe, "{shards}-shard run diverged");
+        assert_eq!(format!("{baseline:?}"), format!("{probe:?}"));
     }
 }
 
-/// The persistent worker pool is invisible in results: forcing a
-/// 2-thread pool (which single-core CI would otherwise size down to
-/// inline execution) reproduces the sequential baseline byte for byte
-/// at every shard count.
+/// The settings of the removed worker pool are accepted and change
+/// nothing: `parallel: true, pool_threads: 2` reproduces the baseline
+/// byte for byte at every shard count.
 #[test]
 fn pooled_windows_identical_to_sequential_baseline() {
     let baseline = SecuritySim::new(small(17)).run();
@@ -81,7 +73,10 @@ fn pooled_windows_identical_to_sequential_baseline() {
             ..small(17)
         };
         let probe = SecuritySim::new(cfg).run();
-        assert_eq!(baseline, probe, "{shards}-shard pooled run diverged");
+        assert_eq!(
+            baseline, probe,
+            "{shards}-shard run with pool settings diverged"
+        );
         assert_eq!(format!("{baseline:?}"), format!("{probe:?}"));
     }
 }

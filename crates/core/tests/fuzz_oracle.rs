@@ -30,7 +30,7 @@ fn byzantine_mutations_rejected_in_agreement_with_model() {
     let mut injected_onions = 0usize;
     let mut tracked_revocations = 0usize;
     for seed in SEEDS {
-        let (run, stats) = run_fuzzed(probe(seed, (1, false)));
+        let (run, stats) = run_fuzzed(probe(seed, 1));
         assert_model_agrees(&run, &format!("fuzzed seed {seed}"));
 
         // Deterministically injected kinds must have fired every round.
@@ -156,22 +156,22 @@ fn byzantine_mutations_rejected_in_agreement_with_model() {
 }
 
 /// The injections compose with the execution cube: the same fuzzed
-/// schedule on a 2-shard parallel engine reproduces the
-/// 1-shard sequential run byte for byte — report and trace.
+/// schedule on a 2-shard engine reproduces the 1-shard run byte for
+/// byte — report and trace.
 #[test]
 fn fuzzed_runs_deterministic_across_modes() {
     for seed in [44u64, 45] {
-        let (seq, seq_stats) = run_fuzzed(probe(seed, (1, false)));
-        let (par, par_stats) = run_fuzzed(probe(seed, (2, true)));
+        let (one, one_stats) = run_fuzzed(probe(seed, 1));
+        let (two, two_stats) = run_fuzzed(probe(seed, 2));
         assert_eq!(
-            format!("{seq_stats:?}"),
-            format!("{par_stats:?}"),
-            "seed {seed}: injection schedules diverged across modes"
+            format!("{one_stats:?}"),
+            format!("{two_stats:?}"),
+            "seed {seed}: injection schedules diverged across shard counts"
         );
         assert_eq!(
-            seq.report, par.report,
+            one.report, two.report,
             "seed {seed}: fuzzed report diverged"
         );
-        assert_eq!(seq.trace, par.trace, "seed {seed}: fuzzed trace diverged");
+        assert_eq!(one.trace, two.trace, "seed {seed}: fuzzed trace diverged");
     }
 }

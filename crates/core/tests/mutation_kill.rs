@@ -20,7 +20,7 @@ use octopus_spec::check_invariants;
 const SEED: u64 = 7;
 
 fn fuzzed_probe() -> octopus_core::SimConfig {
-    probe(SEED, (1, false))
+    probe(SEED, 1)
 }
 
 /// Divergences plus invariant breaches for a traced run.

@@ -1,7 +1,7 @@
 //! `octolint` — the determinism-contract static-analysis pass.
 //!
 //! The engine's headline property is byte-identical replay across
-//! shards × {seq, par} × scheduler backends. The equivalence-matrix
+//! shard counts × scheduler backends. The equivalence-matrix
 //! tests enforce that *dynamically*, which means a nondeterminism
 //! source can hide until a workload happens to exercise it. This crate
 //! enforces the contract *statically*: it walks the workspace sources
@@ -13,11 +13,11 @@
 //! | `OCT-LINT-001` | `nondet-iteration` | **retired** — superseded by the precise dataflow rule `OCT-LINT-006`; the blanket `HashMap`/`HashSet` type ban forced allows for keyed-access-only maps |
 //! | `OCT-LINT-002` | `wall-clock` | no `Instant::now`/`SystemTime`/`UNIX_EPOCH` outside `crates/bench` — simulated time comes from the event queue |
 //! | `OCT-LINT-003` | `ambient-rng` | no `thread_rng`/`from_entropy`/`OsRng` anywhere — every stream derives from the master seed via `derive_rng`/`split_seed` |
-//! | `OCT-LINT-004` | `thread-identity` | no `thread::current()`/`ThreadId`/`available_parallelism` outside `TrialRunner`/`RunArgs`/pool sizing — results must not depend on which or how many threads ran |
-//! | `OCT-LINT-005` | `shard-unsafe-write` | no `.write()`/`.update()` on the sharded adversary directory outside driver modules — shard threads may only read their replica |
+//! | `OCT-LINT-004` | `thread-identity` | no `thread::current()`/`ThreadId`/`available_parallelism` outside `RunArgs` — results must not depend on which or how many threads ran |
+//! | `OCT-LINT-005` | `shard-unsafe-write` | no `.write()`/`.update()` on the adversary directory outside driver modules — protocol handlers may only read it |
 //! | `OCT-LINT-006` | `unordered-flow` | no binding produced by `HashMap`/`HashSet` iteration may flow into an order-sensitive sink (push/insert/entry/extend/append/fold/hash/emit) without an intervening sort — keyed access is fine |
 //! | `OCT-LINT-007` | `float-merge` | no f32/f64 `+=`/`sum()`/`fold` inside merge paths (`impl Merge`, `absorb`, `*merge*` fns) — float addition is not associative, so merge order changes results |
-//! | `OCT-LINT-008` | `guard-discipline` | in the barrier modules (`net/pool.rs`, `net/world.rs`): no second lock and no potential panic while a lock guard is live — the PR-8 poisoned-mutex cascade as a lint |
+//! | `OCT-LINT-008` | `guard-discipline` | **retired** — it guarded lock discipline in the shard worker pool, which is gone; a world runs on one thread |
 //! | `OCT-LINT-009` | `barrier-panic-path` | shard batch execution (`run_batch`) must be reachable only through `catch_unwind`-covered call paths, checked by an intra-crate call-graph walk |
 //!
 //! Plus the meta-rule `OCT-LINT-000` (`analyzer-integrity`): a
@@ -37,8 +37,7 @@
 //! lex+parse pass per file (`lexer`, `parser`) produces a
 //! per-function statement tree with scope-tracked bindings, and the
 //! rule families (`rules`) consume that shared product — taint-style
-//! dataflow for 006/007, guard liveness for 008, and an intra-crate
-//! call-graph fixpoint for 009.
+//! dataflow for 006/007 and an intra-crate call-graph fixpoint for 009.
 //!
 //! Diagnostics are path-sorted and line-sorted, so the tool's own
 //! output is replay-stable. Exit codes are script-friendly: 0 clean,
@@ -110,15 +109,14 @@ pub const RULES: &[Rule] = &[
         code: "OCT-LINT-004",
         name: "thread-identity",
         summary: "no thread::current()/ThreadId/available_parallelism outside \
-                  TrialRunner/RunArgs/pool sizing: results must not depend on \
-                  thread count or identity",
+                  RunArgs: results must not depend on thread count or identity",
         retired: false,
     },
     Rule {
         code: "OCT-LINT-005",
         name: "shard-unsafe-write",
-        summary: "no .write()/.update() on the sharded adversary directory outside \
-                  driver modules: shard threads may only read their replica",
+        summary: "no .write()/.update() on the adversary directory outside driver \
+                  modules: protocol handlers may only read it",
         retired: false,
     },
     Rule {
@@ -139,9 +137,10 @@ pub const RULES: &[Rule] = &[
     Rule {
         code: "OCT-LINT-008",
         name: "guard-discipline",
-        summary: "in net/pool.rs and net/world.rs: no second lock and no potential panic \
-                  (panic!/unwrap/expect/resume_unwind) while a lock guard is live",
-        retired: false,
+        summary: "RETIRED (the shard worker pool it guarded is gone; a world runs on \
+                  one thread): no second lock and no potential panic while a lock \
+                  guard is live in the barrier modules",
+        retired: true,
     },
     Rule {
         code: "OCT-LINT-009",
@@ -318,7 +317,7 @@ fn analyze(rel: &str, source: &str, timings: &mut Timings) -> FileAnalysis {
     }
 }
 
-/// Per-file rule families (002–008) plus parse-integrity candidates.
+/// Per-file rule families (002–007) plus parse-integrity candidates.
 /// 009 is cross-file and runs per crate group.
 fn file_candidates(fa: &FileAnalysis, timings: &mut Timings) -> Vec<Candidate> {
     let ctx = FileCtx {
@@ -347,9 +346,6 @@ fn file_candidates(fa: &FileAnalysis, timings: &mut Timings) -> Vec<Candidate> {
     let t = tick();
     rules::float_merge::check(&ctx, &mut out);
     timings.add("rules/007 float-merge", t.elapsed());
-    let t = tick();
-    rules::guards::check(&ctx, &mut out);
-    timings.add("rules/008 guard-discipline", t.elapsed());
     out
 }
 
@@ -785,7 +781,6 @@ mod tests {
             "rules/002-005 tokens",
             "rules/006 unordered-flow",
             "rules/007 float-merge",
-            "rules/008 guard-discipline",
             "rules/009 barrier-panic-path",
             "suppression-audit",
         ] {
@@ -816,6 +811,10 @@ mod tests {
             ]
         );
         let retired: Vec<&str> = RULES.iter().filter(|r| r.retired).map(|r| r.code).collect();
-        assert_eq!(retired, ["OCT-LINT-001"], "codes are never reused");
+        assert_eq!(
+            retired,
+            ["OCT-LINT-001", "OCT-LINT-008"],
+            "codes are never reused"
+        );
     }
 }

@@ -1,9 +1,10 @@
 //! `OCT-LINT-009` — barrier-path panic safety.
 //!
-//! Shard batch execution (`run_batch`) runs on worker threads between
-//! window barriers. If a batch panic escapes uncaught, the worker dies
-//! without posting its done-count and every peer blocks on the barrier
-//! forever — or, worse, the driver merges a half-executed window. The
+//! Shard batch execution (`run_batch`) runs between window barriers.
+//! If a batch panic escapes uncaught, the barrier merge is skipped: the
+//! completed batches' outgoing envelopes stay unparked and the clock
+//! does not advance, so a driver that catches the panic and keeps
+//! stepping holds an inconsistent world. The
 //! contract: every call into a protected callee must be lexically
 //! covered by `catch_unwind`, or reached only *through* functions whose
 //! own call sites are covered. This rule walks the intra-crate call
@@ -18,7 +19,7 @@
 //!    at the original unprotected call site.
 //!
 //! The walk is name-based and per-crate: `crates/X/src/*` files are
-//! analyzed together so `pool.rs` calling into `world.rs` resolves.
+//! analyzed together so a call from one module into another resolves.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -161,9 +162,9 @@ pub(crate) fn check_crate(files: &[FileCtx<'_>]) -> Vec<(usize, Candidate)> {
                     message: format!(
                         "shard batch execution is reachable through `{}` without \
                          `catch_unwind` coverage: a panic here skips the window \
-                         barrier merge and deadlocks the worker pool; wrap the call \
-                         in `catch_unwind(AssertUnwindSafe(..))` and re-raise after \
-                         the barrier",
+                         barrier merge and leaves the world inconsistent; wrap the \
+                         call in `catch_unwind(AssertUnwindSafe(..))` and re-raise \
+                         after the barrier",
                         f.name
                     ),
                 },

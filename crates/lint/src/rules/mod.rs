@@ -5,7 +5,6 @@
 pub(crate) mod barrier;
 pub(crate) mod dataflow;
 pub(crate) mod float_merge;
-pub(crate) mod guards;
 pub(crate) mod token_rules;
 
 use crate::lexer::Tok;
@@ -38,27 +37,20 @@ pub(crate) const WALL_CLOCK_EXEMPT: &[&str] = &["crates/bench/", "crates/transpo
 /// Engine crates keep the rule unconditionally.
 pub(crate) const AMBIENT_RNG_EXEMPT: &[&str] = &["crates/transport/"];
 
-/// `OCT-LINT-004` exemptions: the two sanctioned fan-out sizing sites
-/// (`RunArgs`, which sizes the trial fan-out, and the shard worker
-/// pool — whose width is a pure speed knob, never an input to results).
-pub(crate) const THREAD_IDENTITY_EXEMPT: &[&str] =
-    &["crates/bench/src/lib.rs", "crates/net/src/pool.rs"];
+/// `OCT-LINT-004` exemption: the one sanctioned fan-out sizing site,
+/// `RunArgs`, which sizes the trial fan-out (never an input to
+/// results).
+pub(crate) const THREAD_IDENTITY_EXEMPT: &[&str] = &["crates/bench/src/lib.rs"];
 
-/// `OCT-LINT-005` exemptions: the single-threaded driver modules that
-/// legitimately take the adversary write lock between windows, and the
+/// `OCT-LINT-005` exemptions: the simulation driver module that
+/// legitimately takes the adversary write lock between windows, and the
 /// module defining the lock itself.
 pub(crate) const SHARD_WRITE_EXEMPT: &[&str] =
     &["crates/core/src/simnet.rs", "crates/core/src/adversary.rs"];
 
-/// `OCT-LINT-008` scope: the two modules where lock guards and the
-/// barrier protocol live. The guard-discipline rule is deliberately
-/// narrow — it encodes the PR-8 poisoned-mutex post-mortem, not a
-/// general lock lint.
-pub(crate) const GUARD_SCOPE: &[&str] = &["crates/net/src/pool.rs", "crates/net/src/world.rs"];
-
 /// `OCT-LINT-009` protected callees: shard batch execution. A panic
 /// escaping one of these without `catch_unwind` coverage skips the
-/// barrier merge and deadlocks or poisons the window.
+/// barrier merge and leaves the world inconsistent.
 pub(crate) const BARRIER_PROTECTED: &[&str] = &["run_batch"];
 
 pub(crate) fn has_prefix(path: &str, prefixes: &[&str]) -> bool {

@@ -83,8 +83,8 @@ pub(crate) fn check(ctx: &FileCtx<'_>, out: &mut Vec<Candidate>) {
                     col: t.col,
                     code: "OCT-LINT-004",
                     message: format!(
-                        "`{}` outside TrialRunner/RunArgs: results must not depend \
-                         on how many threads the host offers",
+                        "`{}` outside RunArgs: results must not depend on how many \
+                         threads the host offers",
                         t.text
                     ),
                 });
@@ -102,8 +102,8 @@ pub(crate) fn check(ctx: &FileCtx<'_>, out: &mut Vec<Candidate>) {
                 });
             }
             // OCT-LINT-005 — shard-unsafe shared mutation:
-            // `<...adversary...>.write(` or `.update(` (the sharded
-            // directory's all-replica merge is driver-only)
+            // `<...adversary...>.write(` or `.update(` (mutating the
+            // directory is driver-only)
             "write" | "update"
                 if engine
                     && !super::SHARD_WRITE_EXEMPT.contains(&rel_path)
@@ -132,9 +132,9 @@ pub(crate) fn check(ctx: &FileCtx<'_>, out: &mut Vec<Candidate>) {
                         col: t.col,
                         code: "OCT-LINT-005",
                         message: format!(
-                            "`.{}()` on the sharded adversary directory outside a driver \
-                             module: shard threads may only read their replica; mutate \
-                             between windows from the driver",
+                            "`.{}()` on the adversary directory outside a driver module: \
+                             protocol handlers may only read it; mutate between windows \
+                             from the driver",
                             t.text
                         ),
                     });

@@ -1,10 +1,10 @@
 // Known-bad fixture: OCT-LINT-005 shard-unsafe-write.
 // Linted under crates/core/src/bad_005.rs (and asserted exempt under
-// crates/core/src/simnet.rs, the single-threaded driver module).
+// crates/core/src/simnet.rs, the simulation driver module).
 
 fn fabricate(node: &mut Node) {
-    // a protocol path mutating the shared directory would race the
-    // other shard threads reading it mid-window
+    // a protocol path mutating the shared directory would change what
+    // the other colluders read mid-window, in event order
     node.adversary.write().enroll(node.id); //~ OCT-LINT-005
 }
 
@@ -23,8 +23,8 @@ fn unrelated_io(w: &mut impl std::io::Write, buf: &[u8]) {
 }
 
 fn merge_everywhere(adversary: &ShardedAdversary, id: u64) {
-    // the all-replica merge is the driver's move at the barrier, not a
-    // shard thread's
+    // mutating the directory is the driver's move between windows, not
+    // a protocol handler's
     adversary.update(|a| a.enroll(id)); //~ OCT-LINT-005
 }
 

@@ -24,17 +24,15 @@
 //! synchronizes conservatively at lookahead barriers bounded by
 //! [`LatencyModel::min_latency`]. Every event's `(time, key)` ordering
 //! key derives from its origin node — no shard-dependent counters — so
-//! any shard count, either window execution mode
-//! ([`world::World::run_window`] runs shard batches on scoped threads
-//! when [`world::World::set_parallel`] is on), and 1 shard in
-//! particular (the classic single-queue engine) all produce
-//! byte-identical results.
+//! every shard count, and 1 shard in particular (the classic
+//! single-queue engine), produces byte-identical results. Shards
+//! partition memory; [`world::World::run_window`] runs their batches
+//! one after another on the calling thread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod latency;
-pub mod pool;
 pub mod runtime;
 pub mod shard;
 pub mod slab;

@@ -177,37 +177,49 @@ impl<'a, M, T, C> Ctx<'a, M, T, C> {
     }
 }
 
+// `#[inline]` puts a copy of each method in every codegen unit that
+// calls it, so once a handler is inlined into dispatch and its `dyn
+// Runtime` calls devirtualize, the pushes inline too, wherever the
+// compiler happened to place the handler.
 impl<M, T, C> Runtime<M, T, C> for Ctx<'_, M, T, C> {
+    #[inline]
     fn now(&self) -> SimTime {
         self.now
     }
 
+    #[inline]
     fn addr(&self) -> Addr {
         self.self_addr
     }
 
+    #[inline]
     fn send(&mut self, to: Addr, msg: M) {
         self.outbox.push((to, msg, Duration::ZERO));
     }
 
+    #[inline]
     fn send_delayed(&mut self, to: Addr, msg: M, extra: Duration) {
         self.outbox.push((to, msg, extra));
     }
 
+    #[inline]
     fn set_timer(&mut self, delay: Duration, timer: T) {
         self.timers.push((delay, timer));
     }
 
+    #[inline]
     fn cancel_timer(&mut self, timer: T) {
         if let Some(cancels) = self.cancels.as_deref_mut() {
             cancels.push(timer);
         }
     }
 
+    #[inline]
     fn emit(&mut self, control: C) {
         self.controls.push(control);
     }
 
+    #[inline]
     fn rng(&mut self) -> &mut StdRng {
         self.rng
     }

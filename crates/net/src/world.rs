@@ -13,9 +13,9 @@
 //! with their RNG streams and event counters, dispatched where they
 //! lie), its own event queue, its own pooled [`Ctx`] scratch
 //! buffers, and the byte counters of its own nodes — a shard shares
-//! *nothing* mutable with its siblings, which is what lets
-//! [`World::run_window`] execute shard batches on the persistent
-//! worker pool ([`crate::pool`]).
+//! *nothing* mutable with its siblings. Shards partition memory, not
+//! work: [`World::run_window`] runs their batches one after another on
+//! the calling thread.
 //!
 //! Sharding never changes results. Every event carries a
 //! `(time, key)` ordering key whose tie-break packs
@@ -51,18 +51,14 @@
 //! window closes can never deliver it late.
 //!
 //! One driver runs all of that machinery: [`World::run_window`] opens
-//! a lookahead window, runs *every* shard's in-window batch (fanned
-//! across the persistent worker pool when [`World::set_parallel`] is
-//! on), then merges envelopes and emitted control events by key at the
-//! barrier. Sequential and parallel windows are byte-identical by
-//! construction — threads change wall-clock time, never state — and a
-//! one-shard sequential run *is* the single-queue engine: its only
+//! a lookahead window, runs *every* shard's in-window batch in shard
+//! order, then merges envelopes and emitted control events by key at
+//! the barrier. A one-shard run *is* the single-queue engine: its only
 //! queue pops in `(time, key)` order, and it is the reference every
-//! other shard count and mode is compared to.
+//! other shard count is compared to.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
 use octopus_sim::{
     component_label, derive_rng, split_seed, stream_rng, Duration, EventQueue, LookaheadWindow,
@@ -72,7 +68,6 @@ use rand::rngs::StdRng;
 use rand::RngCore;
 
 use crate::latency::LatencyModel;
-use crate::pool::{self, ShardPool};
 use crate::shard::{CrossShardBus, Envelope, ShardMap};
 use crate::slab::{NodeSlab, NO_HINT};
 use crate::wire::{datagram_bytes, BandwidthLedger, FrameHeader};
@@ -106,7 +101,7 @@ const PROTO_LANE: u128 = 1 << 127;
 /// in the high bits, its per-node event counter in the low bits. Unique
 /// (each counter value is consumed once per origin), totally ordered,
 /// and — because a node's counter advances with its own deterministic
-/// execution — identical for every shard count and execution mode.
+/// execution — identical for every shard count.
 fn proto_key(origin: Addr, counter: u64) -> u128 {
     debug_assert!(counter < (1 << 63), "per-origin event counter overflow");
     PROTO_LANE | (u128::from(origin.0) << 63) | u128::from(counter)
@@ -185,32 +180,23 @@ impl<M, T, C> Default for BufferPool<M, T, C> {
 }
 
 /// The read-only execution environment a shard batch runs against:
-/// everything a shard needs besides its own state, shareable across
-/// worker threads.
-pub(crate) struct ShardCtx<'a, L> {
-    pub(crate) map: ShardMap,
-    pub(crate) latency: &'a L,
+/// everything a shard needs besides its own state.
+struct ShardCtx<'a, L> {
+    map: ShardMap,
+    latency: &'a L,
     /// The monotone lookahead bound every cross-shard send must respect
     /// (the park-assert obligation).
-    pub(crate) window_end: SimTime,
+    window_end: SimTime,
     /// Exclusive execution bound of the current window batch.
-    pub(crate) exec_end: SimTime,
+    exec_end: SimTime,
 }
-
-impl<L> Clone for ShardCtx<'_, L> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<L> Copy for ShardCtx<'_, L> {}
 
 /// One partition of the world: the nodes in a contiguous ID range, the
 /// event queue for everything addressed to them, and every mutable
 /// resource their execution touches — pooled buffers, byte and drop
 /// counters, outgoing envelope lanes and emitted controls. Nothing here
-/// is shared with other shards, so a window batch can run on its own
-/// thread.
-pub(crate) struct Shard<B: NodeBehavior> {
+/// is shared with other shards.
+struct Shard<B: NodeBehavior> {
     nodes: NodeSlab<Hosted<B>>,
     /// Everything a handler's effects flow into. A field of its own so
     /// an event borrows its node in `nodes` and this side by side.
@@ -312,7 +298,7 @@ impl<B: NodeBehavior> ShardIo<B> {
         let bytes = datagram_bytes(&msg);
         // Stateless, order-independent draw: the stream is keyed by
         // (sender, per-sender counter), so the same message gets the
-        // same latency no matter which thread routes it or what else
+        // same latency no matter which shard routes it or what else
         // happened first.
         let mut rng = JitterRng {
             base: jitter_base,
@@ -405,7 +391,7 @@ impl<B: NodeBehavior> Shard<B> {
     /// order — the per-shard body of one window. Timers landing inside
     /// the window are picked up; messages cannot land inside it (their
     /// latency floor carries them to `exec_end` or beyond).
-    pub(crate) fn run_batch<L: LatencyModel>(&mut self, ctx: &ShardCtx<'_, L>) {
+    fn run_batch<L: LatencyModel>(&mut self, ctx: &ShardCtx<'_, L>) {
         while let Some((at, ev)) = self.io.queue.pop_before(ctx.exec_end) {
             self.exec_event(ctx, at, ev);
         }
@@ -430,24 +416,8 @@ pub struct World<B: NodeBehavior, L: LatencyModel> {
     counter_floor: BTreeMap<Addr, u64>,
     /// Timestamp of the last event executed anywhere (monotone).
     now: SimTime,
-    /// The latency model, shared with the worker pool's threads.
-    latency: Arc<L>,
+    latency: L,
     master_seed: u64,
-    /// Whether [`World::run_window`] fans shard batches across the
-    /// persistent worker pool. A pure speed knob: results are
-    /// byte-identical.
-    parallel: bool,
-    /// Worker-thread override for the pool (`0` = auto sizing, see
-    /// [`pool::worker_count`]).
-    worker_threads: usize,
-    /// Resolved pool width for the current `worker_threads` setting
-    /// (`0` = not yet resolved; resolved lazily so host parallelism is
-    /// queried once, not per window).
-    pool_workers: usize,
-    /// The persistent shard worker pool, spawned on the first parallel
-    /// window that has more than one effective worker and reused for
-    /// every window after it.
-    pool: Option<ShardPool<B, L>>,
 }
 
 impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
@@ -502,42 +472,20 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
             driver_seq: 0,
             counter_floor: BTreeMap::new(),
             now: SimTime::ZERO,
-            latency: Arc::new(latency),
+            latency,
             master_seed,
-            parallel: false,
-            worker_threads: 0,
-            pool_workers: 0,
-            pool: None,
         }
     }
 
-    /// Turn parallel window execution on or off (default off). With it
-    /// on, shard batches are fanned across the persistent worker pool
-    /// between barriers.
-    /// Results are byte-identical either way.
-    pub fn set_parallel(&mut self, parallel: bool) {
-        self.parallel = parallel;
-    }
+    /// Accepted and ignored: windows always run their shards one after
+    /// another on the calling thread. Kept so callers written against
+    /// the parallel windows of earlier versions still compile; results
+    /// were byte-identical either way.
+    pub fn set_parallel(&mut self, _parallel: bool) {}
 
-    /// Pin the parallel worker-pool width (`0` restores auto sizing:
-    /// the machine's available parallelism, capped at the shard count
-    /// either way). Takes effect
-    /// at the next parallel window; an existing pool of a different
-    /// width is torn down and respawned. Like [`World::set_parallel`],
-    /// a pure speed knob — results are byte-identical at every width.
-    pub fn set_worker_threads(&mut self, threads: usize) {
-        if self.worker_threads != threads {
-            self.worker_threads = threads;
-            self.pool_workers = 0;
-            self.pool = None;
-        }
-    }
-
-    /// Whether windowed execution fans out across threads.
-    #[must_use]
-    pub fn parallel(&self) -> bool {
-        self.parallel
-    }
+    /// Accepted and ignored, like [`World::set_parallel`]: there is no
+    /// worker pool to size.
+    pub fn set_worker_threads(&mut self, _threads: usize) {}
 
     /// Current simulation time.
     #[must_use]
@@ -715,7 +663,7 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
         let now = self.now;
         let ctx = ShardCtx {
             map: self.map,
-            latency: &*self.latency,
+            latency: &self.latency,
             window_end: self.window.end(),
             exec_end: now,
         };
@@ -785,39 +733,25 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
     ///    before any later event runs.
     /// 2. Otherwise open the lookahead window from the earliest pending
     ///    time, cap it at the next scheduled control and the deadline,
-    ///    and run **every shard's in-window batch** — fanned across the
-    ///    persistent worker pool when [`World::set_parallel`] is on,
-    ///    inline otherwise. Shards share nothing during the batch; the
-    ///    barrier then parks their outgoing envelopes, merges their
-    ///    emitted controls by key, and advances the clock.
+    ///    and run **every shard's in-window batch**, in shard order.
+    ///    Shards share nothing during the batch; the barrier then parks
+    ///    their outgoing envelopes, merges their emitted controls by
+    ///    key, and advances the clock.
     /// 3. With zero lookahead (or a control due at the window start)
     ///    the window degenerates to one sequential event — always
     ///    correct, never fast.
     ///
-    /// Sequential and parallel windowed runs are byte-identical by
-    /// construction: threads only change *when* a shard's batch runs on
-    /// the wall clock, never what it computes or how the barrier orders
-    /// the results.
-    ///
     /// # Panics
     ///
-    /// A panic inside a node handler is re-raised on the calling
-    /// thread — with its original payload, regardless of pool width —
-    /// but only *after* the window's barrier merge, so a driver that
-    /// catches it holds a consistent world: every completed event's
-    /// effects (messages, timers, clock) are visible, every shard has
-    /// been reclaimed from the worker pool, and the panicking node is
-    /// still hosted, in whatever state its handler left it (what the
-    /// interrupted handler had sent, armed or emitted is lost).
-    /// Subsequent windows, and dropping the world, behave normally.
-    pub fn run_window(&mut self, deadline: SimTime) -> Option<Vec<(SimTime, B::Control)>>
-    where
-        B: Send + 'static,
-        B::Msg: Send + 'static,
-        B::Timer: Send + 'static,
-        B::Control: Send + 'static,
-        L: Send + Sync + 'static,
-    {
+    /// A panic inside a node handler is re-raised with its original
+    /// payload, but only *after* the window's barrier merge, so a
+    /// driver that catches it holds a consistent world: every completed
+    /// event's effects (messages, timers, clock) are visible, and the
+    /// panicking node is still hosted, in whatever state its handler
+    /// left it (what the interrupted handler had sent, armed or emitted
+    /// is lost). Subsequent windows, and dropping the world, behave
+    /// normally.
+    pub fn run_window(&mut self, deadline: SimTime) -> Option<Vec<(SimTime, B::Control)>> {
         // Barrier: every in-flight cross-shard message becomes visible
         // before the window's extent is decided.
         self.flush_bus();
@@ -849,7 +783,7 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
         exec_end = exec_end.min(SimTime(deadline.0.saturating_add(1)));
         let ctx = ShardCtx {
             map: self.map,
-            latency: &*self.latency,
+            latency: &self.latency,
             window_end,
             exec_end,
         };
@@ -857,42 +791,20 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
         // batches that *did* complete have outgoing envelopes and an
         // advanced clock that later windows (or a caught-and-resumed
         // driver) depend on. Batch-phase panics are therefore caught
-        // here (the pool catches its own workers' panics and hands the
-        // first payload back) and re-raised only after the merge, so a
-        // caught panic leaves the world consistent: every completed
-        // event's effects are visible, and only the interrupted
-        // handler's own sends, timers and controls are lost.
+        // here and re-raised only after the merge, so a caught panic
+        // leaves the world consistent: every completed event's effects
+        // are visible, and only the interrupted handler's own sends,
+        // timers and controls are lost.
         let batch_panic: Option<Box<dyn std::any::Any + Send>> = if exec_end <= t0 {
             // Zero lookahead (or a control due right at t0): degenerate
             // to one event per barrier. Slower, never wrong.
             let shard = &mut self.shards[head_idx];
             catch_unwind(AssertUnwindSafe(|| shard.run_one(&ctx))).err()
-        } else if self.parallel && self.shards.len() > 1 {
-            if self.pool_workers == 0 {
-                self.pool_workers = pool::worker_count(self.worker_threads, self.shards.len());
-            }
-            if self.pool_workers <= 1 {
-                // One effective worker: the pool would only add barrier
-                // crossings. Run the batches inline.
-                Self::run_batches_inline(&mut self.shards, &ctx)
-            } else {
-                if self.pool.is_none() {
-                    self.pool = Some(ShardPool::new(
-                        self.shards.len(),
-                        self.pool_workers,
-                        self.map,
-                        Arc::clone(&self.latency),
-                    ));
-                }
-                let pool = self.pool.as_ref().expect("pool just ensured");
-                pool.run_window(&mut self.shards, window_end, exec_end)
-            }
         } else {
-            Self::run_batches_inline(&mut self.shards, &ctx)
+            Self::run_batches(&mut self.shards, &ctx)
         };
         // Barrier merge: park envelopes, order controls, advance time.
-        // Everything here is key-driven or commutative, so the merge is
-        // independent of which thread finished first.
+        // Everything here is key-driven or commutative.
         let mut emitted: Vec<(SimTime, u128, B::Control)> = Vec::new();
         let mut now = self.now;
         for shard in &mut self.shards {
@@ -908,11 +820,11 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
         Some(emitted.into_iter().map(|(t, _, c)| (t, c)).collect())
     }
 
-    /// Run every shard's window batch on the calling thread, stopping
-    /// at (and returning) the first handler panic. Remaining shards are
-    /// left unexecuted — their events are still queued, exactly as if
-    /// the window had opened later.
-    fn run_batches_inline(
+    /// Run every shard's window batch in shard order, stopping at (and
+    /// returning) the first handler panic. Remaining shards are left
+    /// unexecuted — their events are still queued, exactly as if the
+    /// window had opened later.
+    fn run_batches(
         shards: &mut [Shard<B>],
         ctx: &ShardCtx<'_, L>,
     ) -> Option<Box<dyn std::any::Any + Send>> {
@@ -925,14 +837,7 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
     }
 }
 
-impl<B, L> Transport<B> for World<B, L>
-where
-    B: NodeBehavior + Send + 'static,
-    B::Msg: Send + 'static,
-    B::Timer: Send + 'static,
-    B::Control: Send + 'static,
-    L: LatencyModel + Send + Sync + 'static,
-{
+impl<B: NodeBehavior, L: LatencyModel> Transport<B> for World<B, L> {
     fn inject(&mut self, from: Addr, to: Addr, msg: B::Msg) {
         self.inject_message(from, to, msg);
     }
@@ -962,14 +867,10 @@ mod tests {
     use std::collections::HashMap;
 
     /// Run every window due by `deadline`; the controls they produced.
-    fn run_windows<B, L>(w: &mut World<B, L>, deadline: SimTime) -> Vec<(SimTime, B::Control)>
-    where
-        B: NodeBehavior + Send + 'static,
-        B::Msg: Send + 'static,
-        B::Timer: Send + 'static,
-        B::Control: Send + 'static,
-        L: LatencyModel + Send + Sync + 'static,
-    {
+    fn run_windows<B: NodeBehavior, L: LatencyModel>(
+        w: &mut World<B, L>,
+        deadline: SimTime,
+    ) -> Vec<(SimTime, B::Control)> {
         let mut out = Vec::new();
         while let Some(controls) = w.run_window(deadline) {
             out.extend(controls);
@@ -1214,7 +1115,7 @@ mod tests {
     /// Two shards of chatters with a never-hosted destination, a node
     /// that leaves for good and one that leaves and rejoins, run to
     /// idle: the ledger, the log and the drop count.
-    fn churned_chatter_run(parallel: bool) -> (BandwidthLedger, Vec<Log>, u64) {
+    fn churned_chatter_run() -> (BandwidthLedger, Vec<Log>, u64) {
         let ids = gossip_ids();
         let ghost = NodeId(u64::MAX - 5);
         let outsider = NodeId(3);
@@ -1239,10 +1140,6 @@ mod tests {
             w.shard_map().shard_of(leaver),
             w.shard_map().shard_of(rejoiner)
         );
-        if parallel {
-            w.set_parallel(true);
-            w.set_worker_threads(2);
-        }
         for (i, &id) in ids.iter().enumerate() {
             w.insert_node(id, chatter(i));
         }
@@ -1273,7 +1170,7 @@ mod tests {
 
     #[test]
     fn slot_counters_equal_the_per_message_hashmap_ledger() {
-        let (ledger, log, dropped) = churned_chatter_run(false);
+        let (ledger, log, dropped) = churned_chatter_run();
         // the accounting `BandwidthLedger::record` did per message:
         // both ends credited at the send, in two hash maps
         let datagram = |bytes: u32| u64::from(bytes) + u64::from(sizes::UDP_HEADER);
@@ -1320,11 +1217,6 @@ mod tests {
                 "received_by({a:?})"
             );
         }
-        assert_eq!(
-            churned_chatter_run(true),
-            (ledger, log, dropped),
-            "pooled windows diverged from sequential ones"
-        );
     }
 
     #[test]
@@ -1627,14 +1519,9 @@ mod tests {
     /// order: every pong emits the receiver's running count, and the
     /// driver answers each with a ping to a rotating peer, so the
     /// network stays busy and the load crosses shards.
-    fn gossip_trace_windowed<L: LatencyModel + Send + Sync + 'static>(
-        shards: usize,
-        parallel: bool,
-        latency: L,
-    ) -> Vec<(SimTime, u32)> {
+    fn gossip_trace_windowed<L: LatencyModel>(shards: usize, latency: L) -> Vec<(SimTime, u32)> {
         let ids = gossip_ids();
         let mut w = gossip_world(shards, latency);
-        w.set_parallel(parallel);
         let mut out = Vec::new();
         while let Some(controls) = w.run_window(SimTime::from_millis(400)) {
             for (t, c) in controls {
@@ -1651,20 +1538,14 @@ mod tests {
 
     #[test]
     fn windowed_execution_identical_across_shards_and_modes() {
-        let base = gossip_trace_windowed(1, false, ConstantLatency(Duration::from_millis(7)));
+        let base = gossip_trace_windowed(1, ConstantLatency(Duration::from_millis(7)));
         assert!(base.len() > 40, "workload must generate traffic");
-        for shards in [1usize, 2, 4, 8] {
-            for parallel in [false, true] {
-                assert_eq!(
-                    gossip_trace_windowed(
-                        shards,
-                        parallel,
-                        ConstantLatency(Duration::from_millis(7))
-                    ),
-                    base,
-                    "{shards}-shard parallel={parallel} windowed run diverged"
-                );
-            }
+        for shards in [2usize, 4, 8] {
+            assert_eq!(
+                gossip_trace_windowed(shards, ConstantLatency(Duration::from_millis(7))),
+                base,
+                "{shards}-shard windowed run diverged"
+            );
         }
     }
 
@@ -1673,15 +1554,13 @@ mod tests {
         // a model with no guaranteed floor gives a zero lookahead: the
         // window covers nothing and collapses to a single event, with
         // the bus flushed before every pop — slower, never wrong
-        let windowed = gossip_trace_windowed(1, false, NoFloor(Duration::from_millis(7)));
+        let windowed = gossip_trace_windowed(1, NoFloor(Duration::from_millis(7)));
         assert!(!windowed.is_empty());
         for shards in [2usize, 4] {
-            for parallel in [false, true] {
-                assert_eq!(
-                    gossip_trace_windowed(shards, parallel, NoFloor(Duration::from_millis(7))),
-                    windowed
-                );
-            }
+            assert_eq!(
+                gossip_trace_windowed(shards, NoFloor(Duration::from_millis(7))),
+                windowed
+            );
         }
     }
 

@@ -1,10 +1,10 @@
-//! Panic replay through the shard worker pool: a node handler that
-//! panics inside a parallel window batch must surface on the driving
-//! thread with its payload intact — byte-identical at every pool width
-//! (1 worker, 2 workers, machine cores) and identical to the fully
-//! sequential run — and it must leave the [`World`] unpoisoned: every
-//! shard is reclaimed from its worker slot, later windows still run,
-//! and dropping the world joins the pool without hanging.
+//! Panic replay across shards: a node handler that panics inside a
+//! window batch of a 4-shard world must surface on the driving thread
+//! with its payload intact, after the window's barrier merge, and it
+//! must leave the [`World`] usable: later windows still run, no other
+//! node is lost, and the world drops cleanly. The pool-width settings
+//! (`set_parallel`, `set_worker_threads`) are accepted and ignored, so
+//! every width replays the same payload.
 
 use std::panic::{self, AssertUnwindSafe};
 
@@ -61,8 +61,8 @@ impl NodeBehavior for Bomb {
     fn on_timer(&mut self, ctx: &mut dyn Runtime<Ping, Tick, ()>, _t: Tick) {
         if self.armed && ctx.now() >= SimTime::ZERO + fuse() {
             // The payload bakes in the detonation's position in the
-            // schedule, so payload equality across pool widths is also
-            // a determinism check on *when* the panic fired.
+            // schedule, so payload equality across runs is also a
+            // determinism check on *when* the panic fired.
             panic!(
                 "shard-batch bomb: node {:#018x} detonated at {:?} after {} ticks",
                 ctx.addr().0,
@@ -129,7 +129,7 @@ fn quiet<R>(f: impl FnOnce() -> R) -> R {
 
 /// Drive windows until the bomb goes off; return its payload. Then
 /// prove the world survived: more windows run cleanly and the world
-/// drops (joining any pool workers) without a second panic.
+/// drops without a second panic.
 fn detonate_and_recover(mut world: World<Bomb, ConstantLatency>) -> String {
     let deadline = SimTime::ZERO + self::deadline();
     let payload = quiet(|| {
@@ -138,8 +138,7 @@ fn detonate_and_recover(mut world: World<Bomb, ConstantLatency>) -> String {
         }))
         .expect_err("the armed node must detonate before the deadline")
     });
-    // Unpoisoned: every shard is back in the world (the pool returns a
-    // shard to its slot even when its batch panics), so stepping
+    // The barrier merge ran before the panic was re-raised, so stepping
     // continues. The panicking node stays hosted where its handler left
     // it; what is checked below is that the panic cost no other node.
     let resumed = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -163,28 +162,27 @@ fn detonate_and_recover(mut world: World<Bomb, ConstantLatency>) -> String {
         survivors >= (NODES as usize) - 1,
         "panic destroyed more than the panicking node: {survivors} nodes left"
     );
-    drop(world); // must join pool workers without hanging
+    drop(world);
     payload_string(payload)
 }
 
 #[test]
 fn panic_payload_replays_identically_at_every_pool_width() {
-    // Ground truth: sequential windowed execution (no pool at all).
-    let sequential = detonate_and_recover(build_world());
+    let baseline = detonate_and_recover(build_world());
     assert!(
-        sequential.contains("shard-batch bomb") && sequential.contains("detonated"),
-        "unexpected payload: {sequential}"
+        baseline.contains("shard-batch bomb") && baseline.contains("detonated"),
+        "unexpected payload: {baseline}"
     );
 
-    // Pool widths 1 (inline batches), 2 (pooled), and 0 = auto sizing
-    // (the machine's cores). Each must replay the exact payload.
+    // The old pool widths 1, 2 and 0 (auto): the settings are accepted
+    // and ignored, so each replays the exact payload.
     for width in [1usize, 2, 0] {
         let mut world = build_world();
         world.set_parallel(true);
         world.set_worker_threads(width);
-        let parallel = detonate_and_recover(world);
         assert_eq!(
-            parallel, sequential,
+            detonate_and_recover(world),
+            baseline,
             "panic payload diverged at pool width {width}"
         );
     }

@@ -2,7 +2,7 @@
 //!
 //! Every other correctness check in this workspace compares the engine
 //! against another configuration of the same engine (the determinism
-//! cube, the pooled-window pins, the ledger counts). A bug shared by
+//! cube, the shard-count pins, the ledger counts). A bug shared by
 //! every configuration is invisible to all of them. This crate is the
 //! independent second implementation that closes that gap: a small,
 //! obviously-correct transition system over the protocol decisions the
