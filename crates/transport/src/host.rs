@@ -15,18 +15,23 @@
 //!
 //! # Datagram path
 //!
-//! A frame in or out touches only its own bytes. The host owns two
-//! byte buffers for its whole life. *In:* `recv_from` writes a datagram
-//! into the receive buffer (`MAX_PAYLOAD + 64` bytes, allocated and
-//! zeroed once, at the first poll — a poll that finds the socket empty
-//! touches none of it), `decode_frame` reads exactly the bytes that
-//! arrived and builds the message in storage of its own, and the buffer
-//! is free again before the handler runs. *Out:*
-//! [`octopus_net::encode_frame_into`] writes header and payload once
-//! into the send buffer, which keeps its capacity from frame to frame,
-//! and `send_to` hands that slice to the kernel. In the steady state
-//! neither direction allocates for the frame, and the handler's outbox
-//! is a pooled `Vec` taken out of the host for the call and put back.
+//! A frame in or out touches only its own bytes. *In:* `recv_from`
+//! writes a datagram into the thread's receive buffer (`MAX_PAYLOAD +
+//! 64` bytes, allocated and zeroed once per thread, at that thread's
+//! first poll — a poll that finds the socket empty touches none of it,
+//! and every host the thread serves reads into the same bytes),
+//! `decode_frame` reads exactly the bytes that arrived and builds the
+//! message in storage of its own, and the buffer is free again before
+//! the handler runs. A decoded frame is delivered only if it came from
+//! where the peer table places its sender: the socket source must equal
+//! the table's address for `header.from`, so a sender that forges
+//! another node's id, or names one the table does not list, is counted
+//! as rejected and dropped. *Out:* [`octopus_net::encode_frame_into`]
+//! writes header and payload once into the host's send buffer, which
+//! keeps its capacity from frame to frame, and `send_to` hands that
+//! slice to the kernel. In the steady state neither direction allocates
+//! for the frame, and the handler's outbox is a pooled `Vec` taken out
+//! of the host for the call and put back.
 //!
 //! # Answered timers
 //!
@@ -38,10 +43,11 @@
 //! node's unanswered requests rather than every request of the last
 //! timeout's span.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::io::ErrorKind;
-use std::net::UdpSocket;
+use std::net::{SocketAddr, UdpSocket};
 use std::time::Instant;
 
 use octopus_net::{
@@ -58,8 +64,16 @@ const READ_TIMEOUT: std::time::Duration = std::time::Duration::from_millis(2);
 
 /// Size of the receive buffer: longer than the largest frame, and than
 /// any datagram UDP carries (65 507 bytes over IPv4), so the buffer
-/// never cuts a datagram short.
+/// never cuts a datagram short. There is one per thread, not one per
+/// host: a thread serving N hosts holds these bytes once, not N times.
 const RECV_BUF: usize = MAX_PAYLOAD + 64;
+
+thread_local! {
+    /// Where `recv_from` puts a datagram, for every host this thread
+    /// polls; [`RECV_BUF`] bytes from the thread's first poll on, empty
+    /// before it (a thread that never polls, never pays for it).
+    static RECV: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
 
 // This host *is* the sanctioned wall-clock boundary: real sockets run
 // on real time (the octolint OCT-LINT-002 transport exemption; clippy's
@@ -76,7 +90,10 @@ pub struct HostStats {
     pub frames_in: u64,
     /// Frames encoded and handed to the socket.
     pub frames_out: u64,
-    /// Datagrams rejected by the frame codec (or misaddressed).
+    /// Datagrams rejected: by the frame codec, because they are
+    /// addressed to another node, or because their socket source is not
+    /// the peer table's address for the sender they name (a forged or
+    /// unknown origin).
     pub frames_rejected: u64,
     /// Outbound messages dropped because the peer table has no address
     /// for the destination.
@@ -104,10 +121,6 @@ pub struct UdpHost<B: NodeBehavior> {
     rng: StdRng,
     epoch: Instant,
     started: bool,
-    /// Where `recv_from` puts a datagram; [`RECV_BUF`] bytes from the
-    /// first poll on, empty before it (a host that never polls, never
-    /// pays for it).
-    recv_buf: Vec<u8>,
     /// Where `transmit` builds a frame; grows to the largest frame sent.
     send_buf: Vec<u8>,
     // pooled handler buffers (same discipline as the simulator's shards:
@@ -155,7 +168,6 @@ where
             rng: derive_rng(split_seed(master_seed, addr.0), b"udp-node", 0),
             epoch: wall_now(),
             started: false,
-            recv_buf: Vec::new(),
             send_buf: Vec::new(),
             outbox: Vec::new(),
             timers: Vec::new(),
@@ -304,23 +316,31 @@ where
     /// Block on the socket for up to the read timeout; decode and
     /// deliver at most one frame. Returns whether a datagram arrived.
     fn recv_one(&mut self) -> bool {
-        if self.recv_buf.is_empty() {
-            self.recv_buf = vec![0; RECV_BUF];
-        }
-        match self.socket.recv_from(&mut self.recv_buf) {
-            Ok((len, _src)) => {
-                // only the `len` bytes this datagram wrote are read:
-                // what an earlier, longer one left behind never shows
-                match decode_frame::<B::Msg>(&self.recv_buf[..len]) {
-                    Ok((header, msg)) if header.to == self.addr => {
-                        self.stats.frames_in += 1;
-                        let from = header.from;
-                        self.dispatch(|n, ctx| n.on_message(ctx, from, msg));
-                    }
-                    // well-formed but misaddressed (stale peer table on
-                    // the sender) — reject, don't deliver
-                    Ok(_) | Err(_) => self.stats.frames_rejected += 1,
-                }
+        let received = RECV.with_borrow_mut(|buf| {
+            if buf.is_empty() {
+                *buf = vec![0; RECV_BUF];
+            }
+            let (len, src) = self.socket.recv_from(buf)?;
+            // only the `len` bytes this datagram wrote are read: what an
+            // earlier, longer one left behind, for this host or another
+            // on the thread, never shows. The decoded `Msg` owns its
+            // storage, so the borrow ends here, before any handler runs.
+            Ok::<_, std::io::Error>((src, decode_frame::<B::Msg>(&buf[..len])))
+        });
+        match received {
+            Ok((src, Ok((header, msg))))
+                if header.to == self.addr && self.sent_by(header.from, src) =>
+            {
+                self.stats.frames_in += 1;
+                let from = header.from;
+                self.dispatch(|n, ctx| n.on_message(ctx, from, msg));
+                true
+            }
+            // malformed, well-formed but misaddressed (stale peer table
+            // on the sender), or sent from where its sender does not
+            // live (forged or unknown origin) — reject, don't deliver
+            Ok(_) => {
+                self.stats.frames_rejected += 1;
                 true
             }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => false,
@@ -329,6 +349,22 @@ where
             Err(_) => false,
         }
     }
+
+    /// Whether a datagram from socket address `src` may speak for
+    /// `from`: the peer table must place `from` there. A sender the
+    /// table does not list fails too; the host could not answer it.
+    fn sent_by(&self, from: Addr, src: SocketAddr) -> bool {
+        self.peers
+            .get(from)
+            .is_some_and(|known| same_endpoint(known, src))
+    }
+}
+
+/// Whether two socket addresses name one endpoint, an IPv4 address seen
+/// through a dual-stack socket (`::ffff:a.b.c.d`) matching its plain
+/// form.
+fn same_endpoint(a: SocketAddr, b: SocketAddr) -> bool {
+    a.ip().to_canonical() == b.ip().to_canonical() && a.port() == b.port()
 }
 
 impl<B: NodeBehavior> Transport<B> for UdpHost<B>
@@ -508,46 +544,146 @@ mod tests {
         fn on_start(&mut self, _ctx: &mut dyn Runtime<Bytes, (), ()>) {}
     }
 
-    /// Two `Sink` hosts, the first knowing where the second listens.
+    /// A `Sink` host with overlay id `id` on `socket`.
+    fn sink_host(id: u64, socket: UdpSocket, peers: PeerTable) -> UdpHost<Sink> {
+        UdpHost::new(Sink(Vec::new()), NodeId(id), socket, peers, 7).expect("host")
+    }
+
+    fn loopback_socket() -> UdpSocket {
+        UdpSocket::bind("127.0.0.1:0").expect("bind")
+    }
+
+    /// Two `Sink` hosts, ids 1 and 2, each knowing where the other
+    /// listens (the receiver must, to accept the sender's frames).
     fn sink_pair() -> (UdpHost<Sink>, UdpHost<Sink>) {
-        let host = |id, peers| {
-            let socket = UdpSocket::bind("127.0.0.1:0").expect("bind");
-            UdpHost::new(Sink(Vec::new()), NodeId(id), socket, peers, 7).expect("host")
-        };
-        let b = host(2, PeerTable::new());
+        let (sock_a, sock_b) = (loopback_socket(), loopback_socket());
         let mut peers = PeerTable::new();
-        peers.insert(NodeId(2), b.socket.local_addr().expect("addr"));
-        (host(1, peers), b)
+        peers.insert(NodeId(1), sock_a.local_addr().expect("addr"));
+        peers.insert(NodeId(2), sock_b.local_addr().expect("addr"));
+        (
+            sink_host(1, sock_a, peers.clone()),
+            sink_host(2, sock_b, peers),
+        )
     }
 
     #[test]
     fn short_frame_after_a_long_one_shows_no_stale_tail() {
         // the longest frame one loopback UDP datagram carries
         const LONGEST: usize = 65_507 - octopus_net::wire::FRAME_OVERHEAD;
-        let (mut a, mut b) = sink_pair();
         let long = Bytes((0..LONGEST).map(|i| (i % 251) as u8).collect());
-        a.inject(NodeId(1), NodeId(2), long.clone());
         // the long frame's header alone: its length and checksum fit the
         // bytes that frame leaves in the receive buffer, so a host that
         // read past the datagram's end would take it for a frame
-        let header = FrameHeader {
-            from: NodeId(1),
-            to: NodeId(2),
+        let header_only = |to| {
+            let header = FrameHeader {
+                from: NodeId(1),
+                to: NodeId(to),
+            };
+            let frame = octopus_net::encode_frame(header, &long);
+            frame[..octopus_net::wire::FRAME_OVERHEAD].to_vec()
         };
-        let frame = octopus_net::encode_frame(header, &long);
-        let spray = UdpSocket::bind("127.0.0.1:0").expect("bind");
+
+        // one receiving host: the long frame, then the header alone and
+        // the short frame, all to host 2
+        let (mut a, mut b) = sink_pair();
+        a.inject(NodeId(1), NodeId(2), long.clone());
+        // sent from host 1's own socket, so its origin holds and only
+        // the length can give it away
         let dest = b.socket.local_addr().expect("addr");
-        spray
-            .send_to(&frame[..octopus_net::wire::FRAME_OVERHEAD], dest)
-            .expect("send");
+        a.socket.send_to(&header_only(2), dest).expect("send");
         a.inject(NodeId(1), NodeId(2), Bytes(vec![0x5a]));
         assert_eq!(a.stats.frames_out, 2);
         assert_eq!(a.stats.send_failures, 0);
-
         b.drive(Duration::from_millis(30));
-        assert_eq!(b.node().0, vec![long, Bytes(vec![0x5a])]);
+        assert_eq!(b.node().0, vec![long.clone(), Bytes(vec![0x5a])]);
         assert_eq!(b.stats.frames_in, 2);
         assert_eq!(b.stats.frames_rejected, 1);
+
+        // two receiving hosts on this thread, which share its receive
+        // buffer: the long frame to host 2, then the header alone and
+        // the short frame to host 3
+        let (sock_a, sock_b, sock_c) = (loopback_socket(), loopback_socket(), loopback_socket());
+        let mut peers = PeerTable::new();
+        peers.insert(NodeId(1), sock_a.local_addr().expect("addr"));
+        peers.insert(NodeId(2), sock_b.local_addr().expect("addr"));
+        peers.insert(NodeId(3), sock_c.local_addr().expect("addr"));
+        let dest = sock_c.local_addr().expect("addr");
+        let mut a = sink_host(1, sock_a, peers.clone());
+        let mut b = sink_host(2, sock_b, peers.clone());
+        let mut c = sink_host(3, sock_c, peers);
+        a.inject(NodeId(1), NodeId(2), long.clone());
+        b.drive(Duration::from_millis(30));
+        assert_eq!(b.node().0, vec![long.clone()]);
+        a.socket.send_to(&header_only(3), dest).expect("send");
+        a.inject(NodeId(1), NodeId(3), Bytes(vec![0x5a]));
+        c.drive(Duration::from_millis(30));
+        assert_eq!(c.node().0, vec![Bytes(vec![0x5a])]);
+        assert_eq!(c.stats.frames_in, 1);
+        assert_eq!(c.stats.frames_rejected, 1);
+    }
+
+    #[test]
+    fn frames_from_a_forged_or_unknown_origin_are_rejected() {
+        let (mut a, mut b) = sink_pair();
+        let dest = b.socket.local_addr().expect("addr");
+        let forger = loopback_socket();
+        // well-formed frames from a third socket: one claims host 1's
+        // id, which the table places elsewhere, one an id it does not list
+        for from in [NodeId(1), NodeId(77)] {
+            let header = FrameHeader {
+                from,
+                to: NodeId(2),
+            };
+            let frame = octopus_net::encode_frame(header, &Bytes(vec![0xee; 8]));
+            forger.send_to(&frame, dest).expect("send");
+        }
+        a.inject(NodeId(1), NodeId(2), Bytes(vec![1, 2, 3]));
+        b.drive(Duration::from_millis(30));
+        assert_eq!(b.node().0, vec![Bytes(vec![1, 2, 3])]);
+        assert_eq!(b.stats.frames_in, 1);
+        assert_eq!(b.stats.frames_rejected, 2);
+    }
+
+    #[test]
+    fn an_ipv4_origin_matches_its_dual_stack_form() {
+        let v4: SocketAddr = "127.0.0.1:7001".parse().unwrap();
+        let mapped: SocketAddr = "[::ffff:127.0.0.1]:7001".parse().unwrap();
+        assert!(same_endpoint(v4, mapped));
+        assert!(same_endpoint(mapped, v4));
+        assert!(!same_endpoint(v4, "127.0.0.1:7002".parse().unwrap()));
+        assert!(!same_endpoint(v4, "127.0.0.2:7001".parse().unwrap()));
+        assert!(!same_endpoint(v4, "[::1]:7001".parse().unwrap()));
+    }
+
+    #[test]
+    fn hosts_on_two_threads_receive_long_frames_at_once() {
+        const ROUNDS: usize = 20;
+        const LONG: usize = 60_000;
+        // thread `k`'s round `r` payload: long, and unlike any other
+        let payload = |k: usize, r: usize| {
+            Bytes(
+                (0..LONG - 97 * r - k)
+                    .map(|i| ((i * 7 + r + 13 * k) % 251) as u8)
+                    .collect(),
+            )
+        };
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for k in 0..2 {
+                let start = &start;
+                scope.spawn(move || {
+                    let (mut a, mut b) = sink_pair();
+                    start.wait();
+                    for r in 0..ROUNDS {
+                        a.inject(NodeId(1), NodeId(2), payload(k, r));
+                        b.drive(Duration::from_millis(3));
+                    }
+                    let expected: Vec<Bytes> = (0..ROUNDS).map(|r| payload(k, r)).collect();
+                    assert!(b.node().0 == expected, "thread {k}: a payload changed");
+                    assert_eq!(b.stats.frames_rejected, 0);
+                });
+            }
+        });
     }
 
     #[test]

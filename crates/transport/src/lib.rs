@@ -23,8 +23,9 @@
 //! still derives from the configured master seed — while message
 //! arrival order is whatever the real network delivers.
 //!
-//! No `unsafe`, by the compiler's word: the receive buffer is zeroed
-//! once when the host first polls, not skipped with `MaybeUninit`.
+//! No `unsafe`, by the compiler's word: the receive buffer, one per
+//! thread and shared by every host that thread polls, is zeroed once
+//! per thread, when it first polls, not skipped with `MaybeUninit`.
 
 #![forbid(unsafe_code)]
 

@@ -1,9 +1,11 @@
-//! Live-heap curve of one `SecuritySim` job at the §5.1 point, or of
-//! the bare engine under octobench's gossip overlay.
+//! Live-heap curve of one `SecuritySim` job at the §5.1 point, of the
+//! bare engine under octobench's gossip overlay, or of `UdpHost`s
+//! served by one thread.
 //!
 //! ```text
 //! live-heap [N] [SECONDS] [SEED] [EVERY]      defaults: 1000 80 31 10
 //! live-heap engine [N] [SECONDS] [SEED]       defaults: 10000 15 31
+//! live-heap udp [N] [SECONDS] [SEED]          defaults: 16 5 31
 //! ```
 //!
 //! A counting global allocator keeps the bytes the program holds, their
@@ -22,6 +24,16 @@
 //! node). No protocol and no crypto run, so what it holds is the
 //! scheduler's, the slab's and the messages' own.
 //!
+//! `udp` binds N loopback sockets and serves N `UdpHost`s from this
+//! thread, as octobench's `udp-ring-16` serves its ring: each host in
+//! turn gets a one-microsecond `drive` on a socket made non-blocking,
+//! and the thread sleeps a millisecond when a whole round moved no
+//! frame. Each host runs a ping node that sends its ring successor a
+//! ping every 10 ms and answers the pings it gets, for `SECONDS` of
+//! wall time (one line per wall second). The census shows one
+//! 65 600-byte block whatever N is: the receive buffer the thread's
+//! hosts share.
+//!
 //! After the last line comes a census of what is live at that moment:
 //! the ten block sizes holding the most bytes, as `size blocks mib`. A
 //! size that holds much memory names its type more often than not (a
@@ -32,8 +44,12 @@ use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering::Relaxed};
 
 use octopus_core::{SecuritySim, SimConfig};
 use octopus_id::IdSpace;
-use octopus_net::{Addr, ConstantLatency, NodeBehavior, Runtime, SchedulerKind, WireMsg, World};
+use octopus_net::{
+    Addr, ConstantLatency, DecodeError, NodeBehavior, PayloadReader, Runtime, SchedulerKind,
+    Transport, WireCodec, WireMsg, World,
+};
 use octopus_sim::{derive_rng, Duration, SimTime};
+use octopus_transport::{HostStats, PeerTable, UdpHost};
 
 struct Counting;
 
@@ -217,17 +233,135 @@ fn engine(n: u64, seconds: u64, seed: u64) {
     println!("# ledger_bytes={}", w.ledger().total_bytes());
 }
 
+/// A ping (even) or its answer (the ping plus one).
+struct Ping(u64);
+
+impl WireMsg for Ping {
+    fn wire_bytes(&self) -> u32 {
+        8
+    }
+}
+
+impl WireCodec for Ping {
+    fn encode_payload(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.0.to_be_bytes());
+    }
+
+    fn decode_payload(r: &mut PayloadReader<'_>) -> Result<Self, DecodeError> {
+        Ok(Ping(r.u64()?))
+    }
+}
+
+/// Pings `next` every 10 ms and answers every ping it is sent.
+struct PingNode {
+    next: Addr,
+    sent: u64,
+}
+
+impl NodeBehavior for PingNode {
+    type Msg = Ping;
+    type Timer = ();
+    type Control = ();
+
+    fn on_start(&mut self, ctx: &mut dyn Runtime<Ping, (), ()>) {
+        ctx.set_timer(Duration::from_millis(10), ());
+    }
+
+    fn on_message(&mut self, ctx: &mut dyn Runtime<Ping, (), ()>, from: Addr, msg: Ping) {
+        if msg.0.is_multiple_of(2) {
+            ctx.send(from, Ping(msg.0 + 1));
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut dyn Runtime<Ping, (), ()>, (): ()) {
+        self.sent += 1;
+        ctx.send(self.next, Ping(2 * self.sent));
+        ctx.set_timer(Duration::from_millis(10), ());
+    }
+}
+
+/// `live-heap udp`: N ping hosts over loopback, served by this thread
+/// for `seconds` of wall time, then the census.
+fn udp(n: u64, seconds: u64, seed: u64) {
+    let ids = IdSpace::random(n as usize, &mut derive_rng(seed, b"live-heap-udp", 0))
+        .ids()
+        .to_vec();
+    let sockets: Vec<std::net::UdpSocket> = ids
+        .iter()
+        .map(|_| std::net::UdpSocket::bind("127.0.0.1:0").expect("bind a loopback socket"))
+        .collect();
+    let mut peers = PeerTable::new();
+    for (&id, socket) in ids.iter().zip(&sockets) {
+        peers.insert(
+            id,
+            socket.local_addr().expect("bound socket has an address"),
+        );
+    }
+    let mut hosts: Vec<UdpHost<PingNode>> = ids
+        .iter()
+        .zip(sockets)
+        .enumerate()
+        .map(|(i, (&id, socket))| {
+            // `UdpHost` blocks in `recv_from`; a second handle on the
+            // same open socket switches that off for both
+            let handle = socket.try_clone().expect("duplicate a socket");
+            let node = PingNode {
+                next: ids[(i + 1) % ids.len()],
+                sent: 0,
+            };
+            let host =
+                UdpHost::new(node, id, socket, peers.clone(), seed).expect("set the read timeout");
+            handle
+                .set_nonblocking(true)
+                .expect("make a socket non-blocking");
+            host
+        })
+        .collect();
+    let frames_in =
+        |hosts: &[UdpHost<PingNode>]| hosts.iter().map(|h| h.stats.frames_in).sum::<u64>();
+    println!("# udp n={n} seconds={seconds} seed={seed}");
+    println!("# t_s live_mib peak_mib allocations reallocations");
+    line(0);
+    #[allow(clippy::disallowed_methods)] // wall time is what this mode runs on
+    let start = std::time::Instant::now();
+    for t in 1..=seconds {
+        while start.elapsed() < std::time::Duration::from_secs(t) {
+            let before = frames_in(&hosts);
+            for host in &mut hosts {
+                host.drive(Duration(1));
+            }
+            if frames_in(&hosts) == before {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+        line(t);
+    }
+    census_report(10);
+    let sum = |count: fn(&HostStats) -> u64| hosts.iter().map(|h| count(&h.stats)).sum::<u64>();
+    println!(
+        "# frames_in={} frames_out={} frames_rejected={}",
+        sum(|s| s.frames_in),
+        sum(|s| s.frames_out),
+        sum(|s| s.frames_rejected)
+    );
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let engine_mode = args.first().is_some_and(|a| a == "engine");
-    let numbers = &args[usize::from(engine_mode)..];
+    let mode = args
+        .first()
+        .map(String::as_str)
+        .filter(|a| ["engine", "udp"].contains(a));
+    let numbers = &args[usize::from(mode.is_some())..];
     let arg = |i: usize, default: u64| {
         numbers
             .get(i)
             .map_or(default, |a| a.parse().expect("arguments are whole numbers"))
     };
-    if engine_mode {
-        return engine(arg(0, 10_000), arg(1, 15), arg(2, 31));
+    match mode {
+        Some("engine") => return engine(arg(0, 10_000), arg(1, 15), arg(2, 31)),
+        Some("udp") => return udp(arg(0, 16), arg(1, 5), arg(2, 31)),
+        _ => {}
     }
     let (n, seconds, seed, every) = (arg(0, 1000), arg(1, 80), arg(2, 31), arg(3, 10).max(1));
     let mut sim = SecuritySim::new(SimConfig {
