@@ -1,17 +1,27 @@
-//! Ring partitioning for sharded worlds: ID-range ownership and the
-//! cross-shard message bus.
+//! Ring partitioning for sharded worlds: ID-range ownership, the shards
+//! themselves and the cross-shard message bus.
 //!
 //! A sharded [`World`](crate::World) splits the Chord ring into
 //! contiguous ID ranges, one per shard; each shard owns the
-//! [`NodeSlab`](crate::NodeSlab) and event queue for its range.
+//! [`NodeSlab`] and event queue for its range.
 //! [`ShardMap`] is the ownership function (`Addr → shard`, `O(1)`,
 //! allocation-free), and [`CrossShardBus`] holds messages in flight
 //! between shards until the next conservative synchronization barrier
-//! (see [`octopus_sim::LookaheadWindow`]).
+//! (see [`octopus_sim::LookaheadWindow`]). The shard itself — its
+//! hosted nodes, its queue, and the dispatch that runs one event and
+//! routes what the handler produced — is private to the crate: the
+//! world's window driver is its only caller.
 
-use octopus_sim::SimTime;
+use std::collections::BTreeMap;
 
-use crate::wire::FrameHeader;
+use octopus_sim::{stream_rng, Duration, EventQueue, SimTime};
+use rand::rngs::StdRng;
+use rand::RngCore;
+
+use crate::latency::LatencyModel;
+use crate::runtime::{Ctx, NodeBehavior, Runtime};
+use crate::slab::{NodeSlab, NO_HINT};
+use crate::wire::{datagram_bytes, FrameHeader};
 use crate::world::Addr;
 
 /// Contiguous-range ownership of the 64-bit ID space by `count` shards.
@@ -164,6 +174,323 @@ impl<M> CrossShardBus<M> {
             }
         }
         self.len = 0;
+    }
+}
+
+/// A protocol event on a shard queue (driver controls live on their own
+/// world-level queue).
+pub(crate) enum Event<M, T> {
+    Deliver {
+        from: Addr,
+        to: Addr,
+        msg: M,
+    },
+    /// `hint` is the slab slot `node` lay in when it armed the timer
+    /// ([`NO_HINT`] when armed from `on_start`, before insertion): the
+    /// slot is tried before the slab's index, so while the node stays
+    /// put its timers pay no hash probe.
+    Timer {
+        node: Addr,
+        hint: u32,
+        timer: T,
+    },
+}
+
+/// Lane bit of an event key: protocol-origin keys sort after driver
+/// keys at a timestamp tie.
+const PROTO_LANE: u128 = 1 << 127;
+
+/// Pack a protocol event's tie-break key: the creating node's address
+/// in the high bits, its per-node event counter in the low bits. Unique
+/// (each counter value is consumed once per origin), totally ordered,
+/// and — because a node's counter advances with its own deterministic
+/// execution — identical for every shard count.
+fn proto_key(origin: Addr, counter: u64) -> u128 {
+    debug_assert!(counter < (1 << 63), "per-origin event counter overflow");
+    PROTO_LANE | (u128::from(origin.0) << 63) | u128::from(counter)
+}
+
+/// One message's jitter stream, seeded on the first draw: stream
+/// `counter` of its sender's pre-mixed family
+/// ([`jitter_base`](crate::world::jitter_base)).
+/// A latency model that ignores its RNG never pays for the seeding; one
+/// that draws gets exactly the bits of
+/// `derive_rng(split_seed(master, from), b"transport", counter)`.
+pub(crate) struct JitterRng {
+    pub(crate) base: u64,
+    pub(crate) counter: u64,
+    pub(crate) rng: Option<StdRng>,
+}
+
+impl RngCore for JitterRng {
+    fn next_u64(&mut self) -> u64 {
+        self.rng
+            .get_or_insert_with(|| stream_rng(self.base, self.counter))
+            .next_u64()
+    }
+}
+
+/// A hosted node plus its deterministic RNG stream, event counter and
+/// byte counters, colocated in one slab slot so event dispatch touches
+/// a single entry.
+pub(crate) struct Hosted<B> {
+    pub(crate) node: B,
+    pub(crate) rng: StdRng,
+    /// This node's monotone event counter: the tie-break source for
+    /// every message, timer and control it creates, and the index of
+    /// each sent message's stateless transport-jitter stream.
+    pub(crate) counter: u64,
+    /// This node's [`jitter_base`](crate::world::jitter_base), mixed
+    /// once at insert.
+    pub(crate) jitter_base: u64,
+    /// Bytes this node has sent and been delivered in its current
+    /// life (datagram payload plus UDP header each).
+    pub(crate) sent_bytes: u64,
+    pub(crate) received_bytes: u64,
+}
+
+impl<B> Hosted<B> {
+    fn next_counter(&mut self) -> u64 {
+        let c = self.counter;
+        self.counter += 1;
+        c
+    }
+}
+
+/// Reusable per-event scratch buffers (the backing store of [`Ctx`]).
+pub(crate) struct BufferPool<M, T, C> {
+    outbox: Vec<(Addr, M, Duration)>,
+    timers: Vec<(Duration, T)>,
+    controls: Vec<C>,
+}
+
+impl<M, T, C> Default for BufferPool<M, T, C> {
+    fn default() -> Self {
+        BufferPool {
+            outbox: Vec::new(),
+            timers: Vec::new(),
+            controls: Vec::new(),
+        }
+    }
+}
+
+/// The read-only execution environment a shard batch runs against:
+/// everything a shard needs besides its own state.
+pub(crate) struct ShardCtx<'a, L> {
+    pub(crate) map: ShardMap,
+    pub(crate) latency: &'a L,
+    /// The monotone lookahead bound every cross-shard send must respect
+    /// (the park-assert obligation).
+    pub(crate) window_end: SimTime,
+    /// Exclusive execution bound of the current window batch.
+    pub(crate) exec_end: SimTime,
+}
+
+/// One partition of the world: the nodes in a contiguous ID range, the
+/// event queue for everything addressed to them, and every mutable
+/// resource their execution touches — pooled buffers, byte and drop
+/// counters, outgoing envelope lanes and emitted controls. Nothing here
+/// is shared with other shards.
+pub(crate) struct Shard<B: NodeBehavior> {
+    pub(crate) nodes: NodeSlab<Hosted<B>>,
+    /// Everything a handler's effects flow into. A field of its own so
+    /// an event borrows its node in `nodes` and this side by side.
+    pub(crate) io: ShardIo<B>,
+    /// `(sent, received)` bytes of addresses in this shard's range that
+    /// no slot holds: what a removed node had counted, and driver
+    /// injections from senders outside the overlay. Driver-side only —
+    /// no event touches it.
+    pub(crate) off_slab: BTreeMap<Addr, (u64, u64)>,
+    /// Messages dropped because their destination had left the overlay.
+    pub(crate) dropped_to_dead: u64,
+    /// Timestamp of the last event this shard executed.
+    pub(crate) last_exec: SimTime,
+}
+
+/// The half of a [`Shard`] that is not its nodes: where events come
+/// from and where a handler's sends, timers and controls go.
+pub(crate) struct ShardIo<B: NodeBehavior> {
+    pub(crate) index: usize,
+    pub(crate) queue: EventQueue<Event<B::Msg, B::Timer>>,
+    pub(crate) pool: BufferPool<B::Msg, B::Timer, B::Control>,
+    /// Cross-shard envelopes produced by the current batch, one lane
+    /// per destination shard; moved into the world bus at the barrier.
+    pub(crate) outgoing: Vec<Vec<Envelope<B::Msg>>>,
+    /// Controls emitted by the current batch, tagged with emission time
+    /// and key; sorted into one stream at the barrier.
+    pub(crate) emitted: Vec<(SimTime, u128, B::Control)>,
+}
+
+impl<B: NodeBehavior> ShardIo<B> {
+    /// Run `f` against `hosted` — the node at `addr`, lying in slab
+    /// slot `slot` ([`NO_HINT`] while not yet inserted) — with a pooled
+    /// context, then flush what it produced: messages are routed (local
+    /// push or outgoing lane), timers land on this shard's own queue
+    /// carrying `slot` as their hint, controls accumulate in
+    /// [`ShardIo::emitted`] with fresh keys from the node's counter.
+    pub(crate) fn dispatch<L: LatencyModel, F>(
+        &mut self,
+        ctx: &ShardCtx<'_, L>,
+        now: SimTime,
+        addr: Addr,
+        slot: u32,
+        hosted: &mut Hosted<B>,
+        f: F,
+    ) where
+        F: FnOnce(&mut B, &mut dyn Runtime<B::Msg, B::Timer, B::Control>),
+    {
+        let mut outbox = std::mem::take(&mut self.pool.outbox);
+        let mut timers = std::mem::take(&mut self.pool.timers);
+        let mut controls = std::mem::take(&mut self.pool.controls);
+        debug_assert!(outbox.is_empty() && timers.is_empty() && controls.is_empty());
+        let mut cx = Ctx::from_parts(
+            now,
+            addr,
+            &mut hosted.rng,
+            &mut outbox,
+            &mut timers,
+            &mut controls,
+        );
+        f(&mut hosted.node, &mut cx);
+        for send in outbox.drain(..) {
+            let counter = hosted.next_counter();
+            hosted.sent_bytes += self.route(ctx, now, (addr, counter), hosted.jitter_base, send);
+        }
+        for (delay, timer) in timers.drain(..) {
+            let key = proto_key(addr, hosted.next_counter());
+            let timer = Event::Timer {
+                node: addr,
+                hint: slot,
+                timer,
+            };
+            self.queue.push_with_seq(now + delay, key, timer);
+        }
+        for c in controls.drain(..) {
+            let key = proto_key(addr, hosted.next_counter());
+            self.emitted.push((now, key, c));
+        }
+        self.pool.outbox = outbox;
+        self.pool.timers = timers;
+        self.pool.controls = controls;
+    }
+
+    /// Route one message: draw the latency from the message's own
+    /// stateless jitter stream, and either push locally or park on the
+    /// outgoing lane. `origin` is the sender's `(address, counter)` key
+    /// source, `jitter_base` its
+    /// [`jitter_base`](crate::world::jitter_base), `send` the outbox
+    /// entry `(to, msg, extra delay)`. Returns the datagram's bytes for
+    /// the caller to count against the sender.
+    fn route<L: LatencyModel>(
+        &mut self,
+        ctx: &ShardCtx<'_, L>,
+        now: SimTime,
+        origin: (Addr, u64),
+        jitter_base: u64,
+        send: (Addr, B::Msg, Duration),
+    ) -> u64 {
+        let (from, counter) = origin;
+        let (to, msg, extra) = send;
+        let bytes = datagram_bytes(&msg);
+        // Stateless, order-independent draw: the stream is keyed by
+        // (sender, per-sender counter), so the same message gets the
+        // same latency no matter which shard routes it or what else
+        // happened first.
+        let mut rng = JitterRng {
+            base: jitter_base,
+            counter,
+            rng: None,
+        };
+        let lat = ctx.latency.sample(from, to, &mut rng);
+        let at = now + extra + lat;
+        let key = proto_key(from, counter);
+        let dest = ctx.map.shard_of(to);
+        if dest == self.index {
+            self.queue
+                .push_with_seq(at, key, Event::Deliver { from, to, msg });
+        } else {
+            // Conservative-sync soundness: the window's end never
+            // exceeds now + lookahead, and lat >= lookahead, so a
+            // parked message is always due at or beyond the window. A
+            // violation means the latency model's min_latency() lied
+            // about its floor — fail loudly rather than let release
+            // builds silently produce shard-count-dependent results.
+            assert!(
+                at >= ctx.window_end,
+                "cross-shard message due inside the lookahead window: \
+                 the latency model's min_latency() exceeds an actual sample"
+            );
+            self.outgoing[dest].push(Envelope {
+                at,
+                seq: key,
+                header: FrameHeader { from, to },
+                msg,
+            });
+        }
+        bytes
+    }
+}
+
+impl<B: NodeBehavior> Shard<B> {
+    /// Add to the off-slab counters of `addr`.
+    pub(crate) fn bank(&mut self, addr: Addr, sent: u64, received: u64) {
+        let entry = self.off_slab.entry(addr).or_default();
+        entry.0 += sent;
+        entry.1 += received;
+    }
+
+    /// Pop and execute this shard's head event (the caller has
+    /// established it is due).
+    pub(crate) fn run_one<L: LatencyModel>(&mut self, ctx: &ShardCtx<'_, L>) {
+        let Some((at, ev)) = self.io.queue.pop() else {
+            return;
+        };
+        self.exec_event(ctx, at, ev);
+    }
+
+    /// Execute one popped event against its hosted node, borrowed
+    /// where it lies in the slab.
+    fn exec_event<L: LatencyModel>(
+        &mut self,
+        ctx: &ShardCtx<'_, L>,
+        at: SimTime,
+        ev: Event<B::Msg, B::Timer>,
+    ) {
+        self.last_exec = at;
+        match ev {
+            Event::Deliver { from, to, msg } => {
+                let Some((slot, hosted)) = self.nodes.get_mut_hinted(to, NO_HINT) else {
+                    self.dropped_to_dead += 1;
+                    return;
+                };
+                hosted.received_bytes += datagram_bytes(&msg);
+                self.io.dispatch(ctx, at, to, slot, hosted, |node, cx| {
+                    node.on_message(cx, from, msg);
+                });
+            }
+            Event::Timer {
+                node: addr,
+                hint,
+                timer,
+            } => {
+                let Some((slot, hosted)) = self.nodes.get_mut_hinted(addr, hint) else {
+                    return; // timer of a dead node
+                };
+                self.io.dispatch(ctx, at, addr, slot, hosted, |node, cx| {
+                    node.on_timer(cx, timer);
+                });
+            }
+        }
+    }
+
+    /// Execute every event strictly before `ctx.exec_end`, in local key
+    /// order — the per-shard body of one window. Timers landing inside
+    /// the window are picked up; messages cannot land inside it (their
+    /// latency floor carries them to `exec_end` or beyond).
+    pub(crate) fn run_batch<L: LatencyModel>(&mut self, ctx: &ShardCtx<'_, L>) {
+        while let Some((at, ev)) = self.io.queue.pop_before(ctx.exec_end) {
+            self.exec_event(ctx, at, ev);
+        }
     }
 }
 
