@@ -483,16 +483,27 @@ mod tests {
 
     #[test]
     fn a_message_fits_the_wheel_entry() {
-        // Every pending delivery is stored as one timing-wheel entry of
-        // 96 bytes: the 24-byte (time, key) and the world's 72-byte
-        // `Deliver { from, to, msg }`, whose tag fits inside `Msg`. A
-        // variant that grows `Msg` past 56 bytes grows every entry of
-        // every run by 16 bytes; box it instead. That is why
-        // `ExitAction::Delegate` (one per walk) is boxed; `Onion` (several
-        // per lookup) stays inline, where a box would cost an allocation
-        // per hop.
+        // Every pending delivery is stored as one entry of the world's
+        // delivery lane, 96 bytes: the 24-byte (time, key) and the
+        // 72-byte `Delivery { from, to, msg }`. A variant that grows
+        // `Msg` past 56 bytes grows every delivery entry of every run by
+        // 16 bytes; box it instead. That is why `ExitAction::Delegate`
+        // (one per walk) is boxed; `Onion` (several per lookup) stays
+        // inline, where a box would cost an allocation per hop.
         assert!(std::mem::size_of::<OnionPacket>() <= 48);
         assert!(std::mem::size_of::<Msg>() <= 56);
+    }
+
+    #[test]
+    fn a_timer_fits_the_timer_lane() {
+        // Every pending timer is stored as one entry of the world's
+        // timer lane, 64 bytes: the 24-byte (time, key) and the 32-byte
+        // `TimerEv { node, hint, timer }`, rounded up to the key's
+        // 16-byte alignment. A variant
+        // that grows `Timer` past 16 bytes grows every timer entry of
+        // every run by 16 bytes; most of them are request timeouts,
+        // which `World` keeps until they fire.
+        assert!(std::mem::size_of::<Timer>() <= 16);
     }
 
     #[test]

@@ -18,14 +18,14 @@
 //! receiver's slab slots, and reported as a [`wire::BandwidthLedger`].
 //!
 //! For large rings the world is *sharded* ([`shard`]): contiguous ID
-//! ranges ([`shard::ShardMap`]) each own a node slab ([`slab`]), an
-//! event queue, pooled scratch buffers and its nodes' byte counters,
-//! linked by a cross-shard message bus ([`shard::CrossShardBus`]) that
-//! synchronizes conservatively at lookahead barriers bounded by
-//! [`LatencyModel::min_latency`]. Every event's `(time, key)` ordering
+//! ranges ([`shard::ShardMap`]) each own a node slab ([`slab`]), a
+//! timer lane and a delivery lane, pooled scratch buffers and its
+//! nodes' byte counters, linked by a cross-shard message bus
+//! ([`shard::CrossShardBus`]) that synchronizes conservatively at
+//! lookahead barriers bounded by [`LatencyModel::min_latency`]. Every event's `(time, key)` ordering
 //! key derives from its origin node — no shard-dependent counters — so
-//! every shard count, and 1 shard in particular (the classic
-//! single-queue engine), produces byte-identical results. Shards
+//! every shard count, and 1 shard in particular (the reference the
+//! others are compared to), produces byte-identical results. Shards
 //! partition memory; [`world::World::run_window`] runs their batches
 //! one after another on the calling thread.
 

@@ -3,18 +3,18 @@
 //!
 //! A sharded [`World`](crate::World) splits the Chord ring into
 //! contiguous ID ranges, one per shard; each shard owns the
-//! [`NodeSlab`] and event queue for its range.
+//! [`NodeSlab`] and event lanes for its range.
 //! [`ShardMap`] is the ownership function (`Addr → shard`, `O(1)`,
 //! allocation-free), and [`CrossShardBus`] holds messages in flight
 //! between shards until the next conservative synchronization barrier
 //! (see [`octopus_sim::LookaheadWindow`]). The shard itself — its
-//! hosted nodes, its queue, and the dispatch that runs one event and
-//! routes what the handler produced — is private to the crate: the
-//! world's window driver is its only caller.
+//! hosted nodes, its timer and delivery lanes, and the dispatch that
+//! runs one event and routes what the handler produced — is private to
+//! the crate: the world's window driver is its only caller.
 
 use std::collections::BTreeMap;
 
-use octopus_sim::{stream_rng, Duration, EventQueue, SimTime};
+use octopus_sim::{stream_rng, Duration, EventQueue, SchedulerKind, SimTime};
 use rand::rngs::StdRng;
 use rand::RngCore;
 
@@ -177,24 +177,38 @@ impl<M> CrossShardBus<M> {
     }
 }
 
-/// A protocol event on a shard queue (driver controls live on their own
-/// world-level queue).
-pub(crate) enum Event<M, T> {
-    Deliver {
-        from: Addr,
-        to: Addr,
-        msg: M,
-    },
-    /// `hint` is the slab slot `node` lay in when it armed the timer
-    /// ([`NO_HINT`] when armed from `on_start`, before insertion): the
-    /// slot is tried before the slab's index, so while the node stays
-    /// put its timers pay no hash probe.
-    Timer {
-        node: Addr,
-        hint: u32,
-        timer: T,
-    },
+/// A message waiting on its destination shard's delivery lane.
+pub(crate) struct Delivery<M> {
+    pub(crate) from: Addr,
+    pub(crate) to: Addr,
+    pub(crate) msg: M,
 }
+
+/// A timer waiting on its node's shard's timer lane. `hint` is the slab
+/// slot `node` lay in when it armed the timer ([`NO_HINT`] when armed
+/// from `on_start`, before insertion): the slot is tried before the
+/// slab's index, so while the node stays put its timers pay no hash
+/// probe.
+pub(crate) struct TimerEv<T> {
+    node: Addr,
+    hint: u32,
+    timer: T,
+}
+
+/// A protocol event between its lane's pop and [`Shard::exec_event`]
+/// (driver controls live on their own world-level queue). It lives on
+/// the stack only: each lane stores its own entry type, so a waiting
+/// timer never pays for the largest message.
+enum Event<M, T> {
+    Deliver(Delivery<M>),
+    Timer(TimerEv<T>),
+}
+
+/// A popped event and its time.
+type Popped<B> = (
+    SimTime,
+    Event<<B as NodeBehavior>::Msg, <B as NodeBehavior>::Timer>,
+);
 
 /// Lane bit of an event key: protocol-origin keys sort after driver
 /// keys at a timestamp tie.
@@ -287,7 +301,7 @@ pub(crate) struct ShardCtx<'a, L> {
 }
 
 /// One partition of the world: the nodes in a contiguous ID range, the
-/// event queue for everything addressed to them, and every mutable
+/// event lanes for everything addressed to them, and every mutable
 /// resource their execution touches — pooled buffers, byte and drop
 /// counters, outgoing envelope lanes and emitted controls. Nothing here
 /// is shared with other shards.
@@ -309,9 +323,17 @@ pub(crate) struct Shard<B: NodeBehavior> {
 
 /// The half of a [`Shard`] that is not its nodes: where events come
 /// from and where a handler's sends, timers and controls go.
+///
+/// Events wait in two lanes on one scheduler backend, timers in one and
+/// deliveries in the other, and pop through [`ShardIo::pop_before`] in
+/// the `(time, key)` order of the two heads. Keys are unique across the
+/// lanes (both draw from their origin's counter, driver injections from
+/// the driver's), so that is exactly the order one queue holding both
+/// would pop in.
 pub(crate) struct ShardIo<B: NodeBehavior> {
     pub(crate) index: usize,
-    pub(crate) queue: EventQueue<Event<B::Msg, B::Timer>>,
+    timers: EventQueue<TimerEv<B::Timer>>,
+    pub(crate) deliveries: EventQueue<Delivery<B::Msg>>,
     pub(crate) pool: BufferPool<B::Msg, B::Timer, B::Control>,
     /// Cross-shard envelopes produced by the current batch, one lane
     /// per destination shard; moved into the world bus at the barrier.
@@ -322,10 +344,68 @@ pub(crate) struct ShardIo<B: NodeBehavior> {
 }
 
 impl<B: NodeBehavior> ShardIo<B> {
+    /// The I/O side of shard `index` of `shards`, with empty lanes on
+    /// the `scheduler` backend.
+    pub(crate) fn new(index: usize, shards: usize, scheduler: SchedulerKind) -> Self {
+        ShardIo {
+            index,
+            timers: EventQueue::with_scheduler(scheduler),
+            deliveries: EventQueue::with_scheduler(scheduler),
+            pool: BufferPool::default(),
+            outgoing: (0..shards).map(|_| Vec::new()).collect(),
+            emitted: Vec::new(),
+        }
+    }
+
+    /// The smaller `(time, key)` of the two lane heads, and whether it
+    /// is the timer lane's.
+    #[inline]
+    fn head(&self) -> Option<((SimTime, u128), bool)> {
+        match (self.timers.peek_key(), self.deliveries.peek_key()) {
+            (Some(t), Some(d)) => Some(if t < d { (t, true) } else { (d, false) }),
+            (Some(t), None) => Some((t, true)),
+            (None, d) => d.map(|d| (d, false)),
+        }
+    }
+
+    /// The `(time, key)` of the next event on either lane.
+    pub(crate) fn peek_key(&self) -> Option<(SimTime, u128)> {
+        self.head().map(|(key, _)| key)
+    }
+
+    /// Pop the next event on either lane.
+    fn pop(&mut self) -> Option<Popped<B>> {
+        let (_, timer) = self.head()?;
+        self.pop_lane(timer)
+    }
+
+    /// Pop the next event on either lane when it is due strictly before
+    /// `bound`; `None` leaves both lanes untouched.
+    #[inline]
+    fn pop_before(&mut self, bound: SimTime) -> Option<Popped<B>> {
+        let ((at, _), timer) = self.head()?;
+        if at >= bound {
+            return None;
+        }
+        self.pop_lane(timer)
+    }
+
+    /// Pop the head of the timer lane (`timer`) or the delivery lane.
+    #[inline]
+    fn pop_lane(&mut self, timer: bool) -> Option<Popped<B>> {
+        if timer {
+            let (at, t) = self.timers.pop()?;
+            Some((at, Event::Timer(t)))
+        } else {
+            let (at, d) = self.deliveries.pop()?;
+            Some((at, Event::Deliver(d)))
+        }
+    }
+
     /// Run `f` against `hosted` — the node at `addr`, lying in slab
     /// slot `slot` ([`NO_HINT`] while not yet inserted) — with a pooled
     /// context, then flush what it produced: messages are routed (local
-    /// push or outgoing lane), timers land on this shard's own queue
+    /// push or outgoing lane), timers land on this shard's timer lane
     /// carrying `slot` as their hint, controls accumulate in
     /// [`ShardIo::emitted`] with fresh keys from the node's counter.
     pub(crate) fn dispatch<L: LatencyModel, F>(
@@ -358,12 +438,12 @@ impl<B: NodeBehavior> ShardIo<B> {
         }
         for (delay, timer) in timers.drain(..) {
             let key = proto_key(addr, hosted.next_counter());
-            let timer = Event::Timer {
+            let timer = TimerEv {
                 node: addr,
                 hint: slot,
                 timer,
             };
-            self.queue.push_with_seq(now + delay, key, timer);
+            self.timers.push_with_seq(now + delay, key, timer);
         }
         for c in controls.drain(..) {
             let key = proto_key(addr, hosted.next_counter());
@@ -375,9 +455,9 @@ impl<B: NodeBehavior> ShardIo<B> {
     }
 
     /// Route one message: draw the latency from the message's own
-    /// stateless jitter stream, and either push locally or park on the
-    /// outgoing lane. `origin` is the sender's `(address, counter)` key
-    /// source, `jitter_base` its
+    /// stateless jitter stream, and either push onto the delivery lane
+    /// or park on the outgoing lane. `origin` is the sender's
+    /// `(address, counter)` key source, `jitter_base` its
     /// [`jitter_base`](crate::world::jitter_base), `send` the outbox
     /// entry `(to, msg, extra delay)`. Returns the datagram's bytes for
     /// the caller to count against the sender.
@@ -406,8 +486,8 @@ impl<B: NodeBehavior> ShardIo<B> {
         let key = proto_key(from, counter);
         let dest = ctx.map.shard_of(to);
         if dest == self.index {
-            self.queue
-                .push_with_seq(at, key, Event::Deliver { from, to, msg });
+            self.deliveries
+                .push_with_seq(at, key, Delivery { from, to, msg });
         } else {
             // Conservative-sync soundness: the window's end never
             // exceeds now + lookahead, and lat >= lookahead, so a
@@ -442,7 +522,7 @@ impl<B: NodeBehavior> Shard<B> {
     /// Pop and execute this shard's head event (the caller has
     /// established it is due).
     pub(crate) fn run_one<L: LatencyModel>(&mut self, ctx: &ShardCtx<'_, L>) {
-        let Some((at, ev)) = self.io.queue.pop() else {
+        let Some((at, ev)) = self.io.pop() else {
             return;
         };
         self.exec_event(ctx, at, ev);
@@ -458,7 +538,7 @@ impl<B: NodeBehavior> Shard<B> {
     ) {
         self.last_exec = at;
         match ev {
-            Event::Deliver { from, to, msg } => {
+            Event::Deliver(Delivery { from, to, msg }) => {
                 let Some((slot, hosted)) = self.nodes.get_mut_hinted(to, NO_HINT) else {
                     self.dropped_to_dead += 1;
                     return;
@@ -468,11 +548,11 @@ impl<B: NodeBehavior> Shard<B> {
                     node.on_message(cx, from, msg);
                 });
             }
-            Event::Timer {
+            Event::Timer(TimerEv {
                 node: addr,
                 hint,
                 timer,
-            } => {
+            }) => {
                 let Some((slot, hosted)) = self.nodes.get_mut_hinted(addr, hint) else {
                     return; // timer of a dead node
                 };
@@ -488,7 +568,7 @@ impl<B: NodeBehavior> Shard<B> {
     /// the window are picked up; messages cannot land inside it (their
     /// latency floor carries them to `exec_end` or beyond).
     pub(crate) fn run_batch<L: LatencyModel>(&mut self, ctx: &ShardCtx<'_, L>) {
-        while let Some((at, ev)) = self.io.queue.pop_before(ctx.exec_end) {
+        while let Some((at, ev)) = self.io.pop_before(ctx.exec_end) {
             self.exec_event(ctx, at, ev);
         }
     }

@@ -11,7 +11,7 @@
 //! into contiguous ID ranges ([`ShardMap`]), each owned
 //! by a shard with its own [`NodeSlab`] (nodes colocated
 //! with their RNG streams and event counters, dispatched where they
-//! lie), its own event queue, its own pooled [`Ctx`] scratch
+//! lie), its own event lanes, its own pooled [`Ctx`] scratch
 //! buffers, and the byte counters of its own nodes — a shard shares
 //! *nothing* mutable with its siblings. Shards partition memory, not
 //! work: [`World::run_window`] runs their batches one after another on
@@ -39,7 +39,7 @@
 //! the probe only if its node has moved since.
 //!
 //! An event moves nothing it does not use. The handler runs on the node
-//! in its slot, borrowed beside the shard's queue and buffers (two
+//! in its slot, borrowed beside the shard's lanes and buffers (two
 //! fields of the shard): nothing is copied out and back, so the cache
 //! lines an event touches are the ones its handler reads and writes.
 //!
@@ -53,9 +53,12 @@
 //! One driver runs all of that machinery: [`World::run_window`] opens
 //! a lookahead window, runs *every* shard's in-window batch in shard
 //! order, then merges envelopes and emitted control events by key at
-//! the barrier. A one-shard run *is* the single-queue engine: its only
-//! queue pops in `(time, key)` order, and it is the reference every
-//! other shard count is compared to.
+//! the barrier. A one-shard run is the reference every other shard
+//! count is compared to. Its timers and deliveries wait in two lanes,
+//! so a timer's entry never pays for the largest message, and the
+//! pop takes whichever lane head has the smaller `(time, key)`: keys
+//! are unique across lanes, so the two lanes merged by key pop in the
+//! one total order a single queue holding both would.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -66,7 +69,7 @@ use octopus_sim::{
 };
 
 use crate::latency::LatencyModel;
-use crate::shard::{BufferPool, CrossShardBus, Event, Hosted, Shard, ShardCtx, ShardIo, ShardMap};
+use crate::shard::{CrossShardBus, Delivery, Hosted, Shard, ShardCtx, ShardIo, ShardMap};
 use crate::slab::{NodeSlab, NO_HINT};
 use crate::wire::{datagram_bytes, BandwidthLedger};
 
@@ -137,13 +140,7 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
             shards: (0..map.count())
                 .map(|index| Shard {
                     nodes: NodeSlab::new(),
-                    io: ShardIo {
-                        index,
-                        queue: EventQueue::with_scheduler(scheduler),
-                        pool: BufferPool::default(),
-                        outgoing: (0..map.count()).map(|_| Vec::new()).collect(),
-                        emitted: Vec::new(),
-                    },
+                    io: ShardIo::new(index, map.count(), scheduler),
                     off_slab: BTreeMap::new(),
                     dropped_to_dead: 0,
                     last_exec: SimTime::ZERO,
@@ -312,8 +309,8 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
         let dest = self.map.shard_of(to);
         self.shards[dest]
             .io
-            .queue
-            .push_with_seq(at, key, Event::Deliver { from, to, msg });
+            .deliveries
+            .push_with_seq(at, key, Delivery { from, to, msg });
     }
 
     /// Driver-side: invoke a closure against one node with a full
@@ -383,10 +380,10 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
     fn flush_bus(&mut self) {
         let shards = &mut self.shards;
         self.bus.flush(|dest, e| {
-            shards[dest].io.queue.push_with_seq(
+            shards[dest].io.deliveries.push_with_seq(
                 e.at,
                 e.seq,
-                Event::Deliver {
+                Delivery {
                     from: e.header.from,
                     to: e.header.to,
                     msg: e.msg,
@@ -401,7 +398,7 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
         self.shards
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.io.queue.peek_key().map(|k| (k, i)))
+            .filter_map(|(i, s)| s.io.peek_key().map(|k| (k, i)))
             .min()
     }
 
@@ -545,7 +542,7 @@ impl<B: NodeBehavior, L: LatencyModel> Transport<B> for World<B, L> {
 mod tests {
     use super::*;
     use crate::latency::ConstantLatency;
-    use crate::shard::JitterRng;
+    use crate::shard::{JitterRng, TimerEv};
     use crate::wire::{sizes, WireMsg};
     use octopus_id::NodeId;
     use rand::rngs::StdRng;
@@ -1249,6 +1246,120 @@ mod tests {
                 windowed
             );
         }
+    }
+
+    /// What ran on a [`Tie`] node.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Ran {
+        Timer,
+        Message,
+    }
+
+    /// Pings `peer` and arms a timer `arm` after it starts, each when
+    /// set; emits `(now, what ran)` for every handler run.
+    struct Tie {
+        peer: Option<Addr>,
+        arm: Option<Duration>,
+    }
+
+    impl NodeBehavior for Tie {
+        type Msg = Pm;
+        type Timer = ();
+        type Control = (SimTime, Ran);
+
+        fn on_start(&mut self, ctx: &mut dyn Runtime<Pm, (), Self::Control>) {
+            if let Some(peer) = self.peer {
+                ctx.send(peer, Pm::Ping);
+            }
+            if let Some(arm) = self.arm {
+                ctx.set_timer(arm, ());
+            }
+        }
+
+        fn on_message(&mut self, ctx: &mut dyn Runtime<Pm, (), Self::Control>, _: Addr, _: Pm) {
+            ctx.emit((ctx.now(), Ran::Message));
+        }
+
+        fn on_timer(&mut self, ctx: &mut dyn Runtime<Pm, (), Self::Control>, (): ()) {
+            ctx.emit((ctx.now(), Ran::Timer));
+        }
+    }
+
+    /// `receiver` arms a timer and `sender` pings it, both due 10 ms
+    /// after they start; what ran on `receiver`, in order.
+    fn tie_run<L: LatencyModel>(
+        latency: L,
+        kind: SchedulerKind,
+        shards: usize,
+        receiver: Addr,
+        sender: Addr,
+    ) -> Vec<(SimTime, Ran)> {
+        let mut w: World<Tie, _> = World::with_shards(latency, 5, kind, shards);
+        let d = Duration::from_millis(10);
+        w.insert_node(
+            receiver,
+            Tie {
+                peer: None,
+                arm: Some(d),
+            },
+        );
+        w.insert_node(
+            sender,
+            Tie {
+                peer: Some(receiver),
+                arm: None,
+            },
+        );
+        run_windows(&mut w, SimTime::from_secs(1))
+            .into_iter()
+            .map(|(_, ran)| ran)
+            .collect()
+    }
+
+    #[test]
+    fn a_timer_and_a_delivery_due_at_one_instant_run_in_key_order() {
+        // The timer's key is the receiver's first, the message's the
+        // sender's first: both differ only in the origin address, so the
+        // lower address runs first. Timer and message wait in different
+        // lanes, and the pick between the lane heads must look past the
+        // equal times to the keys.
+        let (low, high) = (NodeId(1), NodeId(u64::MAX - 1));
+        let at = SimTime::from_millis(10);
+        let d = Duration::from_millis(10);
+        for (receiver, sender, order) in [
+            (low, high, [Ran::Timer, Ran::Message]),
+            (high, low, [Ran::Message, Ran::Timer]),
+        ] {
+            let expected = vec![(at, order[0]), (at, order[1])];
+            for kind in [SchedulerKind::BinaryHeap, SchedulerKind::TimingWheel] {
+                for shards in [1usize, 2, 4] {
+                    assert_eq!(
+                        tie_run(ConstantLatency(d), kind, shards, receiver, sender),
+                        expected,
+                        "{kind:?}, {shards} shards, one window"
+                    );
+                    // zero lookahead: each event is a window of its own,
+                    // popped by `run_one`
+                    assert_eq!(
+                        tie_run(NoFloor(d), kind, shards, receiver, sender),
+                        expected,
+                        "{kind:?}, {shards} shards, zero lookahead"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_entries_cost_their_payload_plus_sixteen_bytes() {
+        // Stand-ins shaped like the simulator's types: a 16-byte timer
+        // and a 56-byte message, both 8-byte aligned. A timer entry
+        // carries its node and slab hint beside the timer, a delivery
+        // its two addresses beside the message, and nothing else: no
+        // tag, and no room for the other lane's payload.
+        use std::mem::size_of;
+        assert_eq!(size_of::<TimerEv<[u64; 2]>>(), 16 + 16);
+        assert_eq!(size_of::<Delivery<[u64; 7]>>(), 56 + 16);
     }
 
     /// Emits `(now, its address)` for every message it gets and passes

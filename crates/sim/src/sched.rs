@@ -310,13 +310,18 @@ impl<E> Level<E> {
 /// entries, which cost that job 145 allocations and 1 061 reallocations
 /// more, beside 1.9 million allocations.
 ///
-/// Entry size is the event's business, and every entry pays for the
-/// largest event. The simulator's entries are 96 bytes: the 24-byte
-/// `(time, seq)` and a 72-byte delivery whose `Msg` is at most 56
-/// bytes. That holds because `Msg` boxes its rare large payloads (a
-/// walk's phase-2 delegation, once per walk) and keeps its frequent
-/// ones inline (an onion, several per lookup, where a box would cost an
-/// allocation per hop).
+/// Entry size is the event's business, and every entry of one wheel
+/// pays for the largest event it can hold. So a world keeps its timers
+/// and its deliveries in two lanes, one wheel each, and merges their
+/// heads by key: a timer entry never pays for a message. The
+/// simulator's timer entries are 64 bytes, the 24-byte `(time, seq)`
+/// and a 32-byte timer rounded up to the key's 16-byte alignment; its
+/// delivery entries are 96 bytes, the key and a 72-byte delivery whose
+/// `Msg` is at most 56 bytes. In one wheel holding both, every entry
+/// took 96 bytes. `Msg` stays that small because it boxes its rare
+/// large payloads (a walk's phase-2 delegation, once per walk) and
+/// keeps its frequent ones inline (an onion, several per lookup, where
+/// a box would cost an allocation per hop).
 ///
 /// Cancelled entries: a cancelled key goes into the `cancelled` set and
 /// its entry stays where it waits until the wheel next touches that
