@@ -7,6 +7,8 @@
 //! keep a queue of the latest signed successor lists they received during
 //! stabilization, to prove their own list was computed honestly.
 
+use std::sync::Arc;
+
 use octopus_crypto::{
     Certificate, CertificateError, KeyPair, PublicKey, Signature, SignatureError, Verifier,
 };
@@ -18,6 +20,10 @@ use crate::table::RoutingTable;
 /// certificate attached (as in the random walk of Appendix I: "each
 /// replied fingertable is signed by its owner with the owner's
 /// certificate attached").
+///
+/// The certificate is shared, not copied: every table an owner signs,
+/// and every clone of one, points at the owner's one certificate, so a
+/// signed table takes 104 bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SignedRoutingTable {
     /// The signed content.
@@ -27,7 +33,7 @@ pub struct SignedRoutingTable {
     /// Owner's signature over `encode(table) ‖ timestamp`.
     pub signature: Signature,
     /// Owner's identity certificate.
-    pub certificate: Certificate,
+    pub certificate: Arc<Certificate>,
 }
 
 /// Errors from verifying signed routing state.
@@ -62,20 +68,22 @@ fn signing_bytes(table: &RoutingTable, timestamp: u64) -> Vec<u8> {
 }
 
 impl SignedRoutingTable {
-    /// Sign `table` at `timestamp` with the owner's key pair.
+    /// Sign `table` at `timestamp` with the owner's key pair. Given the
+    /// owner's shared certificate, the table shares it; given one by
+    /// value, the table puts it in an allocation of its own.
     #[must_use]
     pub fn sign(
         table: RoutingTable,
         timestamp: u64,
         keypair: &KeyPair,
-        certificate: Certificate,
+        certificate: impl Into<Arc<Certificate>>,
     ) -> Self {
         let signature = keypair.sign(&signing_bytes(&table, timestamp));
         SignedRoutingTable {
             table,
             timestamp,
             signature,
-            certificate,
+            certificate: certificate.into(),
         }
     }
 
@@ -101,7 +109,7 @@ impl SignedRoutingTable {
     /// The checks in their fixed order, given the certificate check.
     fn verify_given(
         &self,
-        check_certificate: impl FnOnce(&Certificate) -> Result<(), CertificateError>,
+        check_certificate: impl FnOnce(&Arc<Certificate>) -> Result<(), CertificateError>,
     ) -> Result<(), SignedTableError> {
         if self.certificate.node_id != self.table.owner {
             return Err(SignedTableError::OwnerMismatch);
@@ -218,7 +226,7 @@ mod tests {
         let f1 = fixture(NodeId(1));
         let f2 = fixture(NodeId(2));
         let mut srt = SignedRoutingTable::sign(table(NodeId(1)), 100, &f1.kp, f1.cert);
-        srt.certificate = f2.cert; // swap in own certificate
+        srt.certificate = Arc::new(f2.cert); // swap in own certificate
         assert_eq!(
             srt.verify(f1.ca.public_key(), 100),
             Err(SignedTableError::OwnerMismatch)
@@ -250,7 +258,7 @@ mod tests {
         let mut restamped = honest.clone();
         restamped.timestamp = 200;
         let mut stolen = honest.clone();
-        stolen.certificate = f2.cert;
+        stolen.certificate = Arc::new(f2.cert);
         let cases = [honest, tampered, restamped, stolen];
         for ca_key in [f1.ca.public_key(), other_ca.public_key()] {
             let mut verifier = Verifier::new(ca_key, 8);
@@ -265,6 +273,16 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_signed_table_holds_its_certificate_by_pointer() {
+        assert_eq!(std::mem::size_of::<SignedRoutingTable>(), 104);
+        let f = fixture(NodeId(1));
+        let shared = Arc::new(f.cert);
+        let srt = SignedRoutingTable::sign(table(NodeId(1)), 100, &f.kp, Arc::clone(&shared));
+        assert!(Arc::ptr_eq(&srt.certificate, &shared));
+        assert!(Arc::ptr_eq(&srt.clone().certificate, &shared));
     }
 
     #[test]

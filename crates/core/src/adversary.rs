@@ -61,7 +61,7 @@ pub struct AdversaryState {
     /// Colluders share key material over the out-of-band channel, which
     /// lets any of them fabricate statements signed by any other — at
     /// the price of sacrificing the signer once the CA verifies the lie.
-    keypairs: BTreeMap<NodeId, (KeyPair, Certificate)>,
+    keypairs: BTreeMap<NodeId, (KeyPair, Arc<Certificate>)>,
 }
 
 /// The adversary directory of a simulated world: one [`AdversaryState`]
@@ -142,7 +142,7 @@ impl AdversaryState {
     }
 
     /// Share a colluder's key material with the collective.
-    pub fn share_keys(&mut self, id: NodeId, keypair: KeyPair, cert: Certificate) {
+    pub fn share_keys(&mut self, id: NodeId, keypair: KeyPair, cert: Arc<Certificate>) {
         self.keypairs.insert(id, (keypair, cert));
     }
 
@@ -172,7 +172,7 @@ impl AdversaryState {
             successor_list_table(signer, list),
             now,
             kp,
-            *cert,
+            Arc::clone(cert),
         ))
     }
 

@@ -367,7 +367,7 @@ impl CaNode {
                 let cert_ok = reporter_cert.node_id == reporter
                     && self
                         .verifier
-                        .verify_certificate(&reporter_cert, now)
+                        .verify_certificate(&Arc::new(reporter_cert), now)
                         .is_ok();
                 let reporter_revoked = self.authority.is_revoked(reporter);
                 let evidence_ok = self.verify_signed_list(&accused_list, now);
@@ -420,7 +420,7 @@ impl CaNode {
                 let cert_ok = reporter_cert.node_id == reporter
                     && self
                         .verifier
-                        .verify_certificate(&reporter_cert, now)
+                        .verify_certificate(&Arc::new(reporter_cert), now)
                         .is_ok();
                 let evidence_ok = self.verify_signed_list(&table, now)
                     && self.verify_signed_list(&finger_pred_list, now)
@@ -519,7 +519,7 @@ impl CaNode {
                 let cert_ok = reporter_cert.node_id == reporter
                     && self
                         .verifier
-                        .verify_certificate(&reporter_cert, now)
+                        .verify_certificate(&Arc::new(reporter_cert), now)
                         .is_ok();
                 let evidence_ok = !relays.is_empty();
                 let accepted = if mutation::is(Mutation::SkipReportCertCheck) {
@@ -1105,13 +1105,13 @@ mod tests {
         let mut tampered = valid.clone();
         tampered.table.successors[1] = NodeId(125);
         let mut stolen = valid.clone();
-        stolen.certificate = cert_b;
+        stolen.certificate = Arc::new(cert_b);
         let mut foreign = valid.clone();
-        foreign.certificate = cert_a_foreign;
+        foreign.certificate = Arc::new(cert_a_foreign);
         // the same statement under a re-issued certificate: valid while
         // that certificate lasts, and a different list to the memo
         let mut reissued = valid.clone();
-        reissued.certificate = cert_a_short;
+        reissued.certificate = Arc::new(cert_a_short);
         let cases = [
             ("valid", &valid, 100),
             ("bit-flipped signature", &flipped, 100),

@@ -118,7 +118,7 @@ fn get_signed_table(r: &mut PayloadReader<'_>) -> Result<SignedRoutingTable, Dec
         table,
         timestamp: r.u64()?,
         signature: Signature(r.u64()?),
-        certificate: get_cert(r)?,
+        certificate: Arc::new(get_cert(r)?),
     })
 }
 

@@ -241,7 +241,7 @@ impl OctopusNode {
         let initiator_receipt = self.receipts.get(&flow).cloned();
         let report = Report::Dropper {
             reporter: self.id,
-            reporter_cert: self.cert,
+            reporter_cert: *self.cert,
             flow,
             relays,
             target,

@@ -129,7 +129,8 @@ pub(crate) struct FingerLookup {
 /// every stabilization and surveillance reply — while the owners of
 /// lookup and walk tables are met once. The bound covers the first set:
 /// at the §5.1 point it keeps 90 % of what an unbounded memo saves, for
-/// about 1.5 KiB a peer.
+/// 448 bytes a peer (16 an entry: the id and a pointer to the
+/// certificate the signed tables already share).
 const CERT_MEMO_CAPACITY: usize = 28;
 
 /// An Octopus peer.
@@ -138,7 +139,8 @@ pub struct OctopusNode {
     pub id: NodeId,
     pub(crate) cfg: OctopusConfig,
     pub(crate) keypair: KeyPair,
-    pub(crate) cert: Certificate,
+    /// This peer's certificate, shared by every table it signs.
+    pub(crate) cert: Arc<Certificate>,
     pub(crate) ca_addr: NodeId,
     pub(crate) verifier: Verifier,
 
@@ -204,7 +206,7 @@ impl OctopusNode {
             id,
             cfg,
             keypair,
-            cert,
+            cert: Arc::new(cert),
             ca_addr,
             verifier: Verifier::new(ca_key, CERT_MEMO_CAPACITY),
             successors: Vec::new(),
@@ -371,7 +373,7 @@ impl OctopusNode {
     }
 
     pub(crate) fn sign_table(&self, table: RoutingTable, now_secs: u64) -> SignedRoutingTable {
-        SignedRoutingTable::sign(table, now_secs, &self.keypair, self.cert)
+        SignedRoutingTable::sign(table, now_secs, &self.keypair, Arc::clone(&self.cert))
     }
 
     /// The bound used both to *check* received fingertables and by the
@@ -1473,6 +1475,47 @@ mod tests {
             let prov = prov.as_ref().expect("adopted with provenance");
             assert!(Arc::ptr_eq(prov, proof), "slot {slot} holds a copy");
         }
+    }
+
+    #[test]
+    fn a_stored_signed_list_shares_its_signers_certificate() {
+        let mut rng = StdRng::seed_from_u64(99);
+        let mut ca = CertificateAuthority::new(&mut rng);
+        let mut peer_of_ca = |id| {
+            let kp = KeyPair::generate(&mut rng);
+            let cert = ca.issue(NodeId(id), 1, kp.public(), u64::MAX);
+            let ca_key = ca.public_key();
+            OctopusNode::new(
+                NodeId(id),
+                OctopusConfig::default(),
+                kp,
+                cert,
+                NodeId(u64::MAX),
+                ca_key,
+                None,
+            )
+        };
+        let (mut n, peer) = (peer_of_ca(100), peer_of_ca(99));
+        let list = peer.sign_table(successor_list_table(NodeId(99), vec![]), 0);
+        n.on_succ_list(NodeId(99), list);
+        n.buffer_table(peer.sign_table(peer.routing_table(), 0));
+        let proof = n.proof_queue.back().expect("the list was queued");
+        let buffered = n.table_buffer.back().expect("the table was buffered");
+        assert!(
+            Arc::ptr_eq(&proof.certificate, &peer.cert),
+            "the proof holds a copy"
+        );
+        assert!(
+            Arc::ptr_eq(&buffered.certificate, &peer.cert),
+            "the buffer holds a copy"
+        );
+        // and checking it files the same allocation in the verify-once memo
+        assert!(buffered.clone().verify_with(&mut n.verifier, 0).is_ok());
+        assert_eq!(
+            Arc::strong_count(&peer.cert),
+            4,
+            "signer, proof, buffer and memo"
+        );
     }
 
     #[test]

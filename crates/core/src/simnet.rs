@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use octopus_chord::{ChordConfig, SignedSuccessorList};
-use octopus_crypto::{CertificateAuthority, KeyPair};
+use octopus_crypto::{Certificate, CertificateAuthority, KeyPair};
 use octopus_id::{IdSpace, Key, NodeId, ShardedIdSpace};
 use octopus_metrics::{merge_point_series, Merge};
 use octopus_net::{Addr, KingLikeLatency, NodeBehavior, Runtime, World};
@@ -420,7 +420,10 @@ pub struct SecuritySim {
     initial_malicious: BTreeSet<NodeId>,
     unrevoked_malicious: BTreeSet<NodeId>,
     revoked: BTreeSet<NodeId>,
-    keys: BTreeMap<NodeId, (KeyPair, octopus_crypto::Certificate)>,
+    /// Each node's key pair and certificate; the certificate's one
+    /// allocation is shared by the adversary's directory and by every
+    /// list the simulation signs in the node's name.
+    keys: BTreeMap<NodeId, (KeyPair, Arc<Certificate>)>,
     churn: ChurnProcess,
     rng: rand::rngs::StdRng,
     /// Recorded semantic trace, present iff [`OctopusConfig::trace`] is
@@ -462,7 +465,7 @@ impl SecuritySim {
             let cert = ca_node.issue_cert(id, kp.public());
             ca_node.register(id, kp.public());
             ca_node.note_join(id, 0);
-            keys.insert(id, (kp, cert));
+            keys.insert(id, (kp, Arc::new(cert)));
         }
         ca_node.broadcast_to = space.ids().to_vec();
 
@@ -475,7 +478,7 @@ impl SecuritySim {
         let chord = cfg.octopus.chord;
         for &m in &malicious {
             let (kp, cert) = keys.get(&m).expect("key exists");
-            adversary_state.share_keys(m, kp.clone(), *cert);
+            adversary_state.share_keys(m, kp.clone(), Arc::clone(cert));
         }
         let adversary = ShardedAdversary::new(adversary_state);
         let space = ShardedIdSpace::from(space);
@@ -486,7 +489,7 @@ impl SecuritySim {
             let (kp, cert) = keys.get(&id).expect("key exists");
             let adv = malicious.contains(&id).then(|| adversary.handle());
             let mut node =
-                OctopusNode::new(id, cfg.octopus, kp.clone(), *cert, CA_ADDR, ca_key, adv);
+                OctopusNode::new(id, cfg.octopus, kp.clone(), **cert, CA_ADDR, ca_key, adv);
             seed_from_truth(&mut node, &space, chord, &mut rng);
             seed_provenance(&mut node, &space, chord, &keys, 0, &mut genesis_lists);
             world.insert_node(id, Actor::Peer(Box::new(node)));
@@ -798,7 +801,7 @@ impl SecuritySim {
             id,
             self.cfg.octopus,
             kp,
-            cert,
+            *cert,
             CA_ADDR,
             ca_key,
             malicious.then(|| self.adversary.handle()),
@@ -816,7 +819,7 @@ impl SecuritySim {
         if malicious {
             let (kp, cert) = self.keys.get(&id).expect("keys exist");
             self.adversary
-                .update(|a| a.share_keys(id, kp.clone(), *cert));
+                .update(|a| a.share_keys(id, kp.clone(), Arc::clone(cert)));
         }
         self.world.insert_node(id, Actor::Peer(Box::new(node)));
         self.push_trace(now, TraceEvent::NodeJoined { node: id });
@@ -927,8 +930,8 @@ impl SecuritySim {
 
     /// A node's CA-issued certificate.
     #[must_use]
-    pub fn cert_of(&self, id: NodeId) -> Option<octopus_crypto::Certificate> {
-        self.keys.get(&id).map(|(_, cert)| *cert)
+    pub fn cert_of(&self, id: NodeId) -> Option<Certificate> {
+        self.keys.get(&id).map(|(_, cert)| **cert)
     }
 
     /// Switch off the verify-once memos of the CA and of every peer now
@@ -953,11 +956,7 @@ impl SecuritySim {
     /// Have the CA issue a certificate for `id` that expires at
     /// simulated second `expires_at` — the fuzz harness's stale-cert
     /// vector. `None` when `id` never had keys.
-    pub fn issue_cert_expiring(
-        &mut self,
-        id: NodeId,
-        expires_at: u64,
-    ) -> Option<octopus_crypto::Certificate> {
+    pub fn issue_cert_expiring(&mut self, id: NodeId, expires_at: u64) -> Option<Certificate> {
         let key = self.keys.get(&id).map(|(kp, _)| kp.public())?;
         Some(self.with_ca(|ca| ca.issue_cert_expiring(id, key, expires_at)))
     }
@@ -977,7 +976,7 @@ fn seed_provenance(
     node: &mut OctopusNode,
     space: &ShardedIdSpace,
     chord: ChordConfig,
-    keys: &BTreeMap<NodeId, (KeyPair, octopus_crypto::Certificate)>,
+    keys: &BTreeMap<NodeId, (KeyPair, Arc<Certificate>)>,
     now: u64,
     signed: &mut BTreeMap<NodeId, Arc<SignedSuccessorList>>,
 ) {
@@ -1001,7 +1000,7 @@ fn seed_provenance(
                 successor_list_table(signer, list),
                 now,
                 kp,
-                *cert,
+                Arc::clone(cert),
             ))
         });
         node.set_finger_provenance(i, Arc::clone(list));
@@ -1054,7 +1053,7 @@ mod tests {
         let (mut cited, mut signers, mut allocations) = (0, BTreeSet::new(), BTreeSet::new());
         for id in sim.space.iter() {
             let (kp, cert) = sim.keys.get(&id).expect("key exists").clone();
-            let mut fresh = OctopusNode::new(id, sim.cfg.octopus, kp, cert, CA_ADDR, ca_key, None);
+            let mut fresh = OctopusNode::new(id, sim.cfg.octopus, kp, *cert, CA_ADDR, ca_key, None);
             seed_provenance(
                 &mut fresh,
                 &sim.space,

@@ -94,13 +94,14 @@ impl OctopusNode {
     /// §4.4: pick a buffered table and start a finger check on one of
     /// its fingers.
     fn finger_surveillance_check(&mut self, ctx: &mut NodeCtx<'_>) {
-        let candidates: Vec<SignedRoutingTable> = self
+        let candidates: Vec<&SignedRoutingTable> = self
             .table_buffer
             .iter()
             .filter(|t| t.owner() != self.id && !t.table.fingers.is_empty())
-            .cloned()
             .collect();
-        let Some(table) = candidates.as_slice().choose(ctx.rng()).cloned() else {
+        // only the chosen table is copied; the draw is the same whatever
+        // the element type
+        let Some(table) = candidates.choose(ctx.rng()).map(|&t| t.clone()) else {
             return;
         };
         let index = ctx.rng().gen_range(0..table.table.fingers.len()) as u32;
@@ -237,7 +238,7 @@ impl OctopusNode {
                 if let (true, Some(fpl)) = (violation, fc.fpred_list) {
                     let report = Report::FingerManipulation {
                         reporter: self.id,
-                        reporter_cert: self.cert,
+                        reporter_cert: *self.cert,
                         table: y_table,
                         finger_index: index,
                         finger_pred_list: fpl,
@@ -253,7 +254,7 @@ impl OctopusNode {
                     // report the omission (§4.5)
                     let report = Report::ListOmission {
                         reporter: self.id,
-                        reporter_cert: self.cert,
+                        reporter_cert: *self.cert,
                         omitted: z,
                         accused_list: evidence,
                     };
@@ -412,7 +413,7 @@ impl OctopusNode {
         if violation {
             let report = Report::ListOmission {
                 reporter: self.id,
-                reporter_cert: self.cert,
+                reporter_cert: *self.cert,
                 omitted: self.id,
                 accused_list: Box::new(table),
             };

@@ -9,6 +9,7 @@
 
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 use octopus_id::NodeId;
 
@@ -89,10 +90,15 @@ impl Certificate {
 /// field, and expiry — the one input that changes between calls — is
 /// compared on every call. Revocation is not a property of the
 /// certificate bytes; callers keep checking it where they did.
+///
+/// The memo keeps the `Arc` it was shown, not a copy: a certificate
+/// already shared by the tables that carry it costs the memo a pointer.
+/// `Arc`'s equality compares the certificates themselves; two pointers
+/// to one allocation are equal without the comparison, a fast path only.
 #[derive(Clone, Debug)]
 pub struct Verifier {
     ca_key: PublicKey,
-    verified: VerifiedMemo<NodeId, Certificate>,
+    verified: VerifiedMemo<NodeId, Arc<Certificate>>,
     full_verifications: u64,
 }
 
@@ -115,13 +121,16 @@ impl Verifier {
     }
 
     /// [`Certificate::verify`] against this verifier's CA key, skipping
-    /// the signature check for a certificate already seen to pass it.
+    /// the signature check for a certificate already seen to pass it:
+    /// the one remembered in `cert`'s own allocation, or one equal to it
+    /// in every field. A certificate that passes is remembered as a
+    /// clone of `cert`.
     ///
     /// # Errors
     /// Exactly those of [`Certificate::verify`].
     pub fn verify_certificate(
         &mut self,
-        cert: &Certificate,
+        cert: &Arc<Certificate>,
         now: u64,
     ) -> Result<(), CertificateError> {
         if self.verified.contains(&cert.node_id, cert) {
@@ -135,7 +144,7 @@ impl Verifier {
         }
         self.full_verifications += 1;
         cert.verify(self.ca_key, now)?;
-        self.verified.remember(cert.node_id, *cert);
+        self.verified.remember(cert.node_id, Arc::clone(cert));
         Ok(())
     }
 
@@ -459,16 +468,25 @@ mod tests {
         // 10! orders is too many to be useful: take every order of each
         // window of six neighbouring cases, which pairs every case with
         // every other both ways round
+        let shared: Vec<Arc<Certificate>> =
+            cases.iter().map(|(_, cert, _)| Arc::new(*cert)).collect();
         for start in 0..=cases.len() - 6 {
             for order in permutations(6) {
                 for capacity in [0, 2, 64, 1024] {
                     let mut verifier = Verifier::new(ca_key, capacity);
                     // twice through: the second pass meets a warm memo,
-                    // and everything rejected must be rejected again
-                    for &i in order.iter().chain(&order) {
+                    // and everything rejected must be rejected again;
+                    // the first pass shows each case in one allocation
+                    // every time, the second a fresh copy
+                    for (pass, &i) in order.iter().chain(&order).enumerate() {
                         let (what, cert, now) = &cases[start + i];
+                        let presented = if pass < order.len() {
+                            Arc::clone(&shared[start + i])
+                        } else {
+                            Arc::new(*cert)
+                        };
                         assert_eq!(
-                            verifier.verify_certificate(cert, *now),
+                            verifier.verify_certificate(&presented, *now),
                             stateless[start + i],
                             "{what} (capacity {capacity}, order {order:?} from {start})"
                         );
@@ -481,7 +499,7 @@ mod tests {
     #[test]
     fn verifier_checks_each_distinct_certificate_once() {
         let (ca_key, cases) = adversarial_certs();
-        let (_, valid, _) = cases[0];
+        let valid = Arc::new(cases[0].1);
         let mut verifier = Verifier::new(ca_key, 8);
         for now in [0, 100, 10_000] {
             assert!(verifier.verify_certificate(&valid, now).is_ok());
@@ -494,7 +512,7 @@ mod tests {
         );
         assert_eq!(verifier.full_verifications(), 1);
         // a rejected certificate is never remembered
-        let (_, flipped, _) = cases[6];
+        let flipped = Arc::new(cases[6].1);
         for _ in 0..3 {
             assert!(verifier.verify_certificate(&flipped, 100).is_err());
         }
@@ -505,6 +523,49 @@ mod tests {
             assert!(pass_through.verify_certificate(&valid, 100).is_ok());
         }
         assert_eq!(pass_through.full_verifications(), 3);
+    }
+
+    #[test]
+    fn a_memo_hit_takes_the_shared_certificate_or_an_equal_copy_and_nothing_else() {
+        let (mut ca, kp, mut rng) = setup();
+        let valid = Arc::new(ca.issue(NodeId(42), 7, kp.public(), 10_000));
+        let mut verifier = Verifier::new(ca.public_key(), 8);
+        assert!(verifier.verify_certificate(&valid, 100).is_ok());
+        assert_eq!(verifier.full_verifications(), 1);
+        // the allocation the memo holds, and an equal copy in another
+        for (what, presented) in [
+            ("the same allocation", Arc::clone(&valid)),
+            ("an equal copy", Arc::new(*valid)),
+        ] {
+            assert!(
+                verifier.verify_certificate(&presented, 100).is_ok(),
+                "{what}"
+            );
+            assert_eq!(verifier.full_verifications(), 1, "{what} is a hit");
+        }
+        // the subject's id with another key, or another CA signature:
+        // the id finds the remembered certificate, which must not vouch
+        let mut rekeyed = *valid;
+        rekeyed.public_key = KeyPair::generate(&mut rng).public();
+        let mut resigned = *valid;
+        resigned.ca_signature = Signature(valid.ca_signature.0 ^ 1);
+        for (what, forged) in [("another key", rekeyed), ("another CA signature", resigned)] {
+            let before = verifier.full_verifications();
+            assert!(
+                matches!(
+                    verifier.verify_certificate(&Arc::new(forged), 100),
+                    Err(CertificateError::BadCaSignature(_))
+                ),
+                "{what} is rejected"
+            );
+            assert_eq!(
+                verifier.full_verifications(),
+                before + 1,
+                "{what} is a miss"
+            );
+        }
+        assert!(verifier.verify_certificate(&valid, 100).is_ok());
+        assert_eq!(verifier.full_verifications(), 3);
     }
 
     #[test]

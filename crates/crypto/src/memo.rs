@@ -17,9 +17,10 @@ use std::collections::HashMap;
 use std::hash::Hash;
 
 /// Memos up to this many entries are searched by scanning the ring: a
-/// peer's two dozen certificates fit in 1.5 KiB, and a scan over them is
-/// cheaper than hashing the key, in time and above all in memory (a
-/// thousand peers each hold one). Larger memos index the ring by key.
+/// peer's two dozen certificates take 448 bytes (an id and an `Arc`
+/// each), and a scan over them is cheaper than hashing the key, in time
+/// and above all in memory (a thousand peers each hold one). Larger memos
+/// index the ring by key.
 const SCAN_LIMIT: usize = 64;
 
 /// A bounded memo of values that passed verification, oldest evicted
