@@ -24,7 +24,9 @@
 //!
 //! The bins run every simulation on one shard. Shard count never
 //! changes a report; [`SimConfig::shards`] stays an engine setting for
-//! worlds too large for one node slab. Windows always run their shards
+//! worlds of a million nodes, where several shards run faster than one
+//! (smaller slabs and lanes stay warmer) at a price in peak memory; no
+//! figure runs that large. Windows always run their shards
 //! one after another: parallel windows never made a figure faster (a
 //! §5 window holds too few events to pay for a barrier; `fig3_bias` at
 //! `--scale full` took 7.7 s sequentially and 43.9 s at 4 parallel

@@ -4,7 +4,9 @@
 //! The workload builds an N-node overlay and drives one simulated
 //! second of staggered per-node gossip timers, with half the traffic
 //! deliberately crossing the ID-space midpoint so multi-shard runs
-//! exercise the cross-shard bus and its lookahead barriers.
+//! exercise cross-shard sends and their lookahead windows. At this
+//! size eight shards run faster than one and peak higher in memory
+//! (`BENCH_shard_state.json`).
 //!
 //! Ignored by default — the run processes ~6.6M events over a
 //! million-node world and takes minutes in a debug build. Run it with

@@ -1,10 +1,9 @@
 //! Byte-level codec for [`Msg`] — the payload format carried inside
 //! `octopus_net::wire` frames.
 //!
-//! The simulator never serializes messages (its [`octopus_net::Envelope`]
-//! carries them in memory), but the UDP transport does, and both paths
-//! share the same [`octopus_net::FrameHeader`] so addressing cannot
-//! drift. Every field is big-endian and fixed-width where the type is
+//! The simulator never serializes messages (its delivery lanes carry
+//! them in memory), but the UDP transport does, through
+//! [`octopus_net::encode_frame`] and its [`octopus_net::FrameHeader`]. Every field is big-endian and fixed-width where the type is
 //! fixed-width; variable-length sequences carry a `u32` count that is
 //! validated against the remaining bytes before any allocation
 //! ([`PayloadReader::seq_len`]), so a forged length cannot balloon

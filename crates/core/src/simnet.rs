@@ -182,10 +182,11 @@ pub struct SimConfig {
     pub lookups_enabled: bool,
     /// Number of contiguous ID-range shards the world is partitioned
     /// into (clamped to at least 1). Sharding splits storage — one node
-    /// slab and one event queue per shard, joined by a cross-shard
-    /// message bus — but never results: a fixed seed produces an
-    /// identical [`SimReport`] at every shard count (pinned by the
-    /// `engine_determinism` regression tests).
+    /// slab, one timer lane and one delivery lane per shard — but never
+    /// results: a fixed seed produces an identical [`SimReport`] at
+    /// every shard count (pinned by the `engine_determinism` regression
+    /// tests). Several shards only pay at very large N: at a million
+    /// nodes they run faster than one and peak higher in memory.
     pub shards: usize,
     /// Accepted and ignored: windows always run their shards one after
     /// another. Kept so configs written for the parallel windows of

@@ -1,10 +1,10 @@
 //! `OCT-LINT-009` — barrier-path panic safety.
 //!
 //! Shard batch execution (`run_batch`) runs between window barriers.
-//! If a batch panic escapes uncaught, the barrier merge is skipped: the
-//! completed batches' outgoing envelopes stay unparked and the clock
-//! does not advance, so a driver that catches the panic and keeps
-//! stepping holds an inconsistent world. The
+//! If a batch panic escapes uncaught, the barrier is skipped: the clock
+//! does not advance past the completed events and the window's emitted
+//! controls are neither returned nor discarded, so a driver that
+//! catches the panic and keeps stepping holds an inconsistent world. The
 //! contract: every call into a protected callee must be lexically
 //! covered by `catch_unwind`, or reached only *through* functions whose
 //! own call sites are covered. This rule walks the intra-crate call

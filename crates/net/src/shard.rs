@@ -1,18 +1,18 @@
-//! Ring partitioning for sharded worlds: ID-range ownership, the shards
-//! themselves and the cross-shard message bus.
+//! Ring partitioning for sharded worlds: ID-range ownership, each
+//! shard's two event lanes, and the dispatch that runs one event.
 //!
 //! A sharded [`World`](crate::World) splits the Chord ring into
-//! contiguous ID ranges, one per shard; each shard owns the
-//! [`NodeSlab`] and event lanes for its range.
-//! [`ShardMap`] is the ownership function (`Addr → shard`, `O(1)`,
-//! allocation-free), and [`CrossShardBus`] holds messages in flight
-//! between shards until the next conservative synchronization barrier
-//! (see [`octopus_sim::LookaheadWindow`]). The shard itself — its
-//! hosted nodes, its timer and delivery lanes, and the dispatch that
-//! runs one event and routes what the handler produced — is private to
-//! the crate: the world's window driver is its only caller.
-
-use std::collections::BTreeMap;
+//! contiguous ID ranges, one per shard. [`ShardMap`] is the ownership
+//! function (`Addr → shard`, `O(1)`, allocation-free). A shard holds
+//! only what its range needs: a [`NodeSlab`] (the world keeps one per
+//! shard) and a timer lane and a delivery lane (`Lanes`). Everything
+//! else an event touches exists once per world, in `Io`: the world's
+//! window driver runs shard batches one after another on one thread, so
+//! a cross-shard send goes straight into its destination's delivery
+//! lane — it is due at or after the window's end (see
+//! [`octopus_sim::LookaheadWindow`]), and that lane pops only below it.
+//! All of this is private to the crate: the window driver is its only
+//! caller.
 
 use octopus_sim::{stream_rng, Duration, EventQueue, SchedulerKind, SimTime};
 use rand::rngs::StdRng;
@@ -21,7 +21,7 @@ use rand::RngCore;
 use crate::latency::LatencyModel;
 use crate::runtime::{Ctx, NodeBehavior, Runtime};
 use crate::slab::{NodeSlab, NO_HINT};
-use crate::wire::{datagram_bytes, FrameHeader};
+use crate::wire::datagram_bytes;
 use crate::world::Addr;
 
 /// Contiguous-range ownership of the 64-bit ID space by `count` shards.
@@ -96,87 +96,6 @@ impl ShardMap {
     }
 }
 
-/// A message parked between shards, carrying the full global ordering
-/// key it was assigned at send time.
-///
-/// Addressing lives in the embedded [`FrameHeader`] — the same header
-/// type [`crate::wire::encode_frame`] serializes for the UDP transport,
-/// so the simulator's in-memory framing and the on-the-wire framing are
-/// one representation and can never drift apart.
-#[derive(Debug)]
-pub struct Envelope<M> {
-    /// Delivery time (send time + link latency + artificial delay).
-    pub at: SimTime,
-    /// Packed `(lane, origin, counter)` tie-break key, assigned from the
-    /// sender's own counter when the send was routed — no cross-shard
-    /// coordination needed.
-    pub seq: u128,
-    /// Sender and destination addresses (the codec-owned frame header).
-    pub header: FrameHeader,
-    /// The message itself.
-    pub msg: M,
-}
-
-/// In-flight cross-shard messages, bucketed by destination shard.
-///
-/// The bus is append-only between barriers and fully drained at each
-/// one; because every envelope's arrival time provably lies at or
-/// beyond the current lookahead window's end, draining at barriers can
-/// never deliver an event late. Envelopes keep their send-time sequence
-/// numbers, so after a flush the destination queue still pops them in
-/// exact global `(time, seq)` order.
-#[derive(Debug)]
-pub struct CrossShardBus<M> {
-    lanes: Vec<Vec<Envelope<M>>>,
-    len: usize,
-}
-
-impl<M> CrossShardBus<M> {
-    /// An empty bus with one lane per destination shard.
-    #[must_use]
-    pub fn new(shards: usize) -> Self {
-        CrossShardBus {
-            lanes: (0..shards.max(1)).map(|_| Vec::new()).collect(),
-            len: 0,
-        }
-    }
-
-    /// Number of parked envelopes across all lanes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when nothing is in flight.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Park an envelope on its destination lane.
-    ///
-    /// # Panics
-    /// Panics when `dest` is not a valid shard index.
-    pub fn park(&mut self, dest: usize, envelope: Envelope<M>) {
-        self.lanes[dest].push(envelope);
-        self.len += 1;
-    }
-
-    /// Drain every lane at a barrier, handing each envelope to
-    /// `deliver(dest_shard, envelope)`. Lanes drain in shard order and
-    /// envelopes within a lane in park (send) order, so delivery is
-    /// deterministic; ordering correctness does not depend on it (the
-    /// envelopes' own `(time, seq)` keys restore the global order).
-    pub fn flush(&mut self, mut deliver: impl FnMut(usize, Envelope<M>)) {
-        for (dest, lane) in self.lanes.iter_mut().enumerate() {
-            for e in lane.drain(..) {
-                deliver(dest, e);
-            }
-        }
-        self.len = 0;
-    }
-}
-
 /// A message waiting on its destination shard's delivery lane.
 pub(crate) struct Delivery<M> {
     pub(crate) from: Addr,
@@ -195,7 +114,7 @@ pub(crate) struct TimerEv<T> {
     timer: T,
 }
 
-/// A protocol event between its lane's pop and [`Shard::exec_event`]
+/// A protocol event between its lane's pop and [`Io::exec_event`]
 /// (driver controls live on their own world-level queue). It lives on
 /// the stack only: each lane stores its own entry type, so a waiting
 /// timer never pays for the largest message.
@@ -289,71 +208,33 @@ impl<M, T, C> Default for BufferPool<M, T, C> {
 }
 
 /// The read-only execution environment a shard batch runs against:
-/// everything a shard needs besides its own state.
+/// everything an event needs besides the world's mutable state.
 pub(crate) struct ShardCtx<'a, L> {
     pub(crate) map: ShardMap,
     pub(crate) latency: &'a L,
-    /// The monotone lookahead bound every cross-shard send must respect
-    /// (the park-assert obligation).
+    /// The monotone lookahead bound every cross-shard send must respect.
     pub(crate) window_end: SimTime,
     /// Exclusive execution bound of the current window batch.
     pub(crate) exec_end: SimTime,
 }
 
-/// One partition of the world: the nodes in a contiguous ID range, the
-/// event lanes for everything addressed to them, and every mutable
-/// resource their execution touches — pooled buffers, byte and drop
-/// counters, outgoing envelope lanes and emitted controls. Nothing here
-/// is shared with other shards.
-pub(crate) struct Shard<B: NodeBehavior> {
-    pub(crate) nodes: NodeSlab<Hosted<B>>,
-    /// Everything a handler's effects flow into. A field of its own so
-    /// an event borrows its node in `nodes` and this side by side.
-    pub(crate) io: ShardIo<B>,
-    /// `(sent, received)` bytes of addresses in this shard's range that
-    /// no slot holds: what a removed node had counted, and driver
-    /// injections from senders outside the overlay. Driver-side only —
-    /// no event touches it.
-    pub(crate) off_slab: BTreeMap<Addr, (u64, u64)>,
-    /// Messages dropped because their destination had left the overlay.
-    pub(crate) dropped_to_dead: u64,
-    /// Timestamp of the last event this shard executed.
-    pub(crate) last_exec: SimTime,
-}
-
-/// The half of a [`Shard`] that is not its nodes: where events come
-/// from and where a handler's sends, timers and controls go.
-///
-/// Events wait in two lanes on one scheduler backend, timers in one and
-/// deliveries in the other, and pop through [`ShardIo::pop_before`] in
+/// One shard's event lanes: timers in one and deliveries in the other,
+/// on one scheduler backend, popping through [`Lanes::pop_before`] in
 /// the `(time, key)` order of the two heads. Keys are unique across the
 /// lanes (both draw from their origin's counter, driver injections from
 /// the driver's), so that is exactly the order one queue holding both
 /// would pop in.
-pub(crate) struct ShardIo<B: NodeBehavior> {
-    pub(crate) index: usize,
+pub(crate) struct Lanes<B: NodeBehavior> {
     timers: EventQueue<TimerEv<B::Timer>>,
     pub(crate) deliveries: EventQueue<Delivery<B::Msg>>,
-    pub(crate) pool: BufferPool<B::Msg, B::Timer, B::Control>,
-    /// Cross-shard envelopes produced by the current batch, one lane
-    /// per destination shard; moved into the world bus at the barrier.
-    pub(crate) outgoing: Vec<Vec<Envelope<B::Msg>>>,
-    /// Controls emitted by the current batch, tagged with emission time
-    /// and key; sorted into one stream at the barrier.
-    pub(crate) emitted: Vec<(SimTime, u128, B::Control)>,
 }
 
-impl<B: NodeBehavior> ShardIo<B> {
-    /// The I/O side of shard `index` of `shards`, with empty lanes on
-    /// the `scheduler` backend.
-    pub(crate) fn new(index: usize, shards: usize, scheduler: SchedulerKind) -> Self {
-        ShardIo {
-            index,
+impl<B: NodeBehavior> Lanes<B> {
+    /// Two empty lanes on the `scheduler` backend.
+    pub(crate) fn new(scheduler: SchedulerKind) -> Self {
+        Lanes {
             timers: EventQueue::with_scheduler(scheduler),
             deliveries: EventQueue::with_scheduler(scheduler),
-            pool: BufferPool::default(),
-            outgoing: (0..shards).map(|_| Vec::new()).collect(),
-            emitted: Vec::new(),
         }
     }
 
@@ -401,13 +282,44 @@ impl<B: NodeBehavior> ShardIo<B> {
             Some((at, Event::Deliver(d)))
         }
     }
+}
+
+/// Where events come from and where a handler's sends, timers and
+/// controls go: every shard's [`Lanes`], indexed like the world's
+/// slabs, and what exists once per world because shard batches run one
+/// after another on one thread — the pooled [`Ctx`] buffers, the
+/// emitted controls, the drop counter and the last-executed time.
+pub(crate) struct Io<B: NodeBehavior> {
+    pub(crate) lanes: Vec<Lanes<B>>,
+    pool: BufferPool<B::Msg, B::Timer, B::Control>,
+    /// Controls emitted since the last barrier, tagged with emission
+    /// time and key; sorted into one stream there.
+    pub(crate) emitted: Vec<(SimTime, u128, B::Control)>,
+    /// Messages dropped because their destination had left the overlay.
+    pub(crate) dropped_to_dead: u64,
+    /// Timestamp of the latest event executed.
+    pub(crate) last_exec: SimTime,
+}
+
+impl<B: NodeBehavior> Io<B> {
+    /// Empty lanes for `shards` shards on the `scheduler` backend.
+    pub(crate) fn new(shards: usize, scheduler: SchedulerKind) -> Self {
+        Io {
+            lanes: (0..shards).map(|_| Lanes::new(scheduler)).collect(),
+            pool: BufferPool::default(),
+            emitted: Vec::new(),
+            dropped_to_dead: 0,
+            last_exec: SimTime::ZERO,
+        }
+    }
 
     /// Run `f` against `hosted` — the node at `addr`, lying in slab
     /// slot `slot` ([`NO_HINT`] while not yet inserted) — with a pooled
-    /// context, then flush what it produced: messages are routed (local
-    /// push or outgoing lane), timers land on this shard's timer lane
-    /// carrying `slot` as their hint, controls accumulate in
-    /// [`ShardIo::emitted`] with fresh keys from the node's counter.
+    /// context, then flush what it produced: messages are routed to
+    /// their destination shard's delivery lane, timers land on the
+    /// node's shard's timer lane carrying `slot` as their hint, controls
+    /// accumulate in [`Io::emitted`] with fresh keys from the node's
+    /// counter.
     pub(crate) fn dispatch<L: LatencyModel, F>(
         &mut self,
         ctx: &ShardCtx<'_, L>,
@@ -432,10 +344,13 @@ impl<B: NodeBehavior> ShardIo<B> {
             &mut controls,
         );
         f(&mut hosted.node, &mut cx);
+        let shard = ctx.map.shard_of(addr);
         for send in outbox.drain(..) {
             let counter = hosted.next_counter();
-            hosted.sent_bytes += self.route(ctx, now, (addr, counter), hosted.jitter_base, send);
+            hosted.sent_bytes +=
+                self.route(ctx, shard, now, (addr, counter), hosted.jitter_base, send);
         }
+        let lane = &mut self.lanes[shard].timers;
         for (delay, timer) in timers.drain(..) {
             let key = proto_key(addr, hosted.next_counter());
             let timer = TimerEv {
@@ -443,7 +358,7 @@ impl<B: NodeBehavior> ShardIo<B> {
                 hint: slot,
                 timer,
             };
-            self.timers.push_with_seq(now + delay, key, timer);
+            lane.push_with_seq(now + delay, key, timer);
         }
         for c in controls.drain(..) {
             let key = proto_key(addr, hosted.next_counter());
@@ -454,9 +369,9 @@ impl<B: NodeBehavior> ShardIo<B> {
         self.pool.controls = controls;
     }
 
-    /// Route one message: draw the latency from the message's own
-    /// stateless jitter stream, and either push onto the delivery lane
-    /// or park on the outgoing lane. `origin` is the sender's
+    /// Route one message from a node in shard `shard`: draw the latency
+    /// from the message's own stateless jitter stream and push it onto
+    /// its destination shard's delivery lane. `origin` is the sender's
     /// `(address, counter)` key source, `jitter_base` its
     /// [`jitter_base`](crate::world::jitter_base), `send` the outbox
     /// entry `(to, msg, extra delay)`. Returns the datagram's bytes for
@@ -464,6 +379,7 @@ impl<B: NodeBehavior> ShardIo<B> {
     fn route<L: LatencyModel>(
         &mut self,
         ctx: &ShardCtx<'_, L>,
+        shard: usize,
         now: SimTime,
         origin: (Addr, u64),
         jitter_base: u64,
@@ -483,15 +399,13 @@ impl<B: NodeBehavior> ShardIo<B> {
         };
         let lat = ctx.latency.sample(from, to, &mut rng);
         let at = now + extra + lat;
-        let key = proto_key(from, counter);
         let dest = ctx.map.shard_of(to);
-        if dest == self.index {
-            self.deliveries
-                .push_with_seq(at, key, Delivery { from, to, msg });
-        } else {
+        if dest != shard {
             // Conservative-sync soundness: the window's end never
             // exceeds now + lookahead, and lat >= lookahead, so a
-            // parked message is always due at or beyond the window. A
+            // cross-shard message is always due at or beyond the
+            // window's end, which no lane pops before the next barrier,
+            // whether or not the destination's batch has run yet. A
             // violation means the latency model's min_latency() lied
             // about its floor — fail loudly rather than let release
             // builds silently produce shard-count-dependent results.
@@ -500,51 +414,63 @@ impl<B: NodeBehavior> ShardIo<B> {
                 "cross-shard message due inside the lookahead window: \
                  the latency model's min_latency() exceeds an actual sample"
             );
-            self.outgoing[dest].push(Envelope {
-                at,
-                seq: key,
-                header: FrameHeader { from, to },
-                msg,
-            });
         }
+        self.lanes[dest].deliveries.push_with_seq(
+            at,
+            proto_key(from, counter),
+            Delivery { from, to, msg },
+        );
         bytes
     }
-}
 
-impl<B: NodeBehavior> Shard<B> {
-    /// Add to the off-slab counters of `addr`.
-    pub(crate) fn bank(&mut self, addr: Addr, sent: u64, received: u64) {
-        let entry = self.off_slab.entry(addr).or_default();
-        entry.0 += sent;
-        entry.1 += received;
-    }
-
-    /// Pop and execute this shard's head event (the caller has
+    /// Pop and execute shard `shard`'s head event (the caller has
     /// established it is due).
-    pub(crate) fn run_one<L: LatencyModel>(&mut self, ctx: &ShardCtx<'_, L>) {
-        let Some((at, ev)) = self.io.pop() else {
+    pub(crate) fn run_one<L: LatencyModel>(
+        &mut self,
+        nodes: &mut NodeSlab<Hosted<B>>,
+        ctx: &ShardCtx<'_, L>,
+        shard: usize,
+    ) {
+        let Some((at, ev)) = self.lanes[shard].pop() else {
             return;
         };
-        self.exec_event(ctx, at, ev);
+        self.exec_event(nodes, ctx, at, ev);
+    }
+
+    /// Execute every event of shard `shard` (hosting `nodes`) strictly
+    /// before `ctx.exec_end`, in key order — the per-shard body of one
+    /// window. Timers landing inside the window are picked up; messages
+    /// cannot land inside it (their latency floor carries them to
+    /// `exec_end` or beyond).
+    pub(crate) fn run_batch<L: LatencyModel>(
+        &mut self,
+        nodes: &mut NodeSlab<Hosted<B>>,
+        ctx: &ShardCtx<'_, L>,
+        shard: usize,
+    ) {
+        while let Some((at, ev)) = self.lanes[shard].pop_before(ctx.exec_end) {
+            self.exec_event(nodes, ctx, at, ev);
+        }
     }
 
     /// Execute one popped event against its hosted node, borrowed
     /// where it lies in the slab.
     fn exec_event<L: LatencyModel>(
         &mut self,
+        nodes: &mut NodeSlab<Hosted<B>>,
         ctx: &ShardCtx<'_, L>,
         at: SimTime,
         ev: Event<B::Msg, B::Timer>,
     ) {
-        self.last_exec = at;
+        self.last_exec = self.last_exec.max(at);
         match ev {
             Event::Deliver(Delivery { from, to, msg }) => {
-                let Some((slot, hosted)) = self.nodes.get_mut_hinted(to, NO_HINT) else {
+                let Some((slot, hosted)) = nodes.get_mut_hinted(to, NO_HINT) else {
                     self.dropped_to_dead += 1;
                     return;
                 };
                 hosted.received_bytes += datagram_bytes(&msg);
-                self.io.dispatch(ctx, at, to, slot, hosted, |node, cx| {
+                self.dispatch(ctx, at, to, slot, hosted, |node, cx| {
                     node.on_message(cx, from, msg);
                 });
             }
@@ -553,23 +479,13 @@ impl<B: NodeBehavior> Shard<B> {
                 hint,
                 timer,
             }) => {
-                let Some((slot, hosted)) = self.nodes.get_mut_hinted(addr, hint) else {
+                let Some((slot, hosted)) = nodes.get_mut_hinted(addr, hint) else {
                     return; // timer of a dead node
                 };
-                self.io.dispatch(ctx, at, addr, slot, hosted, |node, cx| {
+                self.dispatch(ctx, at, addr, slot, hosted, |node, cx| {
                     node.on_timer(cx, timer);
                 });
             }
-        }
-    }
-
-    /// Execute every event strictly before `ctx.exec_end`, in local key
-    /// order — the per-shard body of one window. Timers landing inside
-    /// the window are picked up; messages cannot land inside it (their
-    /// latency floor carries them to `exec_end` or beyond).
-    pub(crate) fn run_batch<L: LatencyModel>(&mut self, ctx: &ShardCtx<'_, L>) {
-        while let Some((at, ev)) = self.io.pop_before(ctx.exec_end) {
-            self.exec_event(ctx, at, ev);
         }
     }
 }
@@ -629,40 +545,5 @@ mod tests {
         let min = widths.iter().min().unwrap();
         let max = widths.iter().max().unwrap();
         assert!(max - min <= 1, "ranges differ by more than one id");
-    }
-
-    #[test]
-    fn bus_parks_and_flushes_in_lane_order() {
-        let mut bus: CrossShardBus<&str> = CrossShardBus::new(3);
-        assert!(bus.is_empty());
-        bus.park(
-            2,
-            Envelope {
-                at: SimTime::from_millis(30),
-                seq: 5,
-                header: FrameHeader {
-                    from: NodeId(1),
-                    to: NodeId(9),
-                },
-                msg: "b",
-            },
-        );
-        bus.park(
-            0,
-            Envelope {
-                at: SimTime::from_millis(10),
-                seq: 6,
-                header: FrameHeader {
-                    from: NodeId(2),
-                    to: NodeId(3),
-                },
-                msg: "a",
-            },
-        );
-        assert_eq!(bus.len(), 2);
-        let mut seen = Vec::new();
-        bus.flush(|dest, e| seen.push((dest, e.msg, e.seq)));
-        assert_eq!(seen, vec![(0, "a", 6), (2, "b", 5)]);
-        assert!(bus.is_empty());
     }
 }

@@ -13,9 +13,9 @@
 //! magic, schema version, a checksum, the [`FrameHeader`] (sender and
 //! destination overlay addresses) and a [`WireCodec`]-encoded payload.
 //! Malformed input of any kind is rejected with a [`FrameError`] — the
-//! decoder never panics, no matter the bytes. The simulator carries the
-//! same [`FrameHeader`] in-memory inside [`crate::shard::Envelope`], so
-//! there is exactly one place that says what a frame's addressing means.
+//! decoder never panics, no matter the bytes. The simulator serializes
+//! nothing: its delivery lanes carry each message and its `from`/`to`
+//! in memory.
 //!
 //! Encoding is one pass: [`encode_frame_into`] writes the header with
 //! its length and checksum left open, lets the payload codec append
@@ -100,9 +100,8 @@ const TYPICAL_FRAME: usize = 512;
 /// from here to the end of the frame (from, to, payload) is covered.
 const CHECKSUM_COVERS: usize = 14;
 
-/// The addressing header every frame carries — and the same header the
-/// simulator's [`crate::shard::Envelope`] embeds, so the in-memory and
-/// on-the-wire representations can never drift apart.
+/// The addressing header every frame carries: sender and destination,
+/// the two addresses a simulated delivery holds too.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FrameHeader {
     /// Sender overlay address.

@@ -8,14 +8,16 @@
 //! control events back to the caller instead of invoking callbacks.
 //!
 //! Storage and dispatch are built for scale. The ring is partitioned
-//! into contiguous ID ranges ([`ShardMap`]), each owned
-//! by a shard with its own [`NodeSlab`] (nodes colocated
-//! with their RNG streams and event counters, dispatched where they
-//! lie), its own event lanes, its own pooled [`Ctx`] scratch
-//! buffers, and the byte counters of its own nodes — a shard shares
-//! *nothing* mutable with its siblings. Shards partition memory, not
-//! work: [`World::run_window`] runs their batches one after another on
-//! the calling thread.
+//! into contiguous ID ranges ([`ShardMap`]), and each range's shard
+//! keeps only its own [`NodeSlab`] (nodes colocated with their RNG
+//! streams and event counters, dispatched where they lie) and its two
+//! event lanes. Everything else an event touches — the pooled [`Ctx`]
+//! scratch buffers, emitted controls, byte counters of nodes no slot
+//! holds, the drop counter and the clock — exists once per world:
+//! [`World::run_window`] runs the shards' batches one after another on
+//! the calling thread. Only at very large N do several shards beat one
+//! on time (smaller slabs and lanes stay warmer), and they pay for it
+//! in memory.
 //!
 //! Sharding never changes results. Every event carries a
 //! `(time, key)` ordering key whose tie-break packs
@@ -39,26 +41,27 @@
 //! the probe only if its node has moved since.
 //!
 //! An event moves nothing it does not use. The handler runs on the node
-//! in its slot, borrowed beside the shard's lanes and buffers (two
-//! fields of the shard): nothing is copied out and back, so the cache
-//! lines an event touches are the ones its handler reads and writes.
+//! in its slot, borrowed beside the world's lanes and buffers: nothing
+//! is copied out and back, so the cache lines an event touches are the
+//! ones its handler reads and writes.
 //!
-//! Cross-shard messages park in a [`CrossShardBus`]
-//! and are flushed at conservative barriers bounded by the latency
-//! model's guaranteed floor ([`LatencyModel::min_latency`], the
-//! lookahead of [`octopus_sim::LookaheadWindow`]): a message sent at
-//! `t` cannot arrive before `t + lookahead`, so parking it until the
-//! window closes can never deliver it late.
+//! A cross-shard message goes straight onto its destination shard's
+//! delivery lane. Its latency is at least the latency model's
+//! guaranteed floor ([`LatencyModel::min_latency`], the lookahead of
+//! [`octopus_sim::LookaheadWindow`]), so it is due at or after the
+//! window's end, and a lane pops only below that end: whether the
+//! destination's batch has already run in this window or not, the
+//! message runs in a later one, in its key's place.
 //!
 //! One driver runs all of that machinery: [`World::run_window`] opens
 //! a lookahead window, runs *every* shard's in-window batch in shard
-//! order, then merges envelopes and emitted control events by key at
-//! the barrier. A one-shard run is the reference every other shard
-//! count is compared to. Its timers and deliveries wait in two lanes,
-//! so a timer's entry never pays for the largest message, and the
-//! pop takes whichever lane head has the smaller `(time, key)`: keys
-//! are unique across lanes, so the two lanes merged by key pop in the
-//! one total order a single queue holding both would.
+//! order, then sorts the emitted control events by key at the barrier.
+//! A one-shard run is the reference every other shard count is
+//! compared to. Its timers and deliveries wait in two lanes, so a
+//! timer's entry never pays for the largest message, and the pop takes
+//! whichever lane head has the smaller `(time, key)`: keys are unique
+//! across lanes, so the two lanes merged by key pop in the one total
+//! order a single queue holding both would.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -69,7 +72,7 @@ use octopus_sim::{
 };
 
 use crate::latency::LatencyModel;
-use crate::shard::{CrossShardBus, Delivery, Hosted, Shard, ShardCtx, ShardIo, ShardMap};
+use crate::shard::{Delivery, Hosted, Io, ShardCtx, ShardMap};
 use crate::slab::{NodeSlab, NO_HINT};
 use crate::wire::{datagram_bytes, BandwidthLedger};
 
@@ -87,9 +90,11 @@ pub(crate) fn jitter_base(master_seed: u64, addr: Addr) -> u64 {
 
 /// The simulated network world, partitioned into one or more shards.
 pub struct World<B: NodeBehavior, L: LatencyModel> {
-    shards: Vec<Shard<B>>,
+    /// Each shard's nodes. Shard `s` is `slabs[s]` and `io.lanes[s]`.
+    slabs: Vec<NodeSlab<Hosted<B>>>,
+    /// Every shard's lanes, and what their events share.
+    io: Io<B>,
     map: ShardMap,
-    bus: CrossShardBus<B::Msg>,
     window: LookaheadWindow,
     /// Driver-scheduled and driver-queued control events, on their own
     /// lane so windows know the next driver interruption in `O(1)`.
@@ -101,6 +106,10 @@ pub struct World<B: NodeBehavior, L: LatencyModel> {
     /// resumes where it left off, so keys from its new life can never
     /// collide with keys its old life left in flight.
     counter_floor: BTreeMap<Addr, u64>,
+    /// `(sent, received)` bytes of addresses no slot holds: what a
+    /// removed node had counted, and driver injections from senders
+    /// outside the overlay. Driver-side only — no event touches it.
+    off_slab: BTreeMap<Addr, (u64, u64)>,
     /// Timestamp of the last event executed anywhere (monotone).
     now: SimTime,
     latency: L,
@@ -116,8 +125,8 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
     }
 
     /// New world partitioned into `shards` contiguous ID-range shards
-    /// (clamped to at least 1), each with its own node slab and event
-    /// queue on the chosen backend. All backends are observationally
+    /// (clamped to at least 1), each with its own node slab and two
+    /// event lanes on the chosen backend. All backends are observationally
     /// identical (the [`octopus_sim::Scheduler`] determinism contract);
     /// the timing wheel is the one every configuration runs on, the
     /// heap the reference it is checked against.
@@ -137,21 +146,14 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
         let map = ShardMap::new(shards);
         let lookahead = latency.min_latency();
         World {
-            shards: (0..map.count())
-                .map(|index| Shard {
-                    nodes: NodeSlab::new(),
-                    io: ShardIo::new(index, map.count(), scheduler),
-                    off_slab: BTreeMap::new(),
-                    dropped_to_dead: 0,
-                    last_exec: SimTime::ZERO,
-                })
-                .collect(),
-            bus: CrossShardBus::new(map.count()),
+            slabs: (0..map.count()).map(|_| NodeSlab::new()).collect(),
+            io: Io::new(map.count(), scheduler),
             map,
             window: LookaheadWindow::new(lookahead),
             controls: EventQueue::with_scheduler(scheduler),
             driver_seq: 0,
             counter_floor: BTreeMap::new(),
+            off_slab: BTreeMap::new(),
             now: SimTime::ZERO,
             latency,
             master_seed,
@@ -175,14 +177,14 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
     }
 
     /// Number of shards the ID space is partitioned into.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn shard_count(&self) -> usize {
         self.map.count()
     }
 
     /// The ID-range partition in use.
-    #[must_use]
-    pub fn shard_map(&self) -> ShardMap {
+    #[cfg(test)]
+    pub(crate) fn shard_map(&self) -> ShardMap {
         self.map
     }
 
@@ -194,55 +196,49 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
     #[must_use]
     pub fn ledger(&self) -> BandwidthLedger {
         let mut ledger = BandwidthLedger::default();
-        for shard in &self.shards {
-            for (addr, hosted) in shard.nodes.iter() {
-                ledger.credit(addr, hosted.sent_bytes, hosted.received_bytes);
-            }
-            for (&addr, &(sent, received)) in &shard.off_slab {
-                ledger.credit(addr, sent, received);
-            }
+        for (addr, hosted) in self.slabs.iter().flat_map(NodeSlab::iter) {
+            ledger.credit(addr, hosted.sent_bytes, hosted.received_bytes);
+        }
+        for (&addr, &(sent, received)) in &self.off_slab {
+            ledger.credit(addr, sent, received);
         }
         ledger
     }
 
-    /// Messages dropped because their destination had left the overlay
-    /// (summed across shards).
+    /// Messages dropped because their destination had left the overlay.
     #[must_use]
     pub fn dropped_to_dead(&self) -> u64 {
-        self.shards.iter().map(|s| s.dropped_to_dead).sum()
+        self.io.dropped_to_dead
     }
 
     /// Number of live nodes across all shards.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.shards.iter().map(|s| s.nodes.len()).sum()
+        self.slabs.iter().map(NodeSlab::len).sum()
     }
 
     /// Is `addr` currently alive in the world?
     #[must_use]
     pub fn is_alive(&self, addr: Addr) -> bool {
-        self.shard(addr).nodes.contains(addr)
+        self.slab(addr).contains(addr)
     }
 
     /// Iterate over live node addresses (deterministic shard-major,
     /// slot-minor order).
     pub fn addrs(&self) -> impl Iterator<Item = Addr> + '_ {
-        self.shards.iter().flat_map(|s| s.nodes.addrs())
+        self.slabs.iter().flat_map(NodeSlab::addrs)
     }
 
     /// Immutable access to a node's state (driver-side measurement).
     #[must_use]
     pub fn node(&self, addr: Addr) -> Option<&B> {
-        self.shard(addr).nodes.get(addr).map(|h| &h.node)
+        self.slab(addr).get(addr).map(|h| &h.node)
     }
 
     /// Mutable access to a node's state (driver-side mutation between
     /// windows; protocol code should use messages instead).
     pub fn node_mut(&mut self, addr: Addr) -> Option<&mut B> {
-        self.shard_mut(addr)
-            .nodes
-            .get_mut(addr)
-            .map(|h| &mut h.node)
+        self.slab_mut(addr).get_mut(addr).map(|h| &mut h.node)
     }
 
     /// Insert a node into its ID range's shard and run its `on_start`
@@ -261,18 +257,16 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
             received_bytes: 0,
         };
         self.driver_dispatch(addr, Some(&mut hosted), |node, ctx| node.on_start(ctx));
-        let shard = self.shard_mut(addr);
-        if let Some(replaced) = shard.nodes.insert(addr, hosted) {
-            shard.bank(addr, replaced.sent_bytes, replaced.received_bytes);
+        if let Some(replaced) = self.slab_mut(addr).insert(addr, hosted) {
+            self.bank(addr, replaced.sent_bytes, replaced.received_bytes);
         }
     }
 
     /// Remove a node (churn). Its pending timers and in-flight messages
     /// to it are silently dropped, as for a crashed peer.
     pub fn remove_node(&mut self, addr: Addr) -> Option<B> {
-        let shard = self.shard_mut(addr);
-        let hosted = shard.nodes.remove(addr)?;
-        shard.bank(addr, hosted.sent_bytes, hosted.received_bytes);
+        let hosted = self.slab_mut(addr).remove(addr)?;
+        self.bank(addr, hosted.sent_bytes, hosted.received_bytes);
         self.counter_floor.insert(addr, hosted.counter);
         Some(hosted.node)
     }
@@ -292,10 +286,9 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
     /// driver-indexed stateless stream).
     pub fn inject_message(&mut self, from: Addr, to: Addr, msg: B::Msg) {
         let bytes = datagram_bytes(&msg);
-        let from_shard = self.shard_mut(from);
-        match from_shard.nodes.get_mut(from) {
+        match self.slab_mut(from).get_mut(from) {
             Some(hosted) => hosted.sent_bytes += bytes,
-            None => from_shard.bank(from, bytes, 0),
+            None => self.bank(from, bytes, 0),
         }
         let mut rng = derive_rng(
             split_seed(self.master_seed, from.0),
@@ -307,8 +300,7 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
         let key = u128::from(self.driver_seq);
         self.driver_seq += 1;
         let dest = self.map.shard_of(to);
-        self.shards[dest]
-            .io
+        self.io.lanes[dest]
             .deliveries
             .push_with_seq(at, key, Delivery { from, to, msg });
     }
@@ -323,20 +315,28 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
         self.driver_dispatch(addr, None, f)
     }
 
-    fn shard(&self, addr: Addr) -> &Shard<B> {
-        &self.shards[self.map.shard_of(addr)]
+    /// The slab of `addr`'s shard.
+    fn slab(&self, addr: Addr) -> &NodeSlab<Hosted<B>> {
+        &self.slabs[self.map.shard_of(addr)]
     }
 
-    fn shard_mut(&mut self, addr: Addr) -> &mut Shard<B> {
-        &mut self.shards[self.map.shard_of(addr)]
+    fn slab_mut(&mut self, addr: Addr) -> &mut NodeSlab<Hosted<B>> {
+        &mut self.slabs[self.map.shard_of(addr)]
     }
 
-    /// Dispatch on behalf of the driver: run the handler on the node's
-    /// shard — against `joining`, a node about to be inserted, or else
-    /// against the node hosted at `addr`, borrowed in its slot (`false`
-    /// when there is none) — then immediately publish what it produced:
-    /// envelopes to the bus, emitted controls to the driver queue (they
-    /// pop in key order like everything else).
+    /// Add to the off-slab counters of `addr`.
+    fn bank(&mut self, addr: Addr, sent: u64, received: u64) {
+        let entry = self.off_slab.entry(addr).or_default();
+        entry.0 += sent;
+        entry.1 += received;
+    }
+
+    /// Dispatch on behalf of the driver: run the handler against
+    /// `joining`, a node about to be inserted, or else against the node
+    /// hosted at `addr`, borrowed in its slot (`false` when there is
+    /// none), then move its emitted controls to the driver queue (they
+    /// pop in key order like everything else). Its messages and timers
+    /// are on their lanes already.
     fn driver_dispatch<F>(&mut self, addr: Addr, joining: Option<&mut Hosted<B>>, f: F) -> bool
     where
         F: FnOnce(&mut B, &mut dyn Runtime<B::Msg, B::Timer, B::Control>),
@@ -348,57 +348,28 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
             window_end: self.window.end(),
             exec_end: now,
         };
-        let Shard { nodes, io, .. } = &mut self.shards[self.map.shard_of(addr)];
         let (slot, hosted) = match joining {
             Some(hosted) => (NO_HINT, hosted),
-            None => match nodes.get_mut_hinted(addr, NO_HINT) {
+            None => match self.slabs[self.map.shard_of(addr)].get_mut_hinted(addr, NO_HINT) {
                 Some(found) => found,
                 None => return false,
             },
         };
-        io.dispatch(&ctx, now, addr, slot, hosted, f);
-        for (t, key, c) in io.emitted.drain(..) {
+        self.io.dispatch(&ctx, now, addr, slot, hosted, f);
+        for (t, key, c) in self.io.emitted.drain(..) {
             self.controls.push_with_seq(t, key, c);
         }
-        Self::park_outgoing(&mut self.bus, io);
         true
     }
 
-    /// Publish a shard's outgoing envelope lanes onto the bus — the one
-    /// place both drive paths (driver dispatch, window barriers) park a
-    /// batch's cross-shard sends.
-    fn park_outgoing(bus: &mut CrossShardBus<B::Msg>, io: &mut ShardIo<B>) {
-        for (dest, lane) in io.outgoing.iter_mut().enumerate() {
-            for e in lane.drain(..) {
-                bus.park(dest, e);
-            }
-        }
-    }
-
-    /// Barrier: move every parked cross-shard message into its
-    /// destination shard's queue, keyed by its send-time `(time, key)`.
-    fn flush_bus(&mut self) {
-        let shards = &mut self.shards;
-        self.bus.flush(|dest, e| {
-            shards[dest].io.deliveries.push_with_seq(
-                e.at,
-                e.seq,
-                Delivery {
-                    from: e.header.from,
-                    to: e.header.to,
-                    msg: e.msg,
-                },
-            );
-        });
-    }
-
-    /// The head of the shard queues: the smallest `(time, key)` and its
+    /// The head of the shard lanes: the smallest `(time, key)` and its
     /// shard index.
     fn shard_head(&self) -> Option<((SimTime, u128), usize)> {
-        self.shards
+        self.io
+            .lanes
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.io.peek_key().map(|k| (k, i)))
+            .filter_map(|(i, lanes)| lanes.peek_key().map(|k| (k, i)))
             .min()
     }
 
@@ -414,10 +385,10 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
     ///    before any later event runs.
     /// 2. Otherwise open the lookahead window from the earliest pending
     ///    time, cap it at the next scheduled control and the deadline,
-    ///    and run **every shard's in-window batch**, in shard order.
-    ///    Shards share nothing during the batch; the barrier then parks
-    ///    their outgoing envelopes, merges their emitted controls by
-    ///    key, and advances the clock.
+    ///    and run **every shard's in-window batch**, in shard order. A
+    ///    batch's cross-shard sends land on their destination lanes,
+    ///    due no earlier than the window's end; the barrier then sorts
+    ///    the emitted controls by key and advances the clock.
     /// 3. With zero lookahead (or a control due at the window start)
     ///    the window degenerates to one sequential event — always
     ///    correct, never fast.
@@ -425,17 +396,14 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
     /// # Panics
     ///
     /// A panic inside a node handler is re-raised with its original
-    /// payload, but only *after* the window's barrier merge, so a
-    /// driver that catches it holds a consistent world: every completed
-    /// event's effects (messages, timers, clock) are visible, and the
-    /// panicking node is still hosted, in whatever state its handler
-    /// left it (what the interrupted handler had sent, armed or emitted
-    /// is lost). Subsequent windows, and dropping the world, behave
-    /// normally.
+    /// payload, but only *after* the window's barrier, so a driver that
+    /// catches it holds a consistent world: every completed event's
+    /// messages and timers are queued and the clock has advanced past
+    /// it, and the panicking node is still hosted, in whatever state its
+    /// handler left it (what the interrupted handler had sent, armed or
+    /// emitted is lost, and so is every control the window emitted).
+    /// Subsequent windows, and dropping the world, behave normally.
     pub fn run_window(&mut self, deadline: SimTime) -> Option<Vec<(SimTime, B::Control)>> {
-        // Barrier: every in-flight cross-shard message becomes visible
-        // before the window's extent is decided.
-        self.flush_bus();
         let shard_head = self.shard_head();
         let ctrl_head = self.controls.peek_key();
         let ctrl_first = match (ctrl_head, shard_head) {
@@ -468,37 +436,31 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
             window_end,
             exec_end,
         };
-        // A handler panic must not skip the barrier merge below: the
-        // batches that *did* complete have outgoing envelopes and an
-        // advanced clock that later windows (or a caught-and-resumed
-        // driver) depend on. Batch-phase panics are therefore caught
-        // here and re-raised only after the merge, so a caught panic
-        // leaves the world consistent: every completed event's effects
-        // are visible, and only the interrupted handler's own sends,
-        // timers and controls are lost.
+        // A handler panic must not skip the barrier below: the events
+        // that *did* complete advanced the clock, which later windows
+        // (or a caught-and-resumed driver) depend on. Batch-phase
+        // panics are therefore caught here and re-raised only after
+        // the barrier, so a caught panic leaves the world consistent:
+        // every completed event's messages and timers are queued, and
+        // only the interrupted handler's own effects and the window's
+        // controls are lost.
         let batch_panic: Option<Box<dyn std::any::Any + Send>> = if exec_end <= t0 {
             // Zero lookahead (or a control due right at t0): degenerate
             // to one event per barrier. Slower, never wrong.
-            let shard = &mut self.shards[head_idx];
-            catch_unwind(AssertUnwindSafe(|| shard.run_one(&ctx))).err()
+            let (nodes, io) = (&mut self.slabs[head_idx], &mut self.io);
+            catch_unwind(AssertUnwindSafe(|| io.run_one(nodes, &ctx, head_idx))).err()
         } else {
-            Self::run_batches(&mut self.shards, &ctx)
+            Self::run_batches(&mut self.slabs, &mut self.io, &ctx)
         };
-        // Barrier merge: park envelopes, order controls, advance time.
-        // Everything here is key-driven or commutative.
-        let mut emitted: Vec<(SimTime, u128, B::Control)> = Vec::new();
-        let mut now = self.now;
-        for shard in &mut self.shards {
-            emitted.append(&mut shard.io.emitted);
-            now = now.max(shard.last_exec);
-            Self::park_outgoing(&mut self.bus, &mut shard.io);
-        }
-        self.now = now;
+        // Barrier: advance time, order controls by key.
+        self.now = self.now.max(self.io.last_exec);
         if let Some(payload) = batch_panic {
+            self.io.emitted.clear();
             resume_unwind(payload);
         }
+        let emitted = &mut self.io.emitted;
         emitted.sort_unstable_by_key(|&(t, k, _)| (t, k));
-        Some(emitted.into_iter().map(|(t, _, c)| (t, c)).collect())
+        Some(emitted.drain(..).map(|(t, _, c)| (t, c)).collect())
     }
 
     /// Run every shard's window batch in shard order, stopping at (and
@@ -506,11 +468,13 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
     /// unexecuted — their events are still queued, exactly as if the
     /// window had opened later.
     fn run_batches(
-        shards: &mut [Shard<B>],
+        slabs: &mut [NodeSlab<Hosted<B>>],
+        io: &mut Io<B>,
         ctx: &ShardCtx<'_, L>,
     ) -> Option<Box<dyn std::any::Any + Send>> {
-        for shard in shards {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| shard.run_batch(ctx))) {
+        for (shard, nodes) in slabs.iter_mut().enumerate() {
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| io.run_batch(nodes, ctx, shard)))
+            {
                 return Some(payload);
             }
         }

@@ -254,10 +254,10 @@ impl Chatter {
     }
 }
 
-/// Two shards of chatters with a never-hosted destination, a node
+/// `shards` shards of chatters with a never-hosted destination, a node
 /// that leaves for good and one that leaves and rejoins, run to
 /// idle: the ledger, the log and the drop count.
-fn churned_chatter_run() -> (BandwidthLedger, Vec<Log>, u64) {
+fn churned_chatter_run(shards: usize) -> (BandwidthLedger, Vec<Log>, u64) {
     let ids = gossip_ids();
     let ghost = NodeId(u64::MAX - 5);
     let outsider = NodeId(3);
@@ -276,12 +276,14 @@ fn churned_chatter_run() -> (BandwidthLedger, Vec<Log>, u64) {
         ConstantLatency(Duration::from_millis(7)),
         11,
         SchedulerKind::default(),
-        2,
+        shards,
     );
-    assert_ne!(
-        w.shard_map().shard_of(leaver),
-        w.shard_map().shard_of(rejoiner)
-    );
+    if shards > 1 {
+        assert_ne!(
+            w.shard_map().shard_of(leaver),
+            w.shard_map().shard_of(rejoiner)
+        );
+    }
     for (i, &id) in ids.iter().enumerate() {
         w.insert_node(id, chatter(i));
     }
@@ -312,7 +314,16 @@ fn churned_chatter_run() -> (BandwidthLedger, Vec<Log>, u64) {
 
 #[test]
 fn slot_counters_equal_the_per_message_hashmap_ledger() {
-    let (ledger, log, dropped) = churned_chatter_run();
+    let (ledger, log, dropped) = churned_chatter_run(1);
+    for shards in [2, 4] {
+        let (sharded_ledger, sharded_log, sharded_dropped) = churned_chatter_run(shards);
+        assert_eq!(sharded_ledger, ledger, "ledger at {shards} shards");
+        assert_eq!(sharded_log, log, "log at {shards} shards");
+        assert_eq!(
+            sharded_dropped, dropped,
+            "dropped_to_dead at {shards} shards"
+        );
+    }
     // the accounting `BandwidthLedger::record` did per message:
     // both ends credited at the send, in two hash maps
     let datagram = |bytes: u32| u64::from(bytes) + u64::from(sizes::UDP_HEADER);
@@ -694,8 +705,8 @@ fn windowed_execution_identical_across_shards_and_modes() {
 #[test]
 fn zero_lookahead_still_deterministic() {
     // a model with no guaranteed floor gives a zero lookahead: the
-    // window covers nothing and collapses to a single event, with
-    // the bus flushed before every pop — slower, never wrong
+    // window covers nothing and collapses to a single event per
+    // barrier — slower, never wrong
     let windowed = gossip_trace_windowed(1, NoFloor(Duration::from_millis(7)));
     assert!(!windowed.is_empty());
     for shards in [2usize, 4] {
@@ -898,7 +909,7 @@ fn a_world_driven_through_the_transport_trait() {
 #[test]
 fn cross_shard_messages_deliver_through_the_bus() {
     // two nodes at opposite ends of the ID space: with 2 shards the
-    // ping and pong must both cross the bus
+    // ping and pong must both cross between shards
     let mut w: World<PingPong, _> = World::with_shards(
         ConstantLatency(Duration::from_millis(10)),
         1,
@@ -924,6 +935,89 @@ fn cross_shard_messages_deliver_through_the_bus() {
     let ctrl = run_windows(&mut w, SimTime::from_secs(1));
     assert_eq!(ctrl, vec![(SimTime::from_millis(20), 1)]);
     assert_eq!(w.node(a).unwrap().pongs, 1);
+}
+
+/// Ticks once, `tick` after it starts, and then sends a [`Pm::Ping`]
+/// to `peer` if it has one; logs the tick and every delivery.
+struct Probe {
+    peer: Option<Addr>,
+    tick: Duration,
+}
+
+impl NodeBehavior for Probe {
+    type Msg = Pm;
+    type Timer = ();
+    type Control = (Addr, &'static str);
+
+    fn on_start(&mut self, ctx: &mut dyn Runtime<Pm, (), Self::Control>) {
+        ctx.set_timer(self.tick, ());
+    }
+
+    fn on_message(&mut self, ctx: &mut dyn Runtime<Pm, (), Self::Control>, _: Addr, _: Pm) {
+        ctx.emit((ctx.addr(), "got"));
+    }
+
+    fn on_timer(&mut self, ctx: &mut dyn Runtime<Pm, (), Self::Control>, (): ()) {
+        ctx.emit((ctx.addr(), "tick"));
+        if let Some(peer) = self.peer {
+            ctx.send(peer, Pm::Ping);
+        }
+    }
+}
+
+#[test]
+fn a_cross_shard_send_at_the_lookahead_runs_in_the_next_window() {
+    let lookahead = Duration::from_millis(10);
+    let (low, high) = (NodeId(1), NodeId(u64::MAX - 1));
+    // the window opens at t0 = 5 ms on the low node's tick, whose send
+    // is due at exactly t0 + L, the window's end; the high node ticks
+    // inside the same window, in a batch that runs after the send
+    let windows = |shards: usize| {
+        let mut w: World<Probe, _> = World::with_shards(
+            ConstantLatency(lookahead),
+            1,
+            SchedulerKind::default(),
+            shards,
+        );
+        w.insert_node(
+            low,
+            Probe {
+                peer: Some(high),
+                tick: Duration::from_millis(5),
+            },
+        );
+        w.insert_node(
+            high,
+            Probe {
+                peer: None,
+                tick: Duration::from_millis(6),
+            },
+        );
+        let t0 = SimTime::from_millis(5);
+        let mut out = vec![w.run_window(SimTime(u64::MAX)).unwrap()];
+        // on the destination's lane already, but not run
+        let dest = w.shard_map().shard_of(high);
+        assert_eq!(
+            w.io.lanes[dest].peek_key().map(|(t, _)| t),
+            Some(t0 + lookahead)
+        );
+        out.extend(std::iter::from_fn(|| w.run_window(SimTime(u64::MAX))));
+        (w.shard_map(), out)
+    };
+    let (map, two) = windows(2);
+    assert!(map.shard_of(low) < map.shard_of(high));
+    let (_, one) = windows(1);
+    assert_eq!(
+        two,
+        vec![
+            vec![
+                (SimTime::from_millis(5), (low, "tick")),
+                (SimTime::from_millis(6), (high, "tick")),
+            ],
+            vec![(SimTime::from_millis(15), (high, "got"))],
+        ]
+    );
+    assert_eq!(two, one, "the same windows on one shard");
 }
 
 #[test]
@@ -1058,7 +1152,7 @@ fn lying_min_latency_trips_the_soundness_assert() {
         },
     );
     // b's reply is sampled at 1 ms inside a 10 ms-lookahead window:
-    // the cross-shard park must fail loudly, not corrupt the run
+    // the cross-shard send must fail loudly, not corrupt the run
     run_windows(&mut w, SimTime::from_secs(1));
 }
 
@@ -1075,7 +1169,7 @@ fn rejoining_node_resumes_its_event_counter() {
     w.with_node(NodeId(1), |_n, ctx| {
         ctx.set_timer(Duration::from_secs(1), ())
     });
-    let counter_after_timer = w.shard(NodeId(1)).nodes.get(NodeId(1)).unwrap().counter;
+    let counter_after_timer = w.slab(NodeId(1)).get(NodeId(1)).unwrap().counter;
     assert!(counter_after_timer > 0);
     w.remove_node(NodeId(1));
     w.insert_node(
@@ -1085,7 +1179,7 @@ fn rejoining_node_resumes_its_event_counter() {
             peer: None,
         },
     );
-    let counter_after_rejoin = w.shard(NodeId(1)).nodes.get(NodeId(1)).unwrap().counter;
+    let counter_after_rejoin = w.slab(NodeId(1)).get(NodeId(1)).unwrap().counter;
     assert!(
         counter_after_rejoin >= counter_after_timer,
         "rejoin must never reuse keys of its previous life"

@@ -148,8 +148,9 @@ impl<E> EventQueue<E> {
     /// assignment time — then pushes each event here. The queue's own
     /// counter is bumped past `seq` so later [`EventQueue::push`] calls
     /// never collide. Unlike `push`, `seq` need not arrive in
-    /// increasing order (a cross-shard bus flush delivers older-key
-    /// events late); it must only be unique per queue.
+    /// increasing order (a cross-shard send may arrive with an older
+    /// key than a local push already queued); it must only be unique
+    /// per queue.
     ///
     /// # Panics
     /// Panics when `at` is in the past, exactly as [`EventQueue::push`].
@@ -347,7 +348,7 @@ mod tests {
     fn push_with_seq_orders_across_queues() {
         // a sharded world interleaves one global counter over two
         // queues; each queue must honour the supplied seq, including a
-        // bus-flushed event whose seq is older than a later local push
+        // cross-shard event whose seq is older than a later local push
         for kind in all_kinds() {
             let t = SimTime::from_millis(3);
             let mut q = EventQueue::with_scheduler(kind);

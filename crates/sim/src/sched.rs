@@ -50,8 +50,8 @@ pub trait Scheduler<E> {
     /// never earlier than the last popped time. Keys normally arrive
     /// strictly increasing, but neither density nor monotonicity is
     /// required: a sharded engine packs `(lane, origin, counter)` keys
-    /// into the 128 bits and a cross-shard bus flush may deliver an
-    /// *older* (smaller-key) event after younger local ones; backends
+    /// into the 128 bits and a cross-shard send may deliver an *older*
+    /// (smaller-key) event after younger local ones; backends
     /// must order all of those correctly too.
     fn schedule(&mut self, time: SimTime, seq: u128, event: E);
 
@@ -355,9 +355,9 @@ pub struct TimingWheel<E> {
     /// to be filled.
     spare: Vec<Vec<Entry<E>>>,
     /// Entries scheduled at or behind the cursor tick (timers re-armed
-    /// behind the eagerly-advanced cursor, and cross-shard bus-flush
-    /// batches). A second min-heap beside `ready`: a bus flush can dump
-    /// tens of thousands of same-tick entries here in one burst, and a
+    /// behind the eagerly-advanced cursor, and cross-shard sends). A
+    /// second min-heap beside `ready`: a window's cross-shard sends can
+    /// put tens of thousands of same-tick entries here in one burst, and a
     /// heap absorbs any burst shape in `O(log n)` per entry where a
     /// sorted run degrades to a quadratic memmove. `pop_next` serves
     /// from whichever of `ready`'s front and this heap's top holds the
@@ -405,8 +405,8 @@ impl<E> TimingWheel<E> {
         if tick <= self.cursor {
             // Already inside the drained region — a timer re-armed just
             // behind the eagerly-advanced cursor, or a cross-shard
-            // bus-flush batch. Inserting into `ready` directly would
-            // memmove `O(ready)` per entry (quadratic per flush batch);
+            // send. Inserting into `ready` directly would memmove
+            // `O(ready)` per entry (quadratic per burst of them);
             // the staged heap takes any burst at `O(log n)` per entry.
             self.staged.push(entry);
             return;
@@ -722,7 +722,7 @@ mod tests {
 
     #[test]
     fn wheel_staged_batch_keeps_exact_order() {
-        // a bus-flush-shaped batch: many entries land behind the cursor
+        // a burst of cross-shard sends: many entries land behind the cursor
         // at once, interleaved with entries already in the ready run —
         // the staged path must preserve exact (time, seq) order and
         // O(1) peeks must see the staged minimum immediately

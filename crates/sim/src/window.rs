@@ -1,19 +1,19 @@
 //! Conservative lookahead windows for multi-queue (sharded) execution.
 //!
-//! A sharded simulation runs one event queue per shard and parks
-//! cross-shard messages in a bus between synchronization barriers. The
+//! A sharded simulation runs one event queue per shard and lets each
+//! shard run ahead of the others between synchronization barriers. The
 //! classic conservative-PDES argument makes that safe: if every
 //! cross-shard link has latency at least `L` (the *lookahead*), then an
 //! event executing at time `t` can only schedule remote events at
 //! `t + L` or later. All events strictly before `earliest + L` — where
 //! `earliest` is the globally earliest pending timestamp at the last
-//! barrier — are therefore unaffected by messages still in flight on
-//! the bus, and may execute before the next flush.
+//! barrier — are therefore unaffected by messages other shards send in
+//! the meantime, and may execute before the next barrier.
 //!
 //! [`LookaheadWindow`] is that bound as a value: barriers re-open it
 //! from the earliest pending event, [`LookaheadWindow::covers`] asks
-//! whether a timestamp is safe to execute without flushing first, and
-//! the monotone `end` doubles as the proof obligation every parked bus
+//! whether a timestamp is safe to execute before the next barrier, and
+//! the monotone `end` doubles as the proof obligation every cross-shard
 //! message must satisfy (`arrival >= end`).
 
 use crate::time::{Duration, SimTime};
@@ -22,7 +22,7 @@ use crate::time::{Duration, SimTime};
 ///
 /// The window's `end` is maintained monotonically: re-opening from an
 /// earlier timestamp than a previous barrier can never shrink it, so a
-/// message parked under an old window stays provably undeliverable
+/// message sent under an old window stays provably undeliverable
 /// inside every later one.
 ///
 /// ```
@@ -73,11 +73,10 @@ impl LookaheadWindow {
         self.end
     }
 
-    /// Is an event at `t` safe to execute without flushing the bus
-    /// first?
+    /// Is an event at `t` safe to execute before the next barrier?
     ///
     /// With zero lookahead this is `false` for every `t`, which
-    /// degenerates the engine to flushing before every pop — always
+    /// degenerates the engine to a barrier before every pop — always
     /// correct, never fast; give the model a real minimum latency to
     /// get batching.
     #[must_use]

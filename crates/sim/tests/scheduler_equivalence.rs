@@ -130,9 +130,9 @@ fn backends_agree_under_random_cancels() {
     );
 }
 
-/// Past-due injection: a sharded engine's bus flush may hand a queue an
-/// event whose timestamp equals the last popped time (and whose key is
-/// older than keys already pending there). Both backends must accept it
+/// Past-due injection: a sharded engine's cross-shard send may hand a
+/// queue an event whose timestamp equals the last popped time (and
+/// whose key is older than keys already pending there). Both backends must accept it
 /// and keep serving exact `(time, key)` order — the timing wheel's
 /// behind-the-cursor ready-run path must match the heap bit for bit.
 #[test]
@@ -382,7 +382,7 @@ fn push_at_the_cursor_tick_below_the_ready_front_pops_first() {
         q.push_with_seq(later, 10, 10);
         let mut trace = vec![q.pop().expect("first event")];
         // the wheel now serves (t, 60), (later, 10) from its sorted run;
-        // a bus flush hands it older keys at the same instants
+        // cross-shard sends hand it older keys at the same instants
         q.push_with_seq(t, 55, 55);
         assert_eq!(q.peek_key(), Some((t, 55)), "{}", q.backend_name());
         q.push_with_seq(t, 70, 70);

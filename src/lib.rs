@@ -12,7 +12,7 @@
 //! | [`id`] | 64-bit Chord ring arithmetic |
 //! | [`crypto`] | SHA-256, HMAC, onion encryption, RSA-64 signatures, certificates, Merkle CRL |
 //! | [`sim`] | deterministic discrete-event engine + exponential churn |
-//! | [`net`] | King-like WAN latency, sharded message world + cross-shard bus, bandwidth accounting |
+//! | [`net`] | King-like WAN latency, sharded message world, bandwidth accounting |
 //! | [`chord`] | fingertables, successor/predecessor stabilization, greedy lookup, bound checking |
 //! | [`core`] | the Octopus protocol: anonymous paths, random walks, dummies, surveillance, the CA, the security simulator |
 //! | [`baselines`] | Chord, Halo, NISAN, Torsk comparison implementations |
