@@ -12,7 +12,9 @@
 //! channel" assumption. Protocol code only ever *reads* the directory
 //! (the dice rolls draw from each node's own RNG stream); the
 //! simulation driver mutates it between windows via
-//! [`ShardedAdversary::update`].
+//! [`ShardedAdversary::update`]. The types hold that split: a handle has
+//! no write method, and `SecuritySim` hands its `ShardedAdversary` to
+//! no one.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
@@ -112,7 +114,32 @@ impl ShardedAdversary {
 }
 
 /// A malicious node's read handle onto the adversary directory; all
-/// writes flow through [`ShardedAdversary::update`].
+/// writes flow through [`ShardedAdversary::update`], which only the
+/// simulation driver holds.
+///
+/// A handle reads:
+///
+/// ```
+/// use octopus_core::{AdversaryState, AttackKind, ShardedAdversary};
+/// use octopus_id::NodeId;
+///
+/// let directory = ShardedAdversary::new(AdversaryState::new(AttackKind::LookupBias, 1.0, 1.0));
+/// let handle = directory.handle();
+/// directory.update(|a| a.enroll(NodeId(7)));
+/// assert!(handle.read().is_colluder(NodeId(7)));
+/// ```
+///
+/// and has no way to write, so a protocol handler cannot change what
+/// the other colluders read mid-window:
+///
+/// ```compile_fail,E0599
+/// use octopus_core::{AdversaryState, AttackKind, ShardedAdversary};
+/// use octopus_id::NodeId;
+///
+/// let directory = ShardedAdversary::new(AdversaryState::new(AttackKind::LookupBias, 1.0, 1.0));
+/// let handle = directory.handle();
+/// handle.update(|a| a.enroll(NodeId(7)));
+/// ```
 #[derive(Clone, Debug)]
 pub struct AdversaryHandle {
     state: Arc<RwLock<AdversaryState>>,

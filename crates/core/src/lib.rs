@@ -32,6 +32,8 @@
 //! attack rate.
 
 #![forbid(unsafe_code)]
+// engine output goes through reports and traces, never the terminal
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod adversary;

@@ -410,6 +410,31 @@ pub struct RunAccum {
 }
 
 /// The security simulator.
+///
+/// It owns the adversary directory and mutates it between windows, as
+/// churn kills and revives colluders; malicious nodes get read-only
+/// [`AdversaryHandle`](crate::AdversaryHandle)s. It hands out no
+/// reference to the directory itself, so no code outside the driver
+/// can write it. Its queries compile:
+///
+/// ```
+/// use octopus_core::SecuritySim;
+/// use octopus_id::{Key, NodeId};
+///
+/// fn owner(sim: &SecuritySim, key: Key) -> NodeId {
+///     sim.truth_owner(key)
+/// }
+/// ```
+///
+/// but there is no accessor for the directory:
+///
+/// ```compile_fail,E0599
+/// use octopus_core::SecuritySim;
+///
+/// fn colluders(sim: &SecuritySim) -> usize {
+///     sim.adversary().read().live_count()
+/// }
+/// ```
 pub struct SecuritySim {
     cfg: SimConfig,
     world: World<Actor, KingLikeLatency>,
@@ -563,12 +588,6 @@ impl SecuritySim {
     #[must_use]
     pub fn truth_owner(&self, key: Key) -> NodeId {
         self.space.owner_of(key).owner
-    }
-
-    /// The adversary directory.
-    #[must_use]
-    pub fn adversary(&self) -> &ShardedAdversary {
-        &self.adversary
     }
 
     /// Run to completion and produce the report.

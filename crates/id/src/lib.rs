@@ -14,6 +14,8 @@
 //! wrap-around case is handled uniformly rather than special-cased.
 
 #![forbid(unsafe_code)]
+// engine output goes through reports and traces, never the terminal
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod ring;

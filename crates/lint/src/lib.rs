@@ -11,20 +11,26 @@
 //! | code | rule | contract clause |
 //! |---|---|---|
 //! | `OCT-LINT-001` | `nondet-iteration` | **retired** — superseded by the precise dataflow rule `OCT-LINT-006`; the blanket `HashMap`/`HashSet` type ban forced allows for keyed-access-only maps |
-//! | `OCT-LINT-002` | `wall-clock` | no `Instant::now`/`SystemTime`/`UNIX_EPOCH` outside `crates/bench` — simulated time comes from the event queue |
-//! | `OCT-LINT-003` | `ambient-rng` | no `thread_rng`/`from_entropy`/`OsRng` anywhere — every stream derives from the master seed via `derive_rng`/`split_seed` |
-//! | `OCT-LINT-004` | `thread-identity` | no `thread::current()`/`ThreadId`/`available_parallelism` outside `RunArgs` — results must not depend on which or how many threads ran |
-//! | `OCT-LINT-005` | `shard-unsafe-write` | no `.write()`/`.update()` on the adversary directory outside driver modules — protocol handlers may only read it |
+//! | `OCT-LINT-002` | `wall-clock` | **retired** — `clippy.toml` bans `std::time`'s clock reads (`SystemTime`, `SystemTime::elapsed` and the monotonic clock's `now`) |
+//! | `OCT-LINT-003` | `ambient-rng` | **retired** — `clippy.toml` bans `thread_rng`, `random` and `SeedableRng::from_entropy` |
+//! | `OCT-LINT-004` | `thread-identity` | **retired** — `clippy.toml` bans `thread::current`, `ThreadId` and `available_parallelism` |
+//! | `OCT-LINT-005` | `shard-unsafe-write` | **retired** — protocol nodes hold an `AdversaryHandle`, which has no write method; only the simulation driver owns the `ShardedAdversary` |
 //! | `OCT-LINT-006` | `unordered-flow` | no binding produced by `HashMap`/`HashSet` iteration may flow into an order-sensitive sink (push/insert/entry/extend/append/fold/hash/emit) without an intervening sort — keyed access is fine |
 //! | `OCT-LINT-007` | `float-merge` | no f32/f64 `+=`/`sum()`/`fold` inside merge paths (`impl Merge`, `absorb`, `*merge*` fns) — float addition is not associative, so merge order changes results |
 //! | `OCT-LINT-008` | `guard-discipline` | **retired** — it guarded lock discipline in the shard worker pool, which is gone; a world runs on one thread |
-//! | `OCT-LINT-009` | `barrier-panic-path` | shard batch execution (`run_batch`) must be reachable only through `catch_unwind`-covered call paths, checked by an intra-crate call-graph walk |
+//! | `OCT-LINT-009` | `barrier-panic-path` | shard batch execution (`run_batch`, `run_one`) must be reachable only through `catch_unwind`-covered call paths, checked by an intra-crate call-graph walk |
 //!
 //! Plus the meta-rule `OCT-LINT-000` (`analyzer-integrity`): a
 //! suppression that lacks a justification, names an unknown or retired
 //! rule, or never fires is itself a violation — and so is a file the
 //! analyzer cannot parse (a parse failure is a lint error, never a
 //! silent skip).
+//!
+//! The token half of the contract (wall clock, ambient entropy, thread
+//! identity) is `clippy.toml`'s: clippy resolves paths with type
+//! information, and the clippy-contract fixture under
+//! `tests/fixtures/clippy_contract` pins every entry. octolint keeps
+//! what clippy cannot express.
 //!
 //! Suppressions are explicit and auditable, one per offending line:
 //!
@@ -43,7 +49,7 @@
 //! output is replay-stable. Exit codes are script-friendly: 0 clean,
 //! 1 violations, 2 usage/IO error. `--format json` renders the same
 //! diagnostics (including audited suppressions) as a stable
-//! machine-readable schema; `--timing` prints per-rule wall time.
+//! machine-readable schema.
 
 #![forbid(unsafe_code)]
 
@@ -54,7 +60,6 @@ mod rules;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use lexer::{Lexed, Suppression};
 use rules::{Candidate, FileCtx};
@@ -94,30 +99,30 @@ pub const RULES: &[Rule] = &[
     Rule {
         code: "OCT-LINT-002",
         name: "wall-clock",
-        summary: "no Instant::now/SystemTime/UNIX_EPOCH outside crates/bench: \
-                  simulated time comes from the event queue",
-        retired: false,
+        summary: "RETIRED (clippy.toml's disallowed std::time clock reads): simulated \
+                  time comes from the event queue",
+        retired: true,
     },
     Rule {
         code: "OCT-LINT-003",
         name: "ambient-rng",
-        summary: "no thread_rng/from_entropy/OsRng: derive every stream from the \
-                  master seed (derive_rng/split_seed)",
-        retired: false,
+        summary: "RETIRED (clippy.toml's disallowed thread_rng, random and \
+                  SeedableRng::from_entropy): every stream derives from the master seed",
+        retired: true,
     },
     Rule {
         code: "OCT-LINT-004",
         name: "thread-identity",
-        summary: "no thread::current()/ThreadId/available_parallelism outside \
-                  RunArgs: results must not depend on thread count or identity",
-        retired: false,
+        summary: "RETIRED (clippy.toml's disallowed thread::current, ThreadId and \
+                  available_parallelism): results must not depend on thread count or identity",
+        retired: true,
     },
     Rule {
         code: "OCT-LINT-005",
         name: "shard-unsafe-write",
-        summary: "no .write()/.update() on the adversary directory outside driver \
-                  modules: protocol handlers may only read it",
-        retired: false,
+        summary: "RETIRED (a type: protocol nodes hold an AdversaryHandle, which only \
+                  reads; the simulation driver alone owns the ShardedAdversary)",
+        retired: true,
     },
     Rule {
         code: "OCT-LINT-006",
@@ -145,8 +150,8 @@ pub const RULES: &[Rule] = &[
     Rule {
         code: "OCT-LINT-009",
         name: "barrier-panic-path",
-        summary: "shard batch execution (run_batch) must be reachable only through \
-                  catch_unwind-covered call paths (intra-crate call-graph walk)",
+        summary: "shard batch execution (run_batch, run_one) must be reachable only \
+                  through catch_unwind-covered call paths (intra-crate call-graph walk)",
         retired: false,
     },
 ];
@@ -182,21 +187,6 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Wall-clock cost of each analysis phase, keyed by a stable phase
-/// name. Collected unconditionally (the cost is nanoseconds); printed
-/// by `--timing`.
-#[derive(Clone, Debug, Default)]
-pub struct Timings {
-    /// Phase name → accumulated duration across all files.
-    pub phases: BTreeMap<&'static str, Duration>,
-}
-
-impl Timings {
-    fn add(&mut self, phase: &'static str, d: Duration) {
-        *self.phases.entry(phase).or_default() += d;
-    }
-}
-
 /// Result of linting one file or a whole tree.
 #[derive(Clone, Debug, Default)]
 pub struct Report {
@@ -209,8 +199,6 @@ pub struct Report {
     pub files_scanned: usize,
     /// Diagnostics silenced by a justified suppression (== `audited.len()`).
     pub suppressed: usize,
-    /// Per-phase wall time.
-    pub timings: Timings,
 }
 
 impl Report {
@@ -225,8 +213,7 @@ impl Report {
     /// counters plus a `diagnostics` array of
     /// `{path, line, col, code, rule, message, suppressed}` objects,
     /// sorted by (path, line, col, code) with audited (suppressed)
-    /// entries merged in. Timings are deliberately excluded so the CI
-    /// artifact diffs cleanly across runs.
+    /// entries merged in.
     #[must_use]
     pub fn to_json(&self) -> String {
         fn esc(s: &str) -> String {
@@ -282,15 +269,6 @@ impl Report {
     }
 }
 
-/// The one sanctioned wall-clock read in this crate: `--timing`
-/// measures the analyzer's own rule cost, which never feeds engine
-/// state. Dogfoods the suppression audit — remove the allow and
-/// octolint flags itself.
-#[allow(clippy::disallowed_methods)]
-fn tick() -> std::time::Instant {
-    std::time::Instant::now() // octolint: allow(OCT-LINT-002) -- measures octolint's own --timing rule cost; never engine state
-}
-
 // ---------------------------------------------------------------------------
 // Single-pass engine
 // ---------------------------------------------------------------------------
@@ -303,13 +281,9 @@ struct FileAnalysis {
     parsed: parser::ParsedFile,
 }
 
-fn analyze(rel: &str, source: &str, timings: &mut Timings) -> FileAnalysis {
-    let t0 = tick();
+fn analyze(rel: &str, source: &str) -> FileAnalysis {
     let lexed = lexer::lex(source);
-    timings.add("lex", t0.elapsed());
-    let t1 = tick();
     let parsed = parser::parse(&lexed.tokens);
-    timings.add("parse", t1.elapsed());
     FileAnalysis {
         rel: rel.to_string(),
         lexed,
@@ -317,9 +291,9 @@ fn analyze(rel: &str, source: &str, timings: &mut Timings) -> FileAnalysis {
     }
 }
 
-/// Per-file rule families (002–007) plus parse-integrity candidates.
+/// Per-file rule families (006, 007) plus parse-integrity candidates.
 /// 009 is cross-file and runs per crate group.
-fn file_candidates(fa: &FileAnalysis, timings: &mut Timings) -> Vec<Candidate> {
+fn file_candidates(fa: &FileAnalysis) -> Vec<Candidate> {
     let ctx = FileCtx {
         rel: &fa.rel,
         toks: &fa.lexed.tokens,
@@ -337,15 +311,8 @@ fn file_candidates(fa: &FileAnalysis, timings: &mut Timings) -> Vec<Candidate> {
             ),
         });
     }
-    let t = tick();
-    rules::token_rules::check(&ctx, &mut out);
-    timings.add("rules/002-005 tokens", t.elapsed());
-    let t = tick();
     rules::dataflow::check(&ctx, &mut out);
-    timings.add("rules/006 unordered-flow", t.elapsed());
-    let t = tick();
     rules::float_merge::check(&ctx, &mut out);
-    timings.add("rules/007 float-merge", t.elapsed());
     out
 }
 
@@ -355,9 +322,7 @@ fn finalize(
     rel: &str,
     suppressions: &[Suppression],
     mut candidates: Vec<Candidate>,
-    timings: &mut Timings,
 ) -> (Vec<Diagnostic>, Vec<Diagnostic>) {
-    let t = tick();
     // one diagnostic per (line, rule): `map.keys()...fold(..)` on one
     // line is one hazard, not two
     candidates.sort_by_key(|c| (c.line, c.code, c.col));
@@ -472,7 +437,6 @@ fn finalize(
 
     diagnostics.sort();
     audited.sort();
-    timings.add("suppression-audit", t.elapsed());
     (diagnostics, audited)
 }
 
@@ -488,10 +452,8 @@ fn finalize(
 /// as `OCT-LINT-000`.
 #[must_use]
 pub fn lint_source(rel_path: &str, source: &str) -> Report {
-    let mut timings = Timings::default();
-    let fa = analyze(rel_path, source, &mut timings);
-    let mut candidates = file_candidates(&fa, &mut timings);
-    let t = tick();
+    let fa = analyze(rel_path, source);
+    let mut candidates = file_candidates(&fa);
     let ctx = FileCtx {
         rel: &fa.rel,
         toks: &fa.lexed.tokens,
@@ -500,15 +462,12 @@ pub fn lint_source(rel_path: &str, source: &str) -> Report {
     for (_, c) in rules::barrier::check_crate(std::slice::from_ref(&ctx)) {
         candidates.push(c);
     }
-    timings.add("rules/009 barrier-panic-path", t.elapsed());
-    let (diagnostics, audited) =
-        finalize(rel_path, &fa.lexed.suppressions, candidates, &mut timings);
+    let (diagnostics, audited) = finalize(rel_path, &fa.lexed.suppressions, candidates);
     Report {
         suppressed: audited.len(),
         diagnostics,
         audited,
         files_scanned: 1,
-        timings,
     }
 }
 
@@ -607,15 +566,14 @@ pub fn lint_tree(root: &Path) -> std::io::Result<Report> {
         let rel_str = rel
             .to_string_lossy()
             .replace(std::path::MAIN_SEPARATOR, "/");
-        let fa = analyze(&rel_str, &source, &mut report.timings);
-        let cands = file_candidates(&fa, &mut report.timings);
+        let fa = analyze(&rel_str, &source);
+        let cands = file_candidates(&fa);
         analyses.push(fa);
         candidates.push(cands);
         report.files_scanned += 1;
     }
 
     // cross-file: OCT-LINT-009 per crate group
-    let t = tick();
     let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
     for (idx, fa) in analyses.iter().enumerate() {
         if let Some(key) = crate_group(&fa.rel) {
@@ -635,13 +593,9 @@ pub fn lint_tree(root: &Path) -> std::io::Result<Report> {
             candidates[members[local_idx]].push(c);
         }
     }
-    report
-        .timings
-        .add("rules/009 barrier-panic-path", t.elapsed());
 
     for (fa, cands) in analyses.iter().zip(candidates) {
-        let (diagnostics, audited) =
-            finalize(&fa.rel, &fa.lexed.suppressions, cands, &mut report.timings);
+        let (diagnostics, audited) = finalize(&fa.rel, &fa.lexed.suppressions, cands);
         report.diagnostics.extend(diagnostics);
         report.suppressed += audited.len();
         report.audited.extend(audited);
@@ -657,17 +611,28 @@ mod tests {
 
     #[test]
     fn lexer_strips_comments_strings_attrs_and_uses() {
+        // each stripped region holds a live rule's trigger: a HashMap key
+        // flowing into `push` (006), a float `+=` in a merge path (007)
+        // and an uncovered `run_batch` call from a `pub fn` (009)
+        let live = "pub fn absorb(m: &HashMap<u8, u8>, out: &mut Vec<u8>, acc: &mut f64) {\n\
+                        for k in m.keys() { out.push(*k); }\n\
+                        *acc += 0.5;\n\
+                        run_batch(0);\n\
+                    }\n";
+        let rep = lint_source("crates/sim/src/fake.rs", live);
+        let codes: Vec<&str> = rep.diagnostics.iter().map(|d| d.code).collect();
+        assert_eq!(codes, ["OCT-LINT-006", "OCT-LINT-007", "OCT-LINT-009"]);
+
         let src = r##"
             use std::collections::HashMap; // import alone is exempt
-            // HashMap in a comment
-            /* Instant::now in a /* nested */ block comment */
-            #[doc = "SystemTime in an attribute string"]
-            fn f() {
-                let s = "thread_rng inside a string";
-                let r = r#"OsRng inside a raw string"#;
+            pub fn absorb(m: &HashMap<u8, u8>, out: &mut Vec<u8>, acc: &mut f64) {
+                // for k in m.keys() { out.push(*k); } *acc += 0.5; run_batch(0);
+                /* for k in m.keys() { out.push(*k); } /* nested */ run_batch(0); */
+                #[doc = stringify!(run_batch(0))]
+                let s = "for k in m.keys() { out.push(*k); } *acc += 0.5;";
+                let r = r#"run_batch(0) "quoted" too"#;
                 let c = 'x';
-                let map: std::collections::BTreeMap<u8, u8> = Default::default();
-                let _ = (s, r, c, map);
+                let _ = (m, out, acc, s, r, c);
             }
         "##;
         let rep = lint_source("crates/sim/src/fake.rs", src);
@@ -773,26 +738,6 @@ mod tests {
     }
 
     #[test]
-    fn timings_cover_every_rule_family() {
-        let rep = lint_source("crates/sim/src/x.rs", "fn f() {}\n");
-        for phase in [
-            "lex",
-            "parse",
-            "rules/002-005 tokens",
-            "rules/006 unordered-flow",
-            "rules/007 float-merge",
-            "rules/009 barrier-panic-path",
-            "suppression-audit",
-        ] {
-            assert!(
-                rep.timings.phases.contains_key(phase),
-                "missing phase {phase}: {:?}",
-                rep.timings.phases.keys().collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
     fn rule_codes_are_stable() {
         let codes: Vec<&str> = RULES.iter().map(|r| r.code).collect();
         assert_eq!(
@@ -813,7 +758,14 @@ mod tests {
         let retired: Vec<&str> = RULES.iter().filter(|r| r.retired).map(|r| r.code).collect();
         assert_eq!(
             retired,
-            ["OCT-LINT-001", "OCT-LINT-008"],
+            [
+                "OCT-LINT-001",
+                "OCT-LINT-002",
+                "OCT-LINT-003",
+                "OCT-LINT-004",
+                "OCT-LINT-005",
+                "OCT-LINT-008",
+            ],
             "codes are never reused"
         );
     }

@@ -1,7 +1,7 @@
 //! `octolint` CLI — run the determinism-contract pass over the tree.
 //!
 //!     cargo run -p octopus-lint -- [--root <dir>] [--quiet] [--list-rules]
-//!                                  [--format text|json] [--timing]
+//!                                  [--format text|json]
 //!
 //! Exit codes are script-friendly (the CI gate relies on them):
 //! 0 clean, 1 violations found, 2 usage or IO error.
@@ -9,25 +9,21 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str =
-    "usage: octolint [--root <dir>] [--quiet] [--list-rules] [--format text|json] [--timing]
+const USAGE: &str = "usage: octolint [--root <dir>] [--quiet] [--list-rules] [--format text|json]
   --root <dir>    workspace root to scan (default: current directory)
   --quiet         print only the diagnostics, no banner or summary
   --list-rules    print the rule table and exit
   --format <fmt>  output format: text (default) or json (stable schema,
-                  includes audited suppressions)
-  --timing        print per-phase wall time of the analyzer itself";
+                  includes audited suppressions)";
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut quiet = false;
-    let mut timing = false;
     let mut json = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quiet" | "-q" => quiet = true,
-            "--timing" => timing = true,
             "--root" => match args.next() {
                 Some(dir) => root = PathBuf::from(dir),
                 None => {
@@ -84,14 +80,6 @@ fn main() -> ExitCode {
                 report.diagnostics.len(),
                 report.suppressed,
                 report.files_scanned
-            );
-        }
-    }
-    if timing {
-        for (phase, d) in &report.timings.phases {
-            eprintln!(
-                "octolint: timing {phase:<28} {:>9.3} ms",
-                d.as_secs_f64() * 1e3
             );
         }
     }

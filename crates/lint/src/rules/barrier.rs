@@ -1,6 +1,7 @@
 //! `OCT-LINT-009` — barrier-path panic safety.
 //!
-//! Shard batch execution (`run_batch`) runs between window barriers.
+//! Shard batch execution (`run_batch`, or `run_one` when a window has
+//! zero lookahead and steps one event) runs between window barriers.
 //! If a batch panic escapes uncaught, the barrier is skipped: the clock
 //! does not advance past the completed events and the window's emitted
 //! controls are neither returned nor discarded, so a driver that

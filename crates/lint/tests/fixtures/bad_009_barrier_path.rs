@@ -1,9 +1,14 @@
 // Known-bad fixture: OCT-LINT-009 barrier-path panic safety, linted as
 // its own crate under the synthetic path crates/net/src/bad_009.rs.
-// `run_batch` is the protected callee: every path into it must be
-// covered by catch_unwind, directly or via covered callers.
+// `run_batch` and `run_one` (a zero-lookahead window's one-event step)
+// are the protected callees: every path into them must be covered by
+// catch_unwind, directly or via covered callers.
 
 fn run_batch(shard: usize) -> u64 {
+    shard as u64
+}
+
+fn run_one(shard: usize) -> u64 {
     shard as u64
 }
 
@@ -13,6 +18,10 @@ pub fn drive_uncovered(shards: usize) -> u64 {
         acc += run_batch(s); //~ OCT-LINT-009
     }
     acc
+}
+
+pub fn step_uncovered(shard: usize) -> u64 {
+    run_one(shard) //~ OCT-LINT-009
 }
 
 // --- negative space: these must stay clean -------------------------------
@@ -39,4 +48,8 @@ pub fn covered_caller(shards: usize) -> u64 {
         acc += r.unwrap_or(0);
     }
     acc
+}
+
+pub fn step_covered(shard: usize) -> u64 {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_one(shard))).unwrap_or(0)
 }

@@ -7,7 +7,7 @@ struct A {
 }
 
 fn unused() -> u32 {
-    42 // octolint: allow(OCT-LINT-002) -- nothing ever fired here //~ OCT-LINT-000
+    42 // octolint: allow(OCT-LINT-007) -- nothing ever fired here //~ OCT-LINT-000
 }
 
 fn unknown_rule() -> u32 {

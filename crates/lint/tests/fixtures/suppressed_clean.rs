@@ -6,7 +6,6 @@ fn spread(m: &std::collections::HashMap<u64, u32>, out: &mut Vec<u32>) {
     out.extend(m.values().copied()); // octolint: allow(OCT-LINT-006) -- fixture: pretend this sink is order-insensitive
 }
 
-fn jitter() -> u64 {
-    let mut rng = rand::thread_rng(); // octolint: allow(OCT-LINT-003) -- fixture: pretend-sanctioned entropy site
-    rng.gen()
+fn merge_bins(acc: &mut f64, bin: f64) {
+    *acc += bin; // octolint: allow(OCT-LINT-007) -- fixture: pretend the bins merge in one fixed order
 }

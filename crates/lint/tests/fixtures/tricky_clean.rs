@@ -1,20 +1,24 @@
-// Tricky-but-clean fixture: every disallowed name below appears only in
-// a position the lexer must strip (comments, strings, raw strings,
-// attributes, char literals, `use` declarations) or in a non-engine
-// construct. Linted under an engine path; must produce zero diagnostics.
+// Tricky-but-clean fixture: every live rule's trigger below appears
+// only in a position the lexer must strip (comments, strings, raw
+// strings, attributes, char literals) — an unordered key flowing into
+// `push` (OCT-LINT-006), a float `+=` in a merge path (OCT-LINT-007)
+// and an uncovered `run_batch` call from a `pub fn` (OCT-LINT-009).
+// Linted under an engine path; must produce zero diagnostics.
 
 use std::collections::HashMap; // the import alone is exempt; uses fire
 
-// HashMap and Instant::now in a line comment
-/* SystemTime in a block comment, /* nested: thread_rng() */ still fine */
+// for k in m.keys() { out.push(*k); } in a line comment
+/* run_batch(0) in a block comment, /* nested: *acc += 0.5; */ still fine */
 
-#[doc = "UNIX_EPOCH and OsRng inside an attribute string"]
-#[cfg(feature = "HashSet")]
-fn strings<'a>(x: &'a str) -> String {
-    let s = "Instant::now() inside a string literal";
-    let r = r#"available_parallelism in a raw string, "quoted" too"#;
+#[doc = "for k in m.keys() { out.push(*k); } inside an attribute string"]
+#[cfg(feature = "run_batch")]
+pub fn merge_strings<'a>(x: &'a str, m: &HashMap<u8, u8>, acc: &mut f64) -> String {
+    #[doc = stringify!(run_batch(0))]
+    let s = "*acc += 0.5; inside a string literal";
+    let r = r#"for k in m.keys() { out.push(*k); } in a raw string, "quoted" too"#;
     let c = '"'; // a char literal that looks like a string opener
     let l = '\''; // escaped quote char
+    let _ = (m, acc);
     format!("{s}{r}{c}{l}{x}")
 }
 

@@ -33,6 +33,8 @@
 //! in memory.
 
 #![forbid(unsafe_code)]
+// engine output goes through reports and traces, never the terminal
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod latency;

@@ -587,18 +587,24 @@ impl NodeBehavior for Fragile {
 
 #[test]
 fn a_handler_panic_leaves_the_node_in_its_slot() {
-    let mut w: World<Fragile, _> = World::new(ConstantLatency(Duration::from_millis(5)), 1);
-    w.insert_node(NodeId(1), Fragile { timers_seen: 0 });
-    let deadline = SimTime::from_secs(1);
-    let caught = catch_unwind(AssertUnwindSafe(|| w.run_window(deadline)));
-    assert!(caught.is_err(), "the first timer panics");
-    // dispatched where it lies, the node is still hosted, in the
-    // state its handler left, and its next timer reaches it
-    assert_eq!(w.node(NodeId(1)).map(|n| n.timers_seen), Some(1));
-    assert_eq!(
-        run_windows(&mut w, deadline),
-        vec![(SimTime::from_millis(20), 2)]
-    );
+    // a windowed batch (`run_batch`), and the one-event step a
+    // zero-lookahead window takes instead (`run_one`)
+    fn check<L: LatencyModel>(latency: L) {
+        let mut w: World<Fragile, _> = World::new(latency, 1);
+        w.insert_node(NodeId(1), Fragile { timers_seen: 0 });
+        let deadline = SimTime::from_secs(1);
+        let caught = catch_unwind(AssertUnwindSafe(|| w.run_window(deadline)));
+        assert!(caught.is_err(), "the first timer panics");
+        // dispatched where it lies, the node is still hosted, in the
+        // state its handler left, and its next timer reaches it
+        assert_eq!(w.node(NodeId(1)).map(|n| n.timers_seen), Some(1));
+        assert_eq!(
+            run_windows(&mut w, deadline),
+            vec![(SimTime::from_millis(20), 2)]
+        );
+    }
+    check(ConstantLatency(Duration::from_millis(5)));
+    check(NoFloor(Duration::from_millis(5)));
 }
 
 #[test]

@@ -43,6 +43,8 @@
 //!   own revocation set.
 
 #![forbid(unsafe_code)]
+// engine output goes through reports and traces, never the terminal
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 use std::collections::{BTreeMap, BTreeSet};
 
