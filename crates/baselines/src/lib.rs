@@ -4,11 +4,10 @@
 //!   Table 3 and the anonymity floor of Figs. 5(b)/6.
 //! * [`halo`] — Halo \[17\]: redundant knuckle searches (8×4 degree-2 in
 //!   §7), the state-of-the-art *secure-only* lookup of Table 3.
-//! * [`nisan`] — NISAN \[28\]: iterative lookup fetching whole
-//!   fingertables with bound checking; hides the key but not the
-//!   initiator, and falls to the range-estimation attack \[38\].
-//! * [`torsk`] — Torsk \[20\]: buddy (proxy) lookups found by random walk;
-//!   hides the initiator behind the buddy but not the target.
+//!
+//! NISAN and Torsk enter the paper only through their anonymity (Figs.
+//! 5(b)/6), which `octopus-anonymity`'s entropy model computes; no
+//! figure replays their lookups.
 //!
 //! Latency is estimated with the *same methodology* the paper uses for
 //! its PlanetLab comparison: each scheme's message pattern is replayed
@@ -21,10 +20,6 @@
 
 pub mod chord;
 pub mod halo;
-pub mod nisan;
-pub mod torsk;
 
 pub use chord::{chord_lookup, ChordLookup};
 pub use halo::{halo_lookup, HaloLookup, HALO_DEGREE, HALO_REDUNDANCY};
-pub use nisan::{nisan_lookup, NisanLookup};
-pub use torsk::{torsk_lookup, TorskLookup};

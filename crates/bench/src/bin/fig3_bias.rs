@@ -2,29 +2,20 @@
 //! time at attack rates 100 % and 50 %, plus cumulative all/biased
 //! lookup counts.
 
-use octopus_bench::{print_fraction_series, RunArgs};
+use octopus_bench::{attack_sweep, RunArgs};
 use octopus_core::AttackKind;
 
 fn main() {
     let args = RunArgs::from_env();
-    println!("Fig 3(a): lookup bias attack — remaining malicious fraction\n");
-    let rates = [1.0, 0.5];
-    let points: Vec<_> = rates
-        .iter()
-        .map(|&rate| args.security_config(AttackKind::LookupBias, rate, 31))
-        .collect();
-    let reports = args.runner().run_sweep(&points, args.trials);
-    for (report, rate) in reports.iter().zip(rates) {
-        print_fraction_series(
-            &format!("attack rate = {:.0}%", rate * 100.0),
-            &report.mean_series(&report.malicious_fraction),
-        );
+    let title = "Fig 3(a): lookup bias attack — remaining malicious fraction";
+    attack_sweep(&args, title, AttackKind::LookupBias, 31, |report, rate| {
         println!(
             "(FP rate {:.2}%, {} revocations over {} trial(s))\n",
             report.false_positive_rate() * 100.0,
             report.revocations,
             report.trials
         );
+        // Fig. 3(b) sits between the two rates' series
         if (rate - 1.0).abs() < f64::EPSILON {
             println!("Fig 3(b): cumulative lookups (all vs biased, per-trial mean)");
             println!("# time(s)  all  biased");
@@ -36,5 +27,5 @@ fn main() {
             }
             println!();
         }
-    }
+    });
 }

@@ -1,27 +1,17 @@
 //! Fig. 9: selective-DoS attack — remaining malicious fraction over time
 //! at attack rates 100 % and 50 % (Appendix II defense).
 
-use octopus_bench::{print_fraction_series, RunArgs};
+use octopus_bench::{attack_sweep, RunArgs};
 use octopus_core::AttackKind;
 
 fn main() {
     let args = RunArgs::from_env();
-    println!("Fig 9: selective DoS attack\n");
-    let rates = [1.0, 0.5];
-    let points: Vec<_> = rates
-        .iter()
-        .map(|&rate| args.security_config(AttackKind::SelectiveDos, rate, 39))
-        .collect();
-    let reports = args.runner().run_sweep(&points, args.trials);
-    for (report, rate) in reports.iter().zip(rates) {
-        print_fraction_series(
-            &format!("attack rate = {:.0}%", rate * 100.0),
-            &report.mean_series(&report.malicious_fraction),
-        );
+    let title = "Fig 9: selective DoS attack";
+    attack_sweep(&args, title, AttackKind::SelectiveDos, 39, |report, _| {
         println!(
             "(FP rate {:.2}%, failed lookups {})\n",
             report.false_positive_rate() * 100.0,
             report.failed_lookups
         );
-    }
+    });
 }

@@ -36,7 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use octopus_core::{AttackKind, OctopusConfig, SimConfig, TrialRunner};
+use octopus_core::{AttackKind, OctopusConfig, SimConfig, SimReport, TrialRunner};
 use octopus_sim::Duration;
 
 /// Experiment scale (paper-exact vs CI-sized), from `OCTOPUS_SCALE`.
@@ -282,8 +282,35 @@ impl RunArgs {
     }
 }
 
+/// Run `attack` at rates 100 % and 50 % and print the attack figures'
+/// text (Figs. 3(a), 3(c), 4, 9): `title`, then for each rate its
+/// malicious-fraction-over-time series followed by whatever `footer`
+/// prints for that rate's report.
+pub fn attack_sweep(
+    args: &RunArgs,
+    title: &str,
+    attack: AttackKind,
+    seed: u64,
+    mut footer: impl FnMut(&SimReport, f64),
+) {
+    println!("{title}\n");
+    let rates = [1.0, 0.5];
+    let points: Vec<_> = rates
+        .iter()
+        .map(|&rate| args.security_config(attack, rate, seed))
+        .collect();
+    let reports = args.runner().run_sweep(&points, args.trials);
+    for (report, rate) in reports.iter().zip(rates) {
+        print_fraction_series(
+            &format!("attack rate = {:.0}%", rate * 100.0),
+            &report.mean_series(&report.malicious_fraction),
+        );
+        footer(report, rate);
+    }
+}
+
 /// Print a malicious-fraction-over-time series as the figures do.
-pub fn print_fraction_series(label: &str, series: &[(f64, f64)]) {
+fn print_fraction_series(label: &str, series: &[(f64, f64)]) {
     println!("# {label}: time(s)  fraction_of_malicious_nodes");
     for &(t, f) in series.iter().step_by(2) {
         println!("{t:7.0}  {f:.4}");

@@ -64,29 +64,6 @@ impl BoundChecker {
         }
     }
 
-    /// Build a checker from a known network size (used in simulations
-    /// where N is a parameter).
-    #[must_use]
-    pub fn from_network_size(config: ChordConfig, n: usize) -> Self {
-        let mean_spacing = if n == 0 {
-            u64::MAX / 2
-        } else {
-            u64::MAX / n as u64
-        };
-        BoundChecker {
-            config,
-            mean_spacing,
-            beta: Self::DEFAULT_BETA,
-        }
-    }
-
-    /// Override the slack multiplier.
-    #[must_use]
-    pub fn with_beta(mut self, beta: f64) -> Self {
-        self.beta = beta;
-        self
-    }
-
     /// The estimated mean node spacing.
     #[must_use]
     pub fn mean_spacing(&self) -> u64 {
@@ -161,11 +138,20 @@ mod tests {
         (space, ChordConfig::for_network(1000))
     }
 
+    /// A checker that knows the true mean spacing of `n` uniform ids.
+    fn from_network_size(config: ChordConfig, n: usize) -> BoundChecker {
+        BoundChecker {
+            config,
+            mean_spacing: u64::MAX / n as u64,
+            beta: BoundChecker::DEFAULT_BETA,
+        }
+    }
+
     #[test]
     fn honest_tables_pass() {
         let (space, cfg) = setup();
         let view = GroundTruthView::new(&space, cfg);
-        let checker = BoundChecker::from_network_size(cfg, space.len());
+        let checker = from_network_size(cfg, space.len());
         let mut failures = 0;
         for &n in space.ids().iter().take(200) {
             if !checker.passes(&view.table_of(n)) {
@@ -197,7 +183,7 @@ mod tests {
     fn distant_colluder_caught() {
         let (space, cfg) = setup();
         let view = GroundTruthView::new(&space, cfg);
-        let checker = BoundChecker::from_network_size(cfg, space.len());
+        let checker = from_network_size(cfg, space.len());
         let owner = space.ids()[0];
         let mut table = view.table_of(owner);
         // replace the longest finger with a node a quarter-span past the
@@ -218,7 +204,7 @@ mod tests {
     fn preceding_finger_caught() {
         let (space, cfg) = setup();
         let view = GroundTruthView::new(&space, cfg);
-        let checker = BoundChecker::from_network_size(cfg, space.len());
+        let checker = from_network_size(cfg, space.len());
         let owner = space.ids()[0];
         let mut table = view.table_of(owner);
         // a "finger" sitting just before its own target wraps nearly the
@@ -235,7 +221,7 @@ mod tests {
         // the documented limitation: a colluder within the bound passes
         let (space, cfg) = setup();
         let view = GroundTruthView::new(&space, cfg);
-        let checker = BoundChecker::from_network_size(cfg, space.len());
+        let checker = from_network_size(cfg, space.len());
         let owner = space.ids()[0];
         let mut table = view.table_of(owner);
         let target = cfg.finger_target(owner, 3);

@@ -149,17 +149,6 @@ pub fn successor_list_table(owner: NodeId, successors: Vec<NodeId>) -> RoutingTa
     }
 }
 
-/// Build a predecessor-list-only table for signing.
-#[must_use]
-pub fn predecessor_list_table(owner: NodeId, predecessors: Vec<NodeId>) -> RoutingTable {
-    RoutingTable {
-        owner,
-        fingers: Vec::new(),
-        successors: Vec::new(),
-        predecessors,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,8 +279,6 @@ mod tests {
         let t = successor_list_table(NodeId(1), vec![NodeId(2)]);
         assert!(t.fingers.is_empty());
         assert_eq!(t.successors, vec![NodeId(2)]);
-        let t = predecessor_list_table(NodeId(1), vec![NodeId(0)]);
-        assert_eq!(t.predecessors, vec![NodeId(0)]);
-        assert!(t.successors.is_empty());
+        assert!(t.predecessors.is_empty());
     }
 }

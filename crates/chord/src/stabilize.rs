@@ -37,54 +37,9 @@ pub fn merge_predecessor_list(
     merge_successor_list(own, p1, p1_list, k)
 }
 
-/// Classic Chord rectification: if our successor's predecessor sits
-/// between us and the successor, a closer successor has joined.
-#[must_use]
-pub fn closer_successor(own: NodeId, s1: NodeId, s1_pred: NodeId) -> Option<NodeId> {
-    s1_pred.is_between(own, s1).then_some(s1_pred)
-}
-
-/// Anticlockwise rectification: if our predecessor's successor sits
-/// between the predecessor and us, a closer predecessor has joined.
-#[must_use]
-pub fn closer_predecessor(own: NodeId, p1: NodeId, p1_succ: NodeId) -> Option<NodeId> {
-    p1_succ.is_between(p1, own).then_some(p1_succ)
-}
-
 /// Drop a dead head from a neighbor list, promoting the next entry.
 pub fn drop_head(list: &mut Vec<NodeId>, dead: NodeId) {
     list.retain(|&n| n != dead);
-}
-
-/// Is `list` strictly ordered by clockwise distance from `own`? Correct
-/// successor lists always are; the CA uses this as a cheap sanity check
-/// on submitted proofs.
-#[must_use]
-pub fn is_clockwise_ordered(own: NodeId, list: &[NodeId]) -> bool {
-    let mut last = 0u64;
-    for &n in list {
-        let d = own.distance_to(n);
-        if d == 0 || d <= last {
-            return false;
-        }
-        last = d;
-    }
-    true
-}
-
-/// Is `list` strictly ordered by *anticlockwise* distance from `own`
-/// (correct predecessor lists)?
-#[must_use]
-pub fn is_anticlockwise_ordered(own: NodeId, list: &[NodeId]) -> bool {
-    let mut last = 0u64;
-    for &n in list {
-        let d = n.distance_to(own);
-        if d == 0 || d <= last {
-            return false;
-        }
-        last = d;
-    }
-    true
 }
 
 #[cfg(test)]
@@ -132,39 +87,6 @@ mod tests {
     }
 
     #[test]
-    fn rectification() {
-        assert_eq!(
-            closer_successor(NodeId(10), NodeId(30), NodeId(20)),
-            Some(NodeId(20))
-        );
-        assert_eq!(closer_successor(NodeId(10), NodeId(30), NodeId(40)), None);
-        assert_eq!(closer_successor(NodeId(10), NodeId(30), NodeId(10)), None);
-        assert_eq!(
-            closer_predecessor(NodeId(30), NodeId(10), NodeId(20)),
-            Some(NodeId(20))
-        );
-        assert_eq!(closer_predecessor(NodeId(30), NodeId(10), NodeId(5)), None);
-    }
-
-    #[test]
-    fn ordering_checks() {
-        assert!(is_clockwise_ordered(
-            NodeId(10),
-            &[NodeId(20), NodeId(30), NodeId(5)]
-        ));
-        assert!(!is_clockwise_ordered(NodeId(10), &[NodeId(30), NodeId(20)]));
-        assert!(!is_clockwise_ordered(NodeId(10), &[NodeId(10)]));
-        assert!(is_anticlockwise_ordered(
-            NodeId(10),
-            &[NodeId(5), NodeId(1), NodeId(200)]
-        ));
-        assert!(!is_anticlockwise_ordered(
-            NodeId(10),
-            &[NodeId(1), NodeId(5)]
-        ));
-    }
-
-    #[test]
     fn predecessor_merge_converges() {
         let mut rng = StdRng::seed_from_u64(2);
         let space = IdSpace::random(50, &mut rng);
@@ -184,11 +106,5 @@ mod tests {
         assert_eq!(l, vec![NodeId(2), NodeId(3)]);
         drop_head(&mut l, NodeId(9));
         assert_eq!(l.len(), 2);
-    }
-
-    #[test]
-    fn empty_lists_are_ordered() {
-        assert!(is_clockwise_ordered(NodeId(1), &[]));
-        assert!(is_anticlockwise_ordered(NodeId(1), &[]));
     }
 }

@@ -9,7 +9,6 @@
 
 use octopus_chord::{NextHop, SignedRoutingTable};
 use octopus_id::{Key, NodeId};
-use octopus_net::Addr;
 use octopus_sim::SimTime;
 use rand::seq::SliceRandom;
 
@@ -330,6 +329,3 @@ impl OctopusNode {
         }
     }
 }
-
-/// Re-exported for the `World` driver: the address type nodes use.
-pub type LookupAddr = Addr;

@@ -320,12 +320,6 @@ impl OctopusNode {
         &self.fingers
     }
 
-    /// Relay pool size (tests).
-    #[must_use]
-    pub fn relay_pool_len(&self) -> usize {
-        self.relay_pool.len()
-    }
-
     /// Driver-side: record the provenance justifying finger `slot`
     /// (the idealized join protocol runs checked lookups, so seeded
     /// fingers come with the same evidence real adoptions produce).
@@ -1642,7 +1636,7 @@ mod tests {
         n.on_revocation(&[NodeId(120)]);
         assert_eq!(n.successors(), &[NodeId(130)]);
         assert_eq!(n.fingers()[0], NodeId(100), "revoked finger self-points");
-        assert_eq!(n.relay_pool_len(), 1);
+        assert_eq!(n.relay_pool.len(), 1);
         assert!(n.revoked.contains(&NodeId(120)));
         // a revoked node cannot be re-learned
         n.learn_neighbor(NodeId(120));
@@ -1688,7 +1682,7 @@ mod tests {
         );
         n.on_peer_dead(NodeId(120));
         assert_eq!(n.successors(), &[NodeId(130)]);
-        assert_eq!(n.relay_pool_len(), 0);
+        assert_eq!(n.relay_pool.len(), 0);
     }
 
     #[test]

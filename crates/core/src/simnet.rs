@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use octopus_chord::{ChordConfig, SignedSuccessorList};
 use octopus_crypto::{Certificate, CertificateAuthority, KeyPair};
-use octopus_id::{IdSpace, Key, NodeId, ShardedIdSpace};
+use octopus_id::{IdSpace, Key, NodeId};
 use octopus_metrics::{merge_point_series, Merge};
 use octopus_net::{Addr, KingLikeLatency, NodeBehavior, Runtime, World};
 use octopus_sim::{derive_rng, ChurnProcess, Duration, SchedulerKind, SimTime};
@@ -293,17 +293,6 @@ impl SimReport {
         }
     }
 
-    /// False alarm rate: CA cases closed without identification.
-    #[must_use]
-    pub fn false_alarm_rate(&self) -> f64 {
-        let total = self.dismissed + self.convicted;
-        if total == 0 {
-            0.0
-        } else {
-            self.dismissed as f64 / total as f64
-        }
-    }
-
     /// False-alarm rate for one mechanism's cases only (Table 2 reports
     /// per-mechanism rows).
     #[must_use]
@@ -438,9 +427,8 @@ pub struct RunAccum {
 pub struct SecuritySim {
     cfg: SimConfig,
     world: World<Actor, KingLikeLatency>,
-    /// Ground-truth membership, range-partitioned for cheap churn
-    /// updates at large `n` (queries see the merged sorted universe).
-    space: ShardedIdSpace,
+    /// Ground-truth membership, in ring order.
+    space: IdSpace,
     adversary: ShardedAdversary,
     /// The full original malicious set (revocations don't erase guilt).
     initial_malicious: BTreeSet<NodeId>,
@@ -507,11 +495,10 @@ impl SecuritySim {
             adversary_state.share_keys(m, kp.clone(), Arc::clone(cert));
         }
         let adversary = ShardedAdversary::new(adversary_state);
-        let space = ShardedIdSpace::from(space);
         // the genesis ring is one membership at one instant: each
         // signer's list is signed once for all the nodes citing it
         let mut genesis_lists = BTreeMap::new();
-        for id in space.iter() {
+        for &id in space.ids() {
             let (kp, cert) = keys.get(&id).expect("key exists");
             let adv = malicious.contains(&id).then(|| adversary.handle());
             let mut node =
@@ -543,7 +530,7 @@ impl SecuritySim {
         if sim.trace.is_some() {
             // genesis population: the model learns the initial membership
             // the same way it learns churn joins
-            for id in sim.space.to_vec() {
+            for id in sim.space.ids().to_vec() {
                 sim.push_trace(SimTime::ZERO, TraceEvent::NodeJoined { node: id });
             }
         }
@@ -567,8 +554,7 @@ impl SecuritySim {
     fn schedule_initial_events(&mut self) {
         // churn
         if self.churn.is_enabled() {
-            let ids: Vec<NodeId> = self.space.to_vec();
-            for id in ids {
+            for &id in self.space.ids() {
                 let life = self.churn.sample_lifetime(&mut self.rng);
                 if SimTime::ZERO + life <= SimTime::ZERO + self.cfg.duration {
                     self.world
@@ -864,9 +850,8 @@ impl SecuritySim {
     /// mass revocation of their (malicious) neighborhood — stands in for
     /// a re-join, which the idealized join protocol would perform.
     fn heal_starved_nodes(&mut self) {
-        let ids: Vec<NodeId> = self.space.to_vec();
         let chord = self.cfg.octopus.chord;
-        for id in ids {
+        for &id in self.space.ids() {
             let starved = matches!(
                 self.world.node(id),
                 Some(Actor::Peer(p)) if p.successors().is_empty() || p.predecessors().is_empty()
@@ -917,7 +902,7 @@ impl SecuritySim {
     /// Ground-truth live membership, in ring order.
     #[must_use]
     pub fn live_ids(&self) -> Vec<NodeId> {
-        self.space.to_vec()
+        self.space.ids().to_vec()
     }
 
     /// Nodes revoked so far.
@@ -960,7 +945,7 @@ impl SecuritySim {
     /// memo tripwire.
     pub fn disable_verify_memo(&mut self) {
         self.with_ca(CaNode::disable_verify_memo);
-        for id in self.space.to_vec() {
+        for &id in self.space.ids() {
             if let Some(Actor::Peer(p)) = self.world.node_mut(id) {
                 p.disable_verify_memo();
             }
@@ -994,7 +979,7 @@ impl SecuritySim {
 /// starts a fresh map whenever `space` or `now` changes.
 fn seed_provenance(
     node: &mut OctopusNode,
-    space: &ShardedIdSpace,
+    space: &IdSpace,
     chord: ChordConfig,
     keys: &BTreeMap<NodeId, (KeyPair, Arc<Certificate>)>,
     now: u64,
@@ -1030,7 +1015,7 @@ fn seed_provenance(
 /// Initialize a node's ring state from ground truth (idealized join).
 fn seed_from_truth(
     node: &mut OctopusNode,
-    space: &ShardedIdSpace,
+    space: &IdSpace,
     chord: ChordConfig,
     rng: &mut impl Rng,
 ) {
@@ -1071,7 +1056,7 @@ mod tests {
         let chord = sim.cfg.octopus.chord;
         let ca_key = sim.with_ca_ref(CaNode::public_key);
         let (mut cited, mut signers, mut allocations) = (0, BTreeSet::new(), BTreeSet::new());
-        for id in sim.space.iter() {
+        for &id in sim.space.ids() {
             let (kp, cert) = sim.keys.get(&id).expect("key exists").clone();
             let mut fresh = OctopusNode::new(id, sim.cfg.octopus, kp, *cert, CA_ADDR, ca_key, None);
             seed_provenance(

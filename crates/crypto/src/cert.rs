@@ -14,9 +14,7 @@ use std::sync::Arc;
 use octopus_id::NodeId;
 
 use crate::memo::VerifiedMemo;
-use crate::merkle::MerkleTree;
 use crate::rsa::{KeyPair, PublicKey, Signature, SignatureError};
-use crate::sha256::sha256;
 
 /// An identity certificate (the paper's X.509-lite, footnote 4: node IP,
 /// public key, expiry, CA signature — 50 bytes on the wire).
@@ -254,74 +252,6 @@ impl CertificateAuthority {
     pub fn issued_count(&self) -> u64 {
         self.issued
     }
-
-    /// Export a signed revocation list for P2P distribution.
-    #[must_use]
-    pub fn revocation_list(&self) -> RevocationList {
-        let mut ids: Vec<NodeId> = self.revoked.iter().copied().collect();
-        ids.sort_unstable();
-        let leaves: Vec<Vec<u8>> = ids.iter().map(|id| id.0.to_be_bytes().to_vec()).collect();
-        let tree = MerkleTree::build(&leaves);
-        let root = tree.root();
-        let sig = self.keypair.sign(&root.0);
-        RevocationList {
-            revoked: ids,
-            root,
-            signature: sig,
-        }
-    }
-}
-
-/// A signed certificate revocation list distributed over the overlay.
-///
-/// The list is committed to with a Merkle tree (following the
-/// Merkle-hash-tree CRL design the paper cites \[25\]) so that nodes can
-/// verify membership proofs without holding the whole list.
-#[derive(Clone, Debug)]
-pub struct RevocationList {
-    /// Revoked node ids, sorted.
-    pub revoked: Vec<NodeId>,
-    /// Merkle root over the sorted revoked ids.
-    pub root: crate::sha256::Digest,
-    /// CA signature over the root.
-    pub signature: Signature,
-}
-
-impl RevocationList {
-    /// Verify the CA signature on the list root and that the root indeed
-    /// commits to `revoked`.
-    ///
-    /// # Errors
-    /// [`SignatureError::BadSignature`] when either check fails.
-    pub fn verify(&self, ca_key: PublicKey) -> Result<(), SignatureError> {
-        let leaves: Vec<Vec<u8>> = self
-            .revoked
-            .iter()
-            .map(|id| id.0.to_be_bytes().to_vec())
-            .collect();
-        let tree = MerkleTree::build(&leaves);
-        if tree.root() != self.root {
-            return Err(SignatureError::BadSignature);
-        }
-        ca_key.verify(&self.root.0, self.signature)
-    }
-
-    /// Is `id` on the list?
-    #[must_use]
-    pub fn contains(&self, id: NodeId) -> bool {
-        self.revoked.binary_search(&id).is_ok()
-    }
-}
-
-/// Derive a node's ring position from its public key, as deployments
-/// derive ids from certificates to stop id selection attacks.
-#[must_use]
-pub fn node_id_from_key(key: PublicKey) -> NodeId {
-    let mut bytes = [0u8; 16];
-    bytes[..8].copy_from_slice(&key.n.to_be_bytes());
-    bytes[8..].copy_from_slice(&key.e.to_be_bytes());
-    let d = sha256(&bytes);
-    NodeId(u64::from_be_bytes(d.0[..8].try_into().expect("32 bytes")))
 }
 
 #[cfg(test)]
@@ -371,35 +301,6 @@ mod tests {
         assert!(ca.revoke(NodeId(42)));
         assert!(!ca.revoke(NodeId(42)), "double revoke reports false");
         assert_eq!(ca.check(&cert, 0), Err(CertificateError::Revoked));
-    }
-
-    #[test]
-    fn revocation_list_verifies() {
-        let (mut ca, kp, _) = setup();
-        let _ = ca.issue(NodeId(1), 1, kp.public(), 10_000);
-        ca.revoke(NodeId(5));
-        ca.revoke(NodeId(3));
-        let rl = ca.revocation_list();
-        assert!(rl.verify(ca.public_key()).is_ok());
-        assert!(rl.contains(NodeId(3)));
-        assert!(rl.contains(NodeId(5)));
-        assert!(!rl.contains(NodeId(4)));
-    }
-
-    #[test]
-    fn forged_revocation_list_rejected() {
-        let (mut ca, _, _) = setup();
-        ca.revoke(NodeId(5));
-        let mut rl = ca.revocation_list();
-        rl.revoked.push(NodeId(99)); // adversary inserts an honest node
-        rl.revoked.sort_unstable();
-        assert!(rl.verify(ca.public_key()).is_err());
-    }
-
-    #[test]
-    fn node_id_derivation_is_deterministic() {
-        let (_, kp, _) = setup();
-        assert_eq!(node_id_from_key(kp.public()), node_id_from_key(kp.public()));
     }
 
     /// Every ordering of `0..n`, by Heap's algorithm.
@@ -566,13 +467,5 @@ mod tests {
         }
         assert!(verifier.verify_certificate(&valid, 100).is_ok());
         assert_eq!(verifier.full_verifications(), 3);
-    }
-
-    #[test]
-    fn empty_revocation_list_ok() {
-        let (ca, _, _) = setup();
-        let rl = ca.revocation_list();
-        assert!(rl.verify(ca.public_key()).is_ok());
-        assert!(rl.revoked.is_empty());
     }
 }

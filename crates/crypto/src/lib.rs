@@ -16,8 +16,8 @@
 //!    with layered encryption (§4.1). The paper uses AES-128; we build a
 //!    CTR-mode stream cipher over our SHA-256 ([`stream`]) and layered
 //!    wrapping ([`onion`]).
-//! 3. **A hash** mapping certificates to ring positions and keys to the
-//!    key space ([`sha256`](mod@sha256)).
+//! 3. **A hash** under the signatures, HMAC and the onion cipher's
+//!    keystream ([`sha256`](mod@sha256)).
 //!
 //! The crate is dependency-free (beyond `rand` for keygen) and
 //! test-vectored where vectors exist (SHA-256, HMAC). It is
@@ -36,25 +36,15 @@
 pub mod cert;
 pub mod hmac;
 pub mod memo;
-pub mod merkle;
 pub mod onion;
 pub mod rsa;
 pub mod sha256;
 pub mod stream;
 
-pub use cert::{Certificate, CertificateAuthority, CertificateError, RevocationList, Verifier};
+pub use cert::{Certificate, CertificateAuthority, CertificateError, Verifier};
 pub use hmac::hmac_sha256;
 pub use memo::VerifiedMemo;
-pub use merkle::MerkleTree;
 pub use onion::{OnionError, OnionLayer};
 pub use rsa::{KeyPair, PublicKey, Signature, SignatureError};
 pub use sha256::{sha256, Digest, Sha256};
 pub use stream::StreamCipher;
-
-/// Derive a 64-bit ring position from arbitrary bytes (used to map
-/// certificates and lookup keys onto the Chord ring).
-#[must_use]
-pub fn ring_position(bytes: &[u8]) -> u64 {
-    let d = sha256(bytes);
-    u64::from_be_bytes(d.0[..8].try_into().expect("digest has 32 bytes"))
-}

@@ -8,7 +8,9 @@
 //! * clockwise [`distance`](NodeId::distance_to) and interval tests that
 //!   implement Chord's half-open interval semantics,
 //! * ideal finger targets (`n + 2^i`) used by fingertable maintenance and
-//!   by the secret-finger-surveillance checks of §4.4.
+//!   by the secret-finger-surveillance checks of §4.4,
+//! * [`IdSpace`] — a sorted universe of ids with ownership, successor and
+//!   predecessor queries: the simulators' ground truth of the ring.
 //!
 //! All arithmetic is modulo 2^64 and uses wrapping operations, so the ring
 //! wrap-around case is handled uniformly rather than special-cased.
@@ -19,9 +21,11 @@
 #![warn(missing_docs)]
 
 pub mod ring;
-pub mod sharded;
 pub mod space;
 
 pub use ring::{Key, NodeId, RingInterval, RING_BITS};
-pub use sharded::ShardedIdSpace;
 pub use space::{IdSpace, KeyOwnership};
+
+/// The name octobench still builds its id spaces with. It stays only
+/// until octobench moves to [`IdSpace`] (ROADMAP item 3(a)).
+pub type ShardedIdSpace = IdSpace;

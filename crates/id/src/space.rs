@@ -29,9 +29,11 @@ pub struct KeyOwnership {
 }
 
 impl IdSpace {
-    /// Build a space from arbitrary ids; duplicates are removed.
+    /// Build a space from arbitrary ids (sorted or not); duplicates are
+    /// removed.
     #[must_use]
-    pub fn new(mut ids: Vec<NodeId>) -> Self {
+    pub fn new(ids: impl AsRef<[NodeId]>) -> Self {
+        let mut ids = ids.as_ref().to_vec();
         ids.sort_unstable();
         ids.dedup();
         IdSpace { ids }
@@ -47,16 +49,6 @@ impl IdSpace {
                 ids.push(id);
             }
         }
-        IdSpace::new(ids)
-    }
-
-    /// Build a space of `n` ids spread *evenly* around the ring — useful
-    /// in tests where deterministic geometry matters.
-    #[must_use]
-    pub fn evenly_spaced(n: usize) -> Self {
-        assert!(n > 0, "need at least one node");
-        let step = (u64::MAX as u128 + 1) / n as u128;
-        let ids = (0..n).map(|i| NodeId((i as u128 * step) as u64)).collect();
         IdSpace::new(ids)
     }
 
@@ -265,14 +257,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let s = IdSpace::random(500, &mut rng);
         assert_eq!(s.len(), 500);
-    }
-
-    #[test]
-    fn evenly_spaced_geometry() {
-        let s = IdSpace::evenly_spaced(4);
-        assert_eq!(s.len(), 4);
-        let d01 = s.ids()[0].distance_to(s.ids()[1]);
-        let d12 = s.ids()[1].distance_to(s.ids()[2]);
-        assert_eq!(d01, d12);
     }
 }

@@ -238,7 +238,7 @@ pub(crate) fn lex(source: &str) -> Lexed {
     }
 
     Lexed {
-        tokens: strip_attrs_and_uses(tokens),
+        tokens: strip_attrs(tokens),
         suppressions,
     }
 }
@@ -267,22 +267,14 @@ fn parse_suppression(comment: &str, line: u32, col: u32) -> Option<Suppression> 
     })
 }
 
-/// Drop attribute contents (`#[...]` / `#![...]`) and `use` declaration
-/// bodies from the token stream: neither constitutes a *use* of a
-/// disallowed construct.
-fn strip_attrs_and_uses(tokens: Vec<Tok>) -> Vec<Tok> {
+/// Drop attribute contents (`#[...]` / `#![...]`) from the token
+/// stream: an attribute never constitutes a *use* of a disallowed
+/// construct.
+fn strip_attrs(tokens: Vec<Tok>) -> Vec<Tok> {
     let mut out = Vec::with_capacity(tokens.len());
     let mut i = 0usize;
-    let mut in_use = false;
     while i < tokens.len() {
         let t = &tokens[i];
-        if in_use {
-            if t.text == ";" {
-                in_use = false;
-            }
-            i += 1;
-            continue;
-        }
         if t.text == "#" {
             let bracket = match tokens.get(i + 1) {
                 Some(t1) if t1.text == "[" => Some(i + 1),
@@ -311,11 +303,6 @@ fn strip_attrs_and_uses(tokens: Vec<Tok>) -> Vec<Tok> {
                 i = j + 1;
                 continue;
             }
-        }
-        if t.ident && t.text == "use" {
-            in_use = true;
-            i += 1;
-            continue;
         }
         out.push(tokens[i].clone());
         i += 1;

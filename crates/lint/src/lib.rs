@@ -610,7 +610,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lexer_strips_comments_strings_attrs_and_uses() {
+    fn lexer_strips_comments_strings_and_attrs() {
         // each stripped region holds a live rule's trigger: a HashMap key
         // flowing into `push` (006), a float `+=` in a merge path (007)
         // and an uncovered `run_batch` call from a `pub fn` (009)
@@ -624,7 +624,6 @@ mod tests {
         assert_eq!(codes, ["OCT-LINT-006", "OCT-LINT-007", "OCT-LINT-009"]);
 
         let src = r##"
-            use std::collections::HashMap; // import alone is exempt
             pub fn absorb(m: &HashMap<u8, u8>, out: &mut Vec<u8>, acc: &mut f64) {
                 // for k in m.keys() { out.push(*k); } *acc += 0.5; run_batch(0);
                 /* for k in m.keys() { out.push(*k); } /* nested */ run_batch(0); */

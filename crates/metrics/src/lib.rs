@@ -1,10 +1,9 @@
 //! Statistics helpers shared by the Octopus evaluation harness.
 //!
-//! Every table and figure in the paper reduces to a handful of summary
-//! shapes: means/medians (Table 3), CDFs (Fig. 7a), binned time series
-//! (Figs. 3, 4, 7b, 9), rates (Table 2), and entropies (Figs. 5, 6). This
-//! crate implements those reductions once, with text rendering that
-//! mirrors the paper's rows/series.
+//! The tables and figures reduce to a few summary shapes: means, medians
+//! and percentiles (Table 3), per-trial point series summed across trials
+//! (Figs. 3, 4, 7b, 9), and entropies (Figs. 5, 6). This crate implements
+//! those reductions once, with text tables that mirror the paper's rows.
 
 #![forbid(unsafe_code)]
 // engine output goes through reports and traces, never the terminal
@@ -12,13 +11,11 @@
 #![warn(missing_docs)]
 
 pub mod merge;
-pub mod series;
 pub mod summary;
 pub mod table;
 
 pub use merge::{merge_point_series, Accumulator, Merge};
-pub use series::TimeSeries;
-pub use summary::{Cdf, Summary};
+pub use summary::Summary;
 pub use table::TextTable;
 
 /// Shannon entropy (bits) of a discrete distribution given as
@@ -40,26 +37,9 @@ pub fn entropy_bits(probs: &[f64]) -> f64 {
     h
 }
 
-/// Entropy of a uniform distribution over `n` outcomes.
-#[must_use]
-pub fn uniform_entropy_bits(n: usize) -> f64 {
-    if n == 0 {
-        0.0
-    } else {
-        (n as f64).log2()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn uniform_entropy() {
-        assert_eq!(uniform_entropy_bits(1), 0.0);
-        assert!((uniform_entropy_bits(1024) - 10.0).abs() < 1e-12);
-        assert_eq!(uniform_entropy_bits(0), 0.0);
-    }
 
     #[test]
     fn entropy_of_uniform_matches() {

@@ -7,7 +7,6 @@
 //! and deterministic — the driver always folds in trial-index order, so
 //! T trials merged on 1 thread and on N threads yield identical results.
 
-use crate::series::TimeSeries;
 use crate::summary::Summary;
 
 /// A metric that can absorb another instance of itself.
@@ -133,17 +132,6 @@ impl Merge for Summary {
     }
 }
 
-impl Merge for TimeSeries {
-    /// Bin-wise sum of values and sample counts.
-    ///
-    /// # Panics
-    /// Panics when the two series have different bin layouts — merging
-    /// incompatible grids is always a harness bug.
-    fn merge(&mut self, other: Self) {
-        self.absorb(&other);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,26 +198,5 @@ mod tests {
         assert_eq!(a.count(), 4);
         assert_eq!(a.mean(), 2.5);
         assert_eq!(a.median(), 2.5);
-    }
-
-    #[test]
-    fn time_series_merge_sums_bins() {
-        let mut a = TimeSeries::new(10.0, 5.0);
-        a.record(1.0, 2.0);
-        let mut b = TimeSeries::new(10.0, 5.0);
-        b.record(1.0, 4.0);
-        b.record(6.0, 1.0);
-        a.merge(b);
-        assert_eq!(a.totals(), vec![(0.0, 6.0), (5.0, 1.0)]);
-        // means reflect the pooled counts
-        assert!((a.means_carry_forward()[0].1 - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "mismatched bin layout")]
-    fn time_series_merge_rejects_mismatched_grids() {
-        let mut a = TimeSeries::new(10.0, 5.0);
-        let b = TimeSeries::new(10.0, 2.0);
-        a.merge(b);
     }
 }

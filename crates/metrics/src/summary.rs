@@ -1,4 +1,4 @@
-//! Summary statistics and CDFs.
+//! Summary statistics.
 
 /// Accumulates samples and reports mean/median/percentiles.
 #[derive(Clone, Debug, Default)]
@@ -79,80 +79,6 @@ impl Summary {
     pub fn median(&mut self) -> f64 {
         self.percentile(50.0)
     }
-
-    /// Minimum (0 when empty).
-    #[must_use]
-    pub fn min(&mut self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.ensure_sorted();
-        self.samples[0]
-    }
-
-    /// Maximum (0 when empty).
-    #[must_use]
-    pub fn max(&mut self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.ensure_sorted();
-        *self.samples.last().unwrap()
-    }
-
-    /// Sample standard deviation (0 for < 2 samples).
-    #[must_use]
-    pub fn stddev(&self) -> f64 {
-        let n = self.samples.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var = self.samples.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (n - 1) as f64;
-        var.sqrt()
-    }
-
-    /// Build an empirical CDF with `points` evenly spaced quantiles.
-    #[must_use]
-    pub fn cdf(&mut self, points: usize) -> Cdf {
-        self.ensure_sorted();
-        let mut pts = Vec::with_capacity(points);
-        if self.samples.is_empty() {
-            return Cdf { points: pts };
-        }
-        let n = self.samples.len();
-        for i in 0..points {
-            let q = (i as f64 + 1.0) / points as f64;
-            let idx = ((q * n as f64).ceil() as usize).clamp(1, n) - 1;
-            pts.push((self.samples[idx], q));
-        }
-        Cdf { points: pts }
-    }
-}
-
-/// An empirical cumulative distribution: `(value, P(X ≤ value))` points.
-#[derive(Clone, Debug)]
-pub struct Cdf {
-    /// Sorted `(value, cumulative probability)` pairs.
-    pub points: Vec<(f64, f64)>,
-}
-
-impl Cdf {
-    /// Fraction of mass at or below `v` (interpolating between points).
-    #[must_use]
-    pub fn at(&self, v: f64) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        let mut prev = 0.0;
-        for &(x, p) in &self.points {
-            if v < x {
-                return prev;
-            }
-            prev = p;
-        }
-        1.0
-    }
 }
 
 #[cfg(test)]
@@ -185,41 +111,7 @@ mod tests {
         let mut s = Summary::new();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.median(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-        assert_eq!(s.stddev(), 0.0);
-    }
-
-    #[test]
-    fn stddev_known() {
-        let mut s = Summary::new();
-        s.extend([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert!((s.stddev() - 2.138).abs() < 0.01);
-    }
-
-    #[test]
-    fn min_max() {
-        let mut s = Summary::new();
-        s.extend([5.0, -1.0, 3.0]);
-        assert_eq!(s.min(), -1.0);
-        assert_eq!(s.max(), 5.0);
-    }
-
-    #[test]
-    fn cdf_monotone_and_covers() {
-        let mut s = Summary::new();
-        s.extend((0..100).map(f64::from));
-        let cdf = s.cdf(10);
-        assert_eq!(cdf.points.len(), 10);
-        let mut last = f64::MIN;
-        for &(v, p) in &cdf.points {
-            assert!(v >= last);
-            last = v;
-            assert!((0.0..=1.0).contains(&p));
-        }
-        assert_eq!(cdf.points.last().unwrap().1, 1.0);
-        assert!(cdf.at(-1.0) < 0.2);
-        assert_eq!(cdf.at(1000.0), 1.0);
+        assert_eq!(s.percentile(90.0), 0.0);
     }
 
     #[test]

@@ -73,18 +73,6 @@ impl TextTable {
     }
 }
 
-/// Format a float with `digits` decimal places (helper for table cells).
-#[must_use]
-pub fn fmt_f(v: f64, digits: usize) -> String {
-    format!("{v:.digits$}")
-}
-
-/// Format a fraction as a percentage with two decimals.
-#[must_use]
-pub fn fmt_pct(v: f64) -> String {
-    format!("{:.2}%", v * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,13 +99,6 @@ mod tests {
     fn rejects_ragged_rows() {
         let mut t = TextTable::new(["a", "b"]);
         t.row(["only one"]);
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(fmt_f(1.23456, 2), "1.23");
-        assert_eq!(fmt_pct(0.9991), "99.91%");
-        assert_eq!(fmt_pct(0.0), "0.00%");
     }
 
     #[test]

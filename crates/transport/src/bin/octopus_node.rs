@@ -30,7 +30,7 @@ use octopus_chord::{ChordConfig, SignedRoutingTable};
 use octopus_core::simnet::CA_ADDR;
 use octopus_core::{Actor, CaNode, Control, OctopusConfig, OctopusNode};
 use octopus_crypto::{Certificate, CertificateAuthority, KeyPair};
-use octopus_id::{NodeId, ShardedIdSpace};
+use octopus_id::{IdSpace, NodeId};
 use octopus_net::Transport;
 use octopus_sim::{derive_rng, Duration};
 use octopus_transport::{NodeConfig, UdpHost};
@@ -55,7 +55,7 @@ fn accelerated_config(n: usize) -> OctopusConfig {
 struct Deployment {
     ca_node: CaNode,
     keys: BTreeMap<NodeId, (KeyPair, Certificate)>,
-    space: ShardedIdSpace,
+    space: IdSpace,
 }
 
 fn derive_deployment(seed: u64, ring_ids: &[NodeId], cfg: OctopusConfig) -> Deployment {
@@ -74,7 +74,7 @@ fn derive_deployment(seed: u64, ring_ids: &[NodeId], cfg: OctopusConfig) -> Depl
     Deployment {
         ca_node,
         keys,
-        space: ShardedIdSpace::new(ring_ids),
+        space: IdSpace::new(ring_ids),
     }
 }
 

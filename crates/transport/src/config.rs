@@ -107,12 +107,11 @@ fn parse_value(s: &str) -> Result<TomlValue, String> {
 }
 
 impl NodeConfig {
-    /// Parse a config file's text. Returns a readable error, never
-    /// panics on malformed input.
-    ///
-    /// # Errors
-    /// On any syntax error, missing required key, or malformed endpoint.
-    pub fn from_toml(text: &str) -> Result<Self, String> {
+    /// Parse a config file's text, as [`NodeConfig::resolve`] does with
+    /// no overrides. Returns a readable error, never panics on malformed
+    /// input.
+    #[cfg(test)]
+    fn from_toml(text: &str) -> Result<Self, String> {
         let map = parse_toml(text)?;
         Self::from_map(&map)
     }

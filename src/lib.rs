@@ -10,14 +10,14 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`id`] | 64-bit Chord ring arithmetic |
-//! | [`crypto`] | SHA-256, HMAC, onion encryption, RSA-64 signatures, certificates, Merkle CRL |
+//! | [`crypto`] | SHA-256, HMAC, onion encryption, RSA-64 signatures, certificates |
 //! | [`sim`] | deterministic discrete-event engine + exponential churn |
 //! | [`net`] | King-like WAN latency, sharded message world, bandwidth accounting |
 //! | [`chord`] | fingertables, successor/predecessor stabilization, greedy lookup, bound checking |
 //! | [`core`] | the Octopus protocol: anonymous paths, random walks, dummies, surveillance, the CA, the security simulator |
-//! | [`baselines`] | Chord, Halo, NISAN, Torsk comparison implementations |
+//! | [`baselines`] | Chord and Halo lookup replays for the cost comparison |
 //! | [`anonymity`] | H(I)/H(T) entropy calculators, range-estimation and timing attacks |
-//! | [`metrics`] | summaries, CDFs, time series, text tables |
+//! | [`metrics`] | summaries, mergeable trial results, entropy, text tables |
 //! | [`spec`] | dependency-free executable reference model (`step`, `check_invariants`) for differential checking |
 //! | [`transport`] | the same protocol over real UDP sockets: peer table, frame codec, poll-loop host, `octopus-node` binary |
 //!
