@@ -154,7 +154,8 @@ impl Default for RunArgs {
         RunArgs {
             scale: Scale::Quick,
             seed: None,
-            // Sanctioned thread-count site (OCT-LINT-004): RunArgs only
+            // Sanctioned thread-count site (clippy.toml's
+            // `std::thread::available_parallelism` entry): RunArgs only
             // sizes the worker pool; results are merge-order-stable.
             #[allow(clippy::disallowed_methods)]
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),

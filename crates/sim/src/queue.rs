@@ -80,13 +80,12 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedule `event` at absolute time `at`, and return its key: the
-    /// tie-break sequence number [`EventQueue::cancel`] takes.
+    /// Schedule `event` at absolute time `at`.
     ///
     /// # Panics
     /// Panics when `at` is in the past — scheduling backwards in time is
     /// always a protocol-logic bug.
-    pub fn push(&mut self, at: SimTime, event: E) -> u128 {
+    pub fn push(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.now,
             "cannot schedule into the past ({at:?} < {:?})",
@@ -97,22 +96,6 @@ impl<E> EventQueue<E> {
         match &mut self.backend {
             Backend::Heap(s) => s.schedule(at, seq, event),
             Backend::Wheel(s) => s.schedule(at, seq, event),
-        }
-        seq
-    }
-
-    /// Withdraw the pending event pushed under `key` (what
-    /// [`EventQueue::push`] returned, or the `seq` given to
-    /// [`EventQueue::push_with_seq`]): it never pops, no peek returns
-    /// it, and [`EventQueue::len`] stops counting it.
-    ///
-    /// The event must still be pending — pushed, and neither popped nor
-    /// cancelled since; the caller tracks that (the UDP host forgets a
-    /// timer's key when it fires).
-    pub fn cancel(&mut self, key: u128) {
-        match &mut self.backend {
-            Backend::Heap(s) => s.cancel(key),
-            Backend::Wheel(s) => s.cancel(key),
         }
     }
 
@@ -197,7 +180,7 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of pending events (cancelled ones not counted).
+    /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
         match &self.backend {

@@ -28,13 +28,12 @@
 //! cross-backend regression tests in `tests/scheduler_equivalence.rs`
 //! enforce it.
 //!
-//! A stored event may be withdrawn by its key ([`Scheduler::cancel`]);
-//! it then never pops and no peek returns it. Only the UDP host
-//! cancels: a simulated world never does (see `ARCHITECTURE.md`,
-//! "Event path").
+//! A stored event always pops: no backend can withdraw one. The UDP
+//! host, the one caller that withdraws timers, queues them in a map of
+//! its own.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
@@ -82,19 +81,10 @@ pub trait Scheduler<E> {
         }
     }
 
-    /// Withdraw the stored event keyed `seq`: it never pops, no peek
-    /// returns it, and [`Scheduler::len`] stops counting it at once.
-    ///
-    /// The caller guarantees the key is stored — scheduled, and neither
-    /// popped nor cancelled since. Backends may keep the entry's storage
-    /// until it is convenient to drop, but never past the point where it
-    /// would pop.
-    fn cancel(&mut self, seq: u128);
-
-    /// Number of live events: stored and not cancelled.
+    /// Number of stored events.
     fn len(&self) -> usize;
 
-    /// True when no live events are stored.
+    /// True when no events are stored.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -136,20 +126,6 @@ impl<E> Entry<E> {
     fn key(&self) -> (SimTime, u128) {
         (self.time, self.seq)
     }
-
-    /// Whether this entry was cancelled, forgetting its key if so: the
-    /// caller drops the entry on `true`. An empty set answers without
-    /// hashing, which is every simulation's case.
-    fn take_cancelled(&self, cancelled: &mut HashSet<u128>) -> bool {
-        !cancelled.is_empty() && cancelled.remove(&self.seq)
-    }
-}
-
-/// Pop cancelled entries off the top of `heap` until its top is live.
-fn drop_cancelled_top<E>(heap: &mut BinaryHeap<Entry<E>>, cancelled: &mut HashSet<u128>) {
-    while heap.peek().is_some_and(|e| e.take_cancelled(cancelled)) {
-        heap.pop();
-    }
 }
 
 impl<E> PartialEq for Entry<E> {
@@ -173,14 +149,9 @@ impl<E> Ord for Entry<E> {
 
 /// The `O(log n)` reference backend: a binary max-heap over inverted
 /// `(time, seq)` keys.
-///
-/// A cancelled entry stays in the heap until it reaches the top, where
-/// it is popped at once, so the top is always live.
 #[derive(Debug)]
 pub struct BinaryHeapScheduler<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// Keys of the cancelled entries `heap` still holds.
-    cancelled: HashSet<u128>,
 }
 
 impl<E> Default for BinaryHeapScheduler<E> {
@@ -195,7 +166,6 @@ impl<E> BinaryHeapScheduler<E> {
     pub fn new() -> Self {
         BinaryHeapScheduler {
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
         }
     }
 }
@@ -206,9 +176,7 @@ impl<E> Scheduler<E> for BinaryHeapScheduler<E> {
     }
 
     fn pop_next(&mut self) -> Option<(SimTime, E)> {
-        let e = self.heap.pop()?;
-        drop_cancelled_top(&mut self.heap, &mut self.cancelled);
-        Some((e.time, e.event))
+        self.heap.pop().map(|e| (e.time, e.event))
     }
 
     fn peek_time(&self) -> Option<SimTime> {
@@ -219,19 +187,12 @@ impl<E> Scheduler<E> for BinaryHeapScheduler<E> {
         self.heap.peek().map(Entry::key)
     }
 
-    fn cancel(&mut self, seq: u128) {
-        let fresh = self.cancelled.insert(seq);
-        debug_assert!(fresh, "key {seq} cancelled twice");
-        drop_cancelled_top(&mut self.heap, &mut self.cancelled);
-    }
-
     fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len()
     }
 
     fn clear(&mut self) {
         self.heap.clear();
-        self.cancelled.clear();
     }
 }
 
@@ -322,23 +283,6 @@ impl<E> Level<E> {
 /// large payloads (a walk's phase-2 delegation, once per walk) and
 /// keeps its frequent ones inline (an onion, several per lookup, where
 /// a box would cost an allocation per hop).
-///
-/// Cancelled entries: a cancelled key goes into the `cancelled` set and
-/// its entry stays where it waits until the wheel next touches that
-/// place anyway. A coarse slot drops its cancelled entries when it
-/// cascades, and any slot drops them when a push finds it full — just
-/// before its buffer would grow, so a slot's buffer is sized by the
-/// entries still live in it, not by every timer ever armed there. The
-/// level-0 drain drops whatever is cancelled in the tick it sorts,
-/// overflow entries included, and `ready` and `staged` drop a cancelled
-/// entry when it reaches their front. Those two fronts are kept live
-/// after every push, pop and cancel, so `peek_key` stays exact, and
-/// `len` counts live events only. A key leaves the set with its entry,
-/// so the set never holds a key the wheel does not store. The UDP host
-/// cancels the request timeouts that answers made moot; at 2 s or
-/// 800 ms they wait in level-1 slots, where this keeps a host's wheel
-/// at the size of its few unanswered requests. A simulated world never
-/// cancels, and then every check is one test of an empty set.
 #[derive(Debug)]
 pub struct TimingWheel<E> {
     levels: Vec<Level<E>>,
@@ -365,9 +309,7 @@ pub struct TimingWheel<E> {
     staged: BinaryHeap<Entry<E>>,
     /// Events beyond the wheel horizon (min-heap via inverted `Ord`).
     overflow: BinaryHeap<Entry<E>>,
-    /// Keys of cancelled entries still stored (see "Cancelled entries").
-    cancelled: HashSet<u128>,
-    /// Live events: stored and not cancelled.
+    /// Stored events.
     len: usize,
 }
 
@@ -388,7 +330,6 @@ impl<E> TimingWheel<E> {
             spare: Vec::new(),
             staged: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
-            cancelled: HashSet::new(),
             len: 0,
         }
     }
@@ -424,11 +365,6 @@ impl<E> TimingWheel<E> {
             if let Some(buffer) = self.spare.pop() {
                 *slot = buffer;
             }
-        }
-        if !self.cancelled.is_empty() && slot.len() == slot.capacity() {
-            // the push would grow the buffer: first make room by dropping
-            // what was cancelled (see "Cancelled entries")
-            slot.retain(|e| !e.take_cancelled(&mut self.cancelled));
         }
         slot.push(entry);
         self.levels[level].occupied |= 1 << idx;
@@ -467,7 +403,6 @@ impl<E> TimingWheel<E> {
     /// everything due there into `ready` (no-op when already non-empty,
     /// drained, or holding a staged batch that pops first anyway).
     fn ensure_ready(&mut self) {
-        self.drop_cancelled_fronts();
         while self.ready.is_empty() && self.staged.is_empty() && self.len > 0 {
             let mut best_tick = u64::MAX;
             for level in 0..LEVELS {
@@ -483,22 +418,6 @@ impl<E> TimingWheel<E> {
             self.cursor = best_tick;
             self.drain_due_at_cursor();
         }
-    }
-
-    /// Pop cancelled entries off the fronts of `ready` and `staged`, so
-    /// each front is live (or the run empty).
-    fn drop_cancelled_fronts(&mut self) {
-        if self.cancelled.is_empty() {
-            return;
-        }
-        while self
-            .ready
-            .front()
-            .is_some_and(|e| e.take_cancelled(&mut self.cancelled))
-        {
-            self.ready.pop_front();
-        }
-        drop_cancelled_top(&mut self.staged, &mut self.cancelled);
     }
 
     /// Drain every source that is due exactly at the cursor tick —
@@ -540,7 +459,7 @@ impl<E> TimingWheel<E> {
             for e in batch {
                 if Self::tick_of(e.time) == self.cursor {
                     due.push(e);
-                } else if !e.take_cancelled(&mut self.cancelled) {
+                } else {
                     self.place(e);
                 }
             }
@@ -563,9 +482,6 @@ impl<E> TimingWheel<E> {
             if emptied.capacity() > 0 {
                 self.spare.push(emptied);
             }
-        }
-        if !self.cancelled.is_empty() {
-            due.retain(|e| !e.take_cancelled(&mut self.cancelled));
         }
         due.sort_by_key(Entry::key);
         self.ready = VecDeque::from(due);
@@ -597,13 +513,6 @@ impl<E> Scheduler<E> for TimingWheel<E> {
         Some((e.time, e.event))
     }
 
-    fn cancel(&mut self, seq: u128) {
-        let fresh = self.cancelled.insert(seq);
-        debug_assert!(fresh, "key {seq} cancelled twice");
-        self.len -= 1;
-        self.ensure_ready();
-    }
-
     fn peek_time(&self) -> Option<SimTime> {
         self.peek_key().map(|(t, _)| t)
     }
@@ -631,7 +540,6 @@ impl<E> Scheduler<E> for TimingWheel<E> {
         self.ready.clear();
         self.staged.clear();
         self.overflow.clear();
-        self.cancelled.clear();
         self.len = 0;
     }
 }
@@ -928,273 +836,6 @@ mod tests {
             // reusable after clear
             s.schedule(SimTime::from_secs(1000), 0, 1);
             assert_eq!(s.pop_next().map(|(_, e)| e), Some(1));
-        }
-    }
-
-    // --- cancellation ---------------------------------------------------
-
-    /// A backend whose stored keys and cancel set a test can see.
-    trait Audited: Scheduler<u64> {
-        fn stored(&self) -> Vec<u128>;
-        fn cancel_set(&self) -> &HashSet<u128>;
-    }
-
-    impl Audited for BinaryHeapScheduler<u64> {
-        fn stored(&self) -> Vec<u128> {
-            self.heap.iter().map(|e| e.seq).collect()
-        }
-        fn cancel_set(&self) -> &HashSet<u128> {
-            &self.cancelled
-        }
-    }
-
-    impl Audited for TimingWheel<u64> {
-        fn stored(&self) -> Vec<u128> {
-            let slots = self.levels.iter().flat_map(|l| l.slots.iter().flatten());
-            slots
-                .chain(&self.ready)
-                .chain(&self.staged)
-                .chain(&self.overflow)
-                .map(|e| e.seq)
-                .collect()
-        }
-        fn cancel_set(&self) -> &HashSet<u128> {
-            &self.cancelled
-        }
-    }
-
-    /// The cancel set holds only stored keys, `len` counts the rest, and
-    /// the next entry is live.
-    fn audit(s: &dyn Audited) {
-        let stored: HashSet<u128> = s.stored().into_iter().collect();
-        let cancelled = s.cancel_set();
-        assert!(
-            cancelled.is_subset(&stored),
-            "the cancel set holds a key the backend does not store"
-        );
-        assert_eq!(
-            s.len(),
-            stored.len() - cancelled.len(),
-            "len counts cancelled entries"
-        );
-        if let Some((_, seq)) = s.peek_key() {
-            assert!(
-                !cancelled.contains(&seq),
-                "peek_key returned a cancelled entry"
-            );
-        }
-    }
-
-    /// Pop everything, auditing before each pop and checking that the
-    /// pop is what `peek_key` announced. Events are their own keys.
-    fn drain(s: &mut dyn Audited) -> Vec<u64> {
-        let mut popped = Vec::new();
-        loop {
-            audit(s);
-            let peeked = s.peek_key();
-            let Some((t, e)) = s.pop_next() else {
-                assert_eq!(peeked, None);
-                return popped;
-            };
-            assert_eq!(peeked, Some((t, u128::from(e))));
-            popped.push(e);
-        }
-    }
-
-    /// Run `script` (it schedules events keyed by their payload, and
-    /// cancels some) on the heap and the wheel; both must then pop
-    /// exactly `expected`. `wheel_check` sees the wheel after `script`.
-    fn cancel_on_both(
-        script: impl Fn(&mut dyn Audited),
-        wheel_check: impl FnOnce(&TimingWheel<u64>),
-        expected: &[u64],
-    ) {
-        let mut heap = BinaryHeapScheduler::new();
-        script(&mut heap);
-        assert_eq!(drain(&mut heap), expected, "binary heap");
-        let mut wheel = TimingWheel::new();
-        script(&mut wheel);
-        wheel_check(&wheel);
-        assert_eq!(drain(&mut wheel), expected, "timing wheel");
-    }
-
-    /// Schedule payload `key` at tick `tick` (plus `sub` microseconds).
-    fn at(s: &mut dyn Audited, tick: u64, sub: u64, key: u64) {
-        s.schedule(SimTime((tick << TICK_BITS) + sub), u128::from(key), key);
-    }
-
-    /// Whether the wheel's `level` holds `key`.
-    fn in_level(w: &TimingWheel<u64>, level: usize, key: u128) -> bool {
-        w.levels[level].slots.iter().flatten().any(|e| e.seq == key)
-    }
-
-    #[test]
-    fn cancelled_in_a_coarse_slot_is_dropped_when_it_cascades() {
-        // ticks 200 and 210 share level-1 slot 3 (ticks 192..256); the
-        // live event at tick 1 keeps the cursor from cascading it early
-        cancel_on_both(
-            |s| {
-                at(s, 1, 0, 0);
-                at(s, 200, 0, 1);
-                at(s, 210, 0, 2);
-                s.cancel(1);
-                audit(s);
-            },
-            |w| assert!(in_level(w, 1, 1), "the entry waits in level 1"),
-            &[0, 2],
-        );
-    }
-
-    #[test]
-    fn a_full_coarse_slot_drops_cancelled_entries_before_it_grows() {
-        let script = |s: &mut dyn Audited| {
-            at(s, 1, 0, 0);
-            for key in 1..=4 {
-                at(s, 199 + key, 0, key); // four entries: a full first buffer
-            }
-            for key in [1, 2, 4] {
-                s.cancel(key);
-            }
-            audit(s);
-            at(s, 204, 0, 5); // the fifth push would grow the buffer
-            audit(s);
-        };
-        cancel_on_both(
-            script,
-            |w| {
-                let slot = &w.levels[1].slots[3];
-                let keys: Vec<u128> = slot.iter().map(|e| e.seq).collect();
-                assert_eq!(keys, vec![3, 5], "cancelled entries kept");
-                assert_eq!(slot.capacity(), 4, "the buffer grew");
-                assert!(w.cancelled.is_empty());
-            },
-            &[0, 3, 5],
-        );
-    }
-
-    #[test]
-    fn cancelled_in_level_0_is_dropped_at_the_drain() {
-        cancel_on_both(
-            |s| {
-                at(s, 1, 0, 0);
-                at(s, 20, 0, 1);
-                at(s, 20, 5, 2);
-                s.cancel(1);
-                audit(s);
-            },
-            |w| assert!(in_level(w, 0, 1), "the entry waits in level 0"),
-            &[0, 2],
-        );
-    }
-
-    #[test]
-    fn a_cancelled_ready_front_is_never_peeked() {
-        cancel_on_both(
-            |s| {
-                at(s, 1, 0, 9);
-                for key in 0..4 {
-                    at(s, 5, key, key);
-                }
-                // popping tick 1 drains tick 5's slot into `ready`
-                assert_eq!(s.pop_next(), Some((SimTime(1 << TICK_BITS), 9)));
-                s.cancel(0); // the front
-                assert_eq!(s.peek_key(), Some((SimTime((5 << TICK_BITS) + 1), 1)));
-                s.cancel(2); // behind the front
-                audit(s);
-            },
-            |w| {
-                let keys: Vec<u128> = w.ready.iter().map(|e| e.seq).collect();
-                assert_eq!(keys, vec![1, 2, 3], "the front was kept");
-            },
-            &[1, 3],
-        );
-    }
-
-    #[test]
-    fn a_cancelled_staged_top_is_never_peeked() {
-        cancel_on_both(
-            |s| {
-                at(s, 1_000, 0, 0);
-                // the cursor stands at tick 1 000: these wait in `staged`
-                at(s, 200, 0, 1);
-                at(s, 300, 0, 2);
-                at(s, 400, 0, 3);
-                s.cancel(1); // the top
-                assert_eq!(s.peek_key(), Some((SimTime(300 << TICK_BITS), 2)));
-                s.cancel(3); // below the top
-                audit(s);
-            },
-            |w| assert_eq!(w.staged.len(), 2, "staged keeps what is not on top"),
-            &[2, 0],
-        );
-    }
-
-    #[test]
-    fn cancelled_overflow_entries_never_pop() {
-        cancel_on_both(
-            |s| {
-                at(s, 3, 0, 3); // first, so that the cursor stays near
-                at(s, HORIZON_TICKS + 5, 0, 0);
-                at(s, HORIZON_TICKS + 5, 1, 1);
-                at(s, HORIZON_TICKS + 9, 0, 2);
-                s.cancel(0);
-                s.cancel(2);
-                audit(s);
-            },
-            |w| assert_eq!(w.overflow.len(), 3),
-            &[3, 1],
-        );
-    }
-
-    #[test]
-    fn random_cancels_keep_the_audit() {
-        // timeouts of 2 s and 800 ms and 30 ms deliveries, most of them
-        // cancelled, some popped: the audit holds after every step
-        let mut wheel = TimingWheel::new();
-        let (mut live, mut now, mut key) = (Vec::new(), 0u64, 0u128);
-        let mut state = 31u64;
-        for _ in 0..4_000 {
-            state = crate::rng::split_seed(state, 0xCA);
-            let r = state >> 8;
-            match state % 10 {
-                0..=4 => {
-                    let delay = [2_000_000, 800_000, 30_000][(r % 3) as usize] + r % 1_000;
-                    wheel.schedule(SimTime(now + delay), key, key as u64);
-                    live.push(key);
-                    key += 1;
-                }
-                5..=7 if !live.is_empty() => {
-                    wheel.cancel(live.swap_remove(r as usize % live.len()));
-                }
-                _ => {
-                    if let Some((t, e)) = wheel.pop_next() {
-                        now = t.0;
-                        live.retain(|&k| k != u128::from(e));
-                    }
-                }
-            }
-            audit(&wheel);
-            assert_eq!(wheel.len(), live.len());
-        }
-    }
-
-    #[test]
-    fn cancelling_the_last_live_event_empties_the_store() {
-        for (kind, mut s) in backends() {
-            s.schedule(SimTime::from_secs(3), 0, 0);
-            s.schedule(SimTime::from_secs(9), 1, 1);
-            s.cancel(1);
-            s.cancel(0);
-            assert_eq!((s.len(), s.peek_key()), (0, None), "{kind:?}");
-            assert_eq!(s.pop_next(), None, "{kind:?}");
-            // a later push pops normally, and clear forgets everything
-            s.schedule(SimTime::from_secs(12), 2, 2);
-            assert_eq!(s.pop_next(), Some((SimTime::from_secs(12), 2)), "{kind:?}");
-            s.schedule(SimTime::from_secs(20), 3, 3);
-            s.cancel(3);
-            s.clear();
-            s.schedule(SimTime::from_secs(30), 4, 4);
-            assert_eq!(s.len(), 1, "{kind:?}");
         }
     }
 

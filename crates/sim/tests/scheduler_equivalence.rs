@@ -52,84 +52,6 @@ fn backends_pop_10k_random_events_identically() {
     );
 }
 
-/// Random cancels interleaved with pushes and pops: both backends pop
-/// the same sequence, never a cancelled event, and `len` counts only
-/// what is still to pop.
-#[test]
-fn backends_agree_under_random_cancels() {
-    let mut traces: Vec<Vec<(SimTime, u128)>> = Vec::new();
-    for kind in KINDS {
-        let mut rng = derive_rng(0xCA5CE1, b"sched-cancel", 0);
-        let mut q: EventQueue<u128> = EventQueue::with_scheduler(kind);
-        // keys pushed and neither popped nor cancelled, and those cancelled
-        let mut live: Vec<u128> = Vec::new();
-        let mut cancelled = std::collections::HashSet::new();
-        let mut trace = Vec::new();
-        let mut pushed = 0u128;
-        for _ in 0..20_000 {
-            match rng.gen_range(0..10) {
-                // pushes: request timeouts (2 s), receipt deadlines
-                // (800 ms), short deliveries, and now and then a long or
-                // past-the-horizon event
-                0..=4 => {
-                    let micros = match rng.gen_range(0..20) {
-                        0..=7 => 2_000_000 + rng.gen_range(0..1_000u64),
-                        8..=13 => 800_000 + rng.gen_range(0..1_000u64),
-                        14..=17 => rng.gen_range(0..50_000),
-                        18 => rng.gen_range(0..600_000_000),
-                        _ => 40_000_000_000_000,
-                    };
-                    // the payload is the key, so a pop names what it popped
-                    let key = q.push(q.now() + Duration(micros), pushed);
-                    assert_eq!(key, pushed, "push returns the insertion key");
-                    pushed += 1;
-                    live.push(key);
-                }
-                // cancels: most answers arrive, so most timers go
-                5..=7 => {
-                    if !live.is_empty() {
-                        let key = live.swap_remove(rng.gen_range(0..live.len()));
-                        q.cancel(key);
-                        cancelled.insert(key);
-                    }
-                }
-                _ => {
-                    if let Some((t, key)) = q.pop() {
-                        assert!(
-                            !cancelled.contains(&key),
-                            "{kind:?} popped a cancelled event"
-                        );
-                        let i = live
-                            .iter()
-                            .position(|&k| k == key)
-                            .expect("popped a live key");
-                        live.swap_remove(i);
-                        trace.push((t, key));
-                    }
-                }
-            }
-            assert_eq!(q.len(), live.len(), "{kind:?} len counts cancelled events");
-        }
-        while let Some((t, key)) = q.pop() {
-            assert!(
-                !cancelled.contains(&key),
-                "{kind:?} popped a cancelled event"
-            );
-            trace.push((t, key));
-        }
-        assert_eq!(
-            trace.len() + cancelled.len(),
-            pushed as usize,
-            "{kind:?} lost events"
-        );
-        traces.push(trace);
-    }
-    assert_eq!(
-        traces[0], traces[1],
-        "binary-heap and timing-wheel backends diverged under cancels"
-    );
-}
-
 /// Past-due injection: a sharded engine's cross-shard send may hand a
 /// queue an event whose timestamp equals the last popped time (and
 /// whose key is older than keys already pending there). Both backends must accept it

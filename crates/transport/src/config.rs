@@ -154,13 +154,7 @@ impl NodeConfig {
         };
         let peers = match map.get("peers") {
             Some(TomlValue::StrArray(items)) => {
-                let mut table = PeerTable::new();
-                for item in items {
-                    let (pid, paddr) = PeerTable::parse_entry(item)
-                        .ok_or_else(|| format!("malformed peer: {item}"))?;
-                    table.insert(pid, paddr);
-                }
-                table
+                PeerTable::from_entries(items.iter().map(String::as_str))?
             }
             Some(TomlValue::Str(spec)) => {
                 PeerTable::from_spec(spec).ok_or_else(|| format!("malformed peers: {spec}"))?
@@ -260,6 +254,12 @@ peers = ["1@127.0.0.1:7001", "2@127.0.0.1:7002", "3@127.0.0.1:7003"]
         assert!(NodeConfig::from_toml("addr = \"unterminated").is_err());
         assert!(NodeConfig::from_toml("peers = [3]").is_err());
         assert!(NodeConfig::from_toml("seed = -4").is_err());
+        // a repeated peer id names the entry that repeats it
+        let err = NodeConfig::from_toml(
+            "addr = \"1@127.0.0.1:7001\"\npeers = [\"1@127.0.0.1:7001\", \"1@127.0.0.1:7002\"]",
+        )
+        .expect_err("duplicate peer id");
+        assert_eq!(err, "duplicate peer id: 1@127.0.0.1:7002");
         // missing id entirely
         assert!(NodeConfig::from_toml("seed = 4").is_err());
     }

@@ -1,12 +1,12 @@
 //! The UDP poll-loop host: one node behind a real socket.
 //!
 //! No async runtime: a blocking `std::net::UdpSocket` with a short read
-//! timeout, and the same timer-wheel [`EventQueue`] the simulator uses,
-//! here keyed by wall-clock microseconds since host start. Each loop
-//! iteration drains due timers and delayed sends, then waits on the
-//! socket for up to the read timeout. Handler effects are collected
-//! through the shared buffer-backed [`Ctx`] — protocol code cannot tell
-//! this host from the simulator.
+//! timeout, and an ordered map of pending timers and delayed sends keyed
+//! by wall-clock microseconds since host start. Each loop iteration
+//! drains due timers and delayed sends, then waits on the socket for up
+//! to the read timeout. Handler effects are collected through the
+//! shared buffer-backed [`Ctx`] — protocol code cannot tell this host
+//! from the simulator.
 //!
 //! Inbound datagrams pass through [`octopus_net::decode_frame`]; every
 //! malformation (short frame, bad magic, version skew, checksum
@@ -33,18 +33,24 @@
 //! for the frame, and the handler's outbox is a pooled `Vec` taken out
 //! of the host for the call and put back.
 //!
-//! # Answered timers
+//! # Pending effects and answered timers
+//!
+//! Timers and queued sends wait in one `BTreeMap` keyed `(due, queued)`,
+//! where `queued` counts every entry the host ever queued: entries due
+//! at the same microsecond run in the order they were queued, and the
+//! earliest is the map's first.
 //!
 //! Almost every request timeout and receipt deadline a node arms comes
 //! due after its answer has arrived, and then does nothing. The node
-//! says so through [`Runtime::cancel_timer`]; the host remembers the
-//! queue key each armed timer was pushed under and withdraws the
-//! cancelled ones ([`EventQueue::cancel`]), so the wheel holds the
-//! node's unanswered requests rather than every request of the last
-//! timeout's span.
+//! says so through [`Runtime::cancel_timer`]; the host remembers the key
+//! each armed timer was queued under and removes the cancelled ones from
+//! the map at once, so the map holds the node's unanswered requests
+//! rather than every request of the last timeout's span. Cancelling is
+//! this host's business alone: the simulator never withdraws a timer,
+//! and its event queue has no way to.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
@@ -54,7 +60,7 @@ use octopus_net::{
     decode_frame, encode_frame_into, wire::MAX_PAYLOAD, Addr, Ctx, FrameHeader, NodeBehavior,
     Runtime, Transport, WireCodec,
 };
-use octopus_sim::{derive_rng, split_seed, Duration, EventQueue, SchedulerKind, SimTime};
+use octopus_sim::{derive_rng, split_seed, Duration, SimTime};
 use rand::rngs::StdRng;
 
 use crate::peer::PeerTable;
@@ -76,8 +82,8 @@ thread_local! {
 }
 
 // This host *is* the sanctioned wall-clock boundary: real sockets run
-// on real time (the octolint OCT-LINT-002 transport exemption; clippy's
-// disallowed-methods layer needs the same sanction spelled out).
+// on real time (clippy.toml's `std::time::Instant::now` entry names
+// crates/transport as a sanctioned timing site).
 #[allow(clippy::disallowed_methods)]
 fn wall_now() -> Instant {
     Instant::now()
@@ -103,6 +109,10 @@ pub struct HostStats {
     pub send_failures: u64,
 }
 
+/// Where a [`Pending`] effect waits: when it is due, then the host's
+/// count of effects queued before it (unique, and the tie-break).
+type QueueKey = (SimTime, u64);
+
 /// A queued future effect: a timer firing, or a delayed/local send.
 enum Pending<M, T> {
     /// Fire `B::Timer`.
@@ -117,7 +127,10 @@ pub struct UdpHost<B: NodeBehavior> {
     addr: Addr,
     socket: UdpSocket,
     peers: PeerTable,
-    queue: EventQueue<Pending<B::Msg, B::Timer>>,
+    /// Timers and delayed sends still to come, earliest first.
+    queue: BTreeMap<QueueKey, Pending<B::Msg, B::Timer>>,
+    /// Effects queued so far: the next entry's tie-break.
+    queued: u64,
     rng: StdRng,
     epoch: Instant,
     started: bool,
@@ -133,7 +146,7 @@ pub struct UdpHost<B: NodeBehavior> {
     /// The queue key of each armed timer, until it fires or is
     /// cancelled. A timer armed again while an earlier copy waits maps
     /// to the newer key; the older copy then fires as armed.
-    armed: HashMap<B::Timer, u128>,
+    armed: HashMap<B::Timer, QueueKey>,
     /// Datagram counters.
     pub stats: HostStats,
 }
@@ -146,8 +159,8 @@ where
     /// Host `node` at overlay address `addr` on `socket`. The node's
     /// RNG stream derives from `master_seed` and its overlay id — two
     /// boots with the same seed draw identical protocol randomness, on
-    /// any machine (OCT-LINT-003's seeded-randomness contract; only
-    /// *time* is wall-clock here).
+    /// any machine (clippy.toml bans ambient entropy; only *time* is
+    /// wall-clock here).
     ///
     /// # Errors
     /// Propagates failure to set the socket read timeout.
@@ -164,7 +177,8 @@ where
             addr,
             socket,
             peers,
-            queue: EventQueue::with_scheduler(SchedulerKind::TimingWheel),
+            queue: BTreeMap::new(),
+            queued: 0,
             rng: derive_rng(split_seed(master_seed, addr.0), b"udp-node", 0),
             epoch: wall_now(),
             started: false,
@@ -203,11 +217,19 @@ where
         &self.node
     }
 
-    /// Timers and queued sends still to come (cancelled timers not
-    /// counted).
+    /// Timers and queued sends still to come.
     #[must_use]
     pub fn pending(&self) -> usize {
         self.queue.len()
+    }
+
+    /// Queue `pending` to run at `at`, after everything queued before it
+    /// for the same instant; returns its key.
+    fn enqueue(&mut self, at: SimTime, pending: Pending<B::Msg, B::Timer>) -> QueueKey {
+        let key = (at, self.queued);
+        self.queued += 1;
+        self.queue.insert(key, pending);
+        key
     }
 
     /// Run a handler against the pooled buffers, then flush its effects.
@@ -226,14 +248,14 @@ where
         .with_cancels(&mut self.cancels);
         f(&mut self.node, &mut ctx);
         // flush: immediate sends hit the socket now; delayed sends and
-        // timers go through the wheel keyed by wall-clock microseconds
+        // timers go through the queue keyed by wall-clock microseconds
         for (to, msg, extra) in outbox.drain(..) {
             if extra == Duration::ZERO && to != self.addr {
                 self.transmit(to, &msg);
             } else {
                 // loopback delivery also queues: a self-send must not
                 // re-enter the handler that produced it
-                self.queue.push(now + extra, Pending::Send(to, msg));
+                self.enqueue(now + extra, Pending::Send(to, msg));
             }
         }
         self.outbox = outbox;
@@ -241,13 +263,15 @@ where
         // the same one again keeps the new one
         for timer in self.cancels.drain(..) {
             if let Some(key) = self.armed.remove(&timer) {
-                self.queue.cancel(key);
+                self.queue.remove(&key);
             }
         }
-        for (delay, timer) in self.timers.drain(..) {
-            let key = self.queue.push(now + delay, Pending::Timer(timer.clone()));
+        let mut timers = std::mem::take(&mut self.timers);
+        for (delay, timer) in timers.drain(..) {
+            let key = self.enqueue(now + delay, Pending::Timer(timer.clone()));
             self.armed.insert(timer, key);
         }
+        self.timers = timers;
         self.collected.append(&mut self.controls);
     }
 
@@ -285,14 +309,11 @@ where
     /// Fire every timer and queued send that is due at `now`, and what
     /// comes due while those run.
     fn drain_due(&mut self, mut now: SimTime) {
-        loop {
-            let bound = SimTime(now.0.saturating_add(1));
-            let Some((_, key)) = self.queue.peek_key() else {
+        while let Some(first) = self.queue.first_entry() {
+            if first.key().0 > now {
                 return;
-            };
-            let Some((_, pending)) = self.queue.pop_before(bound) else {
-                return;
-            };
+            }
+            let (key, pending) = first.remove_entry();
             match pending {
                 Pending::Timer(t) => {
                     if self.armed.get(&t) == Some(&key) {
@@ -881,6 +902,140 @@ mod tests {
             h.node().fired.iter().map(|f| f.0).collect::<Vec<_>>(),
             vec![1, 2]
         );
+    }
+
+    /// What a [`Scripted`] node saw, in order.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Seen {
+        Timer(u32),
+        Msg(u32),
+    }
+
+    /// Logs every timer and message, and runs `script` on each message:
+    /// a test injects `Num(step)` and the script arms and cancels.
+    struct Scripted {
+        script: fn(&mut dyn Runtime<Num, u32, ()>, u32),
+        seen: Vec<Seen>,
+    }
+
+    impl NodeBehavior for Scripted {
+        type Msg = Num;
+        type Timer = u32;
+        type Control = ();
+
+        fn on_message(&mut self, ctx: &mut dyn Runtime<Num, u32, ()>, _from: Addr, msg: Num) {
+            self.seen.push(Seen::Msg(msg.0));
+            (self.script)(ctx, msg.0);
+        }
+
+        fn on_timer(&mut self, _ctx: &mut dyn Runtime<Num, u32, ()>, timer: u32) {
+            self.seen.push(Seen::Timer(timer));
+        }
+    }
+
+    /// Delay of every timer and delayed send the scripts below queue.
+    const SOON: Duration = Duration(5_000);
+
+    /// Host 1 running `script`, after each of `steps` was injected, and
+    /// then driven until everything it queued is due. Returns what the
+    /// node saw after the steps, and how much was pending before the drive.
+    fn run_script(
+        script: fn(&mut dyn Runtime<Num, u32, ()>, u32),
+        steps: &[u32],
+    ) -> (Vec<Seen>, usize) {
+        let socket = UdpSocket::bind("127.0.0.1:0").expect("bind");
+        let node = Scripted {
+            script,
+            seen: Vec::new(),
+        };
+        let mut h = UdpHost::new(node, NodeId(1), socket, PeerTable::new(), 7).expect("host");
+        h.start();
+        for &step in steps {
+            h.inject(NodeId(9), NodeId(1), Num(step));
+        }
+        let pending = h.pending();
+        h.drive(Duration::from_millis(40));
+        assert_eq!(h.pending(), 0, "something queued never ran");
+        let seen = h.node().seen[steps.len()..].to_vec();
+        (seen, pending)
+    }
+
+    #[test]
+    fn effects_due_at_one_instant_run_in_the_order_they_were_queued() {
+        // two timers with one delay, armed in one handler: armed order
+        let (seen, _) = run_script(
+            |ctx, _| {
+                ctx.set_timer(SOON, 1);
+                ctx.set_timer(SOON, 2);
+            },
+            &[0],
+        );
+        assert_eq!(seen, [Seen::Timer(1), Seen::Timer(2)]);
+        let (seen, _) = run_script(
+            |ctx, _| {
+                ctx.set_timer(SOON, 2);
+                ctx.set_timer(SOON, 1);
+            },
+            &[0],
+        );
+        assert_eq!(seen, [Seen::Timer(2), Seen::Timer(1)]);
+        // a loopback send and a timer due at one instant: a handler's
+        // sends are queued before its timers, whichever it made first
+        let send_first: fn(&mut dyn Runtime<Num, u32, ()>, u32) = |ctx, step| {
+            if step == 0 {
+                ctx.send_delayed(ctx.addr(), Num(7), SOON);
+                ctx.set_timer(SOON, 1);
+            }
+        };
+        let timer_first: fn(&mut dyn Runtime<Num, u32, ()>, u32) = |ctx, step| {
+            if step == 0 {
+                ctx.set_timer(SOON, 1);
+                ctx.send_delayed(ctx.addr(), Num(7), SOON);
+            }
+        };
+        for script in [send_first, timer_first] {
+            let (seen, _) = run_script(script, &[0]);
+            assert_eq!(seen, [Seen::Msg(7), Seen::Timer(1)]);
+        }
+    }
+
+    /// Step 0 arms timer 1 soon, step 1 arms it again far out, step 2
+    /// cancels it, and step 3 cancels it and arms it soon again.
+    fn rearm(ctx: &mut dyn Runtime<Num, u32, ()>, step: u32) {
+        match step {
+            0 => ctx.set_timer(SOON, 1),
+            1 => ctx.set_timer(Duration::from_secs(10), 1),
+            2 => ctx.cancel_timer(1),
+            3 => {
+                ctx.cancel_timer(1);
+                ctx.set_timer(SOON, 1);
+            }
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn a_timer_armed_again_while_it_waits_fires_twice() {
+        let (seen, pending) = run_script(rearm, &[0, 0]);
+        assert_eq!(pending, 2);
+        assert_eq!(seen, [Seen::Timer(1), Seen::Timer(1)]);
+    }
+
+    #[test]
+    fn a_cancel_after_a_rearm_withdraws_only_the_newer_copy() {
+        // the soon copy stays and fires; the far one is gone, or the
+        // drive would end with it pending
+        let (seen, pending) = run_script(rearm, &[0, 1, 2]);
+        assert_eq!(pending, 1);
+        assert_eq!(seen, [Seen::Timer(1)]);
+    }
+
+    #[test]
+    fn cancel_then_arm_in_one_handler_keeps_the_new_timer() {
+        // the far copy is withdrawn and the soon one fires
+        let (seen, pending) = run_script(rearm, &[1, 3]);
+        assert_eq!(pending, 1);
+        assert_eq!(seen, [Seen::Timer(1)]);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! * [`peer::PeerTable`] maps overlay ids to socket addresses
 //!   (`id@host:port` entries);
 //! * [`host::UdpHost`] is the poll-loop host: a `std::net::UdpSocket`
-//!   with a read timeout, a timer wheel reused from `octopus-sim`, and
-//!   the shared buffer-backed [`octopus_net::Ctx`] — no async runtime;
+//!   with a read timeout, an ordered map of its pending timers and
+//!   delayed sends, and the shared buffer-backed [`octopus_net::Ctx`] —
+//!   no async runtime;
 //! * frames on the wire are the versioned, checksummed format of
 //!   `octopus_net::wire` (`encode_frame`/`decode_frame`); malformed
 //!   datagrams are counted and dropped, never panicked on;
@@ -18,10 +19,10 @@
 //!   `octopus_bench::RunArgs` parser).
 //!
 //! This crate is the sanctioned home for wall-clock time and socket
-//! I/O (see OCT-LINT-002/003 scoping in `crates/lint`): determinism
-//! here means *seeded protocol randomness* — every node's RNG stream
-//! still derives from the configured master seed — while message
-//! arrival order is whatever the real network delivers.
+//! I/O (clippy.toml's `std::time::Instant::now` entry names it):
+//! determinism here means *seeded protocol randomness* — every node's
+//! RNG stream still derives from the configured master seed — while
+//! message arrival order is whatever the real network delivers.
 //!
 //! No `unsafe`, by the compiler's word: the receive buffer, one per
 //! thread and shared by every host that thread polls, is zeroed once

@@ -66,20 +66,37 @@ impl PeerTable {
         Some((id, addr))
     }
 
-    /// Parse a comma-separated endpoint list (the `--peers` format).
-    /// Returns `None` if any entry is malformed, so a typo fails the
-    /// whole boot instead of silently shrinking the ring.
-    #[must_use]
-    pub fn from_spec(spec: &str) -> Option<Self> {
+    /// Build a table from `id@host:port` entries, skipping blank ones.
+    ///
+    /// # Errors
+    /// Names the first entry that is malformed or repeats an earlier
+    /// entry's id, so a typo fails the whole boot instead of silently
+    /// shrinking the ring.
+    pub(crate) fn from_entries<'a>(
+        entries: impl IntoIterator<Item = &'a str>,
+    ) -> Result<Self, String> {
         let mut table = PeerTable::new();
-        for entry in spec.split(',') {
-            if entry.trim().is_empty() {
+        for entry in entries {
+            let entry = entry.trim();
+            if entry.is_empty() {
                 continue;
             }
-            let (id, addr) = Self::parse_entry(entry)?;
-            table.insert(id, addr);
+            let (id, addr) =
+                Self::parse_entry(entry).ok_or_else(|| format!("malformed peer: {entry}"))?;
+            if table.map.insert(id, addr).is_some() {
+                return Err(format!("duplicate peer id: {entry}"));
+            }
         }
-        Some(table)
+        Ok(table)
+    }
+
+    /// Parse a comma-separated endpoint list (the `--peers` format).
+    /// Returns `None` if any entry is malformed or repeats an earlier
+    /// entry's id, so a typo fails the whole boot instead of silently
+    /// shrinking the ring.
+    #[must_use]
+    pub fn from_spec(spec: &str) -> Option<Self> {
+        Self::from_entries(spec.split(',')).ok()
     }
 }
 
@@ -121,6 +138,9 @@ mod tests {
         assert!(PeerTable::from_spec("1@nonsense").is_none());
         assert!(PeerTable::from_spec("one@127.0.0.1:7001").is_none());
         assert!(PeerTable::from_spec("127.0.0.1:7001").is_none());
+        // a repeated id, even at another address, would shrink the ring
+        assert!(PeerTable::from_spec("1@127.0.0.1:7001,1@127.0.0.1:7002").is_none());
+        assert!(PeerTable::from_spec("0x1@127.0.0.1:7001, 1@127.0.0.1:7001").is_none());
         // empty spec is a valid empty table (seed processes start alone)
         assert_eq!(PeerTable::from_spec("").map(|t| t.len()), Some(0));
     }

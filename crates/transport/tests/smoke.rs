@@ -82,8 +82,8 @@ fn spawn_deployment(dir: &std::path::Path, base_port: u16) -> Vec<Proc> {
 }
 
 // Timing a real multi-process deployment is inherently wall-clock
-// (the octolint OCT-LINT-002 transport exemption; clippy's
-// disallowed-methods layer needs the same sanction spelled out).
+// (clippy.toml's `std::time::Instant::now` entry names crates/transport
+// as a sanctioned timing site).
 #[allow(clippy::disallowed_methods)]
 fn wall_now() -> Instant {
     Instant::now()
