@@ -26,9 +26,6 @@ use crate::AnonymityConfig;
 pub(crate) struct QueryObs {
     /// Node-index distance of the queried node to the target.
     pub dist: usize,
-    /// Observed by the adversary.
-    #[allow(dead_code)]
-    pub observed: bool,
     /// Linkable to the initiator.
     pub linkable: bool,
     /// Linkable to the shared relay B.
@@ -57,7 +54,6 @@ pub(crate) fn sample_lookup_obs<R: Rng + ?Sized>(
             let b_linkable = observed && b_mal && ci_mal;
             QueryObs {
                 dist,
-                observed,
                 linkable,
                 b_linkable,
             }

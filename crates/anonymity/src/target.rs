@@ -14,6 +14,8 @@
 //!    grouped; the entropy is near `Hm` (Eq. 10), the mix over "target
 //!    is one of the observed malicious targets" vs "any honest node".
 
+use std::collections::BTreeMap;
+
 use octopus_sim::derive_rng;
 use rand::Rng;
 
@@ -92,7 +94,7 @@ pub fn target_entropy(cfg: &AnonymityConfig, presim: &LookupPresim) -> f64 {
 /// ranges.
 fn subset_range_entropy(cfg: &AnonymityConfig, presim: &LookupPresim, obs: &[LinkObs]) -> f64 {
     let m = obs.len().min(10); // 2^10 subsets at most
-    let mut node_probs: std::collections::HashMap<usize, f64> = std::collections::HashMap::new();
+    let mut node_probs: BTreeMap<usize, f64> = BTreeMap::new();
     let mut passing = 0u32;
     for mask in 1u32..(1 << m) {
         let subset: Vec<&LinkObs> = (0..m)
@@ -125,6 +127,7 @@ fn subset_range_entropy(cfg: &AnonymityConfig, presim: &LookupPresim, obs: &[Lin
     if passing == 0 || node_probs.is_empty() {
         return h_m(cfg);
     }
+    // in key order, so `entropy_bits` sums the floats in one order
     let probs: Vec<f64> = node_probs.values().copied().collect();
     octopus_metrics::entropy_bits(&probs)
 }
@@ -170,6 +173,35 @@ mod tests {
         assert!(
             h6 >= h0 - 0.05,
             "dummies must not hurt target anonymity ({h0} → {h6})"
+        );
+    }
+
+    /// H(T) sums the posterior's node probabilities. Each call builds
+    /// its map afresh, so two calls agree bit for bit only when that
+    /// sum's order does not hang on the map's layout.
+    #[test]
+    fn h_t_is_bit_identical_across_calls() {
+        let p = presim();
+        let c = cfg(0.2, 6);
+        let obs: Vec<LinkObs> = [
+            (2400, false, 0.0),
+            (900, false, 1.0),
+            (310, false, 2.0),
+            (95, false, 3.0),
+            (40, false, 4.0),
+            (700, true, 2.5),
+            (60, true, 3.5),
+        ]
+        .into_iter()
+        .map(|(dist, dummy, time)| LinkObs { dist, dummy, time })
+        .collect();
+        let first = subset_range_entropy(&c, &p, &obs).to_bits();
+        for _ in 0..8 {
+            assert_eq!(subset_range_entropy(&c, &p, &obs).to_bits(), first);
+        }
+        assert_eq!(
+            target_entropy(&c, &p).to_bits(),
+            target_entropy(&c, &p).to_bits()
         );
     }
 

@@ -102,18 +102,27 @@ pub fn halo_lookup<V: RoutingView, L: LatencyModel, R: Rng + ?Sized>(
         }
         slowest = slowest.max(knuckle_latency);
     }
-    // majority vote over knuckle answers
-    let mut counts: std::collections::HashMap<NodeId, usize> = std::collections::HashMap::new();
-    for &c in &candidates {
-        *counts.entry(c).or_default() += 1;
-    }
-    let result = counts.into_iter().max_by_key(|&(_, c)| c).map(|(n, _)| n);
+    let result = majority(&candidates);
     HaloLookup {
         candidates,
         result,
         latency: slowest,
         bytes,
     }
+}
+
+/// The knuckles' majority answer. A tie goes to the tied candidate that
+/// answered first.
+fn majority(candidates: &[NodeId]) -> Option<NodeId> {
+    let votes = |n: NodeId| candidates.iter().filter(|&&c| c == n).count();
+    let mut best: Option<(NodeId, usize)> = None;
+    for &c in candidates {
+        let v = votes(c);
+        if best.is_none_or(|(_, b)| v > b) {
+            best = Some((c, v));
+        }
+    }
+    best.map(|(n, _)| n)
 }
 
 #[cfg(test)]
@@ -124,6 +133,15 @@ mod tests {
     use octopus_net::KingLikeLatency;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn majority_vote_takes_the_most_answers_and_breaks_ties_by_first_answer() {
+        let [a, b, c] = [NodeId(30), NodeId(10), NodeId(20)];
+        assert_eq!(majority(&[a, b, b, c, b]), Some(b));
+        assert_eq!(majority(&[a, b, b, a]), Some(a), "2–2 tie, a first");
+        assert_eq!(majority(&[b, a, a, b]), Some(b), "2–2 tie, b first");
+        assert_eq!(majority(&[]), None);
+    }
 
     #[test]
     fn halo_slower_than_chord_on_average() {

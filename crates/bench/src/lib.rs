@@ -157,7 +157,10 @@ impl Default for RunArgs {
             // Sanctioned thread-count site (clippy.toml's
             // `std::thread::available_parallelism` entry): RunArgs only
             // sizes the worker pool; results are merge-order-stable.
-            #[allow(clippy::disallowed_methods)]
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the one sanctioned thread-count site"
+            )]
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             trials: 1,
             addr: None,
@@ -172,7 +175,10 @@ impl RunArgs {
     #[must_use]
     // The workspace's one reader of the environment: clippy.toml
     // disallows `std::env::var` everywhere else.
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned reader of the environment"
+    )]
     pub fn from_env() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         Self::parse(&args, |k| std::env::var(k).ok())

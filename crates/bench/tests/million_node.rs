@@ -24,7 +24,7 @@ const SIM_MILLIS: u64 = 1000;
 
 /// The engine's real ~72-byte message shape.
 #[derive(Clone, Copy)]
-struct Gossip(#[allow(dead_code)] [u64; 9]);
+struct Gossip(#[expect(dead_code, reason = "only its size matters")] [u64; 9]);
 
 impl WireMsg for Gossip {
     fn wire_bytes(&self) -> u32 {

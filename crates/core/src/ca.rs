@@ -231,15 +231,6 @@ impl CaNode {
         ctx.now().as_secs_f64() as u64
     }
 
-    /// Did `id` join or die within `window` of instant `t` (either
-    /// side)? Used to excuse inconsistencies in statements signed near a
-    /// churn event.
-    #[allow(dead_code)] // retained for stricter adjudication experiments
-    fn churned_near(&self, id: NodeId, t: u64, window: u64) -> bool {
-        let near = |ev: Option<&u64>| ev.is_some_and(|&e| e.abs_diff(t) <= window);
-        near(self.join_times.get(&id)) || near(self.death_times.get(&id))
-    }
-
     /// "Recently churned" — joined or died within the excuse window.
     fn recently_churned(&self, id: NodeId, now: u64, window: u64) -> bool {
         let joined = self
@@ -966,9 +957,9 @@ impl CaNode {
 /// This *full-list* consistency check is stricter than the omission
 /// adjudication the CA uses in production (see `on_proof_reply`) — under
 /// churn, honest lists legitimately diverge from any single retained
-/// proof. It is kept (and tested) as the reference semantics of the
-/// merge rule.
-#[allow(dead_code)]
+/// proof. It is compiled for the tests only, as the reference semantics
+/// of the merge rule.
+#[cfg(test)]
 fn list_consistent(
     owner: NodeId,
     list: &[NodeId],

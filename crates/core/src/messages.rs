@@ -389,7 +389,7 @@ impl WireMsg for Msg {
 }
 
 /// Per-node timers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Timer {
     /// Run successor + predecessor stabilization (every 2 s).
     Stabilize,

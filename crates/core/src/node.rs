@@ -191,7 +191,6 @@ pub struct OctopusNode {
 
 impl OctopusNode {
     /// Create a peer. `adversary` is `Some` for malicious nodes.
-    #[allow(clippy::too_many_arguments)]
     #[must_use]
     pub fn new(
         id: NodeId,

@@ -6,7 +6,15 @@
 //!
 //! Each integration test binary links this module separately and uses a
 //! subset of it, so unused-item lints are silenced wholesale.
-#![allow(dead_code)]
+
+// The workspace's one `allow`: an `#[expect(dead_code)]` would go
+// unfulfilled in a binary that uses all of this module. clippy's
+// `allow_attributes` reads outer attributes only, so this inner one
+// needs no expectation of its own.
+#![allow(
+    dead_code,
+    reason = "each test binary uses a different subset of this module"
+)]
 
 use std::collections::BTreeSet;
 

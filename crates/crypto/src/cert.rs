@@ -7,7 +7,7 @@
 //! identity (id, address, public key, expiry) — never routing state — so
 //! they need no re-issue on churn.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -185,7 +185,7 @@ impl std::error::Error for CertificateError {}
 /// is the PKI substrate it drives.
 pub struct CertificateAuthority {
     keypair: KeyPair,
-    revoked: HashSet<NodeId>,
+    revoked: BTreeSet<NodeId>,
     issued: u64,
 }
 
@@ -194,7 +194,7 @@ impl CertificateAuthority {
     pub fn new<R: rand::Rng + ?Sized>(rng: &mut R) -> Self {
         CertificateAuthority {
             keypair: KeyPair::generate(rng),
-            revoked: HashSet::new(),
+            revoked: BTreeSet::new(),
             issued: 0,
         }
     }

@@ -24,7 +24,7 @@
 //! `#![deny(unsafe_code)]` rather than `forbid`, which every other crate
 //! is, for one call: `sha256::sha_ni::compress` runs the SHA-NI kernel
 //! after detecting the CPU features it needs. That function is the only
-//! `#[allow(unsafe_code)]` in the workspace.
+//! `#[expect(unsafe_code)]` in the workspace.
 //!
 //! **Do not use this crate for real-world security** — the RSA modulus is
 //! 64 bits and the cipher is home-grown. It exists so the reproduced

@@ -9,17 +9,13 @@
 //! the stored value to equal the presented one in full: the key only
 //! finds the candidate, it is never trusted. Failures are not stored;
 //! a rejected input is checked, and rejected, again.
-//!
-//! The memo is lookup-only — nothing ever iterates it into an output —
-//! so the hash index's unordered layout cannot reach any result.
 
-use std::collections::HashMap;
-use std::hash::Hash;
+use std::collections::BTreeMap;
 
 /// Memos up to this many entries are searched by scanning the ring: a
 /// peer's two dozen certificates take 448 bytes (an id and an `Arc`
-/// each), and a scan over them is cheaper than hashing the key, in time
-/// and above all in memory (a thousand peers each hold one). Larger memos
+/// each), and a scan over them is cheaper than an index, in time and
+/// above all in memory (a thousand peers each hold one). Larger memos
 /// index the ring by key.
 const SCAN_LIMIT: usize = 64;
 
@@ -33,10 +29,10 @@ pub struct VerifiedMemo<K, V> {
     next: usize,
     capacity: usize,
     /// Key → ring position, kept only above [`SCAN_LIMIT`].
-    index: Option<HashMap<K, usize>>,
+    index: Option<BTreeMap<K, usize>>,
 }
 
-impl<K: Copy + Eq + Hash, V: PartialEq> VerifiedMemo<K, V> {
+impl<K: Copy + Ord, V: PartialEq> VerifiedMemo<K, V> {
     /// A memo holding at most `capacity` values. With `capacity` 0 it
     /// remembers nothing and every lookup misses.
     #[must_use]
@@ -45,7 +41,7 @@ impl<K: Copy + Eq + Hash, V: PartialEq> VerifiedMemo<K, V> {
             ring: Vec::new(),
             next: 0,
             capacity,
-            index: (capacity > SCAN_LIMIT).then(HashMap::new),
+            index: (capacity > SCAN_LIMIT).then(BTreeMap::new),
         }
     }
 

@@ -28,7 +28,7 @@ pub struct PublicKey {
 }
 
 /// An RSA signature (a single residue mod n).
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Signature(pub u64);
 
 /// A signing/verification key pair.

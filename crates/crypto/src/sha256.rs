@@ -219,7 +219,10 @@ mod sha_ni {
     /// Compress `block` into `state` on the SHA extensions and return
     /// `true`, or leave `state` alone and return `false` when the CPU
     /// lacks them.
-    #[allow(unsafe_code)]
+    #[expect(
+        unsafe_code,
+        reason = "calls the SHA-NI kernel once the CPU features it needs are detected"
+    )]
     pub(super) fn compress(state: &mut [u32; 8], block: &[u8; 64]) -> bool {
         if !(is_x86_feature_detected!("sha")
             && is_x86_feature_detected!("ssse3")

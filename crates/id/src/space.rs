@@ -39,17 +39,19 @@ impl IdSpace {
         IdSpace { ids }
     }
 
-    /// Sample `n` distinct random ids.
+    /// Sample `n` distinct random ids: the first `n` distinct draws.
     pub fn random<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Self {
-        let mut ids = Vec::with_capacity(n);
-        let mut seen = std::collections::HashSet::with_capacity(n); // membership-only dedup while sampling; never iterated, O(1) matters at N=1M
+        let mut ids: Vec<NodeId> = (0..n).map(|_| NodeId(rng.gen())).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        // two equal 64-bit draws are rare: top up one draw at a time
         while ids.len() < n {
             let id = NodeId(rng.gen());
-            if seen.insert(id) {
-                ids.push(id);
+            if let Err(at) = ids.binary_search(&id) {
+                ids.insert(at, id);
             }
         }
-        IdSpace::new(ids)
+        IdSpace { ids }
     }
 
     /// Number of ids in the space.
@@ -257,5 +259,22 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let s = IdSpace::random(500, &mut rng);
         assert_eq!(s.len(), 500);
+    }
+
+    /// Draws from a fixed list, so a repeat comes on cue.
+    struct Script(std::vec::IntoIter<u64>);
+
+    impl rand::RngCore for Script {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("enough draws")
+        }
+    }
+
+    #[test]
+    fn random_space_is_the_first_n_distinct_draws() {
+        let mut rng = Script(vec![5, 3, 5, 9, 3, 7, 1].into_iter());
+        let s = IdSpace::random(4, &mut rng);
+        assert_eq!(s.ids(), [3, 5, 7, 9].map(NodeId));
+        assert_eq!(rng.0.next(), Some(1), "no draw past the 4th distinct one");
     }
 }

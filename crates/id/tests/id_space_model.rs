@@ -5,7 +5,7 @@
 //! (Originally written against `proptest`; the offline build replays the
 //! same properties over seeded random case generators.)
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::ops::Bound::{Excluded, Unbounded};
 
 use octopus_id::{IdSpace, Key, NodeId};
@@ -19,7 +19,7 @@ const CHURN_OPS: usize = 400;
 /// of the ring so neighbours sit close together.
 fn random_ids(rng: &mut StdRng, lo: usize, hi: usize) -> Vec<NodeId> {
     let n = rng.gen_range(lo..hi);
-    let mut set = HashSet::new();
+    let mut set = BTreeSet::new();
     while set.len() < n {
         let id = if rng.gen_bool(0.5) {
             rng.gen::<u64>()

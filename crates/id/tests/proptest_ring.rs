@@ -2,7 +2,7 @@
 //! relies on. (Originally written against `proptest`; the offline build
 //! replays the same properties over seeded random case generators.)
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use octopus_id::{IdSpace, Key, NodeId};
 use rand::rngs::StdRng;
@@ -14,7 +14,7 @@ const CASES: usize = 256;
 /// `proptest::collection::hash_set(any::<u64>(), lo..hi)`.
 fn random_ids(rng: &mut StdRng, lo: usize, hi: usize) -> Vec<NodeId> {
     let n = rng.gen_range(lo..hi);
-    let mut set = HashSet::new();
+    let mut set = BTreeSet::new();
     while set.len() < n {
         set.insert(rng.gen::<u64>());
     }

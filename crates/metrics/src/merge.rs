@@ -119,8 +119,12 @@ pub fn merge_point_series(acc: &mut Vec<(f64, f64)>, other: &[(f64, f64)]) {
     }
     let common = acc.len().min(other.len());
     acc.truncate(common);
+    // float addition is not associative, so this sum depends on merge
+    // order; the driver merges trial series in trial-index order
+    // (TrialRunner collects in submission order), whatever the thread
+    // count
     for (a, b) in acc.iter_mut().zip(other) {
-        a.1 += b.1; // octolint: allow(OCT-LINT-007) -- the driver merges trial series in fixed trial-index order (TrialRunner collects in submission order), so the float sum sees one canonical operand order
+        a.1 += b.1;
     }
 }
 

@@ -149,8 +149,13 @@ impl LatencyModel for KingLikeLatency {
         Duration::from_millis_f64(self.base_ms(from, to).max(0.1))
     }
 
-    /// `sample` clamps every draw to at least 0.1 ms, so that clamp is
-    /// the model's exact floor.
+    /// `sample` clamps every draw to at least 0.1 ms, so that clamp is a
+    /// sound floor, but not the exact one: every penalty is at least
+    /// 0.35, so every base latency is at least 18.2 × 0.7 = 12.74 ms, and
+    /// jitter takes off at most 10 %, so no sample falls below ≈ 11.47 ms.
+    /// The 0.1 ms stays: it is the lookahead that decides where
+    /// `SecuritySim`'s windows close, and CA revocations apply at window
+    /// barriers, so raising it would change the simulator's results.
     fn min_latency(&self) -> Duration {
         Duration::from_millis_f64(0.1)
     }
@@ -223,6 +228,23 @@ mod tests {
             let s = m.sample(a, b, &mut rng);
             let dev = if s > base { (s - base).0 } else { (base - s).0 };
             assert!(dev <= bound.0 + 1, "jitter exceeded bound");
+        }
+    }
+
+    #[test]
+    fn samples_stay_above_the_penalty_floor() {
+        // penalties ≥ 0.35 each: base ≥ 18.2 × 0.7 = 12.74 ms, less at
+        // most 10 % jitter
+        let m = KingLikeLatency::new(9);
+        let mut rng = StdRng::seed_from_u64(11);
+        let nodes = ids(60);
+        for &a in &nodes {
+            for &b in &nodes {
+                for _ in 0..4 {
+                    let s = m.sample(a, b, &mut rng);
+                    assert!(s >= Duration::from_millis_f64(11.4), "{a}→{b}: {s:?}");
+                }
+            }
         }
     }
 

@@ -14,6 +14,9 @@
 //! All of this is private to the crate: the window driver is its only
 //! caller.
 
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use octopus_sim::{stream_rng, Duration, EventQueue, SchedulerKind, SimTime};
 use rand::rngs::StdRng;
 use rand::RngCore;
@@ -423,9 +426,38 @@ impl<B: NodeBehavior> Io<B> {
         bytes
     }
 
-    /// Pop and execute shard `shard`'s head event (the caller has
-    /// established it is due).
-    pub(crate) fn run_one<L: LatencyModel>(
+    /// Run one window's events against `slabs`: with `head` set, only
+    /// that shard's head event (the caller has established it is due),
+    /// else every shard's batch, in shard order. A handler panic stops
+    /// the run and its payload is returned, not raised, so the caller
+    /// can close the window's barrier before re-raising it. Shards after
+    /// the panicking one are left unexecuted: their events are still
+    /// queued, exactly as if the window had opened later.
+    ///
+    /// This is the only way into event execution from outside this
+    /// module, so no path into a handler misses the `catch_unwind`.
+    pub(crate) fn run_caught<L: LatencyModel>(
+        &mut self,
+        slabs: &mut [NodeSlab<Hosted<B>>],
+        ctx: &ShardCtx<'_, L>,
+        head: Option<usize>,
+    ) -> Option<Box<dyn Any + Send>> {
+        if let Some(shard) = head {
+            let nodes = &mut slabs[shard];
+            return catch_unwind(AssertUnwindSafe(|| self.run_one(nodes, ctx, shard))).err();
+        }
+        for (shard, nodes) in slabs.iter_mut().enumerate() {
+            if let Err(payload) =
+                catch_unwind(AssertUnwindSafe(|| self.run_batch(nodes, ctx, shard)))
+            {
+                return Some(payload);
+            }
+        }
+        None
+    }
+
+    /// Pop and execute shard `shard`'s head event.
+    fn run_one<L: LatencyModel>(
         &mut self,
         nodes: &mut NodeSlab<Hosted<B>>,
         ctx: &ShardCtx<'_, L>,
@@ -442,7 +474,7 @@ impl<B: NodeBehavior> Io<B> {
     /// window. Timers landing inside the window are picked up; messages
     /// cannot land inside it (their latency floor carries them to
     /// `exec_end` or beyond).
-    pub(crate) fn run_batch<L: LatencyModel>(
+    fn run_batch<L: LatencyModel>(
         &mut self,
         nodes: &mut NodeSlab<Hosted<B>>,
         ctx: &ShardCtx<'_, L>,

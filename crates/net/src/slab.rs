@@ -19,10 +19,9 @@
 //! single 64×64 → 128-bit multiply folded to 64 bits, not SipHash. That
 //! is sound *here* because the keys are ring ids the simulation driver
 //! chose itself — nobody outside the process can craft colliding ones.
-//! A table keyed by addresses that arrive from a network (`UdpHost`'s
-//! peer table) keeps the standard library's keyed hasher.
+//! A table keyed by addresses that arrive from a network would need a
+//! keyed hasher.
 
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::world::Addr;
@@ -52,7 +51,14 @@ impl Hasher for IdHasher {
     }
 }
 
-type IdIndex = HashMap<Addr, u32, BuildHasherDefault<IdHasher>>;
+/// `Addr` → slot. `clippy.toml` bans `HashMap` because its iteration
+/// order is seeded per process; this index is only ever probed by key,
+/// so no order of it can reach a result.
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed lookup on every delivery, never iterated"
+)]
+type IdIndex = std::collections::HashMap<Addr, u32, BuildHasherDefault<IdHasher>>;
 
 /// The hint of a caller that has none: no slab grows to `u32::MAX`
 /// slots, so [`NodeSlab::get_mut_hinted`] always probes the index.
@@ -62,7 +68,7 @@ pub const NO_HINT: u32 = u32::MAX;
 #[derive(Debug)]
 pub struct NodeSlab<T> {
     slots: Vec<Option<(Addr, T)>>,
-    index: IdIndex, // keyed O(1) lookup on the per-event hot path; never iterated
+    index: IdIndex,
     free: Vec<u32>,
     len: usize,
 }

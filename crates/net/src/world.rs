@@ -64,7 +64,7 @@
 //! order a single queue holding both would.
 
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 
 use octopus_sim::{
     component_label, derive_rng, split_seed, Duration, EventQueue, LookaheadWindow, SchedulerKind,
@@ -439,19 +439,16 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
         // A handler panic must not skip the barrier below: the events
         // that *did* complete advanced the clock, which later windows
         // (or a caught-and-resumed driver) depend on. Batch-phase
-        // panics are therefore caught here and re-raised only after
-        // the barrier, so a caught panic leaves the world consistent:
-        // every completed event's messages and timers are queued, and
-        // only the interrupted handler's own effects and the window's
-        // controls are lost.
-        let batch_panic: Option<Box<dyn std::any::Any + Send>> = if exec_end <= t0 {
-            // Zero lookahead (or a control due right at t0): degenerate
-            // to one event per barrier. Slower, never wrong.
-            let (nodes, io) = (&mut self.slabs[head_idx], &mut self.io);
-            catch_unwind(AssertUnwindSafe(|| io.run_one(nodes, &ctx, head_idx))).err()
-        } else {
-            Self::run_batches(&mut self.slabs, &mut self.io, &ctx)
-        };
+        // panics are therefore caught in `run_caught` and re-raised
+        // only after the barrier, so a caught panic leaves the world
+        // consistent: every completed event's messages and timers are
+        // queued, and only the interrupted handler's own effects and
+        // the window's controls are lost.
+        //
+        // Zero lookahead (or a control due right at t0) degenerates to
+        // one event per barrier: slower, never wrong.
+        let one_event = (exec_end <= t0).then_some(head_idx);
+        let batch_panic = self.io.run_caught(&mut self.slabs, &ctx, one_event);
         // Barrier: advance time, order controls by key.
         self.now = self.now.max(self.io.last_exec);
         if let Some(payload) = batch_panic {
@@ -461,24 +458,6 @@ impl<B: NodeBehavior, L: LatencyModel> World<B, L> {
         let emitted = &mut self.io.emitted;
         emitted.sort_unstable_by_key(|&(t, k, _)| (t, k));
         Some(emitted.drain(..).map(|(t, _, c)| (t, c)).collect())
-    }
-
-    /// Run every shard's window batch in shard order, stopping at (and
-    /// returning) the first handler panic. Remaining shards are left
-    /// unexecuted — their events are still queued, exactly as if the
-    /// window had opened later.
-    fn run_batches(
-        slabs: &mut [NodeSlab<Hosted<B>>],
-        io: &mut Io<B>,
-        ctx: &ShardCtx<'_, L>,
-    ) -> Option<Box<dyn std::any::Any + Send>> {
-        for (shard, nodes) in slabs.iter_mut().enumerate() {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| io.run_batch(nodes, ctx, shard)))
-            {
-                return Some(payload);
-            }
-        }
-        None
     }
 }
 

@@ -6,7 +6,8 @@ use octopus_id::NodeId;
 use rand::rngs::StdRng;
 use rand::RngCore;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Run every window due by `deadline`; the controls they produced.
 fn run_windows<B: NodeBehavior, L: LatencyModel>(
@@ -325,11 +326,11 @@ fn slot_counters_equal_the_per_message_hashmap_ledger() {
         );
     }
     // the accounting `BandwidthLedger::record` did per message:
-    // both ends credited at the send, in two hash maps
+    // both ends credited at the send, in two maps
     let datagram = |bytes: u32| u64::from(bytes) + u64::from(sizes::UDP_HEADER);
-    let mut sent: HashMap<Addr, u64> = HashMap::new();
-    let mut addressed: HashMap<Addr, u64> = HashMap::new();
-    let mut delivered: HashMap<Addr, u64> = HashMap::new();
+    let mut sent: BTreeMap<Addr, u64> = BTreeMap::new();
+    let mut addressed: BTreeMap<Addr, u64> = BTreeMap::new();
+    let mut delivered: BTreeMap<Addr, u64> = BTreeMap::new();
     let (mut total, mut sends, mut gots) = (0u64, 0u64, 0u64);
     for entry in &log {
         match *entry {
@@ -361,7 +362,7 @@ fn slot_counters_equal_the_per_message_hashmap_ledger() {
     let mut addrs = gossip_ids();
     addrs.extend([NodeId(u64::MAX - 5), NodeId(3)]);
     for a in addrs {
-        let of = |m: &HashMap<Addr, u64>| m.get(&a).copied().unwrap_or(0);
+        let of = |m: &BTreeMap<Addr, u64>| m.get(&a).copied().unwrap_or(0);
         assert_eq!(ledger.sent_by(a), of(&sent), "sent_by({a:?})");
         let dropped_bytes = of(&addressed) - of(&delivered);
         assert_eq!(

@@ -259,7 +259,10 @@ fn violate(state: &mut ModelState, out: &mut Vec<ModelOutput>, detail: String) {
 /// The fold is pure and total — same state and event always produce the
 /// same result, and no event panics.
 #[must_use]
-#[allow(clippy::too_many_lines)] // one arm per protocol decision; splitting hides the case analysis
+#[expect(
+    clippy::too_many_lines,
+    reason = "one arm per protocol decision; splitting hides the case analysis"
+)]
 pub fn step(mut state: ModelState, event: ModelEvent) -> (ModelState, Vec<ModelOutput>) {
     let mut out = Vec::new();
     match event {

@@ -50,8 +50,7 @@
 //! and its event queue has no way to.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
-use std::hash::Hash;
+use std::collections::BTreeMap;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::Instant;
@@ -84,7 +83,7 @@ thread_local! {
 // This host *is* the sanctioned wall-clock boundary: real sockets run
 // on real time (clippy.toml's `std::time::Instant::now` entry names
 // crates/transport as a sanctioned timing site).
-#[allow(clippy::disallowed_methods)]
+#[expect(clippy::disallowed_methods, reason = "real sockets run on real time")]
 fn wall_now() -> Instant {
     Instant::now()
 }
@@ -146,7 +145,7 @@ pub struct UdpHost<B: NodeBehavior> {
     /// The queue key of each armed timer, until it fires or is
     /// cancelled. A timer armed again while an earlier copy waits maps
     /// to the newer key; the older copy then fires as armed.
-    armed: HashMap<B::Timer, QueueKey>,
+    armed: BTreeMap<B::Timer, QueueKey>,
     /// Datagram counters.
     pub stats: HostStats,
 }
@@ -154,7 +153,7 @@ pub struct UdpHost<B: NodeBehavior> {
 impl<B: NodeBehavior> UdpHost<B>
 where
     B::Msg: WireCodec,
-    B::Timer: Clone + Eq + Hash,
+    B::Timer: Clone + Ord,
 {
     /// Host `node` at overlay address `addr` on `socket`. The node's
     /// RNG stream derives from `master_seed` and its overlay id — two
@@ -188,7 +187,7 @@ where
             cancels: Vec::new(),
             controls: Vec::new(),
             collected: Vec::new(),
-            armed: HashMap::new(),
+            armed: BTreeMap::new(),
             stats: HostStats::default(),
         })
     }
@@ -391,7 +390,7 @@ fn same_endpoint(a: SocketAddr, b: SocketAddr) -> bool {
 impl<B: NodeBehavior> Transport<B> for UdpHost<B>
 where
     B::Msg: WireCodec,
-    B::Timer: Clone + Eq + Hash,
+    B::Timer: Clone + Ord,
 {
     fn inject(&mut self, from: Addr, to: Addr, msg: B::Msg) {
         if to == self.addr {

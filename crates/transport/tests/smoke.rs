@@ -84,7 +84,10 @@ fn spawn_deployment(dir: &std::path::Path, base_port: u16) -> Vec<Proc> {
 // Timing a real multi-process deployment is inherently wall-clock
 // (clippy.toml's `std::time::Instant::now` entry names crates/transport
 // as a sanctioned timing site).
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a multi-process deployment runs on real time"
+)]
 fn wall_now() -> Instant {
     Instant::now()
 }

@@ -19,7 +19,6 @@ const DEMO_SEED: u64 = 0x0C70;
 struct Relay {
     name: &'static str,
     key: [u8; 32],
-    #[allow(dead_code)]
     addr: u64,
     inbox: Receiver<Vec<u8>>,
     network: Vec<(u64, Sender<Vec<u8>>)>,

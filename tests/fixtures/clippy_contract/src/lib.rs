@@ -2,7 +2,7 @@
 //! with the repository's `clippy.toml`. Every offending line ends in a
 //! marker comment naming the lint that must fire on it, and no other
 //! line may fire anything (see `clippy_contract_fires_on_exactly_the_marked_lines`
-//! in `crates/lint/tests/lint_rules.rs`).
+//! in `tests/clippy_contract.rs`).
 
 use rand::{Rng, SeedableRng};
 
@@ -54,4 +54,17 @@ pub fn from_env() -> Option<String> {
     let a = std::env::var("OCTOPUS_SEED").ok(); //~ clippy::disallowed_methods
     let b = std::env::var_os("OCTOPUS_SCALE"); //~ clippy::disallowed_methods
     a.or(b.and_then(|s| s.into_string().ok()))
+}
+
+/// Hash-map iteration order is seeded per process.
+pub fn any_word(words: &[&str]) -> Option<String> {
+    let lens: std::collections::HashMap<&str, usize> = words.iter().map(|w| (*w, w.len())).collect(); //~ clippy::disallowed_types
+    lens.into_keys().next().map(str::to_string)
+}
+
+/// Hash-set iteration order too, through an expression path.
+pub fn distinct(xs: &[u32]) -> Vec<u32> {
+    let mut seen = std::collections::HashSet::<u32>::new(); //~ clippy::disallowed_types
+    seen.extend(xs);
+    seen.into_iter().collect()
 }

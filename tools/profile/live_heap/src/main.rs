@@ -156,7 +156,7 @@ fn line(t_s: u64) {
 }
 
 /// The gossip overlay's ~72-byte message.
-struct Gossip(#[allow(dead_code)] [u64; 9]);
+struct Gossip(#[expect(dead_code, reason = "only its size matters")] [u64; 9]);
 
 impl WireMsg for Gossip {
     fn wire_bytes(&self) -> u32 {
@@ -322,7 +322,10 @@ fn udp(n: u64, seconds: u64, seed: u64) {
     println!("# udp n={n} seconds={seconds} seed={seed}");
     println!("# t_s live_mib peak_mib allocations reallocations");
     line(0);
-    #[allow(clippy::disallowed_methods)] // wall time is what this mode runs on
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall time is what this mode runs on"
+    )]
     let start = std::time::Instant::now();
     for t in 1..=seconds {
         while start.elapsed() < std::time::Duration::from_secs(t) {
