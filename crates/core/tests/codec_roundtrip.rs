@@ -1,7 +1,8 @@
 //! Wire-codec hardening: every [`Msg`] kind roundtrips through the
-//! framed codec, and a corpus of malformed frames (truncations, bit
-//! flips, forged lengths, hostile nesting, pure noise) is rejected with
-//! an error — never a panic.
+//! framed codec, alone and packed with another into one datagram, and a
+//! corpus of malformed frames and datagrams (truncations, bit flips,
+//! forged lengths, hostile nesting, pure noise) is rejected with an
+//! error — never a panic.
 
 use std::sync::Arc;
 
@@ -10,9 +11,10 @@ use octopus_core::codec::MAX_ONION_DEPTH;
 use octopus_core::messages::{Delegation, ExitAction, Hop, Msg, OnionPacket, ReceiptToken, Report};
 use octopus_crypto::{Certificate, CertificateAuthority, KeyPair, PublicKey, Signature};
 use octopus_id::NodeId;
-use octopus_net::wire::{FRAME_MAGIC, SCHEMA_VERSION};
+use octopus_net::wire::{FRAME_MAGIC, FRAME_OVERHEAD, SCHEMA_VERSION};
 use octopus_net::{
-    decode_frame, encode_frame, encode_frame_into, DecodeError, FrameError, FrameHeader, WireCodec,
+    append_frame, decode_datagram, decode_frame, encode_frame, DecodeError, FrameError,
+    FrameHeader, WireCodec,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -224,7 +226,7 @@ fn every_variant_roundtrips() {
     }
 }
 
-/// The frame encoder as it was before `encode_frame_into`: payload in a
+/// The frame encoder as it was before the one-pass encoder: payload in a
 /// buffer of its own, checksum over three chunks, everything copied into
 /// a third buffer. Kept as the reference the one-pass encoder must match.
 fn reference_encode_frame(header: FrameHeader, msg: &Msg) -> Vec<u8> {
@@ -246,23 +248,113 @@ fn reference_encode_frame(header: FrameHeader, msg: &Msg) -> Vec<u8> {
 
 #[test]
 fn one_pass_encoder_matches_the_reference_on_every_variant() {
-    // one buffer for the whole corpus, as a host reuses its send buffer:
-    // every frame but the first lands on the bytes of another
+    // one buffer for the whole corpus, as a host reuses its pending
+    // buffer: every frame but the first lands on the bytes of another
     let mut reused = Vec::new();
     for seed in 0..8u64 {
         for msg in all_variants(seed) {
             let want = reference_encode_frame(header(), &msg);
             assert_eq!(encode_frame(header(), &msg), want, "seed {seed}: {msg:?}");
             let mut empty = Vec::new();
-            encode_frame_into(header(), &msg, &mut empty).expect("fits a frame");
-            assert_eq!(empty, want, "into an empty buffer, seed {seed}");
-            // dirty and longer than the frame
-            let mut dirty = vec![0xa5; want.len() + 257];
-            encode_frame_into(header(), &msg, &mut dirty).expect("fits a frame");
-            assert_eq!(dirty, want, "into a dirty buffer, seed {seed}");
-            encode_frame_into(header(), &msg, &mut reused).expect("fits a frame");
+            append_frame(header(), &msg, &mut empty).expect("fits a frame");
+            assert_eq!(empty, want, "onto an empty buffer, seed {seed}");
+            // behind bytes already there, which stay
+            let held = vec![0xa5; 257];
+            let mut behind = held.clone();
+            append_frame(header(), &msg, &mut behind).expect("fits a frame");
+            assert_eq!(behind[..held.len()], held[..], "seed {seed}");
+            assert_eq!(
+                behind[held.len()..],
+                want[..],
+                "behind a frame, seed {seed}"
+            );
+            reused.clear();
+            append_frame(header(), &msg, &mut reused).expect("fits a frame");
             assert_eq!(reused, want, "into the reused buffer, seed {seed}");
         }
+    }
+}
+
+#[test]
+fn every_pair_of_variants_shares_a_datagram_in_order() {
+    let msgs = all_variants(4);
+    let mut datagram = Vec::new();
+    let mut back = Vec::new();
+    for first in &msgs {
+        for second in &msgs {
+            datagram.clear();
+            append_frame(header(), first, &mut datagram).expect("fits");
+            append_frame(header(), second, &mut datagram).expect("fits");
+            back.clear();
+            let h = decode_datagram::<Msg>(&datagram, &mut back).expect("decodes");
+            assert_eq!(h, header());
+            assert_eq!(back, [first.clone(), second.clone()]);
+        }
+    }
+}
+
+#[test]
+fn a_one_frame_datagram_is_the_frame() {
+    for msg in all_variants(5) {
+        let frame = encode_frame(header(), &msg);
+        let mut datagram = Vec::new();
+        append_frame(header(), &msg, &mut datagram).expect("fits");
+        assert_eq!(datagram, frame, "{msg:?}");
+        let mut back = Vec::<Msg>::new();
+        assert_eq!(decode_datagram(&frame, &mut back), Ok(header()));
+        assert_eq!(back, [msg]);
+    }
+}
+
+/// Three frames of `msgs`, in one datagram, and where each frame ends.
+fn three_frames(msgs: &[Msg]) -> (Vec<u8>, Vec<usize>) {
+    let mut datagram = Vec::new();
+    let mut ends = Vec::new();
+    for msg in &msgs[..3] {
+        append_frame(header(), msg, &mut datagram).expect("fits");
+        ends.push(datagram.len());
+    }
+    (datagram, ends)
+}
+
+/// Whether `decode_datagram` rejects `bytes` and delivers nothing.
+fn rejected_whole(bytes: &[u8]) -> bool {
+    let mut msgs = vec![Msg::GetTable { req: 7 }];
+    let rejected = decode_datagram::<Msg>(bytes, &mut msgs).is_err();
+    assert_eq!(
+        msgs,
+        [Msg::GetTable { req: 7 }],
+        "a datagram half-delivered"
+    );
+    rejected
+}
+
+#[test]
+fn a_three_frame_datagram_is_rejected_whole() {
+    let variants = all_variants(6);
+    for msgs in variants.chunks_exact(3) {
+        let (good, ends) = three_frames(msgs);
+        // a cut between frames leaves a shorter datagram, which decodes
+        // to the frames before the cut; every other cut is rejected
+        for cut in (0..good.len()).filter(|cut| !ends.contains(cut)) {
+            assert!(rejected_whole(&good[..cut]), "cut at {cut} accepted");
+        }
+        for i in 0..good.len() {
+            let mut bad = good.clone();
+            bad[i] ^= 0x01;
+            assert!(rejected_whole(&bad), "flip at byte {i} accepted");
+        }
+        for tail in [&[0u8][..], b"OCT0", &good[..FRAME_OVERHEAD]] {
+            let mut bad = good.clone();
+            bad.extend_from_slice(tail);
+            assert!(rejected_whole(&bad), "{} bytes after the end", tail.len());
+        }
+        // the last frame's length prefix points one byte past the end
+        let mut bad = good.clone();
+        let length_at = ends[1] + 6;
+        let claimed = u32::from_be_bytes(bad[length_at..length_at + 4].try_into().unwrap());
+        bad[length_at..length_at + 4].copy_from_slice(&(claimed + 1).to_be_bytes());
+        assert!(rejected_whole(&bad), "a length past the end accepted");
     }
 }
 

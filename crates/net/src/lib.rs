@@ -50,7 +50,7 @@ pub use runtime::{Addr, Ctx, NodeBehavior, Runtime, Transport};
 pub use shard::ShardMap;
 pub use slab::NodeSlab;
 pub use wire::{
-    decode_frame, encode_frame, encode_frame_into, sizes, BandwidthLedger, DecodeError, FrameError,
-    FrameHeader, PayloadReader, WireCodec, WireMsg,
+    append_frame, decode_datagram, decode_frame, encode_frame, sizes, BandwidthLedger, DecodeError,
+    FrameError, FrameHeader, PayloadReader, WireCodec, WireMsg,
 };
 pub use world::World;

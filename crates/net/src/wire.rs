@@ -17,11 +17,23 @@
 //! nothing: its delivery lanes carry each message and its `from`/`to`
 //! in memory.
 //!
-//! Encoding is one pass: [`encode_frame_into`] writes the header with
-//! its length and checksum left open, lets the payload codec append
-//! straight behind it, and fills the two in. The only buffer is the
-//! caller's, which a host that sends many frames hands in again;
-//! [`encode_frame`] is the same call on a fresh buffer.
+//! A datagram carries one or more whole frames back to back, all with
+//! one sender and one destination; each keeps its own magic, version,
+//! length and checksum, so a one-frame datagram is exactly
+//! [`encode_frame`]'s bytes. [`append_frame`] adds a frame to a
+//! datagram and [`decode_datagram`] takes every frame out of one,
+//! accepting the datagram whole or not at all. A receiver built before
+//! datagrams carried more than one frame reads a multi-frame datagram
+//! as one frame whose length prefix disagrees with the datagram's size,
+//! and rejects it as [`FrameError::BadLength`]: every process of a
+//! deployment runs one build. [`SCHEMA_VERSION`] stays 1, because no
+//! frame's bytes changed.
+//!
+//! Encoding is one pass: [`append_frame`] writes the header with its
+//! length and checksum left open, lets the payload codec append straight
+//! behind it, and fills the two in. The only buffer is the caller's,
+//! which a host that sends many frames hands in again; [`encode_frame`]
+//! is the same call on a fresh buffer.
 //!
 //! [`BandwidthLedger`] is the *report* of the byte accounting, not its
 //! running state: the world counts a datagram's bytes in the slab slot
@@ -89,6 +101,11 @@ pub const MAX_PAYLOAD: usize = 64 * 1024;
 /// Bytes of frame overhead before the payload: magic (4) + version (2)
 /// + payload length (4) + checksum (4) + from (8) + to (8).
 pub const FRAME_OVERHEAD: usize = 30;
+
+/// The longest datagram UDP carries over IPv4 (65 535 bytes less the
+/// IP and UDP headers). A sender packs frames into one datagram only up
+/// to this size; a frame longer than this alone goes alone.
+pub const MAX_DATAGRAM: usize = 65_507;
 
 /// What [`encode_frame`] reserves before the payload's size is known:
 /// room for any frame around one signed routing table of the default
@@ -170,6 +187,8 @@ pub enum FrameError {
     BadPayload(DecodeError),
     /// The payload decoded but left unconsumed trailing bytes.
     TrailingBytes(usize),
+    /// A datagram's frames named more than one sender or destination.
+    MixedHeaders,
 }
 
 impl std::fmt::Display for FrameError {
@@ -193,6 +212,12 @@ impl std::fmt::Display for FrameError {
             }
             FrameError::BadPayload(e) => write!(f, "payload: {e}"),
             FrameError::TrailingBytes(n) => write!(f, "{n} trailing bytes after payload"),
+            FrameError::MixedHeaders => {
+                write!(
+                    f,
+                    "frames of one datagram name different senders or destinations"
+                )
+            }
         }
     }
 }
@@ -287,8 +312,9 @@ fn fnv1a(bytes: &[u8]) -> u32 {
     h
 }
 
-/// Encode one frame into `out`, replacing whatever it held: `magic ∥
-/// version ∥ payload_len ∥ checksum ∥ from ∥ to ∥ payload`.
+/// Append one frame to the datagram in `out`, behind the frames it
+/// holds: `magic ∥ version ∥ payload_len ∥ checksum ∥ from ∥ to ∥
+/// payload`.
 ///
 /// The payload is encoded once, straight behind the header; its length
 /// and the checksum are patched into the header afterwards, so a frame
@@ -298,33 +324,33 @@ fn fnv1a(bytes: &[u8]) -> u32 {
 /// # Errors
 ///
 /// `Err(len)` if the encoded payload is `len` > [`MAX_PAYLOAD`] bytes;
-/// `out` is left empty.
-pub fn encode_frame_into<M: WireCodec>(
+/// `out` is left as it was.
+pub fn append_frame<M: WireCodec>(
     header: FrameHeader,
     msg: &M,
     out: &mut Vec<u8>,
 ) -> Result<(), usize> {
-    out.clear();
+    let start = out.len();
     out.extend_from_slice(&FRAME_MAGIC);
     out.extend_from_slice(&SCHEMA_VERSION.to_be_bytes());
     out.extend_from_slice(&[0; 8]); // payload length and checksum, patched below
     out.extend_from_slice(&header.from.0.to_be_bytes());
     out.extend_from_slice(&header.to.0.to_be_bytes());
     msg.encode_payload(out);
-    let len = out.len() - FRAME_OVERHEAD;
+    let frame = &mut out[start..];
+    let len = frame.len() - FRAME_OVERHEAD;
     if len > MAX_PAYLOAD {
-        out.clear();
+        out.truncate(start);
         return Err(len);
     }
     // the checksum covers from ∥ to ∥ payload, which lie back to back
-    let checksum = fnv1a(&out[CHECKSUM_COVERS..]);
-    out[6..10].copy_from_slice(&(len as u32).to_be_bytes());
-    out[10..14].copy_from_slice(&checksum.to_be_bytes());
+    let checksum = fnv1a(&frame[CHECKSUM_COVERS..]);
+    frame[6..10].copy_from_slice(&(len as u32).to_be_bytes());
+    frame[10..14].copy_from_slice(&checksum.to_be_bytes());
     Ok(())
 }
 
-/// Encode one frame into a fresh buffer: [`encode_frame_into`] for a
-/// caller that keeps none.
+/// Encode one frame into a fresh buffer: a one-frame datagram.
 ///
 /// # Panics
 ///
@@ -334,16 +360,16 @@ pub fn encode_frame_into<M: WireCodec>(
 #[must_use]
 pub fn encode_frame<M: WireCodec>(header: FrameHeader, msg: &M) -> Vec<u8> {
     let mut out = Vec::with_capacity(TYPICAL_FRAME);
-    if let Err(len) = encode_frame_into(header, msg, &mut out) {
+    if let Err(len) = append_frame(header, msg, &mut out) {
         panic!("frame payload {len} exceeds MAX_PAYLOAD");
     }
     out
 }
 
-/// Decode one frame produced by [`encode_frame`]. Rejects — never
-/// panics on — truncation, bad magic, version skew, length lies,
-/// checksum mismatches, undecodable payloads and trailing garbage.
-pub fn decode_frame<M: WireCodec>(bytes: &[u8]) -> Result<(FrameHeader, M), FrameError> {
+/// Check the fixed fields of the frame that starts `bytes` — magic,
+/// version and a length prefix that fits both [`MAX_PAYLOAD`] and the
+/// bytes present — and return the frame's whole length.
+fn frame_len(bytes: &[u8]) -> Result<usize, FrameError> {
     if bytes.len() < FRAME_OVERHEAD {
         return Err(FrameError::Truncated {
             need: FRAME_OVERHEAD,
@@ -360,31 +386,91 @@ pub fn decode_frame<M: WireCodec>(bytes: &[u8]) -> Result<(FrameHeader, M), Fram
     }
     let claimed = u32::from_be_bytes(bytes[6..10].try_into().expect("4-byte slice")) as usize;
     let have = bytes.len() - FRAME_OVERHEAD;
-    if claimed != have || claimed > MAX_PAYLOAD {
+    if claimed > have || claimed > MAX_PAYLOAD {
         return Err(FrameError::BadLength { claimed, have });
     }
-    let got = u32::from_be_bytes(bytes[10..14].try_into().expect("4-byte slice"));
-    let from_bytes = &bytes[14..22];
-    let to_bytes = &bytes[22..30];
-    let payload = &bytes[FRAME_OVERHEAD..];
-    let want = fnv1a(&bytes[CHECKSUM_COVERS..]);
+    Ok(FRAME_OVERHEAD + claimed)
+}
+
+/// Decode the frame that is exactly `frame`, whose fixed fields
+/// [`frame_len`] has checked: checksum, addresses and payload.
+fn decode_checked<M: WireCodec>(frame: &[u8]) -> Result<(FrameHeader, M), FrameError> {
+    let got = u32::from_be_bytes(frame[10..14].try_into().expect("4-byte slice"));
+    let want = fnv1a(&frame[CHECKSUM_COVERS..]);
     if got != want {
         return Err(FrameError::BadChecksum { got, want });
     }
-    let header = FrameHeader {
-        from: NodeId(u64::from_be_bytes(
-            from_bytes.try_into().expect("8-byte slice"),
-        )),
-        to: NodeId(u64::from_be_bytes(
-            to_bytes.try_into().expect("8-byte slice"),
-        )),
+    let address = |at: usize| {
+        NodeId(u64::from_be_bytes(
+            frame[at..at + 8].try_into().expect("8-byte slice"),
+        ))
     };
-    let mut r = PayloadReader::new(payload);
+    let header = FrameHeader {
+        from: address(14),
+        to: address(22),
+    };
+    let mut r = PayloadReader::new(&frame[FRAME_OVERHEAD..]);
     let msg = M::decode_payload(&mut r).map_err(FrameError::BadPayload)?;
     if r.remaining() != 0 {
         return Err(FrameError::TrailingBytes(r.remaining()));
     }
     Ok((header, msg))
+}
+
+/// Decode one frame produced by [`encode_frame`]. Rejects — never
+/// panics on — truncation, bad magic, version skew, length lies,
+/// checksum mismatches, undecodable payloads and trailing garbage. A
+/// datagram of several frames is a length lie here; [`decode_datagram`]
+/// reads those.
+pub fn decode_frame<M: WireCodec>(bytes: &[u8]) -> Result<(FrameHeader, M), FrameError> {
+    let len = frame_len(bytes)?;
+    if len != bytes.len() {
+        return Err(FrameError::BadLength {
+            claimed: len - FRAME_OVERHEAD,
+            have: bytes.len() - FRAME_OVERHEAD,
+        });
+    }
+    decode_checked(bytes)
+}
+
+/// Decode every frame of one datagram, appending their messages to
+/// `msgs` in datagram order, and return the header they share.
+///
+/// The datagram is accepted whole or not at all: every frame must pass
+/// [`decode_frame`]'s checks, the last must end where the datagram
+/// ends, and all must name one sender and one destination
+/// ([`FrameError::MixedHeaders`] otherwise). On any error `msgs` is
+/// left as it was. An empty datagram is [`FrameError::Truncated`].
+pub fn decode_datagram<M: WireCodec>(
+    bytes: &[u8],
+    msgs: &mut Vec<M>,
+) -> Result<FrameHeader, FrameError> {
+    let before = msgs.len();
+    let result = decode_frames(bytes, msgs);
+    if result.is_err() {
+        msgs.truncate(before);
+    }
+    result
+}
+
+/// [`decode_datagram`]'s walk, which leaves what it appended on error.
+fn decode_frames<M: WireCodec>(
+    mut bytes: &[u8],
+    msgs: &mut Vec<M>,
+) -> Result<FrameHeader, FrameError> {
+    let mut shared = None;
+    loop {
+        let len = frame_len(bytes)?;
+        let (header, msg) = decode_checked(&bytes[..len])?;
+        if *shared.get_or_insert(header) != header {
+            return Err(FrameError::MixedHeaders);
+        }
+        msgs.push(msg);
+        bytes = &bytes[len..];
+        if bytes.is_empty() {
+            return Ok(header);
+        }
+    }
 }
 
 /// A datagram's weight on the ledger: the message's wire size plus the
@@ -547,21 +633,25 @@ mod tests {
     }
 
     #[test]
-    fn encode_into_replaces_the_buffer_and_bounds_the_payload() {
-        let mut buf = vec![0xa5; 500];
-        encode_frame_into(header(), &Ping(7), &mut buf).expect("fits");
-        assert_eq!(buf, encode_frame(header(), &Ping(7)));
+    fn append_frame_keeps_the_datagram_and_bounds_the_payload() {
+        let first = encode_frame(header(), &Ping(7));
+        let mut buf = first.clone();
+        append_frame(header(), &Ping(8), &mut buf).expect("fits");
+        assert_eq!(buf[..first.len()], first[..], "the first frame stays");
+        assert_eq!(buf[first.len()..], encode_frame(header(), &Ping(8))[..]);
         // the largest payload is a frame; one byte more is refused and
-        // leaves nothing behind to send by mistake
-        encode_frame_into(header(), &Blob(MAX_PAYLOAD), &mut buf).expect("fits");
-        assert_eq!(buf.len(), FRAME_OVERHEAD + MAX_PAYLOAD);
-        let (_, Blob(n)) = decode_frame(&buf).expect("roundtrip");
+        // leaves the datagram as it was, so nothing half-written is sent
+        let mut big = Vec::new();
+        append_frame(header(), &Blob(MAX_PAYLOAD), &mut big).expect("fits");
+        assert_eq!(big.len(), FRAME_OVERHEAD + MAX_PAYLOAD);
+        let (_, Blob(n)) = decode_frame(&big).expect("roundtrip");
         assert_eq!(n, MAX_PAYLOAD);
+        let held = buf.clone();
         assert_eq!(
-            encode_frame_into(header(), &Blob(MAX_PAYLOAD + 1), &mut buf),
+            append_frame(header(), &Blob(MAX_PAYLOAD + 1), &mut buf),
             Err(MAX_PAYLOAD + 1)
         );
-        assert!(buf.is_empty());
+        assert_eq!(buf, held);
     }
 
     #[test]
@@ -643,6 +733,116 @@ mod tests {
             decode_frame::<Ping>(&padded),
             Err(FrameError::TrailingBytes(1))
         );
+    }
+
+    /// `pings` packed into one datagram from `header()`.
+    fn datagram(pings: &[u64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for &p in pings {
+            append_frame(header(), &Ping(p), &mut out).expect("fits");
+        }
+        out
+    }
+
+    /// What `decode_datagram` appends to a list already holding one
+    /// message, or the error; on error the list must be as it was.
+    fn decode_after_one(bytes: &[u8]) -> Result<Vec<Ping>, FrameError> {
+        let mut msgs = vec![Ping(0)];
+        match decode_datagram(bytes, &mut msgs) {
+            Ok(h) => {
+                assert_eq!(h, header());
+                Ok(msgs.split_off(1))
+            }
+            Err(e) => {
+                assert_eq!(msgs, [Ping(0)], "a rejected datagram delivered {e:?}");
+                Err(e)
+            }
+        }
+    }
+
+    #[test]
+    fn a_datagram_of_frames_decodes_in_order() {
+        let pings = [5, 1, 1 << 40];
+        assert_eq!(
+            decode_after_one(&datagram(&pings)),
+            Ok(Vec::from(pings.map(Ping)))
+        );
+        // one frame is `encode_frame`'s bytes, and decodes both ways
+        assert_eq!(datagram(&[9]), encode_frame(header(), &Ping(9)));
+        assert_eq!(decode_after_one(&datagram(&[9])), Ok(vec![Ping(9)]));
+        assert!(matches!(
+            decode_after_one(&[]),
+            Err(FrameError::Truncated { need: 30, have: 0 })
+        ));
+    }
+
+    #[test]
+    fn a_frame_decoder_reads_two_frames_as_a_length_lie() {
+        // what a receiver built before multi-frame datagrams sees
+        let two = datagram(&[1, 2]);
+        assert_eq!(
+            decode_frame::<Ping>(&two),
+            Err(FrameError::BadLength {
+                claimed: 8,
+                have: two.len() - FRAME_OVERHEAD
+            })
+        );
+    }
+
+    #[test]
+    fn a_bad_frame_rejects_its_whole_datagram() {
+        let good = datagram(&[1, 2, 3]);
+        // a cut between two frames leaves a datagram of fewer frames,
+        // which is what a sender that packed fewer would have sent
+        let frame = FRAME_OVERHEAD + 8;
+        for cut in 0..good.len() {
+            let got = decode_after_one(&good[..cut]);
+            if cut > 0 && cut % frame == 0 {
+                let sent = (1..=(cut / frame) as u64).map(Ping).collect();
+                assert_eq!(got, Ok(sent), "cut at {cut}");
+            } else {
+                assert!(got.is_err(), "accepted a {cut}-byte prefix");
+            }
+        }
+        for i in 0..good.len() {
+            let mut bad = good.clone();
+            bad[i] ^= 0x01;
+            assert!(decode_after_one(&bad).is_err(), "flip at byte {i} accepted");
+        }
+        for tail in [&[0u8][..], b"OCT0", &[0; FRAME_OVERHEAD]] {
+            let mut bad = good.clone();
+            bad.extend_from_slice(tail);
+            assert!(decode_after_one(&bad).is_err(), "{tail:?} after the end");
+        }
+        // the last frame's length prefix points one byte past the end
+        let mut bad = good.clone();
+        bad[2 * frame + 9] += 1;
+        assert_eq!(
+            decode_after_one(&bad),
+            Err(FrameError::BadLength {
+                claimed: 9,
+                have: 8
+            })
+        );
+    }
+
+    #[test]
+    fn a_datagram_names_one_sender_and_one_destination() {
+        for other in [
+            FrameHeader {
+                from: NodeId(4),
+                ..header()
+            },
+            FrameHeader {
+                to: NodeId(4),
+                ..header()
+            },
+        ] {
+            let mut bad = datagram(&[1]);
+            append_frame(other, &Ping(2), &mut bad).expect("fits");
+            append_frame(header(), &Ping(3), &mut bad).expect("fits");
+            assert_eq!(decode_after_one(&bad), Err(FrameError::MixedHeaders));
+        }
     }
 
     #[test]

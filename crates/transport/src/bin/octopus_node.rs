@@ -203,8 +203,13 @@ fn run() -> Result<(), String> {
     let s = host.stats;
     println!(
         "final id={} lookups={lookups} converged={converged} frames_in={} frames_out={} \
-         rejected={} unknown_peer={}",
-        my_id.0, s.frames_in, s.frames_out, s.frames_rejected, s.dropped_unknown_peer
+         datagrams_out={} rejected={} unknown_peer={}",
+        my_id.0,
+        s.frames_in,
+        s.frames_out,
+        s.datagrams_out,
+        s.frames_rejected,
+        s.dropped_unknown_peer
     );
     println!("clean-shutdown id={}", my_id.0);
     Ok(())

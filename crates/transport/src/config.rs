@@ -35,11 +35,13 @@ pub struct NodeConfig {
     pub run_ms: u64,
 }
 
-/// A parsed TOML scalar (the subset the config uses).
+/// A parsed TOML scalar (the subset the config uses). Every integer the
+/// config has is an id, a seed or a length of time, so integers are
+/// unsigned and span all of `u64`.
 #[derive(Clone, Debug, PartialEq)]
 enum TomlValue {
     Str(String),
-    Int(i64),
+    Int(u64),
     Bool(bool),
     StrArray(Vec<String>),
 }
@@ -100,8 +102,15 @@ fn parse_value(s: &str) -> Result<TomlValue, String> {
         "false" => return Ok(TomlValue::Bool(false)),
         _ => {}
     }
-    if let Ok(v) = s.parse::<i64>() {
+    if let Ok(v) = s.parse::<u64>() {
         return Ok(TomlValue::Int(v));
+    }
+    if s.strip_prefix('-')
+        .is_some_and(|v| v.parse::<u64>().is_ok())
+    {
+        return Err(format!(
+            "negative integer {s}: ids, seeds and times are non-negative"
+        ));
     }
     Err(format!("cannot parse value: {s}"))
 }
@@ -134,9 +143,7 @@ impl NodeConfig {
             Some(TomlValue::Str(s)) => {
                 Some(parse_node_id(s).ok_or_else(|| format!("malformed id: {s}"))?)
             }
-            Some(TomlValue::Int(v)) => Some(NodeId(
-                u64::try_from(*v).map_err(|_| "id must be non-negative")?,
-            )),
+            Some(TomlValue::Int(v)) => Some(NodeId(*v)),
             Some(_) => return Err("id must be an integer or string".to_string()),
             None => id,
         };
@@ -146,9 +153,7 @@ impl NodeConfig {
             None => bind,
         };
         let seed = match map.get("seed") {
-            Some(TomlValue::Int(v)) => {
-                u64::try_from(*v).map_err(|_| "seed must be non-negative".to_string())?
-            }
+            Some(TomlValue::Int(v)) => *v,
             Some(_) => return Err("seed must be an integer".to_string()),
             None => 0,
         };
@@ -168,9 +173,7 @@ impl NodeConfig {
             None => false,
         };
         let run_ms = match map.get("run_ms") {
-            Some(TomlValue::Int(v)) => {
-                u64::try_from(*v).map_err(|_| "run_ms must be non-negative".to_string())?
-            }
+            Some(TomlValue::Int(v)) => *v,
             Some(_) => return Err("run_ms must be an integer".to_string()),
             None => 0,
         };
@@ -209,7 +212,6 @@ impl NodeConfig {
             map.insert("peers".to_string(), TomlValue::Str(peers.clone()));
         }
         if let Some(seed) = args.seed {
-            let seed = i64::try_from(seed).map_err(|_| "seed too large".to_string())?;
             map.insert("seed".to_string(), TomlValue::Int(seed));
         }
         Self::from_map(&map)
@@ -275,5 +277,24 @@ peers = ["1@127.0.0.1:7001", "2@127.0.0.1:7002", "3@127.0.0.1:7003"]
         let c = NodeConfig::resolve(&args).expect("valid");
         assert_eq!(c.id, NodeId(9));
         assert_eq!(c.seed, 123);
+    }
+
+    #[test]
+    fn every_u64_seed_resolves() {
+        // the bins take any u64 seed, so the node must too
+        let args = RunArgs {
+            addr: Some("9@127.0.0.1:9009".to_string()),
+            seed: Some(u64::MAX),
+            ..RunArgs::default()
+        };
+        assert_eq!(NodeConfig::resolve(&args).expect("valid").seed, u64::MAX);
+        let file =
+            "id = 18446744073709551615\nbind = \"0.0.0.0:9000\"\nseed = 18446744073709551615";
+        let c = NodeConfig::from_toml(file).expect("valid");
+        assert_eq!((c.id, c.seed), (NodeId(u64::MAX), u64::MAX));
+        assert_eq!(
+            NodeConfig::from_toml("id = 1\nseed = -4"),
+            Err("line 2: negative integer -4: ids, seeds and times are non-negative".to_string())
+        );
     }
 }

@@ -8,10 +8,13 @@
 //! shared buffer-backed [`Ctx`] — protocol code cannot tell this host
 //! from the simulator.
 //!
-//! Inbound datagrams pass through [`octopus_net::decode_frame`]; every
-//! malformation (short frame, bad magic, version skew, checksum
-//! mismatch, payload garbage) is counted in [`HostStats`] and dropped.
-//! A hostile datagram can never panic the host.
+//! A datagram carries one or more frames, all from one sender to one
+//! destination. Inbound datagrams pass through
+//! [`octopus_net::decode_datagram`]; every malformation of any frame
+//! (short frame, bad magic, version skew, checksum mismatch, payload
+//! garbage, frames naming different peers) drops the whole datagram
+//! and counts it once in [`HostStats`]. A hostile datagram can never
+//! panic the host.
 //!
 //! # Datagram path
 //!
@@ -20,18 +23,27 @@
 //! 64` bytes, allocated and zeroed once per thread, at that thread's
 //! first poll — a poll that finds the socket empty touches none of it,
 //! and every host the thread serves reads into the same bytes),
-//! `decode_frame` reads exactly the bytes that arrived and builds the
-//! message in storage of its own, and the buffer is free again before
-//! the handler runs. A decoded frame is delivered only if it came from
-//! where the peer table places its sender: the socket source must equal
-//! the table's address for `header.from`, so a sender that forges
-//! another node's id, or names one the table does not list, is counted
-//! as rejected and dropped. *Out:* [`octopus_net::encode_frame_into`]
-//! writes header and payload once into the host's send buffer, which
-//! keeps its capacity from frame to frame, and `send_to` hands that
-//! slice to the kernel. In the steady state neither direction allocates
-//! for the frame, and the handler's outbox is a pooled `Vec` taken out
-//! of the host for the call and put back.
+//! `decode_datagram` reads exactly the bytes that arrived and builds
+//! each frame's message in storage of its own, in a pooled `Vec` of the
+//! host's, and the buffer is free again before the first handler runs.
+//! A datagram is delivered only if it came from where the peer table
+//! places its sender: the socket source must equal the table's address
+//! for `header.from`, so a sender that forges another node's id, or
+//! names one the table does not list, is counted as rejected and
+//! dropped. Its frames then reach the node in datagram order.
+//!
+//! *Out:* [`octopus_net::append_frame`] writes header and payload once
+//! into the host's pending buffer, behind the frames sent before it.
+//! The host flushes before every `recv_from` and before `start`,
+//! `inject` and `drive` return: it copies each destination's frames, in
+//! send order, into the send buffer, up to [`MAX_DATAGRAM`] bytes, and
+//! hands that to `send_to`: one datagram per peer and flush. No frame
+//! waits across a socket read, so packing adds no latency: frames pack
+//! only with those that the same due timers or the same received
+//! datagram produced. Both buffers keep their
+//! capacity; in the steady state neither direction allocates for a
+//! frame, and the handler's outbox is a pooled `Vec` taken out of the
+//! host for the call and put back.
 //!
 //! # Pending effects and answered timers
 //!
@@ -51,13 +63,14 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
+use std::ops::Range;
 use std::time::Instant;
 
+use octopus_net::wire::{MAX_DATAGRAM, MAX_PAYLOAD};
 use octopus_net::{
-    decode_frame, encode_frame_into, wire::MAX_PAYLOAD, Addr, Ctx, FrameHeader, NodeBehavior,
-    Runtime, Transport, WireCodec,
+    append_frame, decode_datagram, Addr, Ctx, FrameHeader, NodeBehavior, Runtime, Transport,
+    WireCodec,
 };
 use octopus_sim::{derive_rng, split_seed, Duration, SimTime};
 use rand::rngs::StdRng;
@@ -95,10 +108,14 @@ pub struct HostStats {
     pub frames_in: u64,
     /// Frames encoded and handed to the socket.
     pub frames_out: u64,
-    /// Datagrams rejected: by the frame codec, because they are
-    /// addressed to another node, or because their socket source is not
-    /// the peer table's address for the sender they name (a forged or
-    /// unknown origin).
+    /// Datagrams handed to the socket, each carrying one or more of the
+    /// frames in `frames_out`.
+    pub datagrams_out: u64,
+    /// Datagrams rejected, each counted once however many frames it
+    /// carried: by the frame codec (any bad frame, or frames naming
+    /// different peers), because they are addressed to another node,
+    /// or because their socket source is not the peer table's address
+    /// for the sender they name (a forged or unknown origin).
     pub frames_rejected: u64,
     /// Outbound messages dropped because the peer table has no address
     /// for the destination.
@@ -133,8 +150,15 @@ pub struct UdpHost<B: NodeBehavior> {
     rng: StdRng,
     epoch: Instant,
     started: bool,
-    /// Where `transmit` builds a frame; grows to the largest frame sent.
+    /// Frames sent since the last flush, back to back.
+    pending: Vec<u8>,
+    /// Each pending frame's destination, its socket address and where
+    /// the frame lies in `pending`, in send order.
+    pending_frames: Vec<(Addr, SocketAddr, Range<usize>)>,
+    /// Where a flush packs one datagram; grows to the largest sent.
     send_buf: Vec<u8>,
+    /// The messages of the datagram being delivered (pooled).
+    inbox: Vec<B::Msg>,
     // pooled handler buffers (same discipline as the simulator's shards:
     // taken out for the handler call, put back once flushed)
     outbox: Vec<(Addr, B::Msg, Duration)>,
@@ -181,7 +205,10 @@ where
             rng: derive_rng(split_seed(master_seed, addr.0), b"udp-node", 0),
             epoch: wall_now(),
             started: false,
+            pending: Vec::new(),
+            pending_frames: Vec::new(),
             send_buf: Vec::new(),
+            inbox: Vec::new(),
             outbox: Vec::new(),
             timers: Vec::new(),
             cancels: Vec::new(),
@@ -274,7 +301,7 @@ where
         self.collected.append(&mut self.controls);
     }
 
-    /// Encode one frame into the send buffer and send it.
+    /// Encode one frame into the pending buffer; the next flush sends it.
     fn transmit(&mut self, to: Addr, msg: &B::Msg) {
         let Some(dest) = self.peers.get(to) else {
             self.stats.dropped_unknown_peer += 1;
@@ -287,14 +314,51 @@ where
         // a live host drops a message past MAX_PAYLOAD instead of
         // panicking as `encode_frame` does (and counts it — silent loss
         // of a protocol message is a diagnosis nightmare)
-        if encode_frame_into(header, msg, &mut self.send_buf).is_err() {
+        let start = self.pending.len();
+        if append_frame(header, msg, &mut self.pending).is_err() {
             self.stats.send_failures += 1;
             return;
         }
-        match self.socket.send_to(&self.send_buf, dest) {
-            Ok(_) => self.stats.frames_out += 1,
-            Err(_) => self.stats.send_failures += 1,
+        self.pending_frames
+            .push((to, dest, start..self.pending.len()));
+    }
+
+    /// Send every pending frame: one datagram per destination, holding
+    /// its frames in send order, split before it would pass
+    /// [`MAX_DATAGRAM`] bytes.
+    fn flush(&mut self) {
+        let mut frames = std::mem::take(&mut self.pending_frames);
+        // the start offset keeps each destination's frames in send order
+        frames.sort_unstable_by_key(|(to, _, at)| (*to, at.start));
+        for run in frames.chunk_by(|a, b| a.0 == b.0) {
+            let dest = run[0].1;
+            let mut packed = 0;
+            for (_, _, at) in run {
+                if packed > 0 && self.send_buf.len() + at.len() > MAX_DATAGRAM {
+                    self.send_datagram(dest, packed);
+                    packed = 0;
+                }
+                self.send_buf.extend_from_slice(&self.pending[at.clone()]);
+                packed += 1;
+            }
+            self.send_datagram(dest, packed);
         }
+        frames.clear();
+        self.pending_frames = frames;
+        self.pending.clear();
+    }
+
+    /// Hand the send buffer, which holds `frames` frames, to the socket
+    /// as one datagram, and empty it.
+    fn send_datagram(&mut self, dest: SocketAddr, frames: u64) {
+        match self.socket.send_to(&self.send_buf, dest) {
+            Ok(_) => {
+                self.stats.frames_out += frames;
+                self.stats.datagrams_out += 1;
+            }
+            Err(_) => self.stats.send_failures += frames,
+        }
+        self.send_buf.clear();
     }
 
     /// Deliver the node's `on_start` (arms its periodic timers).
@@ -302,6 +366,7 @@ where
         if !self.started {
             self.started = true;
             self.dispatch(|n, ctx| n.on_start(ctx));
+            self.flush();
         }
     }
 
@@ -333,9 +398,11 @@ where
         }
     }
 
-    /// Block on the socket for up to the read timeout; decode and
-    /// deliver at most one frame. Returns whether a datagram arrived.
-    fn recv_one(&mut self) -> bool {
+    /// Send what is pending, then block on the socket for up to the
+    /// read timeout; decode at most one datagram and deliver its frames.
+    fn recv_one(&mut self) {
+        self.flush();
+        let mut inbox = std::mem::take(&mut self.inbox);
         let received = RECV.with_borrow_mut(|buf| {
             if buf.is_empty() {
                 *buf = vec![0; RECV_BUF];
@@ -343,31 +410,30 @@ where
             let (len, src) = self.socket.recv_from(buf)?;
             // only the `len` bytes this datagram wrote are read: what an
             // earlier, longer one left behind, for this host or another
-            // on the thread, never shows. The decoded `Msg` owns its
+            // on the thread, never shows. Each decoded `Msg` owns its
             // storage, so the borrow ends here, before any handler runs.
-            Ok::<_, std::io::Error>((src, decode_frame::<B::Msg>(&buf[..len])))
+            Ok::<_, std::io::Error>((src, decode_datagram(&buf[..len], &mut inbox)))
         });
         match received {
-            Ok((src, Ok((header, msg))))
-                if header.to == self.addr && self.sent_by(header.from, src) =>
-            {
-                self.stats.frames_in += 1;
-                let from = header.from;
-                self.dispatch(|n, ctx| n.on_message(ctx, from, msg));
-                true
+            Ok((src, Ok(header))) if header.to == self.addr && self.sent_by(header.from, src) => {
+                self.stats.frames_in += inbox.len() as u64;
+                for msg in inbox.drain(..) {
+                    self.dispatch(|n, ctx| n.on_message(ctx, header.from, msg));
+                }
             }
             // malformed, well-formed but misaddressed (stale peer table
             // on the sender), or sent from where its sender does not
             // live (forged or unknown origin) — reject, don't deliver
             Ok(_) => {
+                inbox.clear();
                 self.stats.frames_rejected += 1;
-                true
             }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => false,
-            // transient socket errors (e.g. ECONNREFUSED surfaced on a
-            // connected peer's ICMP) must not kill the loop
-            Err(_) => false,
+            // nothing arrived, or a transient socket error (e.g.
+            // ECONNREFUSED surfaced on a connected peer's ICMP), which
+            // must not kill the loop
+            Err(_) => {}
         }
+        self.inbox = inbox;
     }
 
     /// Whether a datagram from socket address `src` may speak for
@@ -398,6 +464,7 @@ where
         } else {
             self.transmit(to, &msg);
         }
+        self.flush();
     }
 
     /// Poll sockets and timers for `budget` of *wall-clock* time (the
@@ -415,6 +482,7 @@ where
             self.recv_one();
             t = wall_now();
         }
+        self.flush();
         std::mem::take(&mut self.collected)
     }
 }
@@ -589,7 +657,7 @@ mod tests {
     #[test]
     fn short_frame_after_a_long_one_shows_no_stale_tail() {
         // the longest frame one loopback UDP datagram carries
-        const LONGEST: usize = 65_507 - octopus_net::wire::FRAME_OVERHEAD;
+        const LONGEST: usize = MAX_DATAGRAM - octopus_net::wire::FRAME_OVERHEAD;
         let long = Bytes((0..LONGEST).map(|i| (i % 251) as u8).collect());
         // the long frame's header alone: its length and checksum fit the
         // bytes that frame leaves in the receive buffer, so a host that
@@ -1035,6 +1103,172 @@ mod tests {
         let (seen, pending) = run_script(rearm, &[1, 3]);
         assert_eq!(pending, 1);
         assert_eq!(seen, [Seen::Timer(1)]);
+    }
+
+    /// `Scripted` hosts with ids 1 to `n`, each knowing where every
+    /// other listens, all running `script`.
+    fn scripted_hosts(
+        n: u64,
+        script: fn(&mut dyn Runtime<Num, u32, ()>, u32),
+    ) -> Vec<UdpHost<Scripted>> {
+        let sockets: Vec<UdpSocket> = (0..n).map(|_| loopback_socket()).collect();
+        let mut peers = PeerTable::new();
+        for (id, socket) in (1..).zip(&sockets) {
+            peers.insert(NodeId(id), socket.local_addr().expect("addr"));
+        }
+        (1..)
+            .zip(sockets)
+            .map(|(id, socket)| {
+                let node = Scripted {
+                    script,
+                    seen: Vec::new(),
+                };
+                UdpHost::new(node, NodeId(id), socket, peers.clone(), 7).expect("host")
+            })
+            .collect()
+    }
+
+    /// What a driven host's node was sent.
+    fn received(h: &mut UdpHost<Scripted>) -> Vec<Seen> {
+        h.drive(Duration::from_millis(10));
+        h.node().seen.clone()
+    }
+
+    #[test]
+    fn two_sends_to_one_peer_leave_as_one_datagram_in_order() {
+        let mut hosts = scripted_hosts(2, |ctx, step| {
+            if step == 0 {
+                ctx.send(NodeId(2), Num(10));
+                ctx.send(NodeId(2), Num(12));
+            }
+        });
+        hosts[0].inject(NodeId(9), NodeId(1), Num(0));
+        let out = hosts[0].stats;
+        assert_eq!((out.frames_out, out.datagrams_out), (2, 1));
+        assert_eq!(received(&mut hosts[1]), [Seen::Msg(10), Seen::Msg(12)]);
+        assert_eq!(hosts[1].stats.frames_in, 2);
+    }
+
+    #[test]
+    fn sends_to_two_peers_leave_as_two_datagrams() {
+        let mut hosts = scripted_hosts(3, |ctx, step| {
+            if step == 0 {
+                ctx.send(NodeId(2), Num(10));
+                ctx.send(NodeId(3), Num(20));
+                ctx.send(NodeId(2), Num(12));
+            }
+        });
+        hosts[0].inject(NodeId(9), NodeId(1), Num(0));
+        let out = hosts[0].stats;
+        assert_eq!((out.frames_out, out.datagrams_out), (3, 2));
+        assert_eq!(received(&mut hosts[1]), [Seen::Msg(10), Seen::Msg(12)]);
+        assert_eq!(received(&mut hosts[2]), [Seen::Msg(20)]);
+    }
+
+    #[test]
+    fn a_frame_naming_another_peer_rejects_its_whole_datagram() {
+        let (a, mut b) = sink_pair();
+        let dest = b.socket.local_addr().expect("addr");
+        let good = FrameHeader {
+            from: NodeId(1),
+            to: NodeId(2),
+        };
+        let other_sender = FrameHeader {
+            from: NodeId(3),
+            ..good
+        };
+        let other_receiver = FrameHeader {
+            to: NodeId(3),
+            ..good
+        };
+        for other in [other_sender, other_receiver] {
+            let mut datagram = Vec::new();
+            for (header, byte) in [(good, 1), (other, 2), (good, 3)] {
+                append_frame(header, &Bytes(vec![byte]), &mut datagram).expect("fits");
+            }
+            // from host 1's own socket, so only the middle frame is wrong
+            a.socket.send_to(&datagram, dest).expect("send");
+        }
+        b.drive(Duration::from_millis(10));
+        assert!(b.node().0.is_empty(), "delivered {:?}", b.node().0);
+        assert_eq!(b.stats.frames_in, 0);
+        assert_eq!(b.stats.frames_rejected, 2, "one count per datagram");
+    }
+
+    #[test]
+    fn packing_splits_before_the_datagram_limit() {
+        use octopus_net::wire::FRAME_OVERHEAD;
+        let (mut a, mut b) = sink_pair();
+        let first = Bytes(vec![1; 32_000]);
+        // with `first`, one frame fills a datagram to the byte and the
+        // other is a byte too long for it
+        let rest = MAX_DATAGRAM - 2 * FRAME_OVERHEAD - 32_000;
+        let fits = Bytes(vec![2; rest]);
+        let spills = Bytes(vec![3; rest + 1]);
+        for (second, datagrams) in [(&fits, 1), (&spills, 2)] {
+            let before = a.stats;
+            a.transmit(NodeId(2), &first);
+            a.transmit(NodeId(2), second);
+            a.flush();
+            assert_eq!(a.stats.frames_out - before.frames_out, 2);
+            assert_eq!(a.stats.datagrams_out - before.datagrams_out, datagrams);
+            b.drive(Duration::from_millis(10));
+            assert_eq!(b.node().0, [first.clone(), second.clone()]);
+            b.node.0.clear();
+        }
+        // a frame too long for any datagram goes alone, and fails alone
+        let before = a.stats;
+        a.transmit(NodeId(2), &Bytes(vec![4]));
+        a.transmit(NodeId(2), &Bytes(vec![5; MAX_DATAGRAM]));
+        a.flush();
+        assert_eq!(a.stats.datagrams_out - before.datagrams_out, 1);
+        assert_eq!(a.stats.send_failures - before.send_failures, 1);
+        b.drive(Duration::from_millis(10));
+        assert_eq!(b.node().0, [Bytes(vec![4])]);
+        assert_eq!(b.stats.frames_rejected, 0);
+    }
+
+    #[test]
+    fn a_reply_is_on_the_wire_before_the_next_read() {
+        // host 2 blocks in `recv_from` between frames for two seconds
+        // of driving; the asker, a bare socket, waits at most one, so a
+        // reply held until the drive ends never arrives in time
+        let asker = loopback_socket();
+        let wait = std::time::Duration::from_secs(1);
+        asker.set_read_timeout(Some(wait)).expect("timeout");
+        let socket = loopback_socket();
+        let dest = socket.local_addr().expect("addr");
+        let mut peers = PeerTable::new();
+        peers.insert(NodeId(1), asker.local_addr().expect("addr"));
+        let echo = Echo {
+            seen: Vec::new(),
+            timers_fired: 0,
+        };
+        let mut host = UdpHost::new(echo, NodeId(2), socket, peers, 7).expect("host");
+        let driving = std::sync::atomic::AtomicBool::new(true);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                host.drive(Duration::from_secs(2));
+                driving.store(false, std::sync::atomic::Ordering::SeqCst);
+            });
+            let ask = FrameHeader {
+                from: NodeId(1),
+                to: NodeId(2),
+            };
+            let frame = octopus_net::encode_frame(ask, &Num(10));
+            asker.send_to(&frame, dest).expect("send");
+            let mut buf = [0u8; 64];
+            let (len, _) = asker.recv_from(&mut buf).expect("a reply inside a second");
+            assert!(
+                driving.load(std::sync::atomic::Ordering::SeqCst),
+                "the reply waited for the drive to end"
+            );
+            let reply = FrameHeader {
+                from: NodeId(2),
+                to: NodeId(1),
+            };
+            assert_eq!(octopus_net::decode_frame(&buf[..len]), Ok((reply, Num(11))));
+        });
     }
 
     #[test]

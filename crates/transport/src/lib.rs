@@ -12,8 +12,9 @@
 //!   delayed sends, and the shared buffer-backed [`octopus_net::Ctx`] —
 //!   no async runtime;
 //! * frames on the wire are the versioned, checksummed format of
-//!   `octopus_net::wire` (`encode_frame`/`decode_frame`); malformed
-//!   datagrams are counted and dropped, never panicked on;
+//!   `octopus_net::wire`, packed one or more to a datagram
+//!   (`append_frame`/`decode_datagram`); a datagram with any malformed
+//!   frame is counted and dropped whole, never panicked on;
 //! * [`config::NodeConfig`] boots one node from a minimal TOML file
 //!   plus `OCTOPUS_*` env / `--flag` overrides (the shared
 //!   `octopus_bench::RunArgs` parser).

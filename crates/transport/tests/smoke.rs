@@ -9,7 +9,9 @@
 //! * every peer completes lookups and the large majority *converge*
 //!   (the result matches the ground-truth ring owner — the paper's
 //!   correctness criterion);
-//! * no process rejected a frame: all traffic is codec-clean.
+//! * no process rejected a frame: all traffic is codec-clean;
+//! * every peer sent frames, and no process sent more datagrams than
+//!   frames (a datagram carries one or more).
 //!
 //! Gated behind `net-smoke` because it binds sockets and spawns
 //! processes; the dedicated CI job runs
@@ -163,11 +165,20 @@ fn four_process_udp_deployment_converges() {
         let converged = field(final_line, "converged").expect("converged field");
         let rejected = field(final_line, "rejected").expect("rejected field");
         assert_eq!(rejected, 0, "{name} rejected frames: {final_line}");
+        // frames leave packed, one or more to a datagram; the CA of a
+        // run without reports sends none
+        let frames_out = field(final_line, "frames_out").expect("frames_out field");
+        let datagrams_out = field(final_line, "datagrams_out").expect("datagrams_out field");
+        assert!(
+            datagrams_out <= frames_out && (datagrams_out > 0) == (frames_out > 0),
+            "{name} sent {frames_out} frames in {datagrams_out} datagrams: {final_line}"
+        );
         if name != "ca" {
             // each peer runs lookups every ~500 ms for 6 s: demand real
             // activity and majority convergence (startup raciness may
             // cost the first request-timeout's worth)
             assert!(lookups >= 4, "{name} ran too few lookups: {final_line}");
+            assert!(datagrams_out > 0, "{name} sent nothing: {final_line}");
             assert!(
                 converged * 2 > lookups,
                 "{name} failed to converge a majority: {final_line}"

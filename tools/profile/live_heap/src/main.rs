@@ -342,9 +342,10 @@ fn udp(n: u64, seconds: u64, seed: u64) {
     census_report(10);
     let sum = |count: fn(&HostStats) -> u64| hosts.iter().map(|h| count(&h.stats)).sum::<u64>();
     println!(
-        "# frames_in={} frames_out={} frames_rejected={}",
+        "# frames_in={} frames_out={} datagrams_out={} frames_rejected={}",
         sum(|s| s.frames_in),
         sum(|s| s.frames_out),
+        sum(|s| s.datagrams_out),
         sum(|s| s.frames_rejected)
     );
 }
