@@ -32,7 +32,6 @@ fn octopus_config(args: &RunArgs, lookup_interval: Duration, secs: u64) -> SimCo
         duration: Duration::from_secs(secs),
         seed: args.seed_or(77),
         octopus,
-        lookups_enabled: true,
         ..SimConfig::default()
     }
 }

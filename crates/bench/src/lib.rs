@@ -283,7 +283,6 @@ impl RunArgs {
             duration: Duration::from_secs(self.scale.sim_secs()),
             seed: self.seed_or(seed),
             octopus: OctopusConfig::for_network(self.scale.sim_n()),
-            lookups_enabled: true,
             ..SimConfig::default()
         }
     }

@@ -49,8 +49,6 @@ enum Case {
         fprime: NodeId,
         ideal: octopus_id::Key,
         z: NodeId,
-        /// Timestamp of the reported signed table.
-        table_ts: u64,
         category: ReportCat,
     },
     /// Walking a path's forwarding receipts (Appendix II).
@@ -474,7 +472,6 @@ impl CaNode {
                         fprime,
                         ideal,
                         z,
-                        table_ts: table.timestamp,
                         category,
                     },
                 );
@@ -496,7 +493,6 @@ impl CaNode {
                 // leave F′ to the other mechanisms (its manipulated
                 // successor-list answers are caught by neighbor
                 // surveillance) and keep the false-positive rate at zero.
-                let _ = finger_pred_list;
             }
             Report::Dropper {
                 reporter,
@@ -858,7 +854,6 @@ impl CaNode {
             fprime,
             ideal,
             z,
-            table_ts,
             category,
         }) = self.cases.remove(&case_id)
         else {
@@ -885,7 +880,6 @@ impl CaNode {
             // either way the report concerned superseded state, not a
             // live manipulation. A manipulating node would have
             // fabricated *justifying* provenance instead.
-            let _ = table_ts;
             self.dismiss(ctx, category);
             return;
         }

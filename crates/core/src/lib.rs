@@ -25,6 +25,9 @@
 //!   [`trial::TrialRunner`] fanning seeded trials across threads.
 //!   Thread count and shard count never change results: fixed-seed
 //!   reports are byte-identical at any setting.
+//! * **The idealized join** ([`genesis`]): certificates, ground-truth
+//!   ring state and finger provenance for a ring, which the simulator
+//!   and the UDP deployment (`octopus-node`) both seed from.
 //!
 //! The adversary ([`adversary`]) is a first-class implementation:
 //! colluding malicious nodes mount lookup bias, fingertable manipulation,
@@ -40,6 +43,7 @@ pub mod adversary;
 pub mod ca;
 pub mod codec;
 pub mod config;
+pub mod genesis;
 pub mod lookup;
 pub mod messages;
 pub mod mutation;

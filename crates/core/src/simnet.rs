@@ -13,7 +13,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use octopus_chord::{ChordConfig, SignedSuccessorList};
+use octopus_chord::GroundTruthView;
 use octopus_crypto::{Certificate, CertificateAuthority, KeyPair};
 use octopus_id::{IdSpace, Key, NodeId};
 use octopus_metrics::{merge_point_series, Merge};
@@ -25,6 +25,7 @@ use rand::Rng;
 use crate::adversary::{AdversaryState, AttackKind, ShardedAdversary};
 use crate::ca::CaNode;
 use crate::config::OctopusConfig;
+use crate::genesis::{self, RingKeys};
 use crate::messages::{Msg, Timer};
 use crate::node::OctopusNode;
 use crate::trace::TraceEvent;
@@ -178,8 +179,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Protocol parameters.
     pub octopus: OctopusConfig,
-    /// Whether peers run application lookups (Fig. 3(b) accounting).
-    pub lookups_enabled: bool,
     /// Number of contiguous ID-range shards the world is partitioned
     /// into (clamped to at least 1). Sharding splits storage — one node
     /// slab, one timer lane and one delivery lane per shard — but never
@@ -210,7 +209,6 @@ impl Default for SimConfig {
             duration: Duration::from_secs(1000),
             seed: 42,
             octopus: OctopusConfig::default(),
-            lookups_enabled: true,
             shards: 1,
             parallel: false,
             pool_threads: 0,
@@ -437,7 +435,7 @@ pub struct SecuritySim {
     /// Each node's key pair and certificate; the certificate's one
     /// allocation is shared by the adversary's directory and by every
     /// list the simulation signs in the node's name.
-    keys: BTreeMap<NodeId, (KeyPair, Arc<Certificate>)>,
+    keys: RingKeys,
     churn: ChurnProcess,
     rng: rand::rngs::StdRng,
     /// Recorded semantic trace, present iff [`OctopusConfig::trace`] is
@@ -473,15 +471,7 @@ impl SecuritySim {
 
         // --- certificates & CA ---
         let mut ca_node = CaNode::new(CA_ADDR, ca_authority, cfg.octopus);
-        let mut keys = BTreeMap::new();
-        for &id in space.ids() {
-            let kp = KeyPair::generate(&mut rng);
-            let cert = ca_node.issue_cert(id, kp.public());
-            ca_node.register(id, kp.public());
-            ca_node.note_join(id, 0);
-            keys.insert(id, (kp, Arc::new(cert)));
-        }
-        ca_node.broadcast_to = space.ids().to_vec();
+        let keys = genesis::issue_certs(&mut ca_node, &space, &mut rng);
 
         // --- world ---
         let latency = KingLikeLatency::new(octopus_sim::split_seed(cfg.seed, 7));
@@ -497,14 +487,16 @@ impl SecuritySim {
         let adversary = ShardedAdversary::new(adversary_state);
         // the genesis ring is one membership at one instant: each
         // signer's list is signed once for all the nodes citing it
+        let truth = GroundTruthView::new(&space, chord);
         let mut genesis_lists = BTreeMap::new();
         for &id in space.ids() {
             let (kp, cert) = keys.get(&id).expect("key exists");
             let adv = malicious.contains(&id).then(|| adversary.handle());
             let mut node =
                 OctopusNode::new(id, cfg.octopus, kp.clone(), **cert, CA_ADDR, ca_key, adv);
-            seed_from_truth(&mut node, &space, chord, &mut rng);
-            seed_provenance(&mut node, &space, chord, &keys, 0, &mut genesis_lists);
+            let pairs = relay_draws(&space, id, &mut rng);
+            genesis::seed_from_truth(&mut node, &truth, pairs);
+            genesis::seed_provenance(&mut node, &truth, &keys, 0, &mut genesis_lists);
             world.insert_node(id, Actor::Peer(Box::new(node)));
         }
 
@@ -681,22 +673,17 @@ impl SecuritySim {
                 result,
                 elapsed,
                 ..
-            } => {
-                if !self.cfg.lookups_enabled {
-                    return;
-                }
-                match result {
-                    Some(owner) => {
-                        report.completed_lookups += 1;
-                        report.lookup_latencies_ms.push(elapsed.as_millis_f64());
-                        let truth = self.space.owner_of(key).owner;
-                        if owner != truth {
-                            report.biased_lookups += 1;
-                        }
+            } => match result {
+                Some(owner) => {
+                    report.completed_lookups += 1;
+                    report.lookup_latencies_ms.push(elapsed.as_millis_f64());
+                    let truth = self.space.owner_of(key).owner;
+                    if owner != truth {
+                        report.biased_lookups += 1;
                     }
-                    None => report.failed_lookups += 1,
                 }
-            }
+                None => report.failed_lookups += 1,
+            },
             Control::WalkDone { ok, .. } => {
                 if ok {
                     report.walks_ok += 1;
@@ -815,16 +802,24 @@ impl SecuritySim {
             ca_key,
             malicious.then(|| self.adversary.handle()),
         );
-        let chord = self.cfg.octopus.chord;
-        seed_from_truth(&mut node, &self.space, chord, &mut self.rng);
-        seed_provenance(
+        let truth = GroundTruthView::new(&self.space, self.cfg.octopus.chord);
+        let pairs = relay_draws(&self.space, id, &mut self.rng);
+        genesis::seed_from_truth(&mut node, &truth, pairs);
+        genesis::seed_provenance(
             &mut node,
-            &self.space,
-            chord,
+            &truth,
             &self.keys,
             now.as_secs_f64() as u64,
             &mut BTreeMap::new(),
         );
+        // the ring neighbors the join is announced to (idealized join
+        // protocol) are the ones it was seeded with
+        let neighbors: Vec<NodeId> = node
+            .successors()
+            .iter()
+            .chain(node.predecessors())
+            .copied()
+            .collect();
         if malicious {
             let (kp, cert) = self.keys.get(&id).expect("keys exist");
             self.adversary
@@ -833,10 +828,7 @@ impl SecuritySim {
         self.world.insert_node(id, Actor::Peer(Box::new(node)));
         self.push_trace(now, TraceEvent::NodeJoined { node: id });
         self.with_ca(|ca| ca.note_join(id, now.as_secs_f64() as u64));
-        // announce the join to ring neighbors (idealized join protocol)
-        let succs = self.space.successor_list(id, chord.successors);
-        let preds = self.space.predecessor_list(id, chord.predecessors);
-        for n in succs.into_iter().chain(preds) {
+        for n in neighbors {
             if let Some(Actor::Peer(p)) = self.world.node_mut(n) {
                 p.learn_neighbor(id);
             }
@@ -970,75 +962,12 @@ impl SecuritySim {
     }
 }
 
-/// Seed per-finger adoption provenance from ground truth: the idealized
-/// join protocol runs checked finger lookups, so each seeded finger
-/// comes with the signed third-party list a real §4.5 check would have
-/// produced — the successor list of the finger target's predecessor.
-///
-/// `signed` holds the lists already signed at `now` over this `space`,
-/// by signer; a signer's list is signed once and shared after that, by
-/// every node that cites it. The signature is deterministic, so the
-/// shared list is the bytes a second signing would give. The caller
-/// starts a fresh map whenever `space` or `now` changes.
-fn seed_provenance(
-    node: &mut OctopusNode,
-    space: &IdSpace,
-    chord: ChordConfig,
-    keys: &BTreeMap<NodeId, (KeyPair, Arc<Certificate>)>,
-    now: u64,
-    signed: &mut BTreeMap<NodeId, Arc<SignedSuccessorList>>,
-) {
-    use octopus_chord::signed::successor_list_table;
-    for i in 0..chord.fingers {
-        let ideal = chord.finger_target(node.id, i);
-        let owner = space.owner_of(ideal).owner;
-        // the justifying signer is a predecessor of the finger whose
-        // successor list spans the [ideal, finger) gap; skip ourselves
-        // (self-signed justifications convince nobody)
-        let signer = (1..=3)
-            .map(|d| space.predecessor(owner, d))
-            .find(|&s| s != node.id && s != owner);
-        let Some(signer) = signer else { continue };
-        let Some((kp, cert)) = keys.get(&signer) else {
-            continue;
-        };
-        let list = signed.entry(signer).or_insert_with(|| {
-            let list = space.successor_list(signer, chord.successors);
-            Arc::new(SignedSuccessorList::sign(
-                successor_list_table(signer, list),
-                now,
-                kp,
-                Arc::clone(cert),
-            ))
-        });
-        node.set_finger_provenance(i, Arc::clone(list));
-    }
-}
-
-/// Initialize a node's ring state from ground truth (idealized join).
-fn seed_from_truth(
-    node: &mut OctopusNode,
-    space: &IdSpace,
-    chord: ChordConfig,
-    rng: &mut impl Rng,
-) {
-    let id = node.id;
-    let succs = space.successor_list(id, chord.successors);
-    let preds = space.predecessor_list(id, chord.predecessors);
-    let fingers = (0..chord.fingers)
-        .map(|i| space.owner_of(chord.finger_target(id, i)).owner)
-        .collect();
-    // initial relay pairs: as if walks had already run (the pool is
-    // immediately refreshed by real walks every 15 s)
-    let mut pairs = Vec::new();
-    for _ in 0..4 {
-        let a = space.random_member(rng);
-        let b = space.random_member(rng);
-        if a != b && a != id && b != id {
-            pairs.push((a, b));
-        }
-    }
-    node.seed_state(succs, preds, fingers, pairs);
+/// A node's initial relay pairs in the simulator: four draws from the
+/// driver's stream, of which the invalid ones are dropped.
+fn relay_draws(space: &IdSpace, id: NodeId, rng: &mut impl Rng) -> Vec<(NodeId, NodeId)> {
+    (0..4)
+        .filter_map(|_| genesis::relay_pair(space, id, rng))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1056,20 +985,13 @@ mod tests {
             seed: 31,
             ..SimConfig::default()
         });
-        let chord = sim.cfg.octopus.chord;
+        let truth = GroundTruthView::new(&sim.space, sim.cfg.octopus.chord);
         let ca_key = sim.with_ca_ref(CaNode::public_key);
         let (mut cited, mut signers, mut allocations) = (0, BTreeSet::new(), BTreeSet::new());
         for &id in sim.space.ids() {
             let (kp, cert) = sim.keys.get(&id).expect("key exists").clone();
             let mut fresh = OctopusNode::new(id, sim.cfg.octopus, kp, *cert, CA_ADDR, ca_key, None);
-            seed_provenance(
-                &mut fresh,
-                &sim.space,
-                chord,
-                &sim.keys,
-                0,
-                &mut BTreeMap::new(),
-            );
+            genesis::seed_provenance(&mut fresh, &truth, &sim.keys, 0, &mut BTreeMap::new());
             let shared = sim
                 .with_peer(id, |p| p.finger_prov.clone())
                 .expect("genesis node is live");

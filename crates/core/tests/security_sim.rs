@@ -17,7 +17,6 @@ fn base(attack: AttackKind, seed: u64) -> SimConfig {
         duration: Duration::from_secs(240),
         seed,
         octopus: octopus_core::OctopusConfig::for_network(150),
-        lookups_enabled: true,
         shards: 1,
         parallel: false,
         pool_threads: 0,

@@ -143,15 +143,6 @@ impl IdSpace {
         (1..=k).map(|i| self.predecessor(id, i)).collect()
     }
 
-    /// Ground-truth fingertable of `id`: for each bit `i`, the owner of
-    /// `id + 2^i`.
-    #[must_use]
-    pub fn fingertable(&self, id: NodeId, fingers: u32) -> Vec<NodeId> {
-        (0..fingers)
-            .map(|i| self.owner_of(id.finger_target(i)).owner)
-            .collect()
-    }
-
     /// A uniformly random member id.
     pub fn random_member<R: Rng + ?Sized>(&self, rng: &mut R) -> NodeId {
         *self.ids.choose(rng).expect("empty id space")
@@ -222,24 +213,6 @@ mod tests {
         assert_eq!(
             s.predecessor_list(NodeId(10), 2),
             vec![NodeId(40), NodeId(30)]
-        );
-    }
-
-    #[test]
-    fn fingertable_ground_truth() {
-        let s = space();
-        let ft = s.fingertable(NodeId(10), 6);
-        // targets 11,12,14,18,26,42 → owners 20,20,20,20,30,10
-        assert_eq!(
-            ft,
-            vec![
-                NodeId(20),
-                NodeId(20),
-                NodeId(20),
-                NodeId(20),
-                NodeId(30),
-                NodeId(10)
-            ]
         );
     }
 

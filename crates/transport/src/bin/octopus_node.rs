@@ -5,7 +5,10 @@
 //! the same per-node keypairs and certificates, and the same idealized
 //! ring state, purely from `seed` and the (sorted) peer table — no
 //! key-distribution step, which keeps multi-process bring-up a matter
-//! of pointing N processes at the same config. The protocol running on
+//! of pointing N processes at the same config. The ring state is the
+//! simulator's idealized join, `octopus_core::genesis`; only the relay
+//! pairs are this binary's own draws. The process whose id is the CA's
+//! reserved address (`2^64 - 1`) hosts the CA. The protocol running on
 //! top is the untouched `octopus-core` code driven through the
 //! transport-agnostic `Runtime` boundary.
 //!
@@ -25,11 +28,11 @@ use std::io::Write;
 use std::net::UdpSocket;
 
 use octopus_bench::RunArgs;
-use octopus_chord::signed::successor_list_table;
-use octopus_chord::{ChordConfig, SignedRoutingTable};
+use octopus_chord::GroundTruthView;
+use octopus_core::genesis::{self, RingKeys};
 use octopus_core::simnet::CA_ADDR;
 use octopus_core::{Actor, CaNode, Control, OctopusConfig, OctopusNode};
-use octopus_crypto::{Certificate, CertificateAuthority, KeyPair};
+use octopus_crypto::{CertificateAuthority, PublicKey};
 use octopus_id::{IdSpace, NodeId};
 use octopus_net::Transport;
 use octopus_sim::{derive_rng, Duration};
@@ -50,81 +53,55 @@ fn accelerated_config(n: usize) -> OctopusConfig {
     cfg
 }
 
-/// Deterministic deployment-wide key material: every process computes
-/// this identically from the master seed and the sorted ring ids.
-struct Deployment {
-    ca_node: CaNode,
-    keys: BTreeMap<NodeId, (KeyPair, Certificate)>,
-    space: IdSpace,
-}
-
-fn derive_deployment(seed: u64, ring_ids: &[NodeId], cfg: OctopusConfig) -> Deployment {
+/// The deployment's CA and every member's keys: each process derives
+/// them identically from the master seed and the ring.
+fn issue(seed: u64, space: &IdSpace, cfg: OctopusConfig) -> (CaNode, RingKeys) {
     let mut rng = derive_rng(seed, b"udp-boot", 0);
-    let authority = CertificateAuthority::new(&mut rng);
-    let mut ca_node = CaNode::new(CA_ADDR, authority, cfg);
-    let mut keys = BTreeMap::new();
-    for &id in ring_ids {
-        let kp = KeyPair::generate(&mut rng);
-        let cert = ca_node.issue_cert(id, kp.public());
-        ca_node.register(id, kp.public());
-        ca_node.note_join(id, 0);
-        keys.insert(id, (kp, cert));
-    }
-    ca_node.broadcast_to = ring_ids.to_vec();
-    Deployment {
-        ca_node,
-        keys,
-        space: IdSpace::new(ring_ids),
-    }
+    let mut ca = CaNode::new(CA_ADDR, CertificateAuthority::new(&mut rng), cfg);
+    let keys = genesis::issue_certs(&mut ca, space, &mut rng);
+    (ca, keys)
 }
 
-/// Idealized-join seeding, mirroring the simulator's driver: ring lists
-/// from ground truth, finger provenance signed by real third parties,
-/// and an initial relay-pair pool so lookups work before the first walk
-/// completes.
-fn seed_node(node: &mut OctopusNode, dep: &Deployment, chord: ChordConfig, seed: u64) {
-    let id = node.id;
-    let space = &dep.space;
-    let succs = space.successor_list(id, chord.successors);
-    let preds = space.predecessor_list(id, chord.predecessors);
-    let fingers: Vec<NodeId> = (0..chord.fingers)
-        .map(|i| space.owner_of(chord.finger_target(id, i)).owner)
-        .collect();
+/// Member `id`'s initial relay pairs, from its own stream: draws are
+/// retried until it holds four, so lookups work before its first walk
+/// completes. On a ring of fewer than four members, where valid pairs
+/// may not exist, it stops at the first invalid draw.
+fn relay_pairs(seed: u64, space: &IdSpace, id: NodeId) -> Vec<(NodeId, NodeId)> {
     let mut rng = derive_rng(seed, b"udp-relays", id.0);
     let mut pairs = Vec::new();
     while pairs.len() < 4 {
-        let a = space.random_member(&mut rng);
-        let b = space.random_member(&mut rng);
-        if a != b && a != id && b != id {
-            pairs.push((a, b));
-        } else if space.len() < 4 {
-            break; // tiny ring: distinct pairs may not exist
+        match genesis::relay_pair(space, id, &mut rng) {
+            Some(pair) => pairs.push(pair),
+            None if space.len() < 4 => break,
+            None => {}
         }
     }
-    node.seed_state(succs, preds, fingers, pairs);
-    for i in 0..chord.fingers {
-        let ideal = chord.finger_target(id, i);
-        let owner = space.owner_of(ideal).owner;
-        let signer = (1..=3)
-            .map(|d| space.predecessor(owner, d))
-            .find(|&s| s != id && s != owner);
-        let Some(signer) = signer else { continue };
-        let Some((kp, cert)) = dep.keys.get(&signer) else {
-            continue;
-        };
-        let list = space.successor_list(signer, chord.successors);
-        let signed = SignedRoutingTable::sign(successor_list_table(signer, list), 0, kp, *cert);
-        node.set_finger_provenance(i, signed);
-    }
+    pairs
+}
+
+/// Ring member `id`, seated by the idealized join. `id` must be in
+/// `space`.
+fn peer(
+    seed: u64,
+    space: &IdSpace,
+    cfg: OctopusConfig,
+    keys: &RingKeys,
+    ca_key: PublicKey,
+    id: NodeId,
+) -> OctopusNode {
+    let (kp, cert) = keys.get(&id).expect("every ring member has keys").clone();
+    let mut node = OctopusNode::new(id, cfg, kp, *cert, CA_ADDR, ca_key, None);
+    let truth = GroundTruthView::new(space, cfg.chord);
+    genesis::seed_from_truth(&mut node, &truth, relay_pairs(seed, space, id));
+    genesis::seed_provenance(&mut node, &truth, keys, 0, &mut BTreeMap::new());
+    node
 }
 
 fn run() -> Result<(), String> {
     let args = RunArgs::from_env();
     let cfg = NodeConfig::resolve(&args)?;
-    // the CA's reserved overlay address identifies it even without an
-    // explicit `ca = true` in the config
-    let is_ca = cfg.ca || cfg.id == CA_ADDR;
-    let my_id = if is_ca { CA_ADDR } else { cfg.id };
+    // the CA's reserved overlay address identifies it
+    let is_ca = cfg.id == CA_ADDR;
 
     // ring members: every peer-table entry except the CA's
     let ring_ids: Vec<NodeId> = cfg
@@ -140,27 +117,20 @@ fn run() -> Result<(), String> {
         ));
     }
     let ocfg = accelerated_config(ring_ids.len());
-    let dep = derive_deployment(cfg.seed, &ring_ids, ocfg);
-    let ca_key = dep.ca_node.public_key();
-
+    let space = IdSpace::new(&ring_ids);
+    let (ca, keys) = issue(cfg.seed, &space, ocfg);
     let actor = if is_ca {
-        Actor::Ca(Box::new(dep.ca_node))
+        Actor::Ca(Box::new(ca))
     } else {
-        let (kp, cert) = dep
-            .keys
-            .get(&cfg.id)
-            .cloned()
-            .ok_or_else(|| "own key missing after derivation".to_string())?;
-        let mut node = OctopusNode::new(cfg.id, ocfg, kp, cert, CA_ADDR, ca_key, None);
-        seed_node(&mut node, &dep, ocfg.chord, cfg.seed);
+        let node = peer(cfg.seed, &space, ocfg, &keys, ca.public_key(), cfg.id);
         Actor::Peer(Box::new(node))
     };
 
     let socket = UdpSocket::bind(cfg.bind).map_err(|e| format!("bind {}: {e}", cfg.bind))?;
     let local = socket.local_addr().map_err(|e| e.to_string())?;
-    let mut host = UdpHost::new(actor, my_id, socket, cfg.peers.clone(), cfg.seed)
+    let mut host = UdpHost::new(actor, cfg.id, socket, cfg.peers.clone(), cfg.seed)
         .map_err(|e| e.to_string())?;
-    println!("ready id={} bind={local}", my_id.0);
+    println!("ready id={} bind={local}", cfg.id.0);
     std::io::stdout().flush().ok();
     // grace period: give the rest of the deployment time to bind before
     // the first onion goes out (a message to an unbound peer is silently
@@ -186,7 +156,7 @@ fn run() -> Result<(), String> {
                 ..
             } = control
             {
-                let expected = dep.space.owner_of(key).owner;
+                let expected = space.owner_of(key).owner;
                 let ok = result == Some(expected);
                 lookups += 1;
                 converged += u64::from(ok);
@@ -204,14 +174,14 @@ fn run() -> Result<(), String> {
     println!(
         "final id={} lookups={lookups} converged={converged} frames_in={} frames_out={} \
          datagrams_out={} rejected={} unknown_peer={}",
-        my_id.0,
+        cfg.id.0,
         s.frames_in,
         s.frames_out,
         s.datagrams_out,
         s.frames_rejected,
         s.dropped_unknown_peer
     );
-    println!("clean-shutdown id={}", my_id.0);
+    println!("clean-shutdown id={}", cfg.id.0);
     Ok(())
 }
 
@@ -219,5 +189,32 @@ fn main() {
     if let Err(e) = run() {
         eprintln!("octopus-node: {e}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use octopus_chord::RoutingView;
+
+    #[test]
+    fn every_peer_seeds_from_ground_truth_with_four_relay_pairs() {
+        for n in [4u64, 16] {
+            let ids: Vec<NodeId> = (1..=n)
+                .map(|i| NodeId(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+                .collect();
+            let space = IdSpace::new(&ids);
+            let cfg = accelerated_config(space.len());
+            let (ca, keys) = issue(42, &space, cfg);
+            let truth = GroundTruthView::new(&space, cfg.chord);
+            for &id in space.ids() {
+                let node = peer(42, &space, cfg, &keys, ca.public_key(), id);
+                let table = truth.table_of(id);
+                assert_eq!(node.successors(), table.successors, "{n} peers, {id:?}");
+                assert_eq!(node.predecessors(), table.predecessors, "{n} peers, {id:?}");
+                assert_eq!(node.fingers(), table.fingers, "{n} peers, {id:?}");
+                assert_eq!(relay_pairs(42, &space, id).len(), 4, "{n} peers, {id:?}");
+            }
+        }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! A node boots from a minimal TOML file (no external TOML crate — the
 //! subset parsed here is flat `key = value` pairs with strings,
-//! integers, booleans and single-line string arrays, which covers every
-//! knob the binary has), overridden by the shared
+//! integers and single-line string arrays, which covers every knob the
+//! binary has; any other key is rejected by name), overridden by the shared
 //! [`octopus_bench::RunArgs`] env/flag parser: `--addr`/`OCTOPUS_ADDR`,
 //! `--peers`/`OCTOPUS_PEERS`, `--seed`/`OCTOPUS_SEED` and
 //! `--node-config`/`OCTOPUS_NODE_CONFIG` all work without a file.
@@ -26,14 +26,18 @@ pub struct NodeConfig {
     /// Shared master seed: every process in a deployment must agree on
     /// it (keys, certificates and the seeded ring state derive from it).
     pub seed: u64,
-    /// The full peer table, including this node's own entry.
+    /// The full peer table, including this node's own entry. The
+    /// process whose id is the CA's reserved address hosts the
+    /// certificate authority; every other entry is a ring member.
     pub peers: PeerTable,
-    /// Whether this process hosts the certificate authority instead of
-    /// a peer.
-    pub ca: bool,
     /// Wall-clock run length in milliseconds (0 = run until killed).
     pub run_ms: u64,
 }
+
+/// Every key the config has. Any other key is an error: a misspelled
+/// `seed` would otherwise boot with seed 0, whose keys and certificates
+/// match no other process in the deployment.
+const KEYS: [&str; 6] = ["addr", "id", "bind", "seed", "peers", "run_ms"];
 
 /// A parsed TOML scalar (the subset the config uses). Every integer the
 /// config has is an id, a seed or a length of time, so integers are
@@ -42,12 +46,12 @@ pub struct NodeConfig {
 enum TomlValue {
     Str(String),
     Int(u64),
-    Bool(bool),
     StrArray(Vec<String>),
 }
 
 /// Parse the flat TOML subset: `key = value` per line, `#` comments,
-/// bare/quoted strings, integers, booleans, `["a", "b"]` arrays.
+/// bare/quoted strings, integers, `["a", "b"]` arrays. A key the
+/// config does not have is an error.
 fn parse_toml(text: &str) -> Result<BTreeMap<String, TomlValue>, String> {
     let mut map = BTreeMap::new();
     for (lineno, raw) in text.lines().enumerate() {
@@ -66,9 +70,12 @@ fn parse_toml(text: &str) -> Result<BTreeMap<String, TomlValue>, String> {
         let (key, value) = line
             .split_once('=')
             .ok_or_else(|| format!("line {}: expected key = value", lineno + 1))?;
-        let key = key.trim().to_string();
+        let key = key.trim();
+        if !KEYS.contains(&key) {
+            return Err(format!("line {}: unknown key: {key}", lineno + 1));
+        }
         let value = parse_value(value.trim()).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        map.insert(key, value);
+        map.insert(key.to_string(), value);
     }
     Ok(map)
 }
@@ -96,11 +103,6 @@ fn parse_value(s: &str) -> Result<TomlValue, String> {
             .strip_suffix('"')
             .ok_or_else(|| "unterminated string".to_string())?;
         return Ok(TomlValue::Str(inner.to_string()));
-    }
-    match s {
-        "true" => return Ok(TomlValue::Bool(true)),
-        "false" => return Ok(TomlValue::Bool(false)),
-        _ => {}
     }
     if let Ok(v) = s.parse::<u64>() {
         return Ok(TomlValue::Int(v));
@@ -161,16 +163,9 @@ impl NodeConfig {
             Some(TomlValue::StrArray(items)) => {
                 PeerTable::from_entries(items.iter().map(String::as_str))?
             }
-            Some(TomlValue::Str(spec)) => {
-                PeerTable::from_spec(spec).ok_or_else(|| format!("malformed peers: {spec}"))?
-            }
+            Some(TomlValue::Str(spec)) => PeerTable::from_entries(spec.split(','))?,
             Some(_) => return Err("peers must be an array of strings".to_string()),
             None => PeerTable::new(),
-        };
-        let ca = match map.get("ca") {
-            Some(TomlValue::Bool(b)) => *b,
-            Some(_) => return Err("ca must be a boolean".to_string()),
-            None => false,
         };
         let run_ms = match map.get("run_ms") {
             Some(TomlValue::Int(v)) => *v,
@@ -182,7 +177,6 @@ impl NodeConfig {
             bind: bind.ok_or_else(|| "missing bind (or addr)".to_string())?,
             seed,
             peers,
-            ca,
             run_ms,
         })
     }
@@ -226,7 +220,6 @@ mod tests {
 # octopus-node boot config
 addr = "3@127.0.0.1:7003"
 seed = 99
-ca = false
 run_ms = 5000
 peers = ["1@127.0.0.1:7001", "2@127.0.0.1:7002", "3@127.0.0.1:7003"]
 "#;
@@ -237,7 +230,6 @@ peers = ["1@127.0.0.1:7001", "2@127.0.0.1:7002", "3@127.0.0.1:7003"]
         assert_eq!(c.id, NodeId(3));
         assert_eq!(c.bind, "127.0.0.1:7003".parse().unwrap());
         assert_eq!(c.seed, 99);
-        assert!(!c.ca);
         assert_eq!(c.run_ms, 5000);
         assert_eq!(c.peers.len(), 3);
     }
@@ -264,6 +256,33 @@ peers = ["1@127.0.0.1:7001", "2@127.0.0.1:7002", "3@127.0.0.1:7003"]
         assert_eq!(err, "duplicate peer id: 1@127.0.0.1:7002");
         // missing id entirely
         assert!(NodeConfig::from_toml("seed = 4").is_err());
+    }
+
+    #[test]
+    fn unknown_keys_rejected_by_name() {
+        // a misspelled seed would boot with seed 0 and never converge
+        assert_eq!(
+            NodeConfig::from_toml("addr = \"3@127.0.0.1:7003\"\nsed = 42"),
+            Err("line 2: unknown key: sed".to_string())
+        );
+        // the CA is the process at the CA's reserved id, not a flag
+        assert_eq!(
+            NodeConfig::from_toml("addr = \"3@127.0.0.1:7003\"\nca = true"),
+            Err("line 2: unknown key: ca".to_string())
+        );
+    }
+
+    #[test]
+    fn repeated_peer_flag_entry_is_named() {
+        let args = RunArgs {
+            addr: Some("1@127.0.0.1:7001".to_string()),
+            peers: Some("1@127.0.0.1:7001,2@127.0.0.1:7002,1@127.0.0.1:7003".to_string()),
+            ..RunArgs::default()
+        };
+        assert_eq!(
+            NodeConfig::resolve(&args),
+            Err("duplicate peer id: 1@127.0.0.1:7003".to_string())
+        );
     }
 
     #[test]

@@ -89,15 +89,6 @@ impl PeerTable {
         }
         Ok(table)
     }
-
-    /// Parse a comma-separated endpoint list (the `--peers` format).
-    /// Returns `None` if any entry is malformed or repeats an earlier
-    /// entry's id, so a typo fails the whole boot instead of silently
-    /// shrinking the ring.
-    #[must_use]
-    pub fn from_spec(spec: &str) -> Option<Self> {
-        Self::from_entries(spec.split(',')).ok()
-    }
 }
 
 /// Parse a node id: decimal, or hex with a `0x` prefix.
@@ -126,7 +117,8 @@ mod tests {
 
     #[test]
     fn spec_roundtrip() {
-        let t = PeerTable::from_spec("1@127.0.0.1:7001, 2@127.0.0.1:7002,").expect("valid spec");
+        let t = PeerTable::from_entries("1@127.0.0.1:7001, 2@127.0.0.1:7002,".split(','))
+            .expect("valid spec");
         assert_eq!(t.len(), 2);
         assert_eq!(t.get(NodeId(1)), Some("127.0.0.1:7001".parse().unwrap()));
         assert_eq!(t.get(NodeId(2)), Some("127.0.0.1:7002".parse().unwrap()));
@@ -135,13 +127,20 @@ mod tests {
 
     #[test]
     fn malformed_specs_rejected() {
-        assert!(PeerTable::from_spec("1@nonsense").is_none());
-        assert!(PeerTable::from_spec("one@127.0.0.1:7001").is_none());
-        assert!(PeerTable::from_spec("127.0.0.1:7001").is_none());
+        let parse = |spec: &str| PeerTable::from_entries(spec.split(','));
+        assert_eq!(
+            parse("1@nonsense"),
+            Err("malformed peer: 1@nonsense".to_string())
+        );
+        assert!(parse("one@127.0.0.1:7001").is_err());
+        assert!(parse("127.0.0.1:7001").is_err());
         // a repeated id, even at another address, would shrink the ring
-        assert!(PeerTable::from_spec("1@127.0.0.1:7001,1@127.0.0.1:7002").is_none());
-        assert!(PeerTable::from_spec("0x1@127.0.0.1:7001, 1@127.0.0.1:7001").is_none());
+        assert_eq!(
+            parse("1@127.0.0.1:7001,1@127.0.0.1:7002"),
+            Err("duplicate peer id: 1@127.0.0.1:7002".to_string())
+        );
+        assert!(parse("0x1@127.0.0.1:7001, 1@127.0.0.1:7001").is_err());
         // empty spec is a valid empty table (seed processes start alone)
-        assert_eq!(PeerTable::from_spec("").map(|t| t.len()), Some(0));
+        assert_eq!(parse("").map(|t| t.len()), Ok(0));
     }
 }

@@ -17,7 +17,6 @@ fn main() {
         duration: Duration::from_secs(180),
         seed: 1,
         octopus: OctopusConfig::for_network(n),
-        lookups_enabled: true,
         shards: 1,
         ..SimConfig::default()
     };
