@@ -35,7 +35,7 @@ use octopus_core::{Actor, CaNode, Control, OctopusConfig, OctopusNode};
 use octopus_crypto::{CertificateAuthority, PublicKey};
 use octopus_id::{IdSpace, NodeId};
 use octopus_net::Transport;
-use octopus_sim::{derive_rng, Duration};
+use octopus_sim::{derive_rng, Duration, SimTime};
 use octopus_transport::{NodeConfig, UdpHost};
 
 /// Protocol periods shrunk for wall-clock runs: the paper's periods
@@ -142,12 +142,18 @@ fn run() -> Result<(), String> {
     } else {
         cfg.run_ms
     };
+    // `run_ms` of driving from here on the host's clock, so a drive that
+    // returns early or runs over does not move the end of the run
+    let end = SimTime(host.now().0.saturating_add(run_ms.saturating_mul(1000)));
     let chunk = Duration::from_millis(100);
-    let mut elapsed_ms = 0u64;
     let mut lookups = 0u64;
     let mut converged = 0u64;
-    while elapsed_ms < run_ms {
-        for control in host.drive(chunk) {
+    loop {
+        let left = end - host.now();
+        if left == Duration::ZERO {
+            break;
+        }
+        for control in host.drive(left.min(chunk)) {
             if let Control::LookupDone {
                 initiator,
                 key,
@@ -167,7 +173,6 @@ fn run() -> Result<(), String> {
                 std::io::stdout().flush().ok();
             }
         }
-        elapsed_ms = elapsed_ms.saturating_add(100);
     }
 
     let s = host.stats;

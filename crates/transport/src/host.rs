@@ -1,12 +1,15 @@
 //! The UDP poll-loop host: one node behind a real socket.
 //!
-//! No async runtime: a blocking `std::net::UdpSocket` with a short read
-//! timeout, and an ordered map of pending timers and delayed sends keyed
-//! by wall-clock microseconds since host start. Each loop iteration
-//! drains due timers and delayed sends, then waits on the socket for up
-//! to the read timeout. Handler effects are collected through the
-//! shared buffer-backed [`Ctx`] — protocol code cannot tell this host
-//! from the simulator.
+//! No async runtime: a `std::net::UdpSocket` in non-blocking mode, and
+//! an ordered map of pending timers and delayed sends keyed by
+//! wall-clock microseconds since host start. Each step of
+//! [`Transport::drive`] fires the due timers and delayed sends, reads
+//! and delivers every datagram already waiting, and flushes once. Only
+//! an idle host waits: it switches the socket to blocking for one read
+//! of up to a short timeout, and only when the drive's budget has that
+//! much left. Handler effects are collected through the shared
+//! buffer-backed [`Ctx`] — protocol code cannot tell this host from the
+//! simulator.
 //!
 //! A datagram carries one or more frames, all from one sender to one
 //! destination. Inbound datagrams pass through
@@ -34,16 +37,19 @@
 //!
 //! *Out:* [`octopus_net::append_frame`] writes header and payload once
 //! into the host's pending buffer, behind the frames sent before it.
-//! The host flushes before every `recv_from` and before `start`,
-//! `inject` and `drive` return: it copies each destination's frames, in
-//! send order, into the send buffer, up to [`MAX_DATAGRAM`] bytes, and
-//! hands that to `send_to`: one datagram per peer and flush. No frame
-//! waits across a socket read, so packing adds no latency: frames pack
-//! only with those that the same due timers or the same received
-//! datagram produced. Both buffers keep their
-//! capacity; in the steady state neither direction allocates for a
-//! frame, and the handler's outbox is a pooled `Vec` taken out of the
-//! host for the call and put back.
+//! The host flushes once per step of `drive`, after the step's due
+//! timers and its backlog (the datagrams already waiting, up to
+//! [`BACKLOG`]) have run, and before `start` and `inject` return: it
+//! copies each destination's frames, in send order, into the send
+//! buffer, up to [`MAX_DATAGRAM`] bytes, and hands that to `send_to`:
+//! one datagram per peer and step. Two waiting datagrams that each make
+//! a frame for one peer so cost that peer one datagram, not two. A
+//! frame waits at most for the rest of its step: the handlers of the
+//! datagrams that were already waiting when the step read them, never
+//! more than [`BACKLOG`], and never across an idle wait. Both buffers
+//! keep their capacity; in the steady state neither direction allocates
+//! for a frame, and the handler's outbox is a pooled `Vec` taken out of
+//! the host for the call and put back.
 //!
 //! # Pending effects and answered timers
 //!
@@ -77,8 +83,13 @@ use rand::rngs::StdRng;
 
 use crate::peer::PeerTable;
 
-/// How long one socket wait may block before the loop re-checks timers.
+/// How long an idle host's socket wait may block before the loop
+/// re-checks timers; `drive` waits only with this much budget left.
 const READ_TIMEOUT: std::time::Duration = std::time::Duration::from_millis(2);
+
+/// Most datagrams one step of `drive` reads before it flushes: the
+/// longest a frame can wait, counted in other datagrams' handlers.
+const BACKLOG: usize = 64;
 
 /// Size of the receive buffer: longer than the largest frame, and than
 /// any datagram UDP carries (65 507 bytes over IPv4), so the buffer
@@ -186,7 +197,8 @@ where
     /// wall-clock here).
     ///
     /// # Errors
-    /// Propagates failure to set the socket read timeout.
+    /// Propagates failure to set the socket read timeout or to put the
+    /// socket in non-blocking mode.
     pub fn new(
         node: B,
         addr: Addr,
@@ -195,6 +207,7 @@ where
         master_seed: u64,
     ) -> std::io::Result<Self> {
         socket.set_read_timeout(Some(READ_TIMEOUT))?;
+        socket.set_nonblocking(true)?;
         Ok(UdpHost {
             node,
             addr,
@@ -398,10 +411,30 @@ where
         }
     }
 
-    /// Send what is pending, then block on the socket for up to the
-    /// read timeout; decode at most one datagram and deliver its frames.
-    fn recv_one(&mut self) {
-        self.flush();
+    /// Read and deliver the datagrams already waiting, in arrival order,
+    /// up to [`BACKLOG`] of them; returns how many were read.
+    fn read_backlog(&mut self) -> usize {
+        let mut read = 0;
+        while read < BACKLOG && self.recv_one() {
+            read += 1;
+        }
+        read
+    }
+
+    /// Wait up to [`READ_TIMEOUT`] for one datagram and deliver it: the
+    /// socket blocks for this one read, then polls again.
+    fn wait_for_one(&mut self) {
+        if self.socket.set_nonblocking(false).is_ok() {
+            self.recv_one();
+            // should this fail, short drives block for up to the read
+            // timeout again; nothing is lost
+            self.socket.set_nonblocking(true).ok();
+        }
+    }
+
+    /// Take one datagram off the socket, if one is there, and deliver
+    /// its frames; returns whether one was read (delivered or rejected).
+    fn recv_one(&mut self) -> bool {
         let mut inbox = std::mem::take(&mut self.inbox);
         let received = RECV.with_borrow_mut(|buf| {
             if buf.is_empty() {
@@ -414,12 +447,13 @@ where
             // storage, so the borrow ends here, before any handler runs.
             Ok::<_, std::io::Error>((src, decode_datagram(&buf[..len], &mut inbox)))
         });
-        match received {
+        let read = match received {
             Ok((src, Ok(header))) if header.to == self.addr && self.sent_by(header.from, src) => {
                 self.stats.frames_in += inbox.len() as u64;
                 for msg in inbox.drain(..) {
                     self.dispatch(|n, ctx| n.on_message(ctx, header.from, msg));
                 }
+                true
             }
             // malformed, well-formed but misaddressed (stale peer table
             // on the sender), or sent from where its sender does not
@@ -427,13 +461,15 @@ where
             Ok(_) => {
                 inbox.clear();
                 self.stats.frames_rejected += 1;
+                true
             }
-            // nothing arrived, or a transient socket error (e.g.
+            // nothing waiting, or a transient socket error (e.g.
             // ECONNREFUSED surfaced on a connected peer's ICMP), which
             // must not kill the loop
-            Err(_) => {}
-        }
+            Err(_) => false,
+        };
         self.inbox = inbox;
+        read
     }
 
     /// Whether a datagram from socket address `src` may speak for
@@ -467,22 +503,29 @@ where
         self.flush();
     }
 
-    /// Poll sockets and timers for `budget` of *wall-clock* time (the
+    /// Poll the socket and timers for `budget` of *wall-clock* time (the
     /// simulator's implementation of the same trait advances virtual
-    /// time instead).
+    /// time instead). Each step fires the timers that are due, reads and
+    /// delivers the datagrams already waiting (up to [`BACKLOG`]) and
+    /// flushes once, so the last step may run past the budget by one
+    /// backlog's handling. A step that read nothing waits on the socket
+    /// for up to [`READ_TIMEOUT`] when at least that much budget is left;
+    /// with less, the idle host returns early, so a short drive never
+    /// blocks.
     fn drive(&mut self, budget: Duration) -> Vec<B::Control> {
         self.start();
-        let mut t = wall_now();
-        let deadline = t + std::time::Duration::from_micros(budget.0);
+        let deadline = wall_now() + std::time::Duration::from_micros(budget.0);
         loop {
-            self.drain_due(self.clock_at(t));
-            if t >= deadline {
+            self.drain_due(self.now());
+            let read = self.read_backlog();
+            self.flush();
+            let left = deadline.saturating_duration_since(wall_now());
+            if read == 0 && left >= READ_TIMEOUT {
+                self.wait_for_one();
+            } else if read == 0 || left.is_zero() {
                 break;
             }
-            self.recv_one();
-            t = wall_now();
         }
-        self.flush();
         std::mem::take(&mut self.collected)
     }
 }
@@ -558,15 +601,20 @@ mod tests {
         .expect("host")
     }
 
+    /// Host 1 and host 2 running `Echo`, each knowing where the other
+    /// listens.
+    fn echo_pair() -> (UdpHost<Echo>, UdpHost<Echo>) {
+        let (mut a, mut b) = (echo_host(1), echo_host(2));
+        a.peers
+            .insert(NodeId(2), b.socket.local_addr().expect("addr"));
+        b.peers
+            .insert(NodeId(1), a.socket.local_addr().expect("addr"));
+        (a, b)
+    }
+
     #[test]
     fn two_hosts_exchange_frames() {
-        let mut a = echo_host(1);
-        let mut b = echo_host(2);
-        let addr_a = a.socket.local_addr().expect("addr");
-        let addr_b = b.socket.local_addr().expect("addr");
-        a.peers.insert(NodeId(2), addr_b);
-        b.peers.insert(NodeId(1), addr_a);
-
+        let (mut a, mut b) = echo_pair();
         // a sends 10 to b; b replies 11
         a.inject(NodeId(1), NodeId(2), Num(10));
         let controls_b = b.drive(Duration::from_millis(30));
@@ -577,6 +625,58 @@ mod tests {
         assert_eq!(a.node().seen, vec![(NodeId(2), 11)]);
         assert_eq!(a.stats.frames_out, 1);
         assert_eq!(a.stats.frames_in, 1);
+    }
+
+    #[test]
+    fn a_peers_frames_pack_across_a_backlog() {
+        let (mut a, mut b) = echo_pair();
+        // two datagrams waiting at b, each asking b to answer a
+        a.inject(NodeId(1), NodeId(2), Num(10));
+        a.inject(NodeId(1), NodeId(2), Num(12));
+        assert_eq!(a.stats.datagrams_out, 2);
+        b.drive(Duration(1));
+        let out = b.stats;
+        assert_eq!(out.frames_in, 2);
+        assert_eq!((out.frames_out, out.datagrams_out), (2, 1));
+        assert_eq!(a.drive(Duration::from_millis(10)), vec![11, 13]);
+
+        // one more than a step reads: the next step takes the last
+        let (mut a, mut b) = sink_pair();
+        let sent: Vec<Bytes> = (0..=BACKLOG).map(|i| Bytes(vec![i as u8])).collect();
+        for msg in &sent {
+            a.inject(NodeId(1), NodeId(2), msg.clone());
+        }
+        b.drive(Duration(1));
+        assert_eq!(b.node().0, sent[..BACKLOG]);
+        b.drive(Duration(1));
+        assert_eq!(b.node().0, sent);
+    }
+
+    #[test]
+    fn a_short_drive_never_blocks_and_a_long_one_waits() {
+        let (mut a, mut b) = sink_pair();
+        let mut took: Vec<std::time::Duration> = (0..20)
+            .map(|_| {
+                let t = wall_now();
+                b.drive(Duration(1));
+                wall_now() - t
+            })
+            .collect();
+        took.sort_unstable();
+        assert!(
+            took[took.len() / 2] < READ_TIMEOUT / 4,
+            "an idle one-microsecond drive took {:?}",
+            took[took.len() / 2]
+        );
+        // a datagram sent while a 30 ms drive waits is delivered by it
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                a.inject(NodeId(1), NodeId(2), Bytes(vec![7]));
+            });
+            b.drive(Duration::from_millis(30));
+        });
+        assert_eq!(b.node().0, [Bytes(vec![7])]);
     }
 
     #[test]
@@ -874,7 +974,8 @@ mod tests {
         let mut asker = host(NodeId(1), NodeId(2), rounds, sock_a);
         let mut answerer = host(NodeId(2), NodeId(1), 0, sock_b);
         let mut most = 0;
-        // a microsecond's budget: each drive delivers at most one frame
+        // a microsecond's budget: each drive is one step, and each
+        // host has at most one frame waiting
         for _ in 0..100 * rounds {
             if asker.node().answered == rounds {
                 break;

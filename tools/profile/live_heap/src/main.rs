@@ -26,13 +26,12 @@
 //!
 //! `udp` binds N loopback sockets and serves N `UdpHost`s from this
 //! thread, as octobench's `udp-ring-16` serves its ring: each host in
-//! turn gets a one-microsecond `drive` on a socket made non-blocking,
-//! and the thread sleeps a millisecond when a whole round moved no
-//! frame. Each host runs a ping node that sends its ring successor a
-//! ping every 10 ms and answers the pings it gets, for `SECONDS` of
-//! wall time (one line per wall second). The census shows one
-//! 65 600-byte block whatever N is: the receive buffer the thread's
-//! hosts share.
+//! turn gets a one-microsecond `drive`, which never blocks, and the
+//! thread sleeps a millisecond when a whole round moved no frame. Each
+//! host runs a ping node that sends its ring successor a ping every
+//! 10 ms and answers the pings it gets, for `SECONDS` of wall time (one
+//! line per wall second). The census shows one 65 600-byte block
+//! whatever N is: the receive buffer the thread's hosts share.
 //!
 //! After the last line comes a census of what is live at that moment:
 //! the ten block sizes holding the most bytes, as `size blocks mib`. A
@@ -302,19 +301,11 @@ fn udp(n: u64, seconds: u64, seed: u64) {
         .zip(sockets)
         .enumerate()
         .map(|(i, (&id, socket))| {
-            // `UdpHost` blocks in `recv_from`; a second handle on the
-            // same open socket switches that off for both
-            let handle = socket.try_clone().expect("duplicate a socket");
             let node = PingNode {
                 next: ids[(i + 1) % ids.len()],
                 sent: 0,
             };
-            let host =
-                UdpHost::new(node, id, socket, peers.clone(), seed).expect("set the read timeout");
-            handle
-                .set_nonblocking(true)
-                .expect("make a socket non-blocking");
-            host
+            UdpHost::new(node, id, socket, peers.clone(), seed).expect("set up the socket")
         })
         .collect();
     let frames_in =
