@@ -4,7 +4,9 @@
 //! promise — trial threads and partitioning change speed and memory,
 //! never results.
 
-use octopus_core::{trial_configs, AttackKind, OctopusConfig, SecuritySim, SimConfig, TrialRunner};
+use octopus_core::{
+    trial_configs, AttackKind, OctopusConfig, SecuritySim, SimConfig, SimReport, TrialRunner,
+};
 use octopus_sim::Duration;
 
 fn small(seed: u64) -> SimConfig {
@@ -91,4 +93,53 @@ fn trial_runner_preserves_order_and_base_seed() {
     assert_eq!(one, many);
     let plain = SecuritySim::new(configs[0].clone()).run();
     assert_eq!(one[0], plain, "trial 0 must reproduce the base run");
+}
+
+/// FNV-1a 64 over a report's `Debug` text.
+fn fingerprint(report: &SimReport) -> u64 {
+    format!("{report:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Exact results, not only agreement: a few fixed-seed runs must
+/// reproduce the fingerprints recorded when this test was written, so
+/// a refactor that changes results fails `cargo test` and not only
+/// the release-only golden diff. The cases cover a static ring under
+/// lookup bias, a churned ring (lifetimes and offline gaps), and a
+/// finger attack, whose colluders cover up through
+/// `AdversaryState::colludes_consistently`. Like the figure goldens,
+/// the values assume this host's libm `ln` (latency and churn draws go
+/// through it); a libm that rounds differently needs them recorded
+/// again.
+#[test]
+fn fixed_seed_reports_match_recorded_fingerprints() {
+    let cases = [
+        ("static lookup bias", small(1), 0x237f_2550_d666_54bb),
+        (
+            "churned lookup bias",
+            SimConfig {
+                mean_lifetime: Some(Duration::from_secs(40)),
+                ..small(5)
+            },
+            0x6d86_94a6_a3c2_ca6a,
+        ),
+        (
+            "finger manipulation",
+            SimConfig {
+                attack: AttackKind::FingerManipulation,
+                duration: Duration::from_secs(150),
+                ..small(9)
+            },
+            0x5ade_9e05_a6ed_5419,
+        ),
+    ];
+    let recorded: Vec<(&str, u64)> = cases.iter().map(|(name, _, f)| (*name, *f)).collect();
+    let run: Vec<(&str, u64)> = cases
+        .into_iter()
+        .map(|(name, cfg, _)| (name, fingerprint(&SecuritySim::new(cfg).run())))
+        .collect();
+    assert_eq!(run, recorded, "fixed-seed results changed");
 }
