@@ -27,7 +27,6 @@ fn octopus_config(args: &RunArgs, lookup_interval: Duration, secs: u64) -> SimCo
         malicious_fraction: 0.0,
         attack: AttackKind::Passive,
         attack_rate: 0.0,
-        consistent_collusion: 0.0,
         mean_lifetime: None,
         duration: Duration::from_secs(secs),
         seed: args.seed_or(77),

@@ -20,7 +20,8 @@
 //! `octopus-node` also reads `OCTOPUS_ADDR`/`--addr`,
 //! `OCTOPUS_PEERS`/`--peers` and `OCTOPUS_NODE_CONFIG`/`--node-config`.
 //! [`RunArgs::from_env`] is the only reader of the environment in the
-//! workspace.
+//! workspace. The bins run on past a flag or value they cannot use;
+//! `octopus-node` refuses to boot on one ([`RunArgs::skipped`]).
 //!
 //! The bins run every simulation on one shard. Shard count never
 //! changes a report; [`SimConfig::shards`] stays an engine setting for
@@ -147,6 +148,12 @@ pub struct RunArgs {
     /// Path to an `octopus-node` TOML config file; flags and environment
     /// variables override values read from it.
     pub node_config: Option<String>,
+    /// What [`RunArgs::parse`] could not use, in the order it met them
+    /// (environment first), each with the reason: an unknown flag, a
+    /// stray argument, or a known flag or variable whose value is
+    /// missing or does not parse. The figure bins ignore these;
+    /// `octopus-node` refuses to boot on the first.
+    pub skipped: Vec<String>,
 }
 
 impl Default for RunArgs {
@@ -166,6 +173,7 @@ impl Default for RunArgs {
             addr: None,
             peers: None,
             node_config: None,
+            skipped: Vec::new(),
         }
     }
 }
@@ -185,32 +193,25 @@ impl RunArgs {
     }
 
     /// Pure parsing core (tested without touching the real
-    /// environment). Unknown flags and malformed values fall back to
-    /// defaults rather than aborting an experiment run.
+    /// environment). Unknown flags and malformed values leave the
+    /// defaults in place rather than aborting an experiment run; each
+    /// is recorded in [`RunArgs::skipped`].
     #[must_use]
     pub fn parse(args: &[String], env: impl Fn(&str) -> Option<String>) -> Self {
         let mut out = RunArgs::default();
-        let mut apply = |key: &str, value: &str| match key {
-            "scale" => {
-                if let Some(s) = Scale::parse(value) {
-                    out.scale = s;
-                }
+        // `None` when `key` is unknown or `value` does not parse for it
+        let apply = |out: &mut RunArgs, key: &str, value: &str| -> Option<()> {
+            match key {
+                "scale" => out.scale = Scale::parse(value)?,
+                "seed" => out.seed = Some(value.parse().ok()?),
+                "threads" => out.threads = value.parse::<usize>().ok()?.max(1),
+                "trials" => out.trials = value.parse::<usize>().ok()?.max(1),
+                "addr" => out.addr = Some(value.to_string()),
+                "peers" => out.peers = Some(value.to_string()),
+                "node-config" => out.node_config = Some(value.to_string()),
+                _ => return None,
             }
-            "seed" => out.seed = value.parse().ok().or(out.seed),
-            "threads" => {
-                if let Ok(t) = value.parse::<usize>() {
-                    out.threads = t.max(1);
-                }
-            }
-            "trials" => {
-                if let Ok(t) = value.parse::<usize>() {
-                    out.trials = t.max(1);
-                }
-            }
-            "addr" => out.addr = Some(value.to_string()),
-            "peers" => out.peers = Some(value.to_string()),
-            "node-config" => out.node_config = Some(value.to_string()),
-            _ => {}
+            Some(())
         };
         for (env_key, key) in [
             ("OCTOPUS_SCALE", "scale"),
@@ -222,7 +223,9 @@ impl RunArgs {
             ("OCTOPUS_NODE_CONFIG", "node-config"),
         ] {
             if let Some(v) = env(env_key) {
-                apply(key, &v);
+                if apply(&mut out, key, &v).is_none() {
+                    out.skipped.push(format!("{env_key}={v} (malformed value)"));
+                }
             }
         }
         const KNOWN_FLAGS: [&str; 7] = [
@@ -237,22 +240,30 @@ impl RunArgs {
         let mut it = args.iter().peekable();
         while let Some(arg) = it.next() {
             let Some(flag) = arg.strip_prefix("--") else {
+                out.skipped.push(format!("{arg} (stray argument)"));
                 continue;
             };
-            match flag.split_once('=') {
-                Some((key, value)) => apply(key, value),
-                None => {
-                    // Only a known flag may consume the next token as
-                    // its value, and never one that is itself a flag —
-                    // an unknown `--verbose` must not swallow `--scale`.
-                    if KNOWN_FLAGS.contains(&flag)
-                        && it.peek().is_some_and(|v| !v.starts_with("--"))
-                    {
-                        let value = it.next().expect("peeked value exists");
-                        apply(flag, value);
+            let unused = match flag.split_once('=') {
+                Some((key, value)) => {
+                    if apply(&mut out, key, value).is_some() {
+                        None
+                    } else if KNOWN_FLAGS.contains(&key) {
+                        Some(format!("{arg} (malformed value)"))
+                    } else {
+                        Some(format!("--{key} (unknown flag)"))
                     }
                 }
-            }
+                None if !KNOWN_FLAGS.contains(&flag) => Some(format!("{arg} (unknown flag)")),
+                // Only a known flag may consume the next token as its
+                // value, and never one that is itself a flag — an
+                // unknown `--verbose` must not swallow `--scale`.
+                None => match it.next_if(|v| !v.starts_with("--")) {
+                    Some(value) if apply(&mut out, flag, value).is_some() => None,
+                    Some(value) => Some(format!("{arg} {value} (malformed value)")),
+                    None => Some(format!("{arg} (missing value)")),
+                },
+            };
+            out.skipped.extend(unused);
         }
         out
     }
@@ -278,7 +289,6 @@ impl RunArgs {
             malicious_fraction: 0.2,
             attack,
             attack_rate,
-            consistent_collusion: 0.5,
             mean_lifetime: None,
             duration: Duration::from_secs(self.scale.sim_secs()),
             seed: self.seed_or(seed),
@@ -438,6 +448,10 @@ mod tests {
         assert_eq!(a.scale, Scale::Full);
         assert_eq!(a.seed, None);
         assert_eq!(a.trials, 3);
+        assert_eq!(
+            a.skipped,
+            ["--verbose (unknown flag)", "--seed (missing value)"]
+        );
 
         // shard and pool settings are not bin flags: neither they nor
         // their values set anything, bare or valued
@@ -455,6 +469,15 @@ mod tests {
         .collect();
         let expected = RunArgs {
             scale: Scale::Full,
+            skipped: [
+                "--shards (unknown flag)",
+                "4 (stray argument)",
+                "--par (unknown flag)",
+                "--pool-threads (unknown flag)",
+                "2 (stray argument)",
+            ]
+            .map(String::from)
+            .to_vec(),
             ..RunArgs::default()
         };
         assert_eq!(RunArgs::parse(&args, no_env), expected);
@@ -468,19 +491,36 @@ mod tests {
             let args: Vec<String> = tokens.iter().map(ToString::to_string).collect();
             RunArgs::parse(&args, no_env)
         };
+        let skipping = |base: &RunArgs, skipped: &[&str]| RunArgs {
+            skipped: skipped.iter().map(ToString::to_string).collect(),
+            ..base.clone()
+        };
+        let par = "--par (unknown flag)";
         let full = RunArgs {
             scale: Scale::Full,
             ..RunArgs::default()
         };
-        assert_eq!(parse(&["--par"]), RunArgs::default());
-        assert_eq!(parse(&["--par", "--scale", "full"]), full);
-        assert_eq!(parse(&["--par=0", "--scale", "full"]), full);
-        assert_eq!(parse(&["--par", "2", "--scale", "full"]), full);
+        assert_eq!(parse(&["--par"]), skipping(&RunArgs::default(), &[par]));
+        assert_eq!(
+            parse(&["--par", "--scale", "full"]),
+            skipping(&full, &[par])
+        );
+        assert_eq!(
+            parse(&["--par=0", "--scale", "full"]),
+            skipping(&full, &[par])
+        );
+        assert_eq!(
+            parse(&["--par", "2", "--scale", "full"]),
+            skipping(&full, &[par, "2 (stray argument)"])
+        );
         let two_trials = RunArgs {
             trials: 2,
             ..RunArgs::default()
         };
-        assert_eq!(parse(&["--par", "true", "--trials", "2"]), two_trials);
+        assert_eq!(
+            parse(&["--par", "true", "--trials", "2"]),
+            skipping(&two_trials, &[par, "true (stray argument)"])
+        );
         let env_on = |k: &str| (k == "OCTOPUS_PAR").then(|| "1".to_string());
         assert_eq!(RunArgs::parse(&[], env_on), RunArgs::default());
     }
@@ -495,6 +535,14 @@ mod tests {
         assert_eq!(a.scale, Scale::Quick);
         assert_eq!(a.trials, 1);
         assert!(a.threads >= 1);
+        assert_eq!(
+            a.skipped,
+            [
+                "--threads zero (malformed value)",
+                "--trials=-3 (malformed value)",
+                "--scale big (malformed value)",
+            ]
+        );
     }
 
     #[test]

@@ -47,6 +47,11 @@ pub enum AttackKind {
     SelectiveDos,
 }
 
+/// Probability a checked malicious predecessor covers for a colluding
+/// finger by answering with a *consistent* manipulated successor list
+/// (50 % in Table 2's caption).
+const CONSISTENT_COLLUSION: f64 = 0.5;
+
 /// Shared adversary directory and fabrication logic.
 #[derive(Clone, Debug)]
 pub struct AdversaryState {
@@ -54,10 +59,6 @@ pub struct AdversaryState {
     /// Probability a malicious node attacks a given opportunity
     /// ("attack rate" in Figs. 3/4/9: 100 % or 50 %).
     attack_rate: f64,
-    /// Probability a checked malicious predecessor covers for a
-    /// colluding finger by answering with a *consistent* manipulated
-    /// successor list (50 % in Table 2's caption).
-    consistent_collusion: f64,
     /// Live colluders, sorted by ring position.
     colluders: BTreeSet<NodeId>,
     /// Colluders share key material over the out-of-band channel, which
@@ -123,7 +124,7 @@ impl ShardedAdversary {
 /// use octopus_core::{AdversaryState, AttackKind, ShardedAdversary};
 /// use octopus_id::NodeId;
 ///
-/// let directory = ShardedAdversary::new(AdversaryState::new(AttackKind::LookupBias, 1.0, 1.0));
+/// let directory = ShardedAdversary::new(AdversaryState::new(AttackKind::LookupBias, 1.0));
 /// let handle = directory.handle();
 /// directory.update(|a| a.enroll(NodeId(7)));
 /// assert!(handle.read().is_colluder(NodeId(7)));
@@ -136,7 +137,7 @@ impl ShardedAdversary {
 /// use octopus_core::{AdversaryState, AttackKind, ShardedAdversary};
 /// use octopus_id::NodeId;
 ///
-/// let directory = ShardedAdversary::new(AdversaryState::new(AttackKind::LookupBias, 1.0, 1.0));
+/// let directory = ShardedAdversary::new(AdversaryState::new(AttackKind::LookupBias, 1.0));
 /// let handle = directory.handle();
 /// handle.update(|a| a.enroll(NodeId(7)));
 /// ```
@@ -158,11 +159,10 @@ impl AdversaryHandle {
 impl AdversaryState {
     /// New adversary.
     #[must_use]
-    pub fn new(kind: AttackKind, attack_rate: f64, consistent_collusion: f64) -> Self {
+    pub fn new(kind: AttackKind, attack_rate: f64) -> Self {
         AdversaryState {
             kind,
             attack_rate,
-            consistent_collusion,
             colluders: BTreeSet::new(),
             keypairs: BTreeMap::new(),
         }
@@ -244,7 +244,7 @@ impl AdversaryState {
 
     /// Roll the consistent-collusion dice (§4.4 cover-up).
     pub fn colludes_consistently<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        rng.gen::<f64>() < self.consistent_collusion
+        rng.gen::<f64>() < CONSISTENT_COLLUSION
     }
 
     /// The first colluder strictly clockwise after `pos` (wrapping).
@@ -343,7 +343,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn adversary_with(ids: &[u64]) -> AdversaryState {
-        let mut a = AdversaryState::new(AttackKind::LookupBias, 1.0, 0.5);
+        let mut a = AdversaryState::new(AttackKind::LookupBias, 1.0);
         for &i in ids {
             a.enroll(NodeId(i));
         }
@@ -390,7 +390,7 @@ mod tests {
         let a = adversary_with(&[100]);
         let l = a.fake_successor_list(NodeId(50), 3);
         assert_eq!(l, vec![NodeId(100)]);
-        let empty = AdversaryState::new(AttackKind::LookupBias, 1.0, 0.5);
+        let empty = AdversaryState::new(AttackKind::LookupBias, 1.0);
         assert!(empty.fake_successor_list(NodeId(50), 3).is_empty());
     }
 
@@ -423,8 +423,8 @@ mod tests {
     #[test]
     fn attack_rate_zero_and_one() {
         let mut rng = StdRng::seed_from_u64(1);
-        let never = AdversaryState::new(AttackKind::LookupBias, 0.0, 0.5);
-        let always = AdversaryState::new(AttackKind::LookupBias, 1.0, 0.5);
+        let never = AdversaryState::new(AttackKind::LookupBias, 0.0);
+        let always = AdversaryState::new(AttackKind::LookupBias, 1.0);
         assert!(!(0..100).any(|_| never.attacks_now(&mut rng)));
         assert!((0..100).all(|_| always.attacks_now(&mut rng)));
     }
@@ -449,7 +449,7 @@ mod tests {
     #[test]
     fn consistent_collusion_rate() {
         let mut rng = StdRng::seed_from_u64(2);
-        let a = AdversaryState::new(AttackKind::FingerManipulation, 1.0, 0.5);
+        let a = AdversaryState::new(AttackKind::FingerManipulation, 1.0);
         let hits = (0..10_000)
             .filter(|_| a.colludes_consistently(&mut rng))
             .count();

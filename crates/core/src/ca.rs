@@ -107,6 +107,9 @@ const CERT_MEMO_CAPACITY: usize = 1 << 16;
 /// half a KiB each.
 const LIST_MEMO_CAPACITY: usize = 2048;
 
+/// Maximum proof-chain length the CA walks before giving up.
+const MAX_PROOF_CHAIN: usize = 8;
+
 /// How much stateless verification the CA has run — what the
 /// verify-once tripwire reads (harness observation hook).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -670,7 +673,7 @@ impl CaNode {
                 // from the proof's signer — walk the chain (Fig. 2(b))
                 let next = p.owner();
                 let next_list = p.clone();
-                if depth + 1 >= self.cfg.max_proof_chain {
+                if depth + 1 >= MAX_PROOF_CHAIN {
                     // give up: cascading pollution can thread a long
                     // chain of honest victims, so depth alone is not
                     // guilt — close as a false alarm and let fresher

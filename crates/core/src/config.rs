@@ -8,8 +8,6 @@ use octopus_sim::Duration;
 pub struct OctopusConfig {
     /// Underlying Chord ring parameters.
     pub chord: ChordConfig,
-    /// Hops per random-walk phase (`l` in Appendix I).
-    pub walk_length: usize,
     /// Dummy queries injected per lookup (§4.2; 2 or 6 in Fig. 5).
     pub dummy_queries: usize,
     /// Successor/predecessor stabilization period (2 s in §5.1).
@@ -22,17 +20,11 @@ pub struct OctopusConfig {
     pub walk_every: Duration,
     /// Application lookup period (one lookup per minute per node, §5.1).
     pub lookup_every: Duration,
-    /// Length of the successor-list proof queue (6 in §5.1).
-    pub proof_queue: usize,
-    /// Number of signed routing tables buffered for finger surveillance.
-    pub table_buffer: usize,
     /// Maximum random delay added by the middle relay B to defeat timing
     /// analysis (100 ms in §7).
     pub relay_max_delay: Duration,
     /// Request timeout before a peer is treated as unresponsive.
     pub request_timeout: Duration,
-    /// Maximum proof-chain length the CA walks before giving up.
-    pub max_proof_chain: usize,
     /// Emit semantic [`crate::trace::TraceEvent`]s for the reference
     /// model (`octopus-spec`). Off by default: tracing is a test-only
     /// observation channel and costs one control per protocol decision.
@@ -43,26 +35,18 @@ impl Default for OctopusConfig {
     fn default() -> Self {
         OctopusConfig {
             chord: ChordConfig::default(),
-            walk_length: 3,
             dummy_queries: 6,
             stabilize_every: Duration::from_secs(2),
             finger_update_every: Duration::from_secs(30),
             surveillance_every: Duration::from_secs(60),
             walk_every: Duration::from_secs(15),
             lookup_every: Duration::from_secs(60),
-            // the paper keeps the 6 *latest* received lists; we retain
-            // twice that so the justifying proof survives the CA's
-            // investigation latency (report pipeline + chain steps can
-            // take ~15 s, and the queue turns over every 2 s)
-            proof_queue: 12,
-            table_buffer: 8,
             relay_max_delay: Duration::from_millis(100),
             // comfortably above the worst-case anonymous path RTT
             // (12 hops × max one-way latency + relay delay ≈ 5.5 s), so a
             // timeout really means a drop or a death, never a slow path —
             // a false Dropper report would send the CA after honest relays
             request_timeout: Duration::from_secs(10),
-            max_proof_chain: 8,
             trace: false,
         }
     }
@@ -90,7 +74,6 @@ mod tests {
         assert_eq!(c.finger_update_every, Duration::from_secs(30));
         assert_eq!(c.surveillance_every, Duration::from_secs(60));
         assert_eq!(c.walk_every, Duration::from_secs(15));
-        assert_eq!(c.proof_queue, 12);
         assert_eq!(c.dummy_queries, 6);
         assert_eq!(c.relay_max_delay, Duration::from_millis(100));
     }

@@ -133,6 +133,16 @@ pub(crate) struct FingerLookup {
 /// certificate the signed tables already share).
 const CERT_MEMO_CAPACITY: usize = 28;
 
+/// Signed successor lists a peer keeps as proofs for the CA. The paper
+/// keeps the 6 *latest* received lists (§5.1); twice that lets the
+/// justifying proof survive the CA's investigation latency (report
+/// pipeline + chain steps can take ~15 s, and the queue turns over
+/// every 2 s).
+const PROOF_QUEUE: usize = 12;
+
+/// Signed routing tables a peer buffers for finger surveillance.
+const TABLE_BUFFER: usize = 8;
+
 /// An Octopus peer.
 pub struct OctopusNode {
     /// Ring position.
@@ -614,7 +624,7 @@ impl OctopusNode {
             self.cfg.chord.successors,
         );
         // keep the signed list as a proof (§4.3's proof queue)
-        if self.proof_queue.len() >= self.cfg.proof_queue {
+        if self.proof_queue.len() >= PROOF_QUEUE {
             self.proof_queue.pop_front();
         }
         self.proof_queue.push_back(Arc::new(list));
@@ -701,7 +711,7 @@ impl OctopusNode {
         if self.revoked.contains(&table.owner()) {
             return;
         }
-        if self.table_buffer.len() >= self.cfg.table_buffer {
+        if self.table_buffer.len() >= TABLE_BUFFER {
             self.table_buffer.pop_front();
         }
         self.table_buffer.push_back(table);
@@ -1646,13 +1656,13 @@ mod tests {
     fn proof_queue_bounded() {
         let mut n = test_node(100);
         let other = test_node(200);
-        let cap = n.cfg.proof_queue as u64;
+        let cap = PROOF_QUEUE as u64;
         for i in 0..cap + 4 {
             let list =
                 other.sign_table(successor_list_table(NodeId(200), vec![NodeId(300 + i)]), i);
             n.on_succ_list(NodeId(200), list);
         }
-        assert_eq!(n.proof_queue.len(), n.cfg.proof_queue);
+        assert_eq!(n.proof_queue.len(), PROOF_QUEUE);
         // newest proof retained
         assert_eq!(n.proof_queue.back().unwrap().timestamp, cap + 3);
     }
@@ -1705,6 +1715,6 @@ mod tests {
             let t = other.sign_table(other.routing_table(), i);
             n.buffer_table(t);
         }
-        assert_eq!(n.table_buffer.len(), n.cfg.table_buffer);
+        assert_eq!(n.table_buffer.len(), TABLE_BUFFER);
     }
 }

@@ -169,8 +169,6 @@ pub struct SimConfig {
     pub attack: AttackKind,
     /// Attack rate (1.0 or 0.5 in Figs. 3/4/9).
     pub attack_rate: f64,
-    /// Consistent-collusion probability (0.5 in Table 2's caption).
-    pub consistent_collusion: f64,
     /// Mean node lifetime; `None` disables churn.
     pub mean_lifetime: Option<Duration>,
     /// Simulated run length (1000 s in Fig. 3).
@@ -204,7 +202,6 @@ impl Default for SimConfig {
             malicious_fraction: 0.2,
             attack: AttackKind::LookupBias,
             attack_rate: 1.0,
-            consistent_collusion: 0.5,
             mean_lifetime: None,
             duration: Duration::from_secs(1000),
             seed: 42,
@@ -463,8 +460,7 @@ impl SecuritySim {
         let n_mal = (cfg.n as f64 * cfg.malicious_fraction).round() as usize;
         let malicious: BTreeSet<NodeId> = ids.iter().take(n_mal).copied().collect();
 
-        let mut adversary_state =
-            AdversaryState::new(cfg.attack, cfg.attack_rate, cfg.consistent_collusion);
+        let mut adversary_state = AdversaryState::new(cfg.attack, cfg.attack_rate);
         for &m in &malicious {
             adversary_state.enroll(m);
         }
@@ -501,7 +497,7 @@ impl SecuritySim {
         }
 
         let churn = match cfg.mean_lifetime {
-            Some(l) => ChurnProcess::new(l, Duration::from_secs(30)),
+            Some(l) => ChurnProcess::new(l),
             None => ChurnProcess::disabled(),
         };
 

@@ -22,6 +22,9 @@ use crate::messages::{Delegation, ExitAction, Msg};
 use crate::node::{AnonPurpose, DirectPurpose, NodeCtx, OctopusNode};
 use crate::simnet::Control;
 
+/// Hops per random-walk phase (`l` in Appendix I).
+const WALK_LENGTH: usize = 3;
+
 /// A walk in progress at the initiator.
 #[derive(Clone, Debug)]
 pub(crate) struct WalkState {
@@ -124,7 +127,7 @@ impl OctopusNode {
         st.tables.push(table.clone());
         self.buffer_table(table);
         let st = self.walks.get(&walk).expect("still present");
-        if st.hops.len() >= self.cfg.walk_length {
+        if st.hops.len() >= WALK_LENGTH {
             self.delegate_phase2(ctx, walk);
             return;
         }
@@ -170,7 +173,6 @@ impl OctopusNode {
             return;
         };
         let seed = st.seed;
-        let length = self.cfg.walk_length;
         // Uₗ must pick from exactly the fingertable it signed in phase 1,
         // so the initiator sends that table's fingers along (removing any
         // ambiguity about which snapshot the seed indexes)
@@ -189,7 +191,7 @@ impl OctopusNode {
             &relays,
             ExitAction::Delegate(Box::new(Delegation {
                 seed,
-                length,
+                length: WALK_LENGTH,
                 fingers: ul_fingers,
             })),
             AnonPurpose::WalkDelegate { walk },
@@ -280,7 +282,7 @@ impl OctopusNode {
         let Some(st) = self.walks.remove(&walk) else {
             return;
         };
-        let l = self.cfg.walk_length;
+        let l = WALK_LENGTH;
         let ok = 'verify: {
             if tables.len() != l || st.tables.len() != l {
                 break 'verify false;

@@ -12,7 +12,6 @@ fn base(attack: AttackKind, seed: u64) -> SimConfig {
         malicious_fraction: 0.2,
         attack,
         attack_rate: 1.0,
-        consistent_collusion: 0.5,
         mean_lifetime: None,
         duration: Duration::from_secs(240),
         seed,

@@ -56,7 +56,7 @@ impl Duration {
 
     /// Span of `s` seconds.
     #[must_use]
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         Duration(s * 1_000_000)
     }
 

@@ -186,8 +186,14 @@ impl NodeConfig {
     /// from flags/env — the file is optional.
     ///
     /// # Errors
-    /// On unreadable/malformed file or malformed override values.
+    /// On a flag or variable `RunArgs` skipped (the first is named: a
+    /// node that ignored `--sed 42` would boot with a seed no other
+    /// process shares), an unreadable/malformed file, or malformed
+    /// override values.
     pub fn resolve(args: &RunArgs) -> Result<Self, String> {
+        if let Some(first) = args.skipped.first() {
+            return Err(format!("cannot use {first}"));
+        }
         let mut map = match &args.node_config {
             Some(path) => {
                 let text = std::fs::read_to_string(path)
@@ -296,6 +302,29 @@ peers = ["1@127.0.0.1:7001", "2@127.0.0.1:7002", "3@127.0.0.1:7003"]
         let c = NodeConfig::resolve(&args).expect("valid");
         assert_eq!(c.id, NodeId(9));
         assert_eq!(c.seed, 123);
+    }
+
+    #[test]
+    fn unusable_flags_refused_by_name() {
+        let addr = ["--addr", "9@127.0.0.1:9009"];
+        for (flags, env_seed, named) in [
+            (&["--sed", "42"][..], None, "--sed (unknown flag)"),
+            (&["--seed=abc"], None, "--seed=abc (malformed value)"),
+            (&["--seed", "abc"], None, "--seed abc (malformed value)"),
+            (&[], Some("abc"), "OCTOPUS_SEED=abc (malformed value)"),
+        ] {
+            let tokens: Vec<String> = addr.iter().chain(flags).map(ToString::to_string).collect();
+            let env = |k: &str| env_seed.filter(|_| k == "OCTOPUS_SEED").map(String::from);
+            let args = RunArgs::parse(&tokens, env);
+            // a figure bin would run on with its own seed...
+            assert_eq!(args.seed, None, "{named}");
+            assert_eq!(args.addr.as_deref(), Some("9@127.0.0.1:9009"));
+            // ...but a node would boot with keys no other process shares
+            assert_eq!(
+                NodeConfig::resolve(&args),
+                Err(format!("cannot use {named}"))
+            );
+        }
     }
 
     #[test]
