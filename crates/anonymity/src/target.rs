@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use octopus_sim::derive_rng;
 use rand::Rng;
 
-use crate::initiator::{linkable_query_prob, sample_lookup_obs};
+use crate::initiator::sample_lookup_obs;
 use crate::presim::LookupPresim;
 use crate::range::estimate_range;
 use crate::AnonymityConfig;
@@ -85,7 +85,6 @@ pub fn target_entropy(cfg: &AnonymityConfig, presim: &LookupPresim) -> f64 {
         // 3. range estimation over every filter-surviving subset
         total += subset_range_entropy(cfg, presim, &linkable);
     }
-    let _ = linkable_query_prob(f);
     total / cfg.trials as f64
 }
 

@@ -19,13 +19,12 @@ use octopus_chord::{stabilize, SignedSuccessorList};
 use octopus_crypto::{CertificateAuthority, PublicKey, Signature, VerifiedMemo, Verifier};
 use octopus_id::NodeId;
 use octopus_net::{Addr, NodeBehavior, Runtime};
-use octopus_spec::ReportKind;
+use octopus_spec::{ModelEvent, ReportKind};
 
 use crate::config::OctopusConfig;
 use crate::messages::{receipt_bytes, Msg, ReceiptToken, Report, Timer};
 use crate::mutation::{self, Mutation};
 use crate::simnet::{Control, ReportCat, Verdict};
-use crate::trace::TraceEvent;
 
 type CaCtx<'a> = dyn Runtime<Msg, Timer, Control> + 'a;
 
@@ -89,10 +88,6 @@ pub struct CaNode {
     /// relay that churned and lost its receipts) is never fatal.
     dropper_strikes: BTreeMap<NodeId, u32>,
     next_case: u64,
-    /// Total protocol messages received (Fig. 7(b)).
-    pub messages_received: u64,
-    /// All revocations issued so far.
-    pub revoked: Vec<NodeId>,
     /// Addresses to broadcast revocations to (maintained by the driver).
     pub broadcast_to: Vec<NodeId>,
 }
@@ -154,8 +149,6 @@ impl CaNode {
             cases: BTreeMap::new(),
             dropper_strikes: BTreeMap::new(),
             next_case: 1,
-            messages_received: 0,
-            revoked: Vec::new(),
             broadcast_to: Vec::new(),
         }
     }
@@ -275,7 +268,6 @@ impl CaNode {
         let now = Self::now_secs(ctx);
         self.live.remove(&id);
         self.death_times.insert(id, now);
-        self.revoked.push(id);
         ctx.emit(Control::Verdict {
             verdict: Verdict::Revoked(id),
             category,
@@ -302,16 +294,16 @@ impl CaNode {
         });
     }
 
-    /// Emit a semantic trace event when the oracle is recording.
-    /// Unlike the node-side helper there is no malicious-node filter:
-    /// the CA is always honest.
-    fn trace(&self, ctx: &mut CaCtx<'_>, ev: impl FnOnce() -> TraceEvent) {
+    /// Emit a [`ModelEvent`] when the oracle is recording, under the
+    /// node-side helper's rules (`OctopusNode::trace`), except that
+    /// there is no malicious-node filter: the CA is always honest.
+    fn trace(&self, ctx: &mut CaCtx<'_>, ev: impl FnOnce() -> ModelEvent) {
         if self.cfg.trace {
             ctx.emit(Control::Trace(Box::new(ev())));
         }
     }
 
-    /// Emit a [`TraceEvent::CaReceiptCheck`] for one receipt
+    /// Emit a [`ModelEvent::CaReceiptCheck`] for one receipt
     /// verification. The validity bits are recomputed directly from the
     /// token so a broken `verify_receipt` cannot hide behind its own
     /// answer.
@@ -323,9 +315,9 @@ impl CaNode {
         flow: u64,
         accepted: bool,
     ) {
-        self.trace(ctx, || TraceEvent::CaReceiptCheck {
-            signer: token.signer,
-            expected_signer,
+        self.trace(ctx, || ModelEvent::CaReceiptCheck {
+            signer: token.signer.0,
+            expected_signer: expected_signer.0,
             flow_ok: token.flow == flow,
             sig_ok: self
                 .pubkeys
@@ -368,9 +360,9 @@ impl CaNode {
                 } else {
                     cert_ok && !reporter_revoked && evidence_ok
                 };
-                self.trace(ctx, || TraceEvent::ReportIntake {
+                self.trace(ctx, || ModelEvent::ReportIntake {
                     kind: ReportKind::ListOmission,
-                    reporter,
+                    reporter: reporter.0,
                     cert_ok,
                     reporter_revoked,
                     evidence_ok,
@@ -422,9 +414,9 @@ impl CaNode {
                 } else {
                     cert_ok && evidence_ok
                 };
-                self.trace(ctx, || TraceEvent::ReportIntake {
+                self.trace(ctx, || ModelEvent::ReportIntake {
                     kind: ReportKind::FingerManipulation,
-                    reporter,
+                    reporter: reporter.0,
                     cert_ok,
                     // intake deliberately does not gate on this — the
                     // bit is recorded so the model can check the policy
@@ -517,9 +509,9 @@ impl CaNode {
                 } else {
                     cert_ok && evidence_ok
                 };
-                self.trace(ctx, || TraceEvent::ReportIntake {
+                self.trace(ctx, || ModelEvent::ReportIntake {
                     kind: ReportKind::Dropper,
-                    reporter,
+                    reporter: reporter.0,
                     cert_ok,
                     reporter_revoked: self.authority.is_revoked(reporter),
                     evidence_ok,
@@ -1014,7 +1006,6 @@ impl NodeBehavior for CaNode {
     type Control = Control;
 
     fn on_message(&mut self, ctx: &mut CaCtx<'_>, from: Addr, msg: Msg) {
-        self.messages_received += 1;
         ctx.emit(Control::CaReceived);
         match msg {
             Msg::Report(r) => self.on_report(ctx, *r),

@@ -25,9 +25,9 @@ pub struct OctopusConfig {
     pub relay_max_delay: Duration,
     /// Request timeout before a peer is treated as unresponsive.
     pub request_timeout: Duration,
-    /// Emit semantic [`crate::trace::TraceEvent`]s for the reference
-    /// model (`octopus-spec`). Off by default: tracing is a test-only
-    /// observation channel and costs one control per protocol decision.
+    /// Emit `octopus_spec::ModelEvent`s for the reference model. Off
+    /// by default: tracing is a test-only observation channel and costs
+    /// one control per protocol decision.
     pub trace: bool,
 }
 

@@ -49,9 +49,7 @@ pub mod messages;
 pub mod mutation;
 pub mod node;
 pub mod simnet;
-pub mod spec_adapter;
 pub mod surveillance;
-pub mod trace;
 pub mod trial;
 mod vec_map;
 pub mod walk;
@@ -62,5 +60,4 @@ pub use config::OctopusConfig;
 pub use messages::{Msg, OnionPacket, Timer};
 pub use node::OctopusNode;
 pub use simnet::{Actor, Control, RunAccum, SecuritySim, SimConfig, SimReport};
-pub use trace::TraceEvent;
 pub use trial::{trial_configs, TrialRunner};

@@ -10,13 +10,13 @@
 use octopus_chord::{NextHop, SignedRoutingTable};
 use octopus_id::{Key, NodeId};
 use octopus_sim::SimTime;
+use octopus_spec::ModelEvent;
 use rand::seq::SliceRandom;
 
 use crate::messages::Report;
 use crate::mutation::{self, Mutation};
 use crate::node::{AnonPurpose, NodeCtx, OctopusNode};
 use crate::simnet::Control;
-use crate::trace::TraceEvent;
 
 /// Hop cap for one lookup (honest lookups take Θ(log N)).
 const MAX_LOOKUP_HOPS: usize = 32;
@@ -32,8 +32,6 @@ pub(crate) struct LookupState {
     pub first_pair: (NodeId, NodeId),
     /// Remote queries performed so far.
     pub hops: usize,
-    /// Nodes queried (for diagnostics).
-    pub queried: Vec<NodeId>,
     /// When the lookup started.
     pub started: SimTime,
     /// Retries left for the current step.
@@ -48,7 +46,6 @@ impl OctopusNode {
         let started = ctx.now();
         match self.routing_table().next_hop(key) {
             NextHop::Found(owner) => {
-                self.lookups_done += 1;
                 ctx.emit(Control::LookupDone {
                     initiator: self.id,
                     key,
@@ -66,7 +63,6 @@ impl OctopusNode {
                     key,
                     first_pair,
                     hops: 0,
-                    queried: Vec::new(),
                     started,
                     retries: MAX_RETRIES,
                     awaiting: first_target,
@@ -144,10 +140,10 @@ impl OctopusNode {
         if let Some(st) = self.lookups.get_mut(&id) {
             st.awaiting = target;
         }
-        self.trace(ctx, || TraceEvent::LookupQuery {
-            node: self.id,
+        self.trace(ctx, || ModelEvent::LookupQuery {
+            node: self.id.0,
             lookup: id,
-            target,
+            target: target.0,
         });
         self.send_anonymous_query(
             ctx,
@@ -184,11 +180,11 @@ impl OctopusNode {
         } else {
             owner_match && sig_ok
         };
-        self.trace(ctx, || TraceEvent::TableChecked {
-            node: self.id,
+        self.trace(ctx, || ModelEvent::TableChecked {
+            node: self.id.0,
             lookup: id,
-            owner,
-            awaiting,
+            owner: owner.0,
+            awaiting: awaiting.0,
             sig_ok,
             accepted,
         });
@@ -198,12 +194,10 @@ impl OctopusNode {
         let st = self.lookups.get_mut(&id).expect("state checked above");
         st.hops += 1;
         st.retries = MAX_RETRIES;
-        st.queried.push(table.owner());
         let (key, hops, started) = (st.key, st.hops, st.started);
         match table.table.next_hop(key) {
             NextHop::Found(owner) => {
                 let st = self.lookups.remove(&id).expect("state exists");
-                self.lookups_done += 1;
                 ctx.emit(Control::LookupDone {
                     initiator: self.id,
                     key,
@@ -280,9 +274,7 @@ impl OctopusNode {
     pub(crate) fn handle_anon_reply(
         &mut self,
         ctx: &mut NodeCtx<'_>,
-        _flow: u64,
         purpose: AnonPurpose,
-        _relays: Vec<NodeId>,
         payload: crate::messages::Msg,
     ) {
         use crate::messages::Msg;

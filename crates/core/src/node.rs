@@ -20,6 +20,7 @@ use octopus_crypto::{Certificate, KeyPair, PublicKey, Verifier};
 use octopus_id::{Key, NodeId};
 use octopus_net::{Addr, NodeBehavior, Runtime};
 use octopus_sim::Duration;
+use octopus_spec::ModelEvent;
 use rand::Rng;
 
 use crate::adversary::{AdversaryHandle, AttackKind};
@@ -31,7 +32,6 @@ use crate::messages::{
 use crate::mutation::{self, Mutation};
 use crate::simnet::Control;
 use crate::surveillance::FingerCheck;
-use crate::trace::TraceEvent;
 use crate::vec_map::VecMap;
 use crate::walk::{DelegatedWalk, WalkState};
 
@@ -195,8 +195,6 @@ pub struct OctopusNode {
     // ---- misc ----
     pub(crate) revoked: BTreeSet<NodeId>,
     pub(crate) adversary: Option<AdversaryHandle>,
-    /// Lookups completed by this node (diagnostics).
-    pub lookups_done: u64,
 }
 
 impl OctopusNode {
@@ -239,7 +237,6 @@ impl OctopusNode {
             finger_prov: vec![None; cfg.chord.fingers as usize],
             revoked: BTreeSet::new(),
             adversary,
-            lookups_done: 0,
         }
     }
 
@@ -271,15 +268,26 @@ impl OctopusNode {
         self.adversary.is_some()
     }
 
-    /// Emit a semantic trace event for the reference-model oracle.
+    /// Emit one [`ModelEvent`] for the reference-model oracle
+    /// (`octopus-spec`), through the deterministic control channel
+    /// ([`Control::Trace`]).
     ///
-    /// Only honest nodes trace — malicious deviation is the adversary's
-    /// business, not a contract violation — and only when
-    /// [`OctopusConfig::trace`] is on. The closure defers construction
-    /// so the disabled path costs one branch. Emission consumes no RNG
-    /// and sends no wire messages: tracing can never shift a seeded
-    /// stream or a report.
-    pub(crate) fn trace(&self, ctx: &mut NodeCtx<'_>, ev: impl FnOnce() -> TraceEvent) {
+    /// Emission rules that keep the trace a pure observation:
+    ///
+    /// * Only **honest** nodes emit: malicious deviation is the
+    ///   adversary's business, not a contract violation. (`drops_flow`
+    ///   consumes no RNG for honest nodes, so the gate cannot shift
+    ///   seeded streams.)
+    /// * Emitting never consumes the node's RNG and never sends wire
+    ///   messages, so `trace: true` leaves reports byte-identical.
+    /// * Validity bits (`sig_ok`, `cert_ok`, …) are recomputed at the
+    ///   emission site with direct verify calls, independent of the code
+    ///   path that made the decision, which is what lets the oracle
+    ///   catch a broken decision path (see `crate::mutation`).
+    /// * The event is built inside the closure, only when
+    ///   [`OctopusConfig::trace`] is on, so the disabled path costs one
+    ///   branch.
+    pub(crate) fn trace(&self, ctx: &mut NodeCtx<'_>, ev: impl FnOnce() -> ModelEvent) {
         if self.cfg.trace && !self.is_malicious() {
             ctx.emit(Control::Trace(Box::new(ev())));
         }
@@ -560,10 +568,10 @@ impl OctopusNode {
         };
         self.anon_pending.insert(flow, (purpose, relays.to_vec()));
         self.awaiting_receipt.insert(flow, first);
-        self.trace(ctx, || TraceEvent::AnonSent {
-            node: self.id,
+        self.trace(ctx, || ModelEvent::AnonSent {
+            node: self.id.0,
             flow,
-            first,
+            first: first.0,
         });
         ctx.send(first, Msg::Onion(packet));
         ctx.set_timer(
@@ -916,11 +924,11 @@ impl NodeBehavior for OctopusNode {
                 } else {
                     strict
                 };
-                self.trace(ctx, || TraceEvent::ReceiptChecked {
-                    node: self.id,
-                    from,
+                self.trace(ctx, || ModelEvent::ReceiptChecked {
+                    node: self.id.0,
+                    from: from.0,
                     flow: token.flow,
-                    signer: token.signer,
+                    signer: token.signer.0,
                     accepted,
                 });
                 if accepted {
@@ -971,9 +979,9 @@ impl NodeBehavior for OctopusNode {
             }
             Msg::Revocation { revoked } => {
                 self.on_revocation(&revoked);
-                self.trace(ctx, || TraceEvent::RevocationSeen {
-                    node: self.id,
-                    revoked: revoked.to_vec(),
+                self.trace(ctx, || ModelEvent::RevocationSeen {
+                    node: self.id.0,
+                    revoked: revoked.iter().map(|r| r.0).collect(),
                     tracked: revoked.iter().all(|r| self.revoked.contains(r)),
                 });
             }
@@ -1014,8 +1022,8 @@ impl NodeBehavior for OctopusNode {
                 // (and the CA's receipt walk) handles droppers, who ack
                 // before dropping to avoid immediate local blame
                 if self.awaiting_receipt.remove(&flow).is_some() {
-                    self.trace(ctx, || TraceEvent::ReceiptExpired {
-                        node: self.id,
+                    self.trace(ctx, || ModelEvent::ReceiptExpired {
+                        node: self.id.0,
                         flow,
                     });
                 }
@@ -1036,7 +1044,7 @@ impl OctopusNode {
 
     fn on_onion(&mut self, ctx: &mut NodeCtx<'_>, from: Addr, mut packet: OnionPacket) {
         let flow = packet.flow;
-        let route_next = packet.route.first().map(|h| h.node);
+        let route_next = packet.route.first().map(|h| h.node.0);
         // acknowledge receipt to the previous hop (DoS defense). Droppers
         // also ack — refusing would pin the blame locally and instantly.
         let receipt_sent = !mutation::is(Mutation::ForwardWithoutReceipt);
@@ -1080,12 +1088,12 @@ impl OctopusNode {
             } else {
                 hop.node
             };
-            forwarded_to = Some(target);
+            forwarded_to = Some(target.0);
             ctx.send_delayed(target, Msg::Onion(packet), delay);
         }
-        self.trace(ctx, || TraceEvent::OnionProcessed {
-            node: self.id,
-            from,
+        self.trace(ctx, || ModelEvent::OnionProcessed {
+            node: self.id.0,
+            from: from.0,
             flow,
             route_next,
             receipt_sent,
@@ -1095,11 +1103,11 @@ impl OctopusNode {
     }
 
     fn on_onion_reply(&mut self, ctx: &mut NodeCtx<'_>, _from: Addr, flow: u64, payload: Msg) {
-        if let Some((purpose, relays)) = self.anon_pending.remove(&flow) {
+        if let Some((purpose, _)) = self.anon_pending.remove(&flow) {
             // the reply reached the initiator
             ctx.cancel_timer(Timer::RequestTimeout { req: flow });
             self.receipts.remove(&flow);
-            self.handle_anon_reply(ctx, flow, purpose, relays, payload);
+            self.handle_anon_reply(ctx, purpose, payload);
             return;
         }
         if let Some(rf) = self.relay_flows.remove(&flow) {
@@ -1456,7 +1464,7 @@ mod tests {
             "the query is still pending"
         );
         let expired = fx.controls.iter().any(|c| {
-            matches!(c, Control::Trace(ev) if matches!(**ev, TraceEvent::ReceiptExpired { .. }))
+            matches!(c, Control::Trace(ev) if matches!(**ev, ModelEvent::ReceiptExpired { .. }))
         });
         assert!(expired, "no ReceiptExpired trace: {:?}", fx.controls);
     }

@@ -19,6 +19,7 @@ use octopus_id::{IdSpace, Key, NodeId};
 use octopus_metrics::{merge_point_series, Merge};
 use octopus_net::{Addr, KingLikeLatency, NodeBehavior, Runtime, World};
 use octopus_sim::{derive_rng, ChurnProcess, Duration, SchedulerKind, SimTime};
+use octopus_spec::ModelEvent;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -28,7 +29,6 @@ use crate::config::OctopusConfig;
 use crate::genesis::{self, RingKeys};
 use crate::messages::{Msg, Timer};
 use crate::node::OctopusNode;
-use crate::trace::TraceEvent;
 
 /// The CA's reserved overlay address (outside the ring population).
 pub const CA_ADDR: NodeId = NodeId(u64::MAX);
@@ -120,7 +120,7 @@ pub enum Control {
     /// A semantic protocol decision for the reference-model oracle
     /// (only emitted when [`OctopusConfig::trace`] is on; boxed to keep
     /// the common variants small).
-    Trace(Box<TraceEvent>),
+    Trace(Box<ModelEvent>),
 }
 
 /// The actor hosted at each world address: a peer or the CA.
@@ -439,7 +439,7 @@ pub struct SecuritySim {
     /// on: node/CA events arrive via [`Control::Trace`] in global
     /// control order; driver events (joins, kills, applied revocations)
     /// are appended directly at their control's position.
-    trace: Option<Vec<(SimTime, TraceEvent)>>,
+    trace: Option<Vec<(SimTime, ModelEvent)>>,
 }
 
 impl SecuritySim {
@@ -519,7 +519,7 @@ impl SecuritySim {
             // genesis population: the model learns the initial membership
             // the same way it learns churn joins
             for id in sim.space.ids().to_vec() {
-                sim.push_trace(SimTime::ZERO, TraceEvent::NodeJoined { node: id });
+                sim.push_trace(SimTime::ZERO, ModelEvent::NodeJoined { node: id.0 });
             }
         }
         sim.schedule_initial_events();
@@ -527,7 +527,7 @@ impl SecuritySim {
     }
 
     /// Append a driver-side trace event (no-op when tracing is off).
-    fn push_trace(&mut self, t: SimTime, ev: TraceEvent) {
+    fn push_trace(&mut self, t: SimTime, ev: ModelEvent) {
         if let Some(buf) = &mut self.trace {
             buf.push((t, ev));
         }
@@ -535,7 +535,7 @@ impl SecuritySim {
 
     /// Take the recorded semantic trace (empty when tracing is off or
     /// already taken). Call after [`SecuritySim::finish`].
-    pub fn take_trace(&mut self) -> Vec<(SimTime, TraceEvent)> {
+    pub fn take_trace(&mut self) -> Vec<(SimTime, ModelEvent)> {
         self.trace.take().unwrap_or_default()
     }
 
@@ -742,7 +742,7 @@ impl SecuritySim {
                             report.false_positives += 1;
                         }
                         self.apply_revocation(id);
-                        self.push_trace(now, TraceEvent::RevocationApplied { node: id });
+                        self.push_trace(now, ModelEvent::RevocationApplied { node: id.0 });
                     }
                     Verdict::Dismissed => report.dismissed += 1,
                 }
@@ -768,7 +768,7 @@ impl SecuritySim {
         self.world.remove_node(id);
         self.space.remove(id);
         self.adversary.update(|a| a.remove(id));
-        self.push_trace(now, TraceEvent::NodeKilled { node: id });
+        self.push_trace(now, ModelEvent::NodeKilled { node: id.0 });
         self.with_ca(|ca| ca.note_death(id, now.as_secs_f64() as u64));
         let gap = self
             .churn
@@ -822,7 +822,7 @@ impl SecuritySim {
                 .update(|a| a.share_keys(id, kp.clone(), Arc::clone(cert)));
         }
         self.world.insert_node(id, Actor::Peer(Box::new(node)));
-        self.push_trace(now, TraceEvent::NodeJoined { node: id });
+        self.push_trace(now, ModelEvent::NodeJoined { node: id.0 });
         self.with_ca(|ca| ca.note_join(id, now.as_secs_f64() as u64));
         for n in neighbors {
             if let Some(Actor::Peer(p)) = self.world.node_mut(n) {

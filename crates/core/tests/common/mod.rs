@@ -21,13 +21,12 @@ use std::collections::BTreeSet;
 use octopus_chord::SignedRoutingTable;
 use octopus_core::messages::{receipt_bytes, ExitAction, Hop, ReceiptToken, Report};
 use octopus_core::simnet::CA_ADDR;
-use octopus_core::spec_adapter::replay_trace;
 use octopus_core::{
-    AttackKind, Msg, OctopusConfig, OnionPacket, SecuritySim, SimConfig, SimReport, TraceEvent,
+    AttackKind, Msg, OctopusConfig, OnionPacket, SecuritySim, SimConfig, SimReport,
 };
 use octopus_id::NodeId;
 use octopus_sim::{Duration, SimTime};
-use octopus_spec::{check_invariants, Replay};
+use octopus_spec::{check_invariants, ModelEvent, Replay};
 
 /// One point of the acceptance cube: a shard count.
 pub type CubePoint = usize;
@@ -66,7 +65,7 @@ pub struct TracedRun {
     /// The simulation report (byte-comparable across cube points).
     pub report: SimReport,
     /// The recorded semantic trace, in deterministic control order.
-    pub trace: Vec<(SimTime, TraceEvent)>,
+    pub trace: Vec<(SimTime, ModelEvent)>,
     /// Live node ids at the end of the run (engine ground truth).
     pub live: BTreeSet<u64>,
     /// Revoked node ids at the end of the run (engine ground truth).
@@ -95,7 +94,7 @@ pub fn finish_traced(mut sim: SecuritySim, report: SimReport) -> TracedRun {
 
 /// Replay a recorded trace through the reference model.
 pub fn replay(run: &TracedRun) -> Replay {
-    replay_trace(run.trace.iter().map(|(_, e)| e))
+    octopus_spec::replay(run.trace.iter().map(|(_, e)| e.clone()))
 }
 
 /// Assert a traced run agrees with the model completely: no
@@ -393,6 +392,6 @@ pub fn run_fuzzed(cfg: SimConfig) -> (TracedRun, InjectStats) {
 }
 
 /// Count trace events matching a predicate.
-pub fn count(run: &TracedRun, pred: impl Fn(&TraceEvent) -> bool) -> usize {
+pub fn count(run: &TracedRun, pred: impl Fn(&ModelEvent) -> bool) -> usize {
     run.trace.iter().filter(|(_, e)| pred(e)).count()
 }

@@ -15,7 +15,7 @@
 mod common;
 
 use common::{assert_model_agrees, cube, probe, run_traced, TracedRun};
-use octopus_core::TraceEvent;
+use octopus_spec::ModelEvent;
 
 /// Seeds per suite slice; three slices give ≥ 50 seeded schedules
 /// through the full cube while keeping wall-clock parallel.
@@ -61,11 +61,11 @@ fn check_slice(first_seed: u64) {
         let run = check_seed(seed);
         for (_, ev) in &run.trace {
             match ev {
-                TraceEvent::OnionProcessed { .. } => onions += 1,
-                TraceEvent::ReceiptChecked { .. } => receipts += 1,
-                TraceEvent::TableChecked { .. } => tables += 1,
-                TraceEvent::LookupQuery { .. } => lookups += 1,
-                TraceEvent::AnonSent { .. } => anon += 1,
+                ModelEvent::OnionProcessed { .. } => onions += 1,
+                ModelEvent::ReceiptChecked { .. } => receipts += 1,
+                ModelEvent::TableChecked { .. } => tables += 1,
+                ModelEvent::LookupQuery { .. } => lookups += 1,
+                ModelEvent::AnonSent { .. } => anon += 1,
                 _ => {}
             }
         }
@@ -90,4 +90,26 @@ fn differential_agreement_slice_b() {
 #[test]
 fn differential_agreement_slice_c() {
     check_slice(300);
+}
+
+/// What the trace contains, not only that the model agrees with it:
+/// one small fixed-seed probe must reproduce the FNV-1a 64 fingerprint
+/// of its whole trace's `Debug` text recorded when this test was
+/// written. Like the figure goldens, the value assumes this host's
+/// libm `ln` (latency draws go through it).
+#[test]
+fn traced_run_emits_a_recorded_event_stream() {
+    let run = run_traced(probe(7, 1));
+    let fingerprint = run
+        .trace
+        .iter()
+        .flat_map(|(t, e)| format!("{:?}", (t, e)).into_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    assert_eq!(
+        (run.trace.len(), fingerprint),
+        (5728, 0x2594_49c4_1ca5_5663),
+        "trace changed"
+    );
 }

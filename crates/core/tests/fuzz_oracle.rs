@@ -11,8 +11,7 @@
 mod common;
 
 use common::{assert_model_agrees, count, probe, run_fuzzed, INJECT_FLOW_BASE};
-use octopus_core::TraceEvent;
-use octopus_spec::ReportKind;
+use octopus_spec::{ModelEvent, ReportKind};
 
 /// Fuzzed seeds: enough schedules that every injection kind lands on
 /// live state (in-flight receipts and pending lookups are caught
@@ -46,7 +45,7 @@ fn byzantine_mutations_rejected_in_agreement_with_model() {
         rejected_receipts += count(&run, |e| {
             matches!(
                 e,
-                TraceEvent::ReceiptChecked {
+                ModelEvent::ReceiptChecked {
                     accepted: false,
                     ..
                 }
@@ -59,13 +58,13 @@ fn byzantine_mutations_rejected_in_agreement_with_model() {
         bad_tables += count(&run, |e| {
             matches!(
                 e,
-                TraceEvent::TableChecked { sig_ok: false, accepted, .. } if !accepted
+                ModelEvent::TableChecked { sig_ok: false, accepted, .. } if !accepted
             )
         });
         assert_eq!(
             count(&run, |e| matches!(
                 e,
-                TraceEvent::TableChecked {
+                ModelEvent::TableChecked {
                     sig_ok: false,
                     accepted: true,
                     ..
@@ -78,7 +77,7 @@ fn byzantine_mutations_rejected_in_agreement_with_model() {
         bad_cert_intakes += count(&run, |e| {
             matches!(
                 e,
-                TraceEvent::ReportIntake {
+                ModelEvent::ReportIntake {
                     kind: ReportKind::Dropper,
                     cert_ok: false,
                     accepted: false,
@@ -89,7 +88,7 @@ fn byzantine_mutations_rejected_in_agreement_with_model() {
         assert_eq!(
             count(&run, |e| matches!(
                 e,
-                TraceEvent::ReportIntake {
+                ModelEvent::ReportIntake {
                     cert_ok: false,
                     accepted: true,
                     ..
@@ -103,7 +102,7 @@ fn byzantine_mutations_rejected_in_agreement_with_model() {
         forged_ca_receipts += count(&run, |e| {
             matches!(
                 e,
-                TraceEvent::CaReceiptCheck {
+                ModelEvent::CaReceiptCheck {
                     sig_ok: false,
                     accepted: false,
                     ..
@@ -113,7 +112,7 @@ fn byzantine_mutations_rejected_in_agreement_with_model() {
         assert_eq!(
             count(&run, |e| matches!(
                 e,
-                TraceEvent::CaReceiptCheck {
+                ModelEvent::CaReceiptCheck {
                     sig_ok: false,
                     accepted: true,
                     ..
@@ -128,16 +127,16 @@ fn byzantine_mutations_rejected_in_agreement_with_model() {
         injected_onions += count(&run, |e| {
             matches!(
                 e,
-                TraceEvent::OnionProcessed { flow, .. } if *flow >= INJECT_FLOW_BASE
+                ModelEvent::OnionProcessed { flow, .. } if *flow >= INJECT_FLOW_BASE
             )
         });
         tracked_revocations += count(&run, |e| {
-            matches!(e, TraceEvent::RevocationSeen { tracked: true, .. })
+            matches!(e, ModelEvent::RevocationSeen { tracked: true, .. })
         });
         assert_eq!(
             count(&run, |e| matches!(
                 e,
-                TraceEvent::RevocationSeen { tracked: false, .. }
+                ModelEvent::RevocationSeen { tracked: false, .. }
             )),
             0,
             "seed {seed}: a node failed to track a revocation broadcast"
