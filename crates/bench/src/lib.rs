@@ -17,11 +17,12 @@
 //! | `OCTOPUS_THREADS` | `--threads` | trial-runner worker threads | available parallelism |
 //! | `OCTOPUS_TRIALS` | `--trials` | independent trials merged per data point | 1 |
 //!
-//! `octopus-node` also reads `OCTOPUS_ADDR`/`--addr`,
-//! `OCTOPUS_PEERS`/`--peers` and `OCTOPUS_NODE_CONFIG`/`--node-config`.
 //! [`RunArgs::from_env`] is the only reader of the environment in the
-//! workspace. The bins run on past a flag or value they cannot use;
-//! `octopus-node` refuses to boot on one ([`RunArgs::skipped`]).
+//! workspace. The bins run on past a flag or value they cannot use
+//! ([`RunArgs::skipped`]) and say so on stderr, one `ignoring` line
+//! each, so their stdout stays the figure alone. `octopus-node` takes
+//! none of this: it boots from its own command line
+//! (`octopus_transport::NodeConfig`).
 //!
 //! The bins run every simulation on one shard. Shard count never
 //! changes a report; [`SimConfig::shards`] stays an engine setting for
@@ -139,20 +140,11 @@ pub struct RunArgs {
     pub threads: usize,
     /// Independent trials merged per data point.
     pub trials: usize,
-    /// This process's own endpoint for the UDP transport, as
-    /// `id@host:port` (`octopus-node` only; simulations ignore it).
-    pub addr: Option<String>,
-    /// Comma-separated `id@host:port` peer endpoints for the UDP
-    /// transport's peer table.
-    pub peers: Option<String>,
-    /// Path to an `octopus-node` TOML config file; flags and environment
-    /// variables override values read from it.
-    pub node_config: Option<String>,
     /// What [`RunArgs::parse`] could not use, in the order it met them
     /// (environment first), each with the reason: an unknown flag, a
     /// stray argument, or a known flag or variable whose value is
-    /// missing or does not parse. The figure bins ignore these;
-    /// `octopus-node` refuses to boot on the first.
+    /// missing or does not parse. The bins run on without them;
+    /// [`RunArgs::from_env`] reports each on stderr.
     pub skipped: Vec<String>,
 }
 
@@ -170,16 +162,15 @@ impl Default for RunArgs {
             )]
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             trials: 1,
-            addr: None,
-            peers: None,
-            node_config: None,
             skipped: Vec::new(),
         }
     }
 }
 
 impl RunArgs {
-    /// Parse from the process environment and CLI arguments.
+    /// Parse from the process environment and CLI arguments, and write
+    /// one `ignoring <item>` line to stderr per [`RunArgs::skipped`]
+    /// item.
     #[must_use]
     // The workspace's one reader of the environment: clippy.toml
     // disallows `std::env::var` everywhere else.
@@ -189,7 +180,11 @@ impl RunArgs {
     )]
     pub fn from_env() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::parse(&args, |k| std::env::var(k).ok())
+        let parsed = Self::parse(&args, |k| std::env::var(k).ok());
+        for item in &parsed.skipped {
+            eprintln!("ignoring {item}");
+        }
+        parsed
     }
 
     /// Pure parsing core (tested without touching the real
@@ -206,9 +201,6 @@ impl RunArgs {
                 "seed" => out.seed = Some(value.parse().ok()?),
                 "threads" => out.threads = value.parse::<usize>().ok()?.max(1),
                 "trials" => out.trials = value.parse::<usize>().ok()?.max(1),
-                "addr" => out.addr = Some(value.to_string()),
-                "peers" => out.peers = Some(value.to_string()),
-                "node-config" => out.node_config = Some(value.to_string()),
                 _ => return None,
             }
             Some(())
@@ -218,9 +210,6 @@ impl RunArgs {
             ("OCTOPUS_SEED", "seed"),
             ("OCTOPUS_THREADS", "threads"),
             ("OCTOPUS_TRIALS", "trials"),
-            ("OCTOPUS_ADDR", "addr"),
-            ("OCTOPUS_PEERS", "peers"),
-            ("OCTOPUS_NODE_CONFIG", "node-config"),
         ] {
             if let Some(v) = env(env_key) {
                 if apply(&mut out, key, &v).is_none() {
@@ -228,15 +217,7 @@ impl RunArgs {
                 }
             }
         }
-        const KNOWN_FLAGS: [&str; 7] = [
-            "scale",
-            "seed",
-            "threads",
-            "trials",
-            "addr",
-            "peers",
-            "node-config",
-        ];
+        const KNOWN_FLAGS: [&str; 4] = ["scale", "seed", "threads", "trials"];
         let mut it = args.iter().peekable();
         while let Some(arg) = it.next() {
             let Some(flag) = arg.strip_prefix("--") else {
@@ -373,39 +354,25 @@ mod tests {
     }
 
     #[test]
-    fn transport_knobs_parse_from_flags_and_env() {
-        let flags: Vec<String> = [
-            "--addr",
-            "1@127.0.0.1:7001",
-            "--peers=2@127.0.0.1:7002,3@127.0.0.1:7003",
-            "--node-config",
-            "node.toml",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect();
-        let a = RunArgs::parse(&flags, no_env);
-        assert_eq!(a.addr.as_deref(), Some("1@127.0.0.1:7001"));
-        assert_eq!(
-            a.peers.as_deref(),
-            Some("2@127.0.0.1:7002,3@127.0.0.1:7003")
-        );
-        assert_eq!(a.node_config.as_deref(), Some("node.toml"));
-
-        let env = |k: &str| match k {
-            "OCTOPUS_ADDR" => Some("9@10.0.0.1:9000".to_string()),
-            "OCTOPUS_PEERS" => Some("8@10.0.0.2:9000".to_string()),
-            "OCTOPUS_NODE_CONFIG" => Some("/etc/octopus.toml".to_string()),
-            _ => None,
+    fn node_flags_are_not_bin_flags() {
+        // `octopus-node` parses its own command line; to a figure bin
+        // its flags are unknown, and their values are stray
+        let args: Vec<String> = ["--addr", "1@127.0.0.1:7001", "--peers=x", "--scale", "full"]
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        let expected = RunArgs {
+            scale: Scale::Full,
+            skipped: [
+                "--addr (unknown flag)",
+                "1@127.0.0.1:7001 (stray argument)",
+                "--peers (unknown flag)",
+            ]
+            .map(String::from)
+            .to_vec(),
+            ..RunArgs::default()
         };
-        let a = RunArgs::parse(&[], env);
-        assert_eq!(a.addr.as_deref(), Some("9@10.0.0.1:9000"));
-        assert_eq!(a.peers.as_deref(), Some("8@10.0.0.2:9000"));
-        assert_eq!(a.node_config.as_deref(), Some("/etc/octopus.toml"));
-
-        // flags override env, like every other knob
-        let a = RunArgs::parse(&flags, env);
-        assert_eq!(a.addr.as_deref(), Some("1@127.0.0.1:7001"));
+        assert_eq!(RunArgs::parse(&args, no_env), expected);
     }
 
     #[test]

@@ -5,18 +5,19 @@
 //! the same per-node keypairs and certificates, and the same idealized
 //! ring state, purely from `seed` and the (sorted) peer table — no
 //! key-distribution step, which keeps multi-process bring-up a matter
-//! of pointing N processes at the same config. The ring state is the
-//! simulator's idealized join, `octopus_core::genesis`; only the relay
-//! pairs are this binary's own draws. The process whose id is the CA's
-//! reserved address (`2^64 - 1`) hosts the CA. The protocol running on
-//! top is the untouched `octopus-core` code driven through the
-//! transport-agnostic `Runtime` boundary.
+//! of pointing N processes at the same peer list and seed. The ring
+//! state is the simulator's idealized join, `octopus_core::genesis`;
+//! only the relay pairs are this binary's own draws. The process whose
+//! id is the CA's reserved address (`2^64 - 1`) hosts the CA. The
+//! protocol running on top is the untouched `octopus-core` code driven
+//! through the transport-agnostic `Runtime` boundary.
+//!
+//! The command line is the whole configuration (`NodeConfig::parse`):
 //!
 //! ```text
-//! octopus-node --node-config node3.toml
 //! octopus-node --addr 3@127.0.0.1:7003 \
 //!              --peers 1@127.0.0.1:7001,2@127.0.0.1:7002,3@127.0.0.1:7003 \
-//!              --seed 42
+//!              --seed 42 [--run-ms 6000]
 //! ```
 //!
 //! Progress is reported as machine-parsable lines on stdout (`ready`,
@@ -27,7 +28,6 @@ use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::UdpSocket;
 
-use octopus_bench::RunArgs;
 use octopus_chord::GroundTruthView;
 use octopus_core::genesis::{self, RingKeys};
 use octopus_core::simnet::CA_ADDR;
@@ -98,8 +98,8 @@ fn peer(
 }
 
 fn run() -> Result<(), String> {
-    let args = RunArgs::from_env();
-    let cfg = NodeConfig::resolve(&args)?;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cfg = NodeConfig::parse(&args)?;
     // the CA's reserved overlay address identifies it
     let is_ca = cfg.id == CA_ADDR;
 
@@ -110,12 +110,6 @@ fn run() -> Result<(), String> {
         .into_iter()
         .filter(|&i| i != CA_ADDR)
         .collect();
-    if !is_ca && !ring_ids.contains(&cfg.id) {
-        return Err(format!(
-            "own id {} missing from the peer table (add it to peers)",
-            cfg.id.0
-        ));
-    }
     let ocfg = accelerated_config(ring_ids.len());
     let space = IdSpace::new(&ring_ids);
     let (ca, keys) = issue(cfg.seed, &space, ocfg);
@@ -137,11 +131,7 @@ fn run() -> Result<(), String> {
     // lost and costs a full request timeout)
     std::thread::sleep(std::time::Duration::from_millis(400));
 
-    let run_ms = if cfg.run_ms == 0 {
-        u64::MAX
-    } else {
-        cfg.run_ms
-    };
+    let run_ms = cfg.run_ms.unwrap_or(u64::MAX);
     // `run_ms` of driving from here on the host's clock, so a drive that
     // returns early or runs over does not move the end of the run
     let end = SimTime(host.now().0.saturating_add(run_ms.saturating_mul(1000)));

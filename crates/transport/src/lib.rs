@@ -7,17 +7,14 @@
 //!
 //! * [`peer::PeerTable`] maps overlay ids to socket addresses
 //!   (`id@host:port` entries);
-//! * [`host::UdpHost`] is the poll-loop host: a `std::net::UdpSocket`
-//!   with a read timeout, an ordered map of its pending timers and
-//!   delayed sends, and the shared buffer-backed [`octopus_net::Ctx`] —
-//!   no async runtime;
+//! * [`host::UdpHost`] is the poll-loop host: a non-blocking
+//!   `std::net::UdpSocket` that blocks only for an idle wait, an
+//!   ordered map of its pending timers and delayed sends, and the
+//!   shared buffer-backed [`octopus_net::Ctx`] — no async runtime;
 //! * frames on the wire are the versioned, checksummed format of
 //!   `octopus_net::wire`, packed one or more to a datagram
 //!   (`append_frame`/`decode_datagram`); a datagram with any malformed
-//!   frame is counted and dropped whole, never panicked on;
-//! * [`config::NodeConfig`] boots one node from a minimal TOML file
-//!   plus `OCTOPUS_*` env / `--flag` overrides (the shared
-//!   `octopus_bench::RunArgs` parser).
+//!   frame is counted and dropped whole, never panicked on.
 //!
 //! This crate is the sanctioned home for wall-clock time and socket
 //! I/O (clippy.toml's `std::time::Instant::now` entry names it):

@@ -2,8 +2,8 @@
 //!
 //! The simulator routes by [`octopus_net::Addr`] directly; a real
 //! transport needs the extra indirection. Entries use the textual form
-//! `id@host:port` (decimal or `0x`-prefixed hex id), the same syntax the
-//! `--peers` flag, `OCTOPUS_PEERS` and the TOML config accept.
+//! `id@host:port` (decimal or `0x`-prefixed hex id), the syntax of
+//! `octopus-node`'s `--addr` and of each entry of its `--peers`.
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -58,8 +58,7 @@ impl PeerTable {
     }
 
     /// Parse one `id@host:port` endpoint.
-    #[must_use]
-    pub fn parse_entry(s: &str) -> Option<(NodeId, SocketAddr)> {
+    pub(crate) fn parse_entry(s: &str) -> Option<(NodeId, SocketAddr)> {
         let (id, addr) = s.trim().split_once('@')?;
         let id = parse_node_id(id)?;
         let addr: SocketAddr = addr.parse().ok()?;
@@ -92,8 +91,7 @@ impl PeerTable {
 }
 
 /// Parse a node id: decimal, or hex with a `0x` prefix.
-#[must_use]
-pub fn parse_node_id(s: &str) -> Option<NodeId> {
+fn parse_node_id(s: &str) -> Option<NodeId> {
     let s = s.trim();
     let v = match s.strip_prefix("0x") {
         Some(hex) => u64::from_str_radix(hex, 16).ok()?,

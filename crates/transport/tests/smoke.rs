@@ -1,8 +1,9 @@
 //! Multi-process UDP smoke test (feature `net-smoke`).
 //!
 //! Boots a real deployment on localhost — four Octopus peers plus the
-//! CA, five OS processes total — from generated TOML configs, lets it
-//! run lookups over actual UDP sockets, and asserts:
+//! CA, five OS processes total — each from its command line alone
+//! (`--addr`, `--peers`, `--seed`, `--run-ms`), lets it run lookups
+//! over actual UDP sockets, and asserts:
 //!
 //! * every process reports `ready` and exits cleanly (status 0 with a
 //!   `clean-shutdown` line) within a hard timeout;
@@ -19,7 +20,6 @@
 
 #![cfg(feature = "net-smoke")]
 
-use std::io::Write;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -39,19 +39,15 @@ struct Proc {
     child: Child,
 }
 
-fn spawn_deployment(dir: &std::path::Path, base_port: u16) -> Vec<Proc> {
+fn spawn_deployment(base_port: u16) -> Vec<Proc> {
     let ca_entry = format!("{CA_ID}@127.0.0.1:{base_port}");
     let mut entries: Vec<String> = PEER_IDS
         .iter()
         .enumerate()
         .map(|(i, id)| format!("{id}@127.0.0.1:{}", base_port + 1 + i as u16))
         .collect();
-    entries.push(ca_entry.clone());
-    let peers_toml = entries
-        .iter()
-        .map(|e| format!("\"{e}\""))
-        .collect::<Vec<_>>()
-        .join(", ");
+    entries.push(ca_entry);
+    let peers = entries.join(",");
 
     let mut procs = Vec::new();
     for entry in &entries {
@@ -61,19 +57,16 @@ fn spawn_deployment(dir: &std::path::Path, base_port: u16) -> Vec<Proc> {
         } else {
             format!("peer{id}")
         };
-        let config =
-            format!("addr = \"{entry}\"\nseed = 42\nrun_ms = {RUN_MS}\npeers = [{peers_toml}]\n");
-        let path = dir.join(format!("{name}.toml"));
-        std::fs::File::create(&path)
-            .and_then(|mut f| f.write_all(config.as_bytes()))
-            .expect("write config");
         let child = Command::new(env!("CARGO_BIN_EXE_octopus-node"))
-            .arg("--node-config")
-            .arg(&path)
-            // isolate from the developer's environment
-            .env_remove("OCTOPUS_ADDR")
-            .env_remove("OCTOPUS_PEERS")
-            .env_remove("OCTOPUS_SEED")
+            .args([
+                "--addr",
+                entry.as_str(),
+                "--peers",
+                peers.as_str(),
+                "--seed",
+                "42",
+            ])
+            .arg(format!("--run-ms={RUN_MS}"))
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()
@@ -138,9 +131,7 @@ fn field(line: &str, key: &str) -> Option<u64> {
 
 #[test]
 fn four_process_udp_deployment_converges() {
-    let dir = std::env::temp_dir().join(format!("octopus-smoke-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let mut procs = spawn_deployment(&dir, 17900);
+    let mut procs = spawn_deployment(17900);
     let outputs = wait_all(&mut procs);
 
     let mut total_converged = 0u64;
@@ -190,5 +181,4 @@ fn four_process_udp_deployment_converges() {
         total_converged >= PEER_IDS.len() as u64 * 3,
         "deployment converged too few lookups in total ({total_converged})"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
