@@ -5,6 +5,20 @@
 //! signed statements, and revokes that node's certificate. Its workload
 //! — messages received over time — is the quantity Fig. 7(b) plots.
 //!
+//! One gate and one lifecycle serve all three investigations (the §4.3
+//! proof-chain walk, the §4.4–4.5 finger-provenance challenge and the
+//! Appendix II receipt walk). Every report passes `admit`: the
+//! reporter's certificate, then the evidence, then one `ReportIntake`
+//! trace. Every case knows the party it waits on, the request it sends
+//! and its category; `open_case` sends that request and arms the
+//! deadline, `pursue` first drops a case against a revoked party and
+//! dismisses one against a departed party, and `on_reply` closes a case
+//! only when its awaited party answers what was asked, flow included.
+//! Any other reply leaves the case to `on_case_timeout`, which revokes an
+//! awaited party that is live and stable. The CA judges omissions and
+//! skipped fingers by the rules surveillance files them by
+//! (`surveillance::omits` and `surveillance::skips`).
+//!
 //! Churn tolerance: the CA tracks joins and deaths (fed by the driver,
 //! standing in for certificate-issue records and witness probes) and
 //! *excuses* inconsistencies explainable by recent churn. That policy is
@@ -16,8 +30,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use octopus_chord::{stabilize, SignedSuccessorList};
-use octopus_crypto::{CertificateAuthority, PublicKey, Signature, VerifiedMemo, Verifier};
-use octopus_id::NodeId;
+use octopus_crypto::{
+    Certificate, CertificateAuthority, PublicKey, Signature, VerifiedMemo, Verifier,
+};
+use octopus_id::{Key, NodeId};
 use octopus_net::{Addr, NodeBehavior, Runtime};
 use octopus_spec::{ModelEvent, ReportKind};
 
@@ -25,30 +41,31 @@ use crate::config::OctopusConfig;
 use crate::messages::{receipt_bytes, Msg, ReceiptToken, Report, Timer};
 use crate::mutation::{self, Mutation};
 use crate::simnet::{Control, ReportCat, Verdict};
+use crate::surveillance::{omits, skips};
 
 type CaCtx<'a> = dyn Runtime<Msg, Timer, Control> + 'a;
 
 /// An open investigation.
 #[derive(Debug)]
 enum Case {
-    /// Walking a successor-list proof chain (§4.3, Fig. 2(b)).
+    /// Walking a successor-list proof chain (§4.3, Fig. 2(b)): the
+    /// list's signer must show the proofs it merged.
     ListOmission {
         omitted: NodeId,
-        accused: NodeId,
         accused_list: SignedSuccessorList,
         depth: usize,
         category: ReportCat,
     },
-    /// Challenging a finger's adoption provenance (§4.4/§4.5): the
-    /// accused must produce the signed third-party list that justified
-    /// the finger, or be revoked; a provenance whose signer provably
-    /// lied costs the adversary that signer instead.
+    /// Challenging the adoption provenance of finger `slot` of `y`
+    /// (§4.4/§4.5): `y` must produce the signed third-party list that
+    /// justified the finger, or be revoked; a provenance whose signer
+    /// provably lied costs the adversary that signer instead.
     FingerProv {
         y: NodeId,
         fprime: NodeId,
-        ideal: octopus_id::Key,
+        ideal: Key,
         z: NodeId,
-        category: ReportCat,
+        slot: u32,
     },
     /// Walking a path's forwarding receipts (Appendix II).
     Dropper {
@@ -58,6 +75,46 @@ enum Case {
         /// Index of the relay currently being asked for its receipt.
         idx: usize,
     },
+}
+
+impl Case {
+    /// The party the case waits on, and whom its deadline judges.
+    fn awaited(&self) -> NodeId {
+        match self {
+            Case::ListOmission { accused_list, .. } => accused_list.owner(),
+            Case::FingerProv { y, .. } => *y,
+            Case::Dropper { relays, idx, .. } => relays[*idx],
+        }
+    }
+
+    /// The mechanism whose report opened the case.
+    fn category(&self) -> ReportCat {
+        match self {
+            Case::ListOmission { category, .. } => *category,
+            Case::FingerProv { .. } => ReportCat::FingerSurveillance,
+            Case::Dropper { .. } => ReportCat::SelectiveDos,
+        }
+    }
+
+    /// The request that asks the awaited party about case `id`.
+    fn request(&self, id: u64) -> Msg {
+        match *self {
+            Case::ListOmission { .. } => Msg::CaProofRequest { case: id },
+            Case::FingerProv { slot, .. } => Msg::CaProvRequest { case: id, slot },
+            Case::Dropper { flow, .. } => Msg::CaReceiptRequest { case: id, flow },
+        }
+    }
+
+    /// Does `reply` answer the request? A receipt reply about another
+    /// flow answers nothing, however valid its receipt.
+    fn answered_by(&self, reply: &Msg) -> bool {
+        match (self, reply) {
+            (Case::ListOmission { .. }, Msg::CaProofReply { .. })
+            | (Case::FingerProv { .. }, Msg::CaProvReply { .. }) => true,
+            (Case::Dropper { flow, .. }, Msg::CaReceiptReply { flow: told, .. }) => flow == told,
+            _ => false,
+        }
+    }
 }
 
 /// The CA actor living inside the simulated network.
@@ -225,17 +282,16 @@ impl CaNode {
         ctx.now().as_secs_f64() as u64
     }
 
-    /// "Recently churned" — joined or died within the excuse window.
-    fn recently_churned(&self, id: NodeId, now: u64, window: u64) -> bool {
-        let joined = self
-            .join_times
-            .get(&id)
-            .is_some_and(|&t| now.saturating_sub(t) <= window);
-        let died = self
-            .death_times
-            .get(&id)
-            .is_some_and(|&t| now.saturating_sub(t) <= window);
-        joined || died
+    /// Live, and neither joined nor died within `window` seconds of
+    /// `now`: a node that churned recently may honestly have missed a
+    /// message.
+    fn stable(&self, id: NodeId, now: u64, window: u64) -> bool {
+        let churned = |times: &BTreeMap<NodeId, u64>| {
+            times
+                .get(&id)
+                .is_some_and(|&t| now.saturating_sub(t) <= window)
+        };
+        self.live.contains(&id) && !churned(&self.join_times) && !churned(&self.death_times)
     }
 
     /// Verify a signed list as *evidence*. Revocation status of the
@@ -257,6 +313,35 @@ impl CaNode {
             self.verified_lists.remember(key, list.clone());
         }
         ok
+    }
+
+    /// Does `token` prove that `expected_signer` received `flow`? Emits
+    /// a [`ModelEvent::CaReceiptCheck`] whose validity bits are
+    /// recomputed directly from the token, so a broken check cannot
+    /// hide behind its own answer.
+    fn verify_receipt(
+        &self,
+        ctx: &mut CaCtx<'_>,
+        token: &ReceiptToken,
+        expected_signer: NodeId,
+        flow: u64,
+    ) -> bool {
+        let sig_ok = |t: &ReceiptToken| {
+            self.pubkeys
+                .get(&t.signer)
+                .is_some_and(|k| k.verify(&receipt_bytes(t.flow), t.sig).is_ok())
+        };
+        // injected bug: receipts rubber-stamped
+        let accepted = mutation::is(Mutation::AcceptAnyReceipt)
+            || (token.signer == expected_signer && token.flow == flow && sig_ok(token));
+        self.trace(ctx, || ModelEvent::CaReceiptCheck {
+            signer: token.signer.0,
+            expected_signer: expected_signer.0,
+            flow_ok: token.flow == flow,
+            sig_ok: sig_ok(token),
+            accepted,
+        });
+        accepted
     }
 
     fn revoke(&mut self, ctx: &mut CaCtx<'_>, id: NodeId, category: ReportCat) {
@@ -303,33 +388,46 @@ impl CaNode {
         }
     }
 
-    /// Emit a [`ModelEvent::CaReceiptCheck`] for one receipt
-    /// verification. The validity bits are recomputed directly from the
-    /// token so a broken `verify_receipt` cannot hide behind its own
-    /// answer.
-    fn trace_receipt_check(
-        &self,
-        ctx: &mut CaCtx<'_>,
-        token: &ReceiptToken,
-        expected_signer: NodeId,
-        flow: u64,
-        accepted: bool,
-    ) {
-        self.trace(ctx, || ModelEvent::CaReceiptCheck {
-            signer: token.signer.0,
-            expected_signer: expected_signer.0,
-            flow_ok: token.flow == flow,
-            sig_ok: self
-                .pubkeys
-                .get(&token.signer)
-                .is_some_and(|k| k.verify(&receipt_bytes(token.flow), token.sig).is_ok()),
-            accepted,
-        });
-    }
-
     // ------------------------------------------------------------------
     // Report intake.
     // ------------------------------------------------------------------
+
+    /// The gate every report passes. Each input is computed whatever the
+    /// others read, so the trace oracle can compare every bit against
+    /// the decision: the reporter's certificate, whether the reporter is
+    /// revoked, then `evidence`. Only a list omission bars a revoked
+    /// reporter; the bit is traced for the others so the model can check
+    /// that policy.
+    fn admit(
+        &mut self,
+        ctx: &mut CaCtx<'_>,
+        kind: ReportKind,
+        reporter: NodeId,
+        reporter_cert: Certificate,
+        evidence: impl FnOnce(&mut Self, u64) -> bool,
+    ) -> bool {
+        let now = Self::now_secs(ctx);
+        let cert_ok = reporter_cert.node_id == reporter
+            && self
+                .verifier
+                .verify_certificate(&Arc::new(reporter_cert), now)
+                .is_ok();
+        let reporter_revoked = self.authority.is_revoked(reporter);
+        let evidence_ok = evidence(self, now);
+        let barred = kind == ReportKind::ListOmission && reporter_revoked;
+        // injected bug: the certificate is checked, then ignored
+        let accepted =
+            (cert_ok || mutation::is(Mutation::SkipReportCertCheck)) && !barred && evidence_ok;
+        self.trace(ctx, || ModelEvent::ReportIntake {
+            kind,
+            reporter: reporter.0,
+            cert_ok,
+            reporter_revoked,
+            evidence_ok,
+            accepted,
+        });
+        accepted
+    }
 
     fn on_report(&mut self, ctx: &mut CaCtx<'_>, report: Report) {
         let now = Self::now_secs(ctx);
@@ -340,57 +438,33 @@ impl CaNode {
                 omitted,
                 accused_list,
             } => {
+                let evidence = |ca: &mut Self, now| ca.verify_signed_list(&accused_list, now);
+                let kind = ReportKind::ListOmission;
+                if !self.admit(ctx, kind, reporter, reporter_cert, evidence) {
+                    return; // malformed report: ignore silently
+                }
                 let category = if omitted == reporter {
                     ReportCat::NeighborSurveillance
                 } else {
                     ReportCat::FingerUpdate
                 };
-                // validate the report itself; each gate input is
-                // computed on its own so the trace oracle can compare
-                // the bits against the accept decision
-                let cert_ok = reporter_cert.node_id == reporter
-                    && self
-                        .verifier
-                        .verify_certificate(&Arc::new(reporter_cert), now)
-                        .is_ok();
-                let reporter_revoked = self.authority.is_revoked(reporter);
-                let evidence_ok = self.verify_signed_list(&accused_list, now);
-                let accepted = if mutation::is(Mutation::SkipReportCertCheck) {
-                    !reporter_revoked && evidence_ok // injected bug
-                } else {
-                    cert_ok && !reporter_revoked && evidence_ok
-                };
-                self.trace(ctx, || ModelEvent::ReportIntake {
-                    kind: ReportKind::ListOmission,
-                    reporter: reporter.0,
-                    cert_ok,
-                    reporter_revoked,
-                    evidence_ok,
-                    accepted,
-                });
-                if !accepted {
-                    return; // malformed report: ignore silently
-                }
                 // the omitted node must be live and stable — otherwise
-                // the omission is honest churn (false alarm)
-                if !self.live.contains(&omitted)
-                    || self.recently_churned(omitted, now, churn_excuse_window(&self.cfg))
+                // the omission is honest churn (false alarm) — and the
+                // list must really omit it
+                if !self.stable(omitted, now, churn_excuse_window(&self.cfg))
+                    || !omits(&accused_list, omitted)
                 {
                     self.dismiss(ctx, category);
                     return;
                 }
-                // is the omission real? the list must span past the
-                // omitted node yet not contain it
-                let list = &accused_list.table.successors;
-                let spans = list
-                    .last()
-                    .is_some_and(|&last| omitted.is_between(accused_list.owner(), last));
-                if list.contains(&omitted) || !spans {
-                    self.dismiss(ctx, category);
-                    return;
-                }
                 // open a proof-chain case against the list's signer
-                self.open_omission_case(ctx, omitted, *accused_list, category);
+                let case = Case::ListOmission {
+                    omitted,
+                    accused_list: *accused_list,
+                    depth: 0,
+                    category,
+                };
+                self.pursue(ctx, case);
             }
             Report::FingerManipulation {
                 reporter,
@@ -400,31 +474,13 @@ impl CaNode {
                 finger_pred_list,
                 pred_succ_list,
             } => {
-                let category = ReportCat::FingerSurveillance;
-                let cert_ok = reporter_cert.node_id == reporter
-                    && self
-                        .verifier
-                        .verify_certificate(&Arc::new(reporter_cert), now)
-                        .is_ok();
-                let evidence_ok = self.verify_signed_list(&table, now)
-                    && self.verify_signed_list(&finger_pred_list, now)
-                    && self.verify_signed_list(&pred_succ_list, now);
-                let accepted = if mutation::is(Mutation::SkipReportCertCheck) {
-                    evidence_ok // injected bug
-                } else {
-                    cert_ok && evidence_ok
+                let evidence = |ca: &mut Self, now| {
+                    ca.verify_signed_list(&table, now)
+                        && ca.verify_signed_list(&finger_pred_list, now)
+                        && ca.verify_signed_list(&pred_succ_list, now)
                 };
-                self.trace(ctx, || ModelEvent::ReportIntake {
-                    kind: ReportKind::FingerManipulation,
-                    reporter: reporter.0,
-                    cert_ok,
-                    // intake deliberately does not gate on this — the
-                    // bit is recorded so the model can check the policy
-                    reporter_revoked: self.authority.is_revoked(reporter),
-                    evidence_ok,
-                    accepted,
-                });
-                if !accepted {
+                let kind = ReportKind::FingerManipulation;
+                if !self.admit(ctx, kind, reporter, reporter_cert, evidence) {
                     return;
                 }
                 let y = table.owner();
@@ -436,14 +492,15 @@ impl CaNode {
                 }
                 let ideal = self.cfg.chord.finger_target(y, finger_index);
                 // find the closer live stable node attested by P′₁
-                let closer = pred_succ_list.table.successors.iter().copied().find(|&z| {
-                    z != fprime
-                        && ideal.distance_to_node(z) < ideal.distance_to_node(fprime)
-                        && self.live.contains(&z)
-                        && !self.recently_churned(z, now, finger_excuse_window(&self.cfg))
-                });
+                let window = finger_excuse_window(&self.cfg);
+                let closer = pred_succ_list
+                    .table
+                    .successors
+                    .iter()
+                    .copied()
+                    .find(|&z| skips(ideal, fprime, z) && self.stable(z, now, window));
                 let Some(z) = closer else {
-                    self.dismiss(ctx, category);
+                    self.dismiss(ctx, ReportCat::FingerSurveillance);
                     return;
                 };
                 // z is live and stable, yet Y's signed finger skips it.
@@ -451,36 +508,14 @@ impl CaNode {
                 // adoption was covered by a colluding P′₁ — challenge Y
                 // for the adoption provenance before judging (§4.4's
                 // "sacrifice either P′₁ or F′ and Y").
-                if self.authority.is_revoked(y) {
-                    return;
-                }
-                if !self.live.contains(&y) {
-                    self.dismiss(ctx, category);
-                    return;
-                }
-                let case = self.next_case;
-                self.next_case += 1;
-                self.cases.insert(
-                    case,
-                    Case::FingerProv {
-                        y,
-                        fprime,
-                        ideal,
-                        z,
-                        category,
-                    },
-                );
-                ctx.send(
+                let case = Case::FingerProv {
                     y,
-                    Msg::CaProvRequest {
-                        case,
-                        slot: finger_index,
-                    },
-                );
-                ctx.set_timer(self.cfg.request_timeout, Timer::CaCaseTimeout { case });
-                // if z should also appear among F′'s claimed
-                // predecessors but does not, F′ covered for the
-                // manipulation — sacrifice F′ as well
+                    fprime,
+                    ideal,
+                    z,
+                    slot: finger_index,
+                };
+                self.pursue(ctx, case);
                 // Note: §4.4 suggests F′ itself can sometimes be
                 // convicted for hiding z among its claimed predecessors,
                 // but predecessor lists heal slowly under churn and an
@@ -497,131 +532,131 @@ impl CaNode {
                 target,
                 initiator_receipt,
             } => {
-                let category = ReportCat::SelectiveDos;
-                let cert_ok = reporter_cert.node_id == reporter
-                    && self
-                        .verifier
-                        .verify_certificate(&Arc::new(reporter_cert), now)
-                        .is_ok();
-                let evidence_ok = !relays.is_empty();
-                let accepted = if mutation::is(Mutation::SkipReportCertCheck) {
-                    evidence_ok // injected bug
-                } else {
-                    cert_ok && evidence_ok
-                };
-                self.trace(ctx, || ModelEvent::ReportIntake {
-                    kind: ReportKind::Dropper,
-                    reporter: reporter.0,
-                    cert_ok,
-                    reporter_revoked: self.authority.is_revoked(reporter),
-                    evidence_ok,
-                    accepted,
-                });
-                if !accepted {
+                let evidence = |_: &mut Self, _| !relays.is_empty();
+                if !self.admit(ctx, ReportKind::Dropper, reporter, reporter_cert, evidence) {
                     return;
                 }
                 // the flow must provably have entered the path
-                let Some(token) = initiator_receipt else {
-                    self.dismiss(ctx, category);
-                    return;
-                };
-                let receipt_ok = self.verify_receipt(&token, relays[0], flow);
-                self.trace_receipt_check(ctx, &token, relays[0], flow, receipt_ok);
-                if !receipt_ok {
-                    self.dismiss(ctx, category);
-                    return;
-                }
-                let case = self.next_case;
-                self.next_case += 1;
-                self.cases.insert(
-                    case,
-                    Case::Dropper {
+                let entered = initiator_receipt
+                    .is_some_and(|token| self.verify_receipt(ctx, &token, relays[0], flow));
+                if entered {
+                    let case = Case::Dropper {
                         flow,
-                        relays: relays.clone(),
+                        relays,
                         target,
                         idx: 0,
-                    },
-                );
-                ctx.send(relays[0], Msg::CaReceiptRequest { case, flow });
-                ctx.set_timer(self.cfg.request_timeout, Timer::CaCaseTimeout { case });
+                    };
+                    self.open_case(ctx, case);
+                } else {
+                    self.dismiss(ctx, ReportCat::SelectiveDos);
+                }
             }
         }
     }
 
-    fn verify_receipt(&self, token: &ReceiptToken, expected_signer: NodeId, flow: u64) -> bool {
-        if mutation::is(Mutation::AcceptAnyReceipt) {
-            return true; // injected bug: receipts rubber-stamped
-        }
-        if token.signer != expected_signer || token.flow != flow {
-            return false;
-        }
-        let Some(key) = self.pubkeys.get(&token.signer) else {
-            return false;
-        };
-        key.verify(&receipt_bytes(flow), token.sig).is_ok()
+    // ------------------------------------------------------------------
+    // The case lifecycle.
+    // ------------------------------------------------------------------
+
+    /// Ask the case's awaited party and arm its deadline.
+    fn open_case(&mut self, ctx: &mut CaCtx<'_>, case: Case) {
+        let id = self.next_case;
+        self.next_case += 1;
+        ctx.send(case.awaited(), case.request(id));
+        ctx.set_timer(self.cfg.request_timeout, Timer::CaCaseTimeout { case: id });
+        self.cases.insert(id, case);
     }
 
-    fn open_omission_case(
-        &mut self,
-        ctx: &mut CaCtx<'_>,
-        omitted: NodeId,
-        accused_list: SignedSuccessorList,
-        category: ReportCat,
-    ) {
-        let accused = accused_list.owner();
-        if self.authority.is_revoked(accused) {
-            return; // already dealt with
-        }
-        if !self.live.contains(&accused) {
-            // churned before investigation; the paper's policy would
-            // judge repeat offenders — we dismiss (counts as false alarm)
-            self.dismiss(ctx, category);
+    /// Open `case` unless its party is already dealt with (revoked: drop
+    /// it) or gone (it churned before the investigation: dismiss, a
+    /// false alarm).
+    fn pursue(&mut self, ctx: &mut CaCtx<'_>, case: Case) {
+        let party = case.awaited();
+        if self.authority.is_revoked(party) {
             return;
         }
-        let case = self.next_case;
-        self.next_case += 1;
-        self.cases.insert(
-            case,
-            Case::ListOmission {
-                omitted,
-                accused,
-                accused_list,
-                depth: 0,
-                category,
-            },
-        );
-        ctx.send(accused, Msg::CaProofRequest { case });
-        ctx.set_timer(self.cfg.request_timeout, Timer::CaCaseTimeout { case });
+        if !self.live.contains(&party) {
+            self.dismiss(ctx, case.category());
+            return;
+        }
+        self.open_case(ctx, case);
+    }
+
+    /// The one entry for replies. A case closes only when its awaited
+    /// party answers what it was asked; a stray, spoofed or off-topic
+    /// reply leaves the case to its deadline.
+    fn on_reply(&mut self, ctx: &mut CaCtx<'_>, from: NodeId, id: u64, reply: Msg) {
+        let answers = self
+            .cases
+            .get(&id)
+            .is_some_and(|case| case.awaited() == from && case.answered_by(&reply));
+        if !answers {
+            return;
+        }
+        match (self.cases.remove(&id), reply) {
+            (
+                Some(Case::ListOmission {
+                    omitted,
+                    accused_list,
+                    depth,
+                    category,
+                }),
+                Msg::CaProofReply { proofs, .. },
+            ) => self.judge_proofs(ctx, omitted, &accused_list, depth, category, &proofs),
+            (
+                Some(Case::FingerProv {
+                    y,
+                    fprime,
+                    ideal,
+                    z,
+                    ..
+                }),
+                Msg::CaProvReply { prov, .. },
+            ) => self.judge_prov(ctx, y, fprime, ideal, z, prov),
+            (
+                Some(Case::Dropper {
+                    flow,
+                    relays,
+                    target,
+                    idx,
+                }),
+                Msg::CaReceiptReply { receipt, .. },
+            ) => self.judge_receipt(ctx, flow, relays, target, idx, receipt),
+            _ => {} // `answered_by` admits no other pairing
+        }
+    }
+
+    fn on_case_timeout(&mut self, ctx: &mut CaCtx<'_>, id: u64) {
+        let Some(case) = self.cases.remove(&id) else {
+            return;
+        };
+        let (accused, category) = (case.awaited(), case.category());
+        let now = Self::now_secs(ctx);
+        if self.stable(accused, now, churn_excuse_window(&self.cfg)) {
+            // alive, stable, yet stonewalling the CA: evasion is an
+            // admission. (A recently churned node may simply have missed
+            // the request.)
+            self.revoke(ctx, accused, category);
+        } else {
+            self.dismiss(ctx, category);
+        }
     }
 
     // ------------------------------------------------------------------
     // Proof-chain walking (§4.3).
     // ------------------------------------------------------------------
 
-    fn on_proof_reply(
+    fn judge_proofs(
         &mut self,
         ctx: &mut CaCtx<'_>,
-        from: NodeId,
-        case_id: u64,
-        proofs: Vec<Arc<SignedSuccessorList>>,
+        omitted: NodeId,
+        accused_list: &SignedSuccessorList,
+        depth: usize,
+        category: ReportCat,
+        proofs: &[Arc<SignedSuccessorList>],
     ) {
         let now = Self::now_secs(ctx);
-        let Some(Case::ListOmission { accused, .. }) = self.cases.get(&case_id) else {
-            return;
-        };
-        if *accused != from {
-            return; // stray or spoofed reply
-        }
-        let Some(Case::ListOmission {
-            omitted,
-            accused,
-            accused_list,
-            depth,
-            category,
-        }) = self.cases.remove(&case_id)
-        else {
-            return;
-        };
+        let accused = accused_list.owner();
         // The adjudication question is narrow: did the accused have a
         // signed basis for omitting *the subject node* from its list?
         // (Full-list equality would be hopelessly brittle under churn —
@@ -662,50 +697,25 @@ impl CaNode {
         match justifying {
             Some(p) => {
                 // the accused merged honestly; the misinformation came
-                // from the proof's signer — walk the chain (Fig. 2(b))
-                let next = p.owner();
-                let next_list = p.clone();
-                if depth + 1 >= MAX_PROOF_CHAIN {
-                    // give up: cascading pollution can thread a long
-                    // chain of honest victims, so depth alone is not
-                    // guilt — close as a false alarm and let fresher
-                    // reports against the fabricator converge instead
+                // from the proof's signer — walk the chain (Fig. 2(b)).
+                // Give up at the depth bound: cascading pollution can
+                // thread a long chain of honest victims, so depth alone
+                // is not guilt — close as a false alarm and let fresher
+                // reports against the fabricator converge instead. The
+                // chain can only continue while the proof itself still
+                // omits the node it spans past; a shorter honest list
+                // pins blame on nobody.
+                if depth + 1 >= MAX_PROOF_CHAIN || !omits(p, omitted) {
                     self.dismiss(ctx, category);
                     return;
                 }
-                // the chain can only continue while the proof itself
-                // still *spans past* the omitted node yet omits it; a
-                // shorter honest list pins blame on nobody
-                let proof_spans = next_list
-                    .table
-                    .successors
-                    .last()
-                    .is_some_and(|&last| omitted.is_between(next, last));
-                if !proof_spans || next_list.table.successors.contains(&omitted) {
-                    self.dismiss(ctx, category);
-                    return;
-                }
-                if self.authority.is_revoked(next) {
-                    return;
-                }
-                if !self.live.contains(&next) {
-                    self.dismiss(ctx, category);
-                    return;
-                }
-                let case = self.next_case;
-                self.next_case += 1;
-                self.cases.insert(
-                    case,
-                    Case::ListOmission {
-                        omitted,
-                        accused: next,
-                        accused_list: next_list,
-                        depth: depth + 1,
-                        category,
-                    },
-                );
-                ctx.send(next, Msg::CaProofRequest { case });
-                ctx.set_timer(self.cfg.request_timeout, Timer::CaCaseTimeout { case });
+                let case = Case::ListOmission {
+                    omitted,
+                    accused_list: p.clone(),
+                    depth: depth + 1,
+                    category,
+                };
+                self.pursue(ctx, case);
             }
             None => {
                 // Conviction requires a *fresh* case: if the statement is
@@ -727,149 +737,35 @@ impl CaNode {
     }
 
     // ------------------------------------------------------------------
-    // Receipt walking (Appendix II).
+    // Finger provenance (§4.4/§4.5).
     // ------------------------------------------------------------------
 
-    fn on_receipt_reply(
+    /// `y` answered a challenge of its finger `fprime`, which skips the
+    /// live stable `z`.
+    fn judge_prov(
         &mut self,
         ctx: &mut CaCtx<'_>,
-        from: NodeId,
-        case_id: u64,
-        flow: u64,
-        receipt: Option<ReceiptToken>,
-    ) {
-        let Some(Case::Dropper { relays, idx, .. }) = self.cases.get(&case_id) else {
-            return;
-        };
-        if relays.get(*idx).copied() != Some(from) {
-            return;
-        }
-        let Some(Case::Dropper {
-            flow: case_flow,
-            relays,
-            target,
-            idx,
-        }) = self.cases.remove(&case_id)
-        else {
-            return;
-        };
-        if case_flow != flow {
-            return;
-        }
-        let now = Self::now_secs(ctx);
-        let category = ReportCat::SelectiveDos;
-        // a flow can die because a relay/target was offline anywhere in
-        // its lifetime; rejoin gaps average ~30 s, so the DoS excuse
-        // window must be generous — convictions demand parties that were
-        // continuously stable around the incident
-        let window = churn_excuse_window(&self.cfg) + 60;
-        let stable =
-            |id: NodeId| self.live.contains(&id) && !self.recently_churned(id, now, window);
-        let is_exit = idx + 1 >= relays.len();
-        let valid = if is_exit {
-            // the exit's "next hop" is the queried target; the target
-            // answers queries if alive, so a stable target plus a
-            // timed-out flow convicts the exit. (The exit holds no
-            // receipt — the plain query protocol has none — so we use
-            // target liveness.)
-            stable(target)
-        } else {
-            match receipt {
-                Some(t) => {
-                    let ok = self.verify_receipt(&t, relays[idx + 1], flow);
-                    self.trace_receipt_check(ctx, &t, relays[idx + 1], flow, ok);
-                    ok
-                }
-                None => false,
-            }
-        };
-        if is_exit {
-            if valid && stable(relays[idx]) {
-                // target alive, exit provably received the flow: exit
-                // dropped the query
-                self.dropper_strike(ctx, relays[idx], category);
-            } else {
-                self.dismiss(ctx, category); // a churned party: honest failure
-            }
-            return;
-        }
-        if valid {
-            // this relay provably handed the flow on — move to the next
-            let next = relays[idx + 1];
-            if self.authority.is_revoked(next) {
-                return;
-            }
-            if !self.live.contains(&next) {
-                self.dismiss(ctx, category);
-                return;
-            }
-            let case = self.next_case;
-            self.next_case += 1;
-            self.cases.insert(
-                case,
-                Case::Dropper {
-                    flow,
-                    relays,
-                    target,
-                    idx: idx + 1,
-                },
-            );
-            ctx.send(next, Msg::CaReceiptRequest { case, flow });
-            ctx.set_timer(self.cfg.request_timeout, Timer::CaCaseTimeout { case });
-        } else {
-            // no receipt from the next hop: this relay never forwarded
-            let next = relays.get(idx + 1).copied().unwrap_or(relays[idx]);
-            if stable(next) && stable(relays[idx]) {
-                self.dropper_strike(ctx, relays[idx], category);
-            } else {
-                // the next hop — or this relay itself — churned while
-                // the flow was in flight: excusable
-                self.dismiss(ctx, category);
-            }
-        }
-    }
-
-    /// The accused answered a finger-provenance challenge.
-    fn on_prov_reply(
-        &mut self,
-        ctx: &mut CaCtx<'_>,
-        from: NodeId,
-        case_id: u64,
-        prov: Option<SignedSuccessorList>,
+        y: NodeId,
+        fprime: NodeId,
+        ideal: Key,
+        z: NodeId,
+        prov: Option<Box<SignedSuccessorList>>,
     ) {
         let now = Self::now_secs(ctx);
-        let Some(Case::FingerProv { y, .. }) = self.cases.get(&case_id) else {
-            return;
-        };
-        if *y != from {
-            return;
-        }
-        let Some(Case::FingerProv {
-            y,
-            fprime,
-            ideal,
-            z,
-            category,
-        }) = self.cases.remove(&case_id)
-        else {
-            return;
-        };
-        let Some(list) = prov else {
+        let category = ReportCat::FingerSurveillance;
+        let Some(list) = prov.filter(|list| self.verify_signed_list(list, now)) else {
             // no justification for a finger that skips a stable node
             self.revoke(ctx, y, category);
             return;
         };
-        if !self.verify_signed_list(&list, now) {
-            self.revoke(ctx, y, category);
-            return;
-        }
         // does the list actually justify the adoption? no member may sit
         // in the gap [ideal, F′)
-        let justifies =
-            !list.table.successors.iter().any(|&m| {
-                m != fprime && ideal.distance_to_node(m) < ideal.distance_to_node(fprime)
-            });
-        if !justifies {
+        if list
+            .table
+            .successors
+            .iter()
+            .any(|&m| skips(ideal, fprime, m))
+        {
             // provenance that admits a closer node means the finger has
             // since been refreshed (or the node's bookkeeping is stale) —
             // either way the report concerned superseded state, not a
@@ -879,27 +775,78 @@ impl CaNode {
             return;
         }
         // the signer vouched "nothing closer than F′" — if z was already
-        // stable when it signed and z falls inside its successor span,
-        // the signer lied: sacrifice the signer (the covering P′₁)
-        let signer = list.owner();
-        let z_in_span = list
-            .table
-            .successors
-            .last()
-            .is_some_and(|&last| z.is_between(signer, last) || z == last);
+        // stable when it signed and its list spans past z, the signer
+        // lied: sacrifice the signer (the covering P′₁)
         let window = churn_excuse_window(&self.cfg);
         let z_stable_then = self
             .join_times
             .get(&z)
-            .is_some_and(|&t| list.timestamp.saturating_sub(t) > window)
-            || !self.join_times.contains_key(&z);
-        if z_in_span && z_stable_then && signer != y {
+            .is_none_or(|&t| list.timestamp.saturating_sub(t) > window);
+        if list.owner() != y && z_stable_then && omits(&list, z) {
             // the signer vouched for a list omitting a stable node — but
             // it may itself be an honest victim of successor-list
             // pollution, so walk its proof chain instead of revoking
             // outright; the walk terminates at the fabricator (§4.3)
-            self.open_omission_case(ctx, z, list, category);
+            let case = Case::ListOmission {
+                omitted: z,
+                accused_list: *list,
+                depth: 0,
+                category,
+            };
+            self.pursue(ctx, case);
         } else {
+            self.dismiss(ctx, category);
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Receipt walking (Appendix II).
+    // ------------------------------------------------------------------
+
+    /// `relays[idx]` answered for `flow`, showing the receipt its next
+    /// hop signed, if it holds one.
+    fn judge_receipt(
+        &mut self,
+        ctx: &mut CaCtx<'_>,
+        flow: u64,
+        relays: Vec<NodeId>,
+        target: NodeId,
+        idx: usize,
+        receipt: Option<ReceiptToken>,
+    ) {
+        let now = Self::now_secs(ctx);
+        let category = ReportCat::SelectiveDos;
+        let relay = relays[idx];
+        // the exit's "next hop" is the queried target, which answers
+        // queries if alive; the exit holds no receipt (the plain query
+        // protocol has none), so a stable target plus a timed-out flow
+        // convicts the exit
+        let next = relays.get(idx + 1).copied();
+        if let (Some(next), Some(token)) = (next, receipt) {
+            if self.verify_receipt(ctx, &token, next, flow) {
+                // this relay provably handed the flow on — ask the next
+                let case = Case::Dropper {
+                    flow,
+                    relays,
+                    target,
+                    idx: idx + 1,
+                };
+                self.pursue(ctx, case);
+                return;
+            }
+        }
+        // a flow can die because a relay/target was offline anywhere in
+        // its lifetime; rejoin gaps average ~30 s, so the DoS excuse
+        // window must be generous — convictions demand parties that were
+        // continuously stable around the incident
+        let window = churn_excuse_window(&self.cfg) + 60;
+        if self.stable(next.unwrap_or(target), now, window) && self.stable(relay, now, window) {
+            // the relay provably received the flow and its stable next
+            // hop never did: it dropped the flow
+            self.dropper_strike(ctx, relay, category);
+        } else {
+            // the next hop — or this relay itself — churned while the
+            // flow was in flight: excusable
             self.dismiss(ctx, category);
         }
     }
@@ -914,37 +861,13 @@ impl CaNode {
             self.dismiss(ctx, category);
         }
     }
-
-    fn on_case_timeout(&mut self, ctx: &mut CaCtx<'_>, case_id: u64) {
-        let Some(case) = self.cases.remove(&case_id) else {
-            return;
-        };
-        let (accused, category) = match &case {
-            Case::ListOmission {
-                accused, category, ..
-            } => (*accused, *category),
-            Case::FingerProv { y, category, .. } => (*y, *category),
-            Case::Dropper { relays, idx, .. } => (relays[*idx], ReportCat::SelectiveDos),
-        };
-        let now = Self::now_secs(ctx);
-        if self.live.contains(&accused)
-            && !self.recently_churned(accused, now, churn_excuse_window(&self.cfg))
-        {
-            // alive, stable, yet stonewalling the CA: evasion is an
-            // admission. (A recently churned node may simply have missed
-            // the request.)
-            self.revoke(ctx, accused, category);
-        } else {
-            self.dismiss(ctx, category);
-        }
-    }
 }
 
 /// Is `list` obtainable as `merge(owner, proof_owner, proof_list, k)`
 /// modulo insertions/removals excusable by churn?
 ///
 /// This *full-list* consistency check is stricter than the omission
-/// adjudication the CA uses in production (see `on_proof_reply`) — under
+/// adjudication the CA uses in production (see `judge_proofs`) — under
 /// churn, honest lists legitimately diverge from any single retained
 /// proof. It is compiled for the tests only, as the reference semantics
 /// of the merge rule.
@@ -1009,19 +932,9 @@ impl NodeBehavior for CaNode {
         ctx.emit(Control::CaReceived);
         match msg {
             Msg::Report(r) => self.on_report(ctx, *r),
-            Msg::CaProofReply { case, proofs, .. } => {
-                self.on_proof_reply(ctx, from, case, proofs);
-            }
-            Msg::CaReceiptReply {
-                case,
-                flow,
-                receipt,
-            } => {
-                self.on_receipt_reply(ctx, from, case, flow, receipt);
-            }
-            Msg::CaProvReply { case, prov } => {
-                self.on_prov_reply(ctx, from, case, prov.map(|b| *b));
-            }
+            Msg::CaProofReply { case, .. }
+            | Msg::CaReceiptReply { case, .. }
+            | Msg::CaProvReply { case, .. } => self.on_reply(ctx, from, case, msg),
             _ => {}
         }
     }
@@ -1039,8 +952,174 @@ mod tests {
     use octopus_chord::signed::successor_list_table;
     use octopus_chord::SignedRoutingTable;
     use octopus_crypto::KeyPair;
+    use octopus_net::Ctx;
+    use octopus_sim::SimTime;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    const CA: NodeId = NodeId(1);
+
+    /// When the lifecycle tests call the CA: long after every peer
+    /// joined, at 0 s, so each is stable.
+    const NOW: u64 = 1_000;
+
+    /// A CA that knows `peers` (their keys, and a join at 0 s), with
+    /// their key pairs in the same order.
+    fn ca_knowing(peers: &[NodeId]) -> (CaNode, Vec<KeyPair>) {
+        let mut rng = StdRng::seed_from_u64(0x4341);
+        let authority = CertificateAuthority::new(&mut rng);
+        let mut ca = CaNode::new(CA, authority, OctopusConfig::default());
+        let keys = peers
+            .iter()
+            .map(|&id| {
+                let kp = KeyPair::generate(&mut rng);
+                ca.register(id, kp.public());
+                ca.note_join(id, 0);
+                kp
+            })
+            .collect();
+        (ca, keys)
+    }
+
+    /// Call one handler at `NOW`: what it sent, and the verdicts it
+    /// emitted. Its timers are dropped; a test fires a deadline itself.
+    fn call(
+        ca: &mut CaNode,
+        f: impl FnOnce(&mut CaNode, &mut CaCtx<'_>),
+    ) -> (Vec<(Addr, Msg)>, Vec<Verdict>) {
+        let mut rng = StdRng::seed_from_u64(0);
+        let (mut sent, mut timers, mut controls) = (Vec::new(), Vec::new(), Vec::new());
+        let now = SimTime::from_secs(NOW);
+        f(
+            ca,
+            &mut Ctx::from_parts(now, CA, &mut rng, &mut sent, &mut timers, &mut controls),
+        );
+        let sent = sent.into_iter().map(|(to, msg, _)| (to, msg)).collect();
+        let verdicts = controls
+            .into_iter()
+            .filter_map(|c| match c {
+                Control::Verdict { verdict, .. } => Some(verdict),
+                _ => None,
+            })
+            .collect();
+        (sent, verdicts)
+    }
+
+    /// Deliver `msg` from `from`; the verdicts it drew.
+    fn deliver(ca: &mut CaNode, from: NodeId, msg: Msg) -> (Vec<(Addr, Msg)>, Vec<Verdict>) {
+        call(ca, |ca, ctx| ca.on_message(ctx, from, msg))
+    }
+
+    /// Fire case `case`'s deadline; the verdicts it drew.
+    fn deadline(ca: &mut CaNode, case: u64) -> Vec<Verdict> {
+        call(ca, |ca, ctx| {
+            ca.on_timer(ctx, Timer::CaCaseTimeout { case })
+        })
+        .1
+    }
+
+    fn receipt(signer: NodeId, kp: &KeyPair, flow: u64) -> ReceiptToken {
+        ReceiptToken {
+            flow,
+            signer,
+            sig: kp.sign(&receipt_bytes(flow)),
+        }
+    }
+
+    /// File a dropper report for `flow` over `relays` (the first relay's
+    /// receipt attached) and return the case it opened.
+    fn open_receipt_walk(
+        ca: &mut CaNode,
+        reporter: (NodeId, &KeyPair),
+        relays: (NodeId, &KeyPair, NodeId),
+        flow: u64,
+    ) -> u64 {
+        let report = Report::Dropper {
+            reporter: reporter.0,
+            reporter_cert: ca.issue_cert(reporter.0, reporter.1.public()),
+            flow,
+            relays: vec![relays.0, relays.2],
+            target: NodeId(999),
+            initiator_receipt: Some(receipt(relays.0, relays.1, flow)),
+        };
+        let (sent, verdicts) = deliver(ca, reporter.0, Msg::Report(Box::new(report)));
+        assert!(verdicts.is_empty());
+        match sent.as_slice() {
+            [(to, Msg::CaReceiptRequest { case, flow: asked })] if *to == relays.0 => {
+                assert_eq!(*asked, flow);
+                *case
+            }
+            _ => panic!("expected one receipt request to the first relay, sent {sent:?}"),
+        }
+    }
+
+    /// Appendix II's walk asks a relay about one flow. A reply about
+    /// another flow does not answer — whatever receipt it carries — so
+    /// the relay's deadline still judges it: it cannot end its own
+    /// investigation by answering off topic.
+    #[test]
+    fn a_receipt_reply_for_another_flow_leaves_the_case_open() {
+        let (reporter, relay, exit) = (NodeId(10), NodeId(20), NodeId(30));
+        let (mut ca, keys) = ca_knowing(&[reporter, relay, exit]);
+        let flow = 77;
+        let case = open_receipt_walk(&mut ca, (reporter, &keys[0]), (relay, &keys[1], exit), flow);
+        let off_topic = Msg::CaReceiptReply {
+            case,
+            flow: flow + 1,
+            receipt: None,
+        };
+        assert_eq!(deliver(&mut ca, relay, off_topic), (vec![], vec![]));
+        assert_eq!(deadline(&mut ca, case), [Verdict::Revoked(relay)]);
+    }
+
+    /// A case closes only on its awaited party's answer to what was
+    /// asked. A reply from another node (here the next relay, carrying
+    /// its own valid receipt) and a reply of the wrong kind (a
+    /// provenance reply to a proof-chain case) both leave the case
+    /// open, and its deadline judges the awaited party.
+    #[test]
+    fn replies_that_do_not_answer_leave_the_case_to_its_deadline() {
+        let (reporter, relay, exit) = (NodeId(10), NodeId(20), NodeId(30));
+        let (accused, omitted, far) = (NodeId(100), NodeId(110), NodeId(120));
+        let (mut ca, keys) = ca_knowing(&[reporter, relay, exit, accused, omitted, far]);
+
+        // a receipt walk, answered by a node it is not waiting on
+        let flow = 5;
+        let walk = open_receipt_walk(&mut ca, (reporter, &keys[0]), (relay, &keys[1], exit), flow);
+        let stranger = Msg::CaReceiptReply {
+            case: walk,
+            flow,
+            receipt: Some(receipt(exit, &keys[2], flow)),
+        };
+        assert_eq!(deliver(&mut ca, exit, stranger), (vec![], vec![]));
+
+        // a proof chain (§4.3): `accused` signs a list that spans past
+        // `omitted` yet omits it; `omitted` reports it
+        let accused_cert = ca.issue_cert(accused, keys[3].public());
+        let table = successor_list_table(accused, vec![far]);
+        let list = SignedRoutingTable::sign(table, NOW, &keys[3], accused_cert);
+        let report = Report::ListOmission {
+            reporter: omitted,
+            reporter_cert: ca.issue_cert(omitted, keys[4].public()),
+            omitted,
+            accused_list: Box::new(list),
+        };
+        let (sent, verdicts) = deliver(&mut ca, omitted, Msg::Report(Box::new(report)));
+        assert!(verdicts.is_empty());
+        let [(to, Msg::CaProofRequest { case: chain })] = sent.as_slice() else {
+            panic!("expected one proof request, sent {sent:?}");
+        };
+        assert_eq!(*to, accused);
+        let chain = *chain;
+        let wrong_kind = Msg::CaProvReply {
+            case: chain,
+            prov: None,
+        };
+        assert_eq!(deliver(&mut ca, accused, wrong_kind), (vec![], vec![]));
+
+        assert_eq!(deadline(&mut ca, walk), [Verdict::Revoked(relay)]);
+        assert_eq!(deadline(&mut ca, chain), [Verdict::Revoked(accused)]);
+    }
 
     /// Every ordering of `0..n`, by Heap's algorithm.
     fn permutations(n: usize) -> Vec<Vec<usize>> {

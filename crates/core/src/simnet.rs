@@ -29,6 +29,7 @@ use crate::config::OctopusConfig;
 use crate::genesis::{self, RingKeys};
 use crate::messages::{Msg, Timer};
 use crate::node::OctopusNode;
+use crate::surveillance::skips;
 
 /// The CA's reserved overlay address (outside the ring population).
 pub const CA_ADDR: NodeId = NodeId(u64::MAX);
@@ -635,10 +636,6 @@ impl SecuritySim {
         report
     }
 
-    #[expect(
-        clippy::too_many_lines,
-        reason = "one arm per control; splitting hides which controls the driver handles"
-    )]
     fn handle_control(
         &mut self,
         c: Control,
@@ -707,10 +704,7 @@ impl SecuritySim {
             } => {
                 // a finger is provably bad when ground truth has a
                 // closer live owner for its ideal id
-                let truth = self.space.owner_of(ideal).owner;
-                let bad = truth != finger
-                    && ideal.distance_to_node(truth) < ideal.distance_to_node(finger);
-                if bad {
+                if skips(ideal, finger, self.space.owner_of(ideal).owner) {
                     report.tests_of_bad += 1;
                     report.finger_tests_of_bad += 1;
                     if !violation {

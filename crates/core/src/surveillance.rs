@@ -26,6 +26,25 @@ use crate::messages::{Msg, Report, Timer};
 use crate::node::{AnonPurpose, DirectPurpose, FingerLookup, NodeCtx, OctopusNode};
 use crate::simnet::Control;
 
+/// Does `list` omit `node` though it spans past it? Only such a list
+/// is evidence of an omission; a short or stale one is not (§4.3).
+/// Neighbor surveillance files by this rule and the CA judges by it.
+pub(crate) fn omits(list: &SignedRoutingTable, node: NodeId) -> bool {
+    let succ = &list.table.successors;
+    !succ.contains(&node)
+        && succ
+            .last()
+            .is_some_and(|&last| node.is_between(list.owner(), last))
+}
+
+/// Does a finger `finger` for the ideal id `ideal` skip `z`, a node
+/// closer to that id — the "true finger" (§4.4)? The finger never skips
+/// itself. Finger surveillance, checked finger updates and the CA judge
+/// by this rule.
+pub(crate) fn skips(ideal: Key, finger: NodeId, z: NodeId) -> bool {
+    ideal.distance_to_node(z) < ideal.distance_to_node(finger)
+}
+
 /// Where a finger check originated — determines the report filed on
 /// violation and whether a candidate gets adopted on a pass.
 #[derive(Clone, Debug)]
@@ -222,9 +241,12 @@ impl OctopusNode {
         }
         // the violation: some successor of P′₁ is closer to the ideal
         // finger id than F′ — the "true finger" Y's table skipped (§4.4)
-        let closer = p1_table.table.successors.iter().copied().find(|&z| {
-            z != fc.fprime && fc.ideal.distance_to_node(z) < fc.ideal.distance_to_node(fc.fprime)
-        });
+        let closer = p1_table
+            .table
+            .successors
+            .iter()
+            .copied()
+            .find(|&z| skips(fc.ideal, fc.fprime, z));
         let violation = closer.is_some();
         ctx.emit(Control::FingerTest {
             tester: self.id,
@@ -397,14 +419,7 @@ impl OctopusNode {
         if table.owner() != target || table.verify_with(&mut self.verifier, now).is_err() {
             return;
         }
-        let succ = &table.table.successors;
-        let contains_me = succ.contains(&self.id);
-        // only a list that *spans past us* and still omits us is a
-        // violation; a short or stale list is not evidence
-        let spans_me = succ
-            .last()
-            .is_some_and(|&last| self.id.is_between(target, last));
-        let violation = !contains_me && spans_me;
+        let violation = omits(&table, self.id);
         ctx.emit(Control::NeighborTest {
             tester: self.id,
             target,

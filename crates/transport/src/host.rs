@@ -39,14 +39,14 @@
 //! into the host's pending buffer, behind the frames sent before it.
 //! The host flushes once per step of `drive`, after the step's due
 //! timers and its backlog (the datagrams already waiting, up to
-//! [`BACKLOG`]) have run, and before `start` and `inject` return: it
+//! `BACKLOG`) have run, and before `start` and `inject` return: it
 //! copies each destination's frames, in send order, into the send
 //! buffer, up to [`MAX_DATAGRAM`] bytes, and hands that to `send_to`:
 //! one datagram per peer and step. Two waiting datagrams that each make
 //! a frame for one peer so cost that peer one datagram, not two. A
 //! frame waits at most for the rest of its step: the handlers of the
 //! datagrams that were already waiting when the step read them, never
-//! more than [`BACKLOG`], and never across an idle wait. Both buffers
+//! more than `BACKLOG`, and never across an idle wait. Both buffers
 //! keep their capacity; in the steady state neither direction allocates
 //! for a frame, and the handler's outbox is a pooled `Vec` taken out of
 //! the host for the call and put back.
@@ -506,10 +506,10 @@ where
     /// Poll the socket and timers for `budget` of *wall-clock* time (the
     /// simulator's implementation of the same trait advances virtual
     /// time instead). Each step fires the timers that are due, reads and
-    /// delivers the datagrams already waiting (up to [`BACKLOG`]) and
+    /// delivers the datagrams already waiting (up to `BACKLOG`) and
     /// flushes once, so the last step may run past the budget by one
     /// backlog's handling. A step that read nothing waits on the socket
-    /// for up to [`READ_TIMEOUT`] when at least that much budget is left;
+    /// for up to `READ_TIMEOUT` when at least that much budget is left;
     /// with less, the idle host returns early, so a short drive never
     /// blocks.
     fn drive(&mut self, budget: Duration) -> Vec<B::Control> {
